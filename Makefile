@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test vet race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
+.PHONY: all check build bench-build test test-noavx vet race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
 
 all: check
 
@@ -11,16 +11,29 @@ all: check
 # observability lint/golden gate, the alerting/flight-recorder drill, the
 # calibration accuracy gate, and one-iteration benchmark smoke passes
 # (including a fleet router sweep) so the benchmarks themselves can't rot.
-check: build vet test race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
+# bench-build and test-noavx cover what the plain build and test do not:
+# the nested benchmark module and the portable (non-AVX2) kernels.
+check: build bench-build vet test test-noavx race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is a module of its own, outside `go build ./...`: without this
+# a signature change that breaks benchmark/layers.go stays invisible until
+# the benchmark driver runs. -o /dev/null keeps the binary out of the tree.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
+
+# The numeric packages again on the portable scalar kernels, which on an
+# AVX2 host no other target runs.
+test-noavx:
+	FLASHPS_NO_AVX2=1 $(GO) test ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/metrics/... ./internal/batching/... ./internal/replay/...

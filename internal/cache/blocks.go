@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,7 +115,10 @@ func (s *BlockStore) blockPath(hash string) string {
 // writes its manifest atomically. Re-saving an existing id releases the
 // old manifest's blocks after the new one lands.
 func (s *BlockStore) Save(id uint64, tc *diffusion.TemplateCache) error {
+	// Sized up front (activations plus headers): a buffer left to grow by
+	// doubling holds three times the template at its peak.
 	var buf bytes.Buffer
+	buf.Grow(int(tc.SizeBytes()*65/64) + 1<<12)
 	if err := tc.Serialize(&buf); err != nil {
 		return fmt.Errorf("cache: serialize template %d: %w", id, err)
 	}
@@ -170,8 +175,10 @@ func (s *BlockStore) Save(id uint64, tc *diffusion.TemplateCache) error {
 	return nil
 }
 
-// Load reads a spilled template back, verifying block lengths against the
-// manifest.
+// Load reads a spilled template back, verifying its length against the
+// manifest. The blocks are decoded as they stream off the disk: a
+// promotion is the serving path's largest allocation, so the template is
+// materialized once, as matrices, and never as a reassembled byte image.
 func (s *BlockStore) Load(id uint64) (*diffusion.TemplateCache, error) {
 	s.mu.Lock()
 	m, ok := s.manifests[id]
@@ -179,18 +186,59 @@ func (s *BlockStore) Load(id uint64) (*diffusion.TemplateCache, error) {
 	if !ok {
 		return nil, fmt.Errorf("cache: template %d: %w", id, ErrNotFound)
 	}
-	raw := make([]byte, 0, m.Bytes)
-	for i, h := range m.Blocks {
-		blk, err := os.ReadFile(s.blockPath(h))
-		if err != nil {
-			return nil, fmt.Errorf("cache: read block %d of template %d: %w", i, id, err)
+	blocks := &blockReader{store: s, blocks: m.Blocks}
+	defer blocks.close()
+	r := bufio.NewReaderSize(blocks, 64<<10)
+	tc, err := diffusion.ReadTemplateCache(r)
+	if err == nil {
+		_, err = io.Copy(io.Discard, r) // whatever follows counts against the manifest
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cache: read template %d: %w", id, err)
+	}
+	if blocks.n != m.Bytes {
+		return nil, fmt.Errorf("cache: template %d has %d bytes on disk, manifest says %d", id, blocks.n, m.Bytes)
+	}
+	return tc, nil
+}
+
+// blockReader reads a manifest's block files back to back.
+type blockReader struct {
+	store  *BlockStore
+	blocks []string // hashes not yet opened
+	f      *os.File // block being read, nil between blocks
+	n      int64    // bytes delivered so far
+}
+
+func (r *blockReader) Read(p []byte) (int, error) {
+	for {
+		if r.f == nil {
+			if len(r.blocks) == 0 {
+				return 0, io.EOF
+			}
+			f, err := os.Open(r.store.blockPath(r.blocks[0]))
+			if err != nil {
+				return 0, err
+			}
+			r.f, r.blocks = f, r.blocks[1:]
 		}
-		raw = append(raw, blk...)
+		n, err := r.f.Read(p)
+		r.n += int64(n)
+		if err == io.EOF {
+			r.close()
+			err = nil
+		}
+		if n > 0 || err != nil {
+			return n, err
+		}
 	}
-	if int64(len(raw)) != m.Bytes {
-		return nil, fmt.Errorf("cache: template %d reassembled to %d bytes, manifest says %d", id, len(raw), m.Bytes)
+}
+
+func (r *blockReader) close() {
+	if r.f != nil {
+		r.f.Close()
+		r.f = nil
 	}
-	return diffusion.ReadTemplateCache(bytes.NewReader(raw))
 }
 
 // Has reports whether a spilled copy of the template exists.

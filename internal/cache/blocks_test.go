@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -63,6 +64,41 @@ func TestReadTemplateCacheRejectsGarbage(t *testing.T) {
 	for i, data := range cases {
 		if _, err := diffusion.ReadTemplateCache(bytes.NewReader(data)); err == nil {
 			t.Fatalf("case %d: garbage accepted", i)
+		}
+	}
+}
+
+func TestBlockStoreLoadChecksLength(t *testing.T) {
+	// Load decodes the blocks as they stream in; a block that lost or
+	// gained bytes on disk must still fail against the manifest's length,
+	// and a missing block must fail outright.
+	damage := map[string]func(path string) error{
+		"truncated": func(path string) error { return os.Truncate(path, 100) },
+		"extended": func(path string) error {
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = f.Write(make([]byte, 8))
+			return err
+		},
+		"missing": os.Remove,
+	}
+	for name, fn := range damage {
+		bs, err := NewBlockStore(t.TempDir(), 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.Save(7, newTemplateCache(t, 7)); err != nil {
+			t.Fatal(err)
+		}
+		blocks := bs.manifests[7].Blocks
+		if err := fn(bs.blockPath(blocks[len(blocks)-1])); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bs.Load(7); err == nil {
+			t.Fatalf("Load accepted a template whose last block was %s", name)
 		}
 	}
 }

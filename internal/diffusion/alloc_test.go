@@ -73,18 +73,23 @@ func TestSteadyStateGuidedStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateMaskedStepLowAllocs pins the masked cached-Y path. The
-// gather/scatter bookkeeping itself is arena-backed; only the Record-free
-// cached path is exercised, so it too must be allocation-free once warm.
+// TestSteadyStateMaskedStepZeroAllocs pins the mask-aware paths. The
+// gather/scatter bookkeeping is arena-backed and only the Record-free
+// cached path is exercised, so they too must be allocation-free once warm
+// — at every masked-row count class the GEMM distinguishes: remainder
+// rows only (1, 3), full 4-row tiles only (4), and both (7).
 func TestSteadyStateMaskedStepZeroAllocs(t *testing.T) {
 	e := newTestEngine(t)
-	tpl, _ := testTemplate(t, e, false)
-	maskedIdx := []int{1, 7, 8, 14}
-	step := steadyStateStep(t, testCfg, EditCachedY, maskedIdx, tpl)
-	step()
-	step()
-	if n := testing.AllocsPerRun(10, step); n != 0 {
-		t.Fatalf("steady-state cached-Y denoise step: %v allocs/op, want 0", n)
+	tpl, _ := testTemplate(t, e, true)
+	for _, mode := range []EditMode{EditCachedY, EditCachedKV} {
+		for _, maskedIdx := range [][]int{{8}, {1, 7, 8}, {1, 7, 8, 14}, {1, 2, 7, 8, 13, 14, 20}} {
+			step := steadyStateStep(t, testCfg, mode, maskedIdx, tpl)
+			step()
+			step()
+			if n := testing.AllocsPerRun(10, step); n != 0 {
+				t.Fatalf("steady-state %v denoise step, %d masked rows: %v allocs/op, want 0", mode, len(maskedIdx), n)
+			}
+		}
 	}
 }
 

@@ -25,30 +25,40 @@ type Backbone interface {
 // real-math counterpart of the FlashPS worker's inference engine: all
 // quality experiments (Table 2, Fig 1, Fig 6, Fig 13) run through it.
 //
-// Each denoising run borrows a kernel workspace (tensor.Arena) from an
-// internal pool and resets it once per step, so steady-state denoise steps
-// perform zero heap allocations while concurrent Edit calls stay safe.
+// Each denoising step (and each template preparation) borrows a kernel
+// workspace (tensor.Arena) from the engine's free list, so steady-state
+// denoise steps perform zero heap allocations while concurrent Edit calls
+// stay safe. The list grows to the number of borrowers ever in flight at
+// once — steps running, not sessions open — and hands back the most
+// recently used workspace first, the one still warm in cache.
 type Engine struct {
 	Model Backbone
 	Codec *Codec
 	Sched *Schedule
 
-	wsPool sync.Pool
+	wsMu   sync.Mutex
+	wsFree []*tensor.Arena
 }
 
-// acquireWS borrows a workspace for one denoising run.
+// acquireWS borrows an empty workspace.
 func (e *Engine) acquireWS() *tensor.Arena {
-	if ws, ok := e.wsPool.Get().(*tensor.Arena); ok {
+	e.wsMu.Lock()
+	defer e.wsMu.Unlock()
+	if n := len(e.wsFree); n > 0 {
+		ws := e.wsFree[n-1]
+		e.wsFree = e.wsFree[:n-1]
 		return ws
 	}
 	return tensor.NewArena()
 }
 
-// releaseWS returns a workspace to the pool. The arena is reset first so
-// no caller observes a peer's intermediates.
+// releaseWS returns a workspace to the free list. The arena is reset first
+// so no caller observes a peer's intermediates.
 func (e *Engine) releaseWS(ws *tensor.Arena) {
 	ws.Reset()
-	e.wsPool.Put(ws)
+	e.wsMu.Lock()
+	e.wsFree = append(e.wsFree, ws)
+	e.wsMu.Unlock()
 }
 
 // NewEngine builds an engine over the flat transformer backbone for cfg,

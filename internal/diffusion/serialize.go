@@ -47,13 +47,16 @@ func (tc *TemplateCache) Serialize(w io.Writer) error {
 			return err
 		}
 	}
-	if err := writeMatrix(w, tc.Z0); err != nil {
+	// One staging buffer serves every matrix of the cache, as on the
+	// read side.
+	scratch := make([]byte, 1<<14)
+	if err := writeMatrix(w, tc.Z0, scratch); err != nil {
 		return err
 	}
-	if err := writeMatrix(w, tc.Noise); err != nil {
+	if err := writeMatrix(w, tc.Noise, scratch); err != nil {
 		return err
 	}
-	if err := writeSteps(w, tc.Steps); err != nil {
+	if err := writeSteps(w, tc.Steps, scratch); err != nil {
 		return err
 	}
 	if tc.UncondSteps == nil {
@@ -63,10 +66,10 @@ func (tc *TemplateCache) Serialize(w io.Writer) error {
 	if _, err := w.Write([]byte{1}); err != nil {
 		return err
 	}
-	return writeSteps(w, tc.UncondSteps)
+	return writeSteps(w, tc.UncondSteps, scratch)
 }
 
-func writeSteps(w io.Writer, steps []*model.StepActivations) error {
+func writeSteps(w io.Writer, steps []*model.StepActivations, scratch []byte) error {
 	if err := writeU32(w, uint32(len(steps))); err != nil {
 		return err
 	}
@@ -98,7 +101,7 @@ func writeSteps(w io.Writer, steps []*model.StepActivations) error {
 				if m == nil {
 					continue
 				}
-				if err := writeMatrix(w, m); err != nil {
+				if err := writeMatrix(w, m, scratch); err != nil {
 					return err
 				}
 			}
@@ -142,13 +145,16 @@ func ReadTemplateCache(r io.Reader) (*TemplateCache, error) {
 		}
 		tc.Cond[i] = math.Float32frombits(bits)
 	}
-	if tc.Z0, err = readMatrix(r); err != nil {
+	// One staging buffer serves every matrix of the cache (hundreds of
+	// them), so decoding allocates little beyond the matrices themselves.
+	scratch := make([]byte, 1<<14)
+	if tc.Z0, err = readMatrix(r, scratch); err != nil {
 		return nil, err
 	}
-	if tc.Noise, err = readMatrix(r); err != nil {
+	if tc.Noise, err = readMatrix(r, scratch); err != nil {
 		return nil, err
 	}
-	if tc.Steps, err = readSteps(r); err != nil {
+	if tc.Steps, err = readSteps(r, scratch); err != nil {
 		return nil, err
 	}
 	var uflag [1]byte
@@ -156,7 +162,7 @@ func ReadTemplateCache(r io.Reader) (*TemplateCache, error) {
 		return nil, err
 	}
 	if uflag[0] == 1 {
-		if tc.UncondSteps, err = readSteps(r); err != nil {
+		if tc.UncondSteps, err = readSteps(r, scratch); err != nil {
 			return nil, err
 		}
 	} else if uflag[0] != 0 {
@@ -165,7 +171,7 @@ func ReadTemplateCache(r io.Reader) (*TemplateCache, error) {
 	return tc, nil
 }
 
-func readSteps(r io.Reader) ([]*model.StepActivations, error) {
+func readSteps(r io.Reader, scratch []byte) ([]*model.StepActivations, error) {
 	count, err := readU32(r)
 	if err != nil {
 		return nil, err
@@ -192,17 +198,17 @@ func readSteps(r io.Reader) ([]*model.StepActivations, error) {
 				return nil, err
 			}
 			if flags[0]&1 != 0 {
-				if st.Blocks[bi].Y, err = readMatrix(r); err != nil {
+				if st.Blocks[bi].Y, err = readMatrix(r, scratch); err != nil {
 					return nil, err
 				}
 			}
 			if flags[0]&2 != 0 {
-				if st.Blocks[bi].K, err = readMatrix(r); err != nil {
+				if st.Blocks[bi].K, err = readMatrix(r, scratch); err != nil {
 					return nil, err
 				}
 			}
 			if flags[0]&4 != 0 {
-				if st.Blocks[bi].V, err = readMatrix(r); err != nil {
+				if st.Blocks[bi].V, err = readMatrix(r, scratch); err != nil {
 					return nil, err
 				}
 			}
@@ -227,7 +233,9 @@ func readU32(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-func writeMatrix(w io.Writer, m *tensor.Matrix) error {
+// writeMatrix encodes one matrix, staging its payload through scratch (any
+// positive multiple of 4 bytes long).
+func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	if m == nil {
 		return fmt.Errorf("diffusion: nil matrix in cache")
 	}
@@ -237,15 +245,21 @@ func writeMatrix(w io.Writer, m *tensor.Matrix) error {
 	if err := writeU32(w, uint32(m.C)); err != nil {
 		return err
 	}
-	buf := make([]byte, 4*len(m.Data))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	for data := m.Data; len(data) > 0; {
+		n := min(len(data), len(scratch)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(scratch[4*i:], math.Float32bits(v))
+		}
+		if _, err := w.Write(scratch[:4*n]); err != nil {
+			return err
+		}
+		data = data[n:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
-func readMatrix(r io.Reader) (*tensor.Matrix, error) {
+// readMatrix decodes one matrix, staging its payload through scratch.
+func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 	rows, err := readU32(r)
 	if err != nil {
 		return nil, err
@@ -259,12 +273,15 @@ func readMatrix(r io.Reader) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("diffusion: implausible matrix %d×%d", rows, cols)
 	}
 	m := tensor.New(int(rows), int(cols))
-	buf := make([]byte, 4*len(m.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	for data := m.Data; len(data) > 0; {
+		n := min(len(data), len(scratch)/4)
+		if _, err := io.ReadFull(r, scratch[:4*n]); err != nil {
+			return nil, err
+		}
+		for i := range data[:n] {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(scratch[4*i:]))
+		}
+		data = data[n:]
 	}
 	return m, nil
 }

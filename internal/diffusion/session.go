@@ -18,7 +18,6 @@ type EditSession struct {
 	req       EditRequest
 	x         *tensor.Matrix
 	xNext     *tensor.Matrix // ping-pong partner of x across steps
-	ws        *tensor.Arena  // per-session kernel workspace, reset each step
 	t         int            // next step to execute (counts down to -1)
 	cond      []float32
 	maskedIdx []int
@@ -102,7 +101,6 @@ func (e *Engine) BeginEdit(req EditRequest) (*EditSession, error) {
 		engine:    e,
 		req:       req,
 		x:         e.noisyInit(req.Template.Z0, req.Template.Noise, freshNoise, maskedIdx),
-		ws:        e.acquireWS(),
 		t:         e.Sched.Steps - 1,
 		cond:      cond,
 		maskedIdx: maskedIdx,
@@ -176,21 +174,20 @@ func (s *EditSession) ReusedBlockRatio() float64 {
 	return float64(s.totalBlocksReused) / float64(total)
 }
 
-// close releases the session's workspace back to the engine pool.
-func (s *EditSession) close() {
-	if s.ws != nil {
-		s.engine.releaseWS(s.ws)
-		s.ws = nil
-	}
-}
-
 // Step executes one denoising step and reports whether the session is done.
 // Calling Step on a finished session is an error.
+//
+// The kernel workspace is borrowed for the step only — everything a session
+// keeps between steps lives in its own buffers — so a queued, preempted or
+// abandoned session holds none, and an engine needs as many workspaces as
+// it has steps running at once, not as it has sessions open.
 func (s *EditSession) Step() (done bool, err error) {
 	if s.Done() {
 		return true, fmt.Errorf("diffusion: Step on finished session")
 	}
 	e := s.engine
+	ws := e.acquireWS()
+	defer e.releaseWS(ws)
 	t := s.t
 	blocksPerStep := e.Model.Config().NumBlocks * s.passes
 	switch s.req.Mode {
@@ -202,14 +199,12 @@ func (s *EditSession) Step() (done bool, err error) {
 		}
 		s.lastBlocksComputed, s.lastBlocksReused = 0, 0
 		if recompute {
-			s.ws.Reset()
-			eps, err := e.stepEps(s.ws, s.x, t, s.cond, nil, nil, s.req.Template, EditTeaCache, nil, nil, nil)
+			eps, err := e.stepEps(ws, s.x, t, s.cond, nil, nil, s.req.Template, EditTeaCache, nil, nil, nil)
 			if err != nil {
-				s.close()
 				return false, err
 			}
 			// eps is arena-backed; copy it to persistent storage since it
-			// must survive the next step's workspace reset.
+			// must outlive this step's workspace.
 			if s.teaLastEps == nil {
 				s.teaLastEps = eps.Clone()
 			} else {
@@ -234,10 +229,8 @@ func (s *EditSession) Step() (done bool, err error) {
 				s.rcUncond.BeginStep()
 			}
 		}
-		s.ws.Reset()
-		eps, err := e.stepEps(s.ws, s.x, t, s.cond, s.maskedIdx, s.modes, s.req.Template, s.req.Mode, reuse, s.rcCond, s.rcUncond)
+		eps, err := e.stepEps(ws, s.x, t, s.cond, s.maskedIdx, s.modes, s.req.Template, s.req.Mode, reuse, s.rcCond, s.rcUncond)
 		if err != nil {
-			s.close()
 			return false, err
 		}
 		s.stepsComputed++
@@ -259,11 +252,6 @@ func (s *EditSession) Step() (done bool, err error) {
 		s.x, s.xNext = s.xNext, s.x
 	}
 	s.t--
-	if s.Done() {
-		// The latent lives in its own buffers, so the workspace can go back
-		// to the pool the moment the last step completes.
-		s.close()
-	}
 	return s.Done(), nil
 }
 

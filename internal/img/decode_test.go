@@ -1,6 +1,9 @@
 package img
 
 import (
+	"bytes"
+	"image"
+	"image/png"
 	"math"
 	"testing"
 )
@@ -21,6 +24,29 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	// 8-bit quantization bounds the round-trip error.
 	if mse := MSE(im, back); mse > 1e-4 {
 		t.Fatalf("round-trip MSE = %g", mse)
+	}
+}
+
+func TestEncodePNGReusedBuffersByteIdentical(t *testing.T) {
+	// EncodePNG recycles encoder state between calls; whatever was encoded
+	// before, the bytes must be those of a fresh png.Encode.
+	for _, seed := range []uint64{1, 2, 1, 3, 3, 1} {
+		im := SynthTemplate(seed, 40+int(seed), 32)
+		got, err := EncodePNG(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := png.Decode(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := png.Encode(&want, decoded.(*image.RGBA)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("seed %d: pooled encode differs from a fresh png.Encode", seed)
+		}
 	}
 }
 

@@ -63,8 +63,8 @@ func (b *Block) crossAttend(ws *tensor.Arena, h, ctx *tensor.Matrix) *tensor.Mat
 	if b.WQc == nil || ctx == nil || ctx.R == 0 {
 		return h
 	}
-	ln := ws.Clone(h)
-	tensor.LayerNormRows(ln, b.LNcGamma, b.LNcBeta, 1e-5)
+	ln := ws.Get(h.R, h.C)
+	tensor.LayerNormRowsInto(ln, h, b.LNcGamma, b.LNcBeta, 1e-5)
 	q := ws.Get(h.R, b.Hidden)
 	tensor.MatMulInto(q, ln, b.WQc)
 	k := ws.Get(ctx.R, b.Hidden)
@@ -161,8 +161,8 @@ func (b *Block) Forward(x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Ma
 // ForwardWS is Forward with all intermediates and the returned output
 // served from ws (nil ws allocates).
 func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Matrix {
-	ln1 := ws.Clone(x)
-	tensor.LayerNormRows(ln1, b.LN1Gamma, b.LN1Beta, 1e-5)
+	ln1 := ws.Get(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
 	q := ws.Get(x.R, b.Hidden)
 	tensor.MatMulInto(q, ln1, b.WQ)
@@ -190,11 +190,10 @@ func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockAct
 // ffn applies the LN2 + GeLU MLP sublayer: h + FFN(LN2(h)), returning an
 // arena-backed result.
 func (b *Block) ffn(ws *tensor.Arena, h *tensor.Matrix) *tensor.Matrix {
-	ln2 := ws.Clone(h)
-	tensor.LayerNormRows(ln2, b.LN2Gamma, b.LN2Beta, 1e-5)
+	ln2 := ws.Get(h.R, h.C)
+	tensor.LayerNormRowsInto(ln2, h, b.LN2Gamma, b.LN2Beta, 1e-5)
 	ff := ws.Get(h.R, b.W1.C)
-	tensor.MatMulInto(ff, ln2, b.W1)
-	tensor.GeLU(ff)
+	tensor.MatMulGeLUInto(ff, ln2, b.W1)
 	y := ws.Get(h.R, b.Hidden)
 	tensor.MatMulInto(y, ff, b.W2)
 	tensor.AddInPlace(y, h)
@@ -205,8 +204,8 @@ func (b *Block) ffn(ws *tensor.Arena, h *tensor.Matrix) *tensor.Matrix {
 // heads, used by the Fig 6 attention-locality analysis (not a hot path; it
 // materializes per-head scores by construction).
 func (b *Block) AttentionScores(x *tensor.Matrix) *tensor.Matrix {
-	ln1 := x.Clone()
-	tensor.LayerNormRows(ln1, b.LN1Gamma, b.LN1Beta, 1e-5)
+	ln1 := tensor.New(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 	q := tensor.MatMul(ln1, b.WQ)
 	k := tensor.MatMul(ln1, b.WK)
 	h := b.heads()
@@ -242,8 +241,8 @@ func (b *Block) ForwardMaskedWS(ws *tensor.Arena, x, cachedY, ctx *tensor.Matrix
 	if len(maskedIdx) == 0 {
 		return ws.Clone(cachedY)
 	}
-	ln1 := ws.Clone(x)
-	tensor.LayerNormRows(ln1, b.LN1Gamma, b.LN1Beta, 1e-5)
+	ln1 := ws.Get(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
 	lnM := ws.Get(len(maskedIdx), b.Hidden)
 	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
@@ -270,8 +269,8 @@ func (b *Block) ForwardMaskedKVWS(ws *tensor.Arena, x, cachedY, cachedK, cachedV
 	if len(maskedIdx) == 0 {
 		return ws.Clone(cachedY)
 	}
-	ln1 := ws.Clone(x)
-	tensor.LayerNormRows(ln1, b.LN1Gamma, b.LN1Beta, 1e-5)
+	ln1 := ws.Get(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
 	lnM := ws.Get(len(maskedIdx), b.Hidden)
 	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
@@ -323,8 +322,8 @@ func (b *Block) ForwardNaiveSkipWS(ws *tensor.Arena, x, ctx *tensor.Matrix, mask
 	if len(maskedIdx) == 0 {
 		return ws.Clone(x)
 	}
-	ln1 := ws.Clone(x)
-	tensor.LayerNormRows(ln1, b.LN1Gamma, b.LN1Beta, 1e-5)
+	ln1 := ws.Get(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
 	lnM := ws.Get(len(maskedIdx), b.Hidden)
 	tensor.GatherRowsInto(lnM, ln1, maskedIdx)

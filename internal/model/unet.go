@@ -294,8 +294,8 @@ func (u *UNet) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts St
 	// Final norm (token-wise) keeps ε_θ in the schedule's expected range
 	// regardless of how the multi-resolution residual stream grew; it
 	// preserves the mask-aware invariants because it acts per token.
-	normed := ws.Clone(x)
-	tensor.LayerNormRows(normed, u.finalGamma, u.finalBeta, 1e-5)
+	normed := ws.Get(x.R, x.C)
+	tensor.LayerNormRowsInto(normed, x, u.finalGamma, u.finalBeta, 1e-5)
 	out := ws.Get(normed.R, cfg.LatentChannels)
 	tensor.MatMulInto(out, normed, u.outProj)
 	return out, nil

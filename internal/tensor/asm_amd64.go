@@ -2,7 +2,10 @@
 
 package tensor
 
-import "os"
+import (
+	"math"
+	"os"
+)
 
 // useAVX2 gates the AVX2+FMA assembly kernels. It is resolved once at
 // process start: the decision must not change mid-run, or mixed
@@ -36,17 +39,52 @@ func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
 
+// vecConsts holds the float32 vector-math constants, one 8-lane row each,
+// in the order asm_amd64.s indexes them (VC_*). It is filled once from the
+// constants the scalar reference code uses and never written again.
+var vecConsts = func() (t [18][8]float32) {
+	for i, c := range [18]float32{
+		expLo, expHi, expLog2e, expMagic, expLn2Hi, expLn2Lo,
+		expP0, expP1, expP2, expP3, expP4, expP5,
+		1, geluC, geluNeg2K, float32(math.Inf(-1)),
+		math.Float32frombits(0x7FFFFFFF), geluTiny, // |x| bit mask
+	} {
+		for l := range t[i] {
+			t[i][l] = c
+		}
+	}
+	return t
+}()
+
+// edgeMask is gemmEdge's column-mask table: &edgeMask[16-cols] is cols
+// all-ones lanes followed by zeros.
+var edgeMask = [32]int32{
+	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+}
+
 //go:noescape
-func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int)
+func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
+
+//go:noescape
+func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool)
 
 //go:noescape
 func dotAVX8(x, y *float32, n int) float32
 
 //go:noescape
-func axpyAVX8(alpha float32, x, y *float32, n int)
+func segDotAVX8(q, k *float32, d8, heads int, out *float32, ostride int, scale float32)
 
 //go:noescape
-func segDotAVX8(q, k *float32, d8, heads int, out *float32)
+func segAxpyAVX8(w *float32, wstride int, v, o *float32, d8, heads int)
 
 //go:noescape
-func segAxpyAVX8(w, v, o *float32, d8, heads int)
+func expShiftSumAVX8(x *float32, n int, shift float32) float32
+
+//go:noescape
+func maxAVX8(x *float32, n int) float32
+
+//go:noescape
+func geluAVX8(x *float32, n int)
+
+//go:noescape
+func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32)

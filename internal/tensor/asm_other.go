@@ -6,16 +6,34 @@ package tensor
 // lets the compiler eliminate the assembly call sites entirely.
 const useAVX2 = false
 
-func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int) {
+var edgeMask [32]int32
+
+func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool) {
 	panic("tensor: gemm4x16 without AVX2")
+}
+
+func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool) {
+	panic("tensor: gemmEdge without AVX2")
 }
 
 func dotAVX8(x, y *float32, n int) float32 { panic("tensor: dotAVX8 without AVX2") }
 
-func axpyAVX8(alpha float32, x, y *float32, n int) { panic("tensor: axpyAVX8 without AVX2") }
-
-func segDotAVX8(q, k *float32, d8, heads int, out *float32) {
+func segDotAVX8(q, k *float32, d8, heads int, out *float32, ostride int, scale float32) {
 	panic("tensor: segDotAVX8 without AVX2")
 }
 
-func segAxpyAVX8(w, v, o *float32, d8, heads int) { panic("tensor: segAxpyAVX8 without AVX2") }
+func segAxpyAVX8(w *float32, wstride int, v, o *float32, d8, heads int) {
+	panic("tensor: segAxpyAVX8 without AVX2")
+}
+
+func expShiftSumAVX8(x *float32, n int, shift float32) float32 {
+	panic("tensor: expShiftSumAVX8 without AVX2")
+}
+
+func maxAVX8(x *float32, n int) float32 { panic("tensor: maxAVX8 without AVX2") }
+
+func geluAVX8(x *float32, n int) { panic("tensor: geluAVX8 without AVX2") }
+
+func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32) {
+	panic("tensor: layerNormAVX8 without AVX2")
+}

@@ -66,19 +66,54 @@ func fusedAttentionRange(dst, q, k, v *Matrix, heads int, scale float32, lo, hi 
 	fusedAttentionRangeGeneric(dst, q, k, v, heads, scale, lo, hi)
 }
 
+// softmaxTile folds one K/V tile's scaled scores s for one (query, head)
+// into the running online-softmax state: when the tile raises the running
+// max *mMax, the denominator *lsum and the output accumulator oseg are
+// rescaled by exp(m_old − m_new); then s is replaced by the tile's weights
+// exp(s − m) and their sum joins *lsum. While every key seen so far is
+// masked out (all scores -Inf) the weights are defined as 0, not
+// exp(-Inf − -Inf) = NaN.
+func softmaxTile(s []float32, mMax, lsum *float32, oseg []float32) {
+	if tileMax := maxOf(s); tileMax > *mMax {
+		corr := expf(*mMax - tileMax)
+		*lsum *= corr
+		for t := range oseg {
+			oseg[t] *= corr
+		}
+		*mMax = tileMax
+	}
+	if math.IsInf(float64(*mMax), -1) {
+		clear(s)
+		return
+	}
+	*lsum += expShiftSum(s, *mMax)
+}
+
+// normalizeSeg divides an output accumulator by its softmax denominator;
+// a zero denominator (every key masked out) leaves the all-zero row.
+func normalizeSeg(oseg []float32, lsum float32) {
+	if lsum == 0 {
+		return
+	}
+	inv := 1 / lsum
+	for t := range oseg {
+		oseg[t] *= inv
+	}
+}
+
 // fusedAttentionRangeAVX is the vectorized streaming-softmax kernel. Per
-// (query, key) pair it computes every head's score with one segmented-dot
-// call over the contiguous hidden rows, and accumulates every head's output
-// segment with one segmented-axpy call, so the strided per-head views never
-// materialize. Softmax statistics (running max, denominator) are tracked
-// per head exactly as in the generic kernel.
+// (query, key) pair it computes every head's scaled score with one
+// segmented-dot call over the contiguous hidden rows, and accumulates every
+// head's output segment with one segmented-axpy call, so the strided
+// per-head views never materialize. A tile's scores are stored head-major
+// (head h's scores for the tile's keys are contiguous), which lets
+// softmaxTile run the vector max and exp passes over them.
 func fusedAttentionRangeAVX(dst, q, k, v *Matrix, heads int, scale float32, lo, hi int) {
 	h := q.C
 	d := h / heads
 	lk := k.R
-	var sbuf [attnKTile * maxAttnHeads]float32
-	var mMax [maxAttnHeads]float32
-	var lsum [maxAttnHeads]float64
+	var sbuf [maxAttnHeads * attnKTile]float32
+	var mMax, lsum [maxAttnHeads]float32
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*h : (i+1)*h]
 		clear(drow)
@@ -88,48 +123,19 @@ func fusedAttentionRangeAVX(dst, q, k, v *Matrix, heads int, scale float32, lo, 
 			lsum[head] = 0
 		}
 		for j0 := 0; j0 < lk; j0 += attnKTile {
-			j1 := j0 + attnKTile
-			if j1 > lk {
-				j1 = lk
-			}
-			nk := j1 - j0
-			for j := j0; j < j1; j++ {
-				segDotAVX8(&qrow[0], &k.Data[j*h], d, heads, &sbuf[(j-j0)*heads])
+			nk := min(attnKTile, lk-j0)
+			for t := 0; t < nk; t++ {
+				segDotAVX8(&qrow[0], &k.Data[(j0+t)*h], d, heads, &sbuf[t], attnKTile, scale)
 			}
 			for head := 0; head < heads; head++ {
-				tileMax := float32(math.Inf(-1))
-				for t := 0; t < nk; t++ {
-					s := sbuf[t*heads+head] * scale
-					sbuf[t*heads+head] = s
-					if s > tileMax {
-						tileMax = s
-					}
-				}
-				if tileMax > mMax[head] {
-					corr := float32(math.Exp(float64(mMax[head] - tileMax)))
-					lsum[head] *= float64(corr)
-					oseg := drow[head*d : head*d+d]
-					for t := range oseg {
-						oseg[t] *= corr
-					}
-					mMax[head] = tileMax
-				}
-				for t := 0; t < nk; t++ {
-					w := float32(math.Exp(float64(sbuf[t*heads+head] - mMax[head])))
-					lsum[head] += float64(w)
-					sbuf[t*heads+head] = w
-				}
+				softmaxTile(sbuf[head*attnKTile:head*attnKTile+nk], &mMax[head], &lsum[head], drow[head*d:head*d+d])
 			}
-			for j := j0; j < j1; j++ {
-				segAxpyAVX8(&sbuf[(j-j0)*heads], &v.Data[j*h], &drow[0], d, heads)
+			for t := 0; t < nk; t++ {
+				segAxpyAVX8(&sbuf[t], attnKTile, &v.Data[(j0+t)*h], &drow[0], d, heads)
 			}
 		}
 		for head := 0; head < heads; head++ {
-			inv := float32(1 / lsum[head])
-			oseg := drow[head*d : head*d+d]
-			for t := range oseg {
-				oseg[t] *= inv
-			}
+			normalizeSeg(drow[head*d:head*d+d], lsum[head])
 		}
 	}
 }
@@ -137,9 +143,7 @@ func fusedAttentionRangeAVX(dst, q, k, v *Matrix, heads int, scale float32, lo, 
 // fusedAttentionRangeGeneric is the portable scalar kernel; it also covers
 // head dimensions that are not a multiple of the vector width. Each
 // (row, head) output segment doubles as the running FlashAttention
-// accumulator: when a K/V tile raises the running max m, the segment and
-// the running denominator l are rescaled by exp(m_old − m_new) before the
-// tile's weighted V rows are accumulated.
+// accumulator (see softmaxTile).
 func fusedAttentionRangeGeneric(dst, q, k, v *Matrix, heads int, scale float32, lo, hi int) {
 	h := q.C
 	d := h / heads
@@ -154,42 +158,22 @@ func fusedAttentionRangeGeneric(dst, q, k, v *Matrix, heads int, scale float32, 
 			qseg := qrow[off : off+d]
 			oseg := drow[off : off+d]
 			mMax := float32(math.Inf(-1))
-			var l float64
+			var lsum float32
 			for j0 := 0; j0 < lk; j0 += attnKTile {
-				j1 := j0 + attnKTile
-				if j1 > lk {
-					j1 = lk
+				s := sbuf[:min(attnKTile, lk-j0)]
+				for t := range s {
+					s[t] = dot(qseg, k.Data[(j0+t)*h+off:(j0+t)*h+off+d]) * scale
 				}
-				tileMax := float32(math.Inf(-1))
-				for j := j0; j < j1; j++ {
-					s := dot(qseg, k.Data[j*h+off:j*h+off+d]) * scale
-					sbuf[j-j0] = s
-					if s > tileMax {
-						tileMax = s
-					}
-				}
-				if tileMax > mMax {
-					corr := float32(math.Exp(float64(mMax - tileMax)))
-					l *= float64(corr)
-					for t := range oseg {
-						oseg[t] *= corr
-					}
-					mMax = tileMax
-				}
-				for j := j0; j < j1; j++ {
-					w := float32(math.Exp(float64(sbuf[j-j0] - mMax)))
-					l += float64(w)
-					vseg := v.Data[j*h+off : j*h+off+d]
+				softmaxTile(s, &mMax, &lsum, oseg)
+				for t, w := range s {
+					vseg := v.Data[(j0+t)*h+off : (j0+t)*h+off+d]
 					eseg := oseg[:len(vseg)]
-					for t, vv := range vseg {
-						eseg[t] += w * vv
+					for c, vv := range vseg {
+						eseg[c] += w * vv
 					}
 				}
 			}
-			inv := float32(1 / l)
-			for t := range oseg {
-				oseg[t] *= inv
-			}
+			normalizeSeg(oseg, lsum)
 		}
 	}
 }

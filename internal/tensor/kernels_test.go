@@ -122,7 +122,8 @@ func TestFusedAttentionExtremeScores(t *testing.T) {
 func TestKernelsParallelBitIdentical(t *testing.T) {
 	// The determinism contract: any parallelism setting must produce results
 	// bit-identical to serial execution, because each output row is computed
-	// by exactly one worker in a fixed accumulation order.
+	// by exactly one worker in a fixed accumulation order. Every kernel of
+	// the step is pinned, row-partitioned or not.
 	rng := NewRNG(16)
 	a := Randn(rng, 130, 96, 1) // above the 2*minRowsPerTask threshold
 	b := Randn(rng, 96, 80, 1)
@@ -130,52 +131,62 @@ func TestKernelsParallelBitIdentical(t *testing.T) {
 	q := Randn(rng, 130, 64, 1)
 	k := Randn(rng, 130, 64, 1)
 	v := Randn(rng, 130, 64, 1)
+	gamma, beta := Randn(rng, 1, 96, 1).Data, Randn(rng, 1, 96, 1).Data
 
+	kernels := []struct {
+		name string
+		run  func() *Matrix
+	}{
+		{"MatMulInto", func() *Matrix { o := New(130, 80); MatMulInto(o, a, b); return o }},
+		{"MatMulGeLUInto", func() *Matrix { o := New(130, 80); MatMulGeLUInto(o, a, b); return o }},
+		{"MatMulTInto", func() *Matrix { o := New(130, 80); MatMulTInto(o, a, bt); return o }},
+		{"FusedAttentionInto", func() *Matrix { o := New(130, 64); FusedAttentionInto(o, q, k, v, 4, 0.125); return o }},
+		{"LayerNormRowsInto", func() *Matrix { o := New(130, 96); LayerNormRowsInto(o, a, gamma, beta, 1e-5); return o }},
+		{"SoftmaxRows", func() *Matrix { o := a.Clone(); SoftmaxRows(o); return o }},
+		{"GeLU", func() *Matrix { o := a.Clone(); GeLU(o); return o }},
+		{"Exp", func() *Matrix { o := a.Clone(); Exp(o.Data); return o }},
+	}
 	withParallelism(t, 1)
-	mmSerial := New(130, 80)
-	MatMulInto(mmSerial, a, b)
-	mtSerial := New(130, 80)
-	MatMulTInto(mtSerial, a, bt)
-	atSerial := New(130, 64)
-	FusedAttentionInto(atSerial, q, k, v, 4, 0.125)
-
-	for _, p := range []int{2, 3, 8} {
+	serial := make([]*Matrix, len(kernels))
+	for i, kn := range kernels {
+		serial[i] = kn.run()
+	}
+	for _, p := range []int{2, 3, 4, 8} {
 		SetParallelism(p)
-		mm := New(130, 80)
-		MatMulInto(mm, a, b)
-		if !Equal(mm, mmSerial) {
-			t.Fatalf("MatMulInto not bit-identical at parallelism %d", p)
-		}
-		mt := New(130, 80)
-		MatMulTInto(mt, a, bt)
-		if !Equal(mt, mtSerial) {
-			t.Fatalf("MatMulTInto not bit-identical at parallelism %d", p)
-		}
-		at := New(130, 64)
-		FusedAttentionInto(at, q, k, v, 4, 0.125)
-		if !Equal(at, atSerial) {
-			t.Fatalf("FusedAttentionInto not bit-identical at parallelism %d", p)
+		for i, kn := range kernels {
+			if j, ok := sameBits(kn.run().Data, serial[i].Data); !ok {
+				t.Fatalf("%s not bit-identical at parallelism %d (element %d)", kn.name, p, j)
+			}
 		}
 	}
 }
 
 func TestSerialKernelsZeroAllocs(t *testing.T) {
 	rng := NewRNG(17)
-	a := Randn(rng, 24, 32, 1)
-	b := Randn(rng, 32, 24, 1)
-	dst := New(24, 24)
+	a := Randn(rng, 23, 32, 1) // 23 rows: full tiles and a 3-row remainder
+	b := Randn(rng, 32, 24, 1) // 24 columns: a full tile and an 8-column remainder
+	dst := New(23, 24)
+	sq := New(24, 24)
 	q := Randn(rng, 24, 32, 1)
 	k := Randn(rng, 24, 32, 1)
 	v := Randn(rng, 24, 32, 1)
 	o := New(24, 32)
+	ln := New(23, 32)
+	gamma, beta := Randn(rng, 1, 32, 1).Data, Randn(rng, 1, 32, 1).Data
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
-		{"MatMulTInto", func() { MatMulTInto(dst, a, a) }},
+		{"MatMulGeLUInto", func() { MatMulGeLUInto(dst, a, b) }},
+		{"MatMulTInto", func() { MatMulTInto(sq, q, k) }},
 		{"FusedAttentionInto", func() { FusedAttentionInto(o, q, k, v, 4, 0.1) }},
-		{"TransposeInto", func() { TransposeInto(dst, dst) }},
+		{"TransposeInto", func() { TransposeInto(sq, sq) }},
+		{"LayerNormRowsInto", func() { LayerNormRowsInto(ln, a, gamma, beta, 1e-5) }},
+		{"LayerNormRows", func() { LayerNormRows(ln, gamma, beta, 1e-5) }},
+		{"SoftmaxRows", func() { SoftmaxRows(sq) }},
+		{"GeLU", func() { GeLU(dst) }},
+		{"Exp", func() { Exp(dst.Data) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(10, tc.fn); n != 0 {

@@ -8,15 +8,24 @@ package tensor
 // a register tile). The reduction dimension is processed in kcBlock panels
 // so the active slice of b stays cache-resident across the row sweep.
 //
-// Determinism contract: every dst row accumulates its k products in
-// ascending-p order regardless of how rows are grouped into micro-kernel
-// tiles or partitioned across workers, so results are bit-identical to the
-// serial single-row loop at any parallelism setting.
+// Determinism contract: every dst element is one accumulation chain over
+// its own a row and b column — ascending p from +0 inside a kcBlock panel,
+// panels added in ascending order — whichever micro-kernel, row group,
+// column tile or worker partition it lands in. So results are bit-identical
+// at any parallelism setting, and a dst row depends only on its a row and
+// on b: computing a row alone, in any subset of rows, or in the full matrix
+// gives the same bits (TestMatMulRowIndependent). The mask-aware block
+// relies on this — a masked token's projections cannot change with how many
+// other tokens are masked. The AVX2 kernels fuse each step (FMA) and the
+// portable kernels round the product first, so the two builds differ from
+// each other in the last bits; within a build the contract holds.
 
 const (
 	// mcRows is the micro-kernel height: rows of a/dst accumulated per
 	// b-row load.
 	mcRows = 4
+	// ncCols is the AVX2 micro-kernel width (two YMM registers).
+	ncCols = 16
 	// kcBlock is the reduction panel width; kcBlock rows of b (kcBlock×C
 	// floats) are swept per row group to stay cache-resident.
 	kcBlock = 256
@@ -26,38 +35,59 @@ const (
 	trBlock = 32
 )
 
-// matMulRange computes rows [lo, hi) of dst = a × b.
+// matMulRange computes rows [lo, hi) of dst = a × b, then applies GeLU to
+// them if gelu is set (each row group while it is still in L1).
 //
-// On AVX2 hardware, full 4-row × 16-column tiles run in the gemm4x16
-// assembly micro-kernel; row and column remainders fall back to the scalar
-// tiles. Which tile a given dst element lands in depends only on global
-// (row, column) position — parallelRows aligns worker partitions to mcRows
-// so the asm/scalar split never shifts with the parallelism setting.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
+// On AVX2 hardware everything runs in assembly: full 4-row × 16-column
+// tiles in gemm4x16, the 1–3 remainder rows and the < 16 remainder columns
+// in gemmEdge, both with the same per-element FMA chain. The first
+// reduction panel stores its tile, later panels add to it, so dst needs no
+// clearing.
+func matMulRange(dst, a, b *Matrix, lo, hi int, gelu bool) {
 	k, m := a.C, b.C
-	for i := lo; i < hi; i++ {
-		clear(dst.Data[i*m : (i+1)*m])
+	if m == 0 {
+		return
 	}
-	if m == 0 || k == 0 {
+	if k == 0 || !useAVX2 {
+		matMulRangePortable(dst, a, b, lo, hi)
+		if gelu {
+			geluSlice(dst.Data[lo*m : hi*m])
+		}
 		return
 	}
 	for p0 := 0; p0 < k; p0 += kcBlock {
-		p1 := p0 + kcBlock
-		if p1 > k {
-			p1 = k
-		}
-		i := lo
-		for ; i+mcRows <= hi; i += mcRows {
+		kc := min(kcBlock, k-p0)
+		first := p0 == 0
+		for i := lo; i < hi; i += mcRows {
+			rows := min(mcRows, hi-i)
+			ap := &a.Data[i*k+p0]
 			j := 0
-			if useAVX2 {
-				kc := p1 - p0
-				for ; j+16 <= m; j += 16 {
-					gemm4x16(kc, &a.Data[i*k+p0], k, &b.Data[p0*m+j], m, &dst.Data[i*m+j], m)
+			if rows == mcRows {
+				for ; j+ncCols <= m; j += ncCols {
+					gemm4x16(kc, ap, k, &b.Data[p0*m+j], m, &dst.Data[i*m+j], m, first)
 				}
 			}
-			if j < m {
-				matMulTile4(dst, a, b, i, p0, p1, j, m)
+			for ; j < m; j += ncCols {
+				cols := min(ncCols, m-j)
+				gemmEdge(kc, ap, k, &b.Data[p0*m+j], m, &dst.Data[i*m+j], m, rows, &edgeMask[ncCols-cols], first)
 			}
+			if gelu && p0+kc == k {
+				geluSlice(dst.Data[i*m : (i+rows)*m])
+			}
+		}
+	}
+}
+
+// matMulRangePortable is matMulRange's scalar form: the only matmul of
+// non-AVX2 builds (and of FLASHPS_NO_AVX2=1).
+func matMulRangePortable(dst, a, b *Matrix, lo, hi int) {
+	k, m := a.C, b.C
+	clear(dst.Data[lo*m : hi*m])
+	for p0 := 0; p0 < k; p0 += kcBlock {
+		p1 := min(p0+kcBlock, k)
+		i := lo
+		for ; i+mcRows <= hi; i += mcRows {
+			matMulTile4(dst, a, b, i, p0, p1, 0, m)
 		}
 		for ; i < hi; i++ {
 			matMulTile1(dst, a, b, i, p0, p1, 0, m)
@@ -108,25 +138,10 @@ func matMulTile1(dst, a, b *Matrix, i, p0, p1, j0, j1 int) {
 
 // matMulTRange computes rows [lo, hi) of dst = a × bᵀ.
 func matMulTRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.R
-	if useAVX2 && a.C >= 16 {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			for j := 0; j < n; j++ {
-				orow[j] = dot(arow, b.Row(j))
-			}
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			orow[j], orow[j+1] = dot2(arow, b.Row(j), b.Row(j+1))
-		}
-		if j < n {
+		for j := range orow {
 			orow[j] = dot(arow, b.Row(j))
 		}
 	}
@@ -157,24 +172,4 @@ func dot(x, y []float32) float32 {
 		s0 += x[p] * y[p]
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// dot2 returns (x·y0, x·y1), sharing the single pass over x.
-func dot2(x, y0, y1 []float32) (float32, float32) {
-	y0 = y0[:len(x)]
-	y1 = y1[:len(x)]
-	var a0, a1, b0, b1 float32
-	p := 0
-	for ; p+2 <= len(x); p += 2 {
-		x0, x1 := x[p], x[p+1]
-		a0 += x0 * y0[p]
-		a1 += x1 * y0[p+1]
-		b0 += x0 * y1[p]
-		b1 += x1 * y1[p+1]
-	}
-	if p < len(x) {
-		a0 += x[p] * y0[p]
-		b0 += x[p] * y1[p]
-	}
-	return a0 + a1, b0 + b1
 }

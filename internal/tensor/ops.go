@@ -18,16 +18,25 @@ func MatMul(a, b *Matrix) *Matrix {
 
 // MatMulInto computes a × b into dst, which must be a.R × b.C.
 // dst may not alias a or b. The kernel is cache-blocked and register-tiled
-// (see matmul.go); results are bit-identical at any parallelism setting.
-func MatMulInto(dst, a, b *Matrix) {
+// (see matmul.go); results are bit-identical at any parallelism setting,
+// and each dst row depends only on its a row and on b.
+func MatMulInto(dst, a, b *Matrix) { matMulInto(dst, a, b, false) }
+
+// MatMulGeLUInto computes GeLU(a × b) into dst: MatMulInto with GeLU as
+// the GEMM's epilogue, applied to each finished row group while it is
+// still in L1 (the FFN's first projection). Bit-identical to MatMulInto
+// followed by GeLU.
+func MatMulGeLUInto(dst, a, b *Matrix) { matMulInto(dst, a, b, true) }
+
+func matMulInto(dst, a, b *Matrix, gelu bool) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst, a, b))
 	}
 	if !shouldParallelize(a.R) {
-		matMulRange(dst, a, b, 0, a.R)
+		matMulRange(dst, a, b, 0, a.R, gelu)
 		return
 	}
-	parallelRows(a.R, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
+	parallelRows(a.R, func(lo, hi int) { matMulRange(dst, a, b, lo, hi, gelu) })
 }
 
 // MatMulNaiveInto is the reference ikj matmul this package shipped before
@@ -166,23 +175,22 @@ func Scale(m *Matrix, s float32) *Matrix {
 	return m
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row of m in place.
+// SoftmaxRows applies a numerically stable softmax to each row of m in
+// place, in float32 (see vecmath.go). A matrix with no columns is left
+// alone, and a row whose scores are all -Inf — every key masked out —
+// becomes all zeros rather than NaN; FusedAttentionInto defines the same.
 func SoftmaxRows(m *Matrix) {
+	if m.C == 0 {
+		return
+	}
 	for i := 0; i < m.R; i++ {
 		row := m.Row(i)
-		max := row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
+		max := maxOf(row)
+		if math.IsInf(float64(max), -1) {
+			clear(row)
+			continue
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - max))
-			row[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
+		inv := 1 / expShiftSum(row, max)
 		for j := range row {
 			row[j] *= inv
 		}
@@ -193,37 +201,31 @@ func SoftmaxRows(m *Matrix) {
 // then applies the per-column affine parameters gamma and beta
 // (each of length m.C). eps guards against zero variance.
 func LayerNormRows(m *Matrix, gamma, beta []float32, eps float32) {
-	if len(gamma) != m.C || len(beta) != m.C {
+	LayerNormRowsInto(m, m, gamma, beta, eps)
+}
+
+// LayerNormRowsInto writes LayerNormRows(src) into dst, which must have
+// src's shape and may be src itself; src is otherwise left untouched, so
+// callers need no copy to normalize out of place. Each row depends only on
+// itself, so results are bit-identical at any parallelism setting.
+func LayerNormRowsInto(dst, src *Matrix, gamma, beta []float32, eps float32) {
+	if dst.R != src.R || dst.C != src.C {
+		panic(fmt.Sprintf("tensor: LayerNormRowsInto shape mismatch dst=%v src=%v", dst, src))
+	}
+	if len(gamma) != src.C || len(beta) != src.C {
 		panic("tensor: LayerNormRows parameter length mismatch")
 	}
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(len(row))
-		var varsum float64
-		for _, v := range row {
-			d := float64(v) - mean
-			varsum += d * d
-		}
-		inv := float32(1 / math.Sqrt(varsum/float64(len(row))+float64(eps)))
-		for j, v := range row {
-			row[j] = (v-float32(mean))*inv*gamma[j] + beta[j]
-		}
+	if src.C == 0 {
+		return
+	}
+	for i := 0; i < src.R; i++ {
+		layerNormRow(dst.Row(i), src.Row(i), gamma, beta, eps)
 	}
 }
 
 // GeLU applies the Gaussian Error Linear Unit (tanh approximation) to every
-// element of m in place.
-func GeLU(m *Matrix) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range m.Data {
-		x := float64(v)
-		m.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-	}
-}
+// element of m in place; see geluf for the float32 formulation.
+func GeLU(m *Matrix) { geluSlice(m.Data) }
 
 // GatherRows returns a new matrix whose rows are m's rows at the given
 // indices, in order. It panics if any index is out of range.

@@ -87,9 +87,9 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 	}
 	poolOnce.Do(startPool)
 	chunk := (rows + p - 1) / p
-	// Align partitions to the matmul micro-kernel height: FMA tiles round
-	// differently from the scalar remainder rows, so row-group membership
-	// must match the serial sweep exactly for bit-identical results.
+	// Align partitions to the matmul micro-kernel height, so a split never
+	// turns full 4-row tiles into remainder rows. GEMM rows are independent
+	// of their row group (see matmul.go), so this is for speed, not bits.
 	chunk = (chunk + mcRows - 1) &^ (mcRows - 1)
 	var wg sync.WaitGroup
 	for lo := chunk; lo < rows; lo += chunk {

@@ -5,6 +5,16 @@
 //
 // All operations are deterministic and single-threaded unless stated
 // otherwise, so experiments are exactly reproducible across runs.
+//
+// Determinism contract, within one build (AVX2 or portable — the two
+// differ from each other only by the GEMM's fused multiply-add rounding):
+//
+//   - every kernel is bit-identical at any SetParallelism setting;
+//   - a MatMulInto dst row depends only on its a row and on b, not on its
+//     row index or on which other rows are computed with it (matmul.go);
+//   - exp and GeLU of a value do not depend on its position in the slice
+//     or on the slice length, and the vector kernels, their scalar tails
+//     and the portable code agree bit for bit (vecmath.go).
 package tensor
 
 import (

@@ -1,0 +1,206 @@
+package tensor
+
+import "math"
+
+// Float32 element-wise math for the step's token-wise passes: exp, the
+// softmax weight pass built on it, GeLU and LayerNorm.
+//
+// The Go functions in this file are the specification. The AVX2 kernels
+// (asm_amd64.s) execute the same IEEE single-precision operations in the
+// same order — separately rounded multiplies and adds, never FMA — so a
+// vector lane and the scalar tail produce the same bits, and so do the
+// AVX2 and portable builds. Consequences the tests pin:
+//
+//   - exp and GeLU are position-independent: a value's result does not
+//     depend on its index in the slice, the slice length, or the
+//     parallelism setting;
+//   - reductions (softmax denominator, LayerNorm mean/variance) use a
+//     fixed order that depends only on the row length: eight lane
+//     accumulators over the length's multiple-of-8 prefix, the lane tree
+//     of reduce8, then the tail in ascending order.
+//
+// Every explicit float32(...) conversion below forbids the compiler from
+// fusing the enclosed product into a following add (Go spec, "Floating-
+// point operators"), which is what keeps architectures with implicit FMA
+// contraction on the same bits.
+
+const (
+	// expLo is ln(2⁻¹²⁶): below it exp's result would be denormal and is
+	// flushed to 0, so masked (-Inf) softmax scores weigh exactly nothing.
+	expLo = -87.33654475
+	// expHi caps the argument so the 2ⁿ scale stays finite (n ≤ 127); exp
+	// saturates at e^expHi ≈ 2.4e38 instead of overflowing to +Inf. The
+	// step never gets there: softmax arguments are ≤ 0.
+	expHi = 88.3762626647949
+
+	expLog2e = 1.44269504088896341
+	// ln 2 split so that n·expLn2Hi is exact for |n| ≤ 2¹⁵.
+	expLn2Hi = 0.693359375
+	expLn2Lo = -2.12194440e-4
+	// expMagic is 1.5·2²³: adding it to |v| < 2²² leaves round-to-nearest-
+	// even(v) in the low mantissa bits.
+	expMagic = 12582912.0
+
+	// Cephes expf minimax coefficients for (e^r − 1 − r)/r² on |r| ≤ ln2/2.
+	expP0 = 1.9875691500e-4
+	expP1 = 1.3981999507e-3
+	expP2 = 8.3334519073e-3
+	expP3 = 4.1665795894e-2
+	expP4 = 1.6666665459e-1
+	expP5 = 5.0000001201e-1
+
+	geluC     = 0.044715
+	geluNeg2K = -2 * 0.7978845608028654 // −2·√(2/π)
+	// geluTiny is 2⁻³⁰: below it the sigmoid factor rounds to exactly 1/2.
+	geluTiny = 1.0 / (1 << 30)
+)
+
+// expf returns e^x: range reduction x = n·ln2 + r, a degree-5 polynomial
+// in r, and an exponent-field multiply by 2ⁿ. Max error 1 ulp against
+// float32(math.Exp(float64(x))) on [expLo, expHi]; 0 below expLo (so
+// -Inf → 0); NaN propagates.
+func expf(x float32) float32 {
+	if x < expLo {
+		return 0
+	}
+	if x > expHi {
+		x = expHi
+	}
+	t := float32(x*expLog2e) + expMagic
+	n := t - expMagic
+	r := float32(x-float32(n*expLn2Hi)) - float32(n*expLn2Lo)
+	p := float32(expP0*r) + expP1
+	p = float32(p*r) + expP2
+	p = float32(p*r) + expP3
+	p = float32(p*r) + expP4
+	p = float32(p*r) + expP5
+	p = float32(p*float32(r*r)) + r
+	p += 1
+	// The low bits of t hold n (two's complement); move them into the
+	// exponent field and add the bias.
+	scale := math.Float32frombits(math.Float32bits(t)<<23 + 127<<23)
+	return p * scale
+}
+
+// geluf is the tanh-approximation GeLU with the tanh folded into one exp:
+// 0.5·x·(1 + tanh(u)) = x / (1 + e^(−2u)), u = √(2/π)·(x + 0.044715·x³).
+// For |x| < geluTiny the factor is exactly 1/2 in float32, and u is taken
+// as 0 there so that x², x³ and the polynomial never go denormal — a
+// microcoded slow path that would cost a vector of tiny activations some
+// hundred cycles per operation.
+func geluf(x float32) float32 {
+	xs := x
+	if float32(math.Abs(float64(x))) < geluTiny {
+		xs = 0
+	}
+	x3 := float32(float32(xs*xs) * xs)
+	u := xs + float32(geluC*x3)
+	return x / (1 + expf(float32(geluNeg2K*u)))
+}
+
+// reduce8 sums eight lane accumulators in the order the AVX2 kernels'
+// horizontal reduction uses (fold the high half onto the low, then two
+// pairwise adds).
+func reduce8(a *[8]float32) float32 {
+	return ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]))
+}
+
+// Exp replaces every element of x with e^x (see expf for range and
+// accuracy).
+func Exp(x []float32) { expShiftSum(x, 0) }
+
+// expShiftSum replaces every x[i] with e^(x[i]−shift) and returns their
+// sum: the softmax weight pass.
+func expShiftSum(x []float32, shift float32) float32 {
+	n8 := len(x) &^ 7
+	var sum float32
+	if useAVX2 && n8 > 0 {
+		sum = expShiftSumAVX8(&x[0], n8, shift)
+	} else {
+		var acc [8]float32
+		for i := 0; i < n8; i += 8 {
+			v := x[i : i+8 : i+8]
+			for l := range acc {
+				v[l] = expf(v[l] - shift)
+				acc[l] += v[l]
+			}
+		}
+		sum = reduce8(&acc)
+	}
+	for i := n8; i < len(x); i++ {
+		x[i] = expf(x[i] - shift)
+		sum += x[i]
+	}
+	return sum
+}
+
+// maxOf returns the largest element of x, ignoring NaNs; -Inf for an
+// empty slice. Max is exact, so evaluation order is immaterial.
+func maxOf(x []float32) float32 {
+	m := float32(math.Inf(-1))
+	n8 := 0
+	if useAVX2 && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		m = maxAVX8(&x[0], n8)
+	}
+	for _, v := range x[n8:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// geluSlice applies geluf to every element of x in place.
+func geluSlice(x []float32) {
+	n8 := 0
+	if useAVX2 && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		geluAVX8(&x[0], n8)
+	}
+	for i := n8; i < len(x); i++ {
+		x[i] = geluf(x[i])
+	}
+}
+
+// layerNormRow writes LayerNorm(src)·gamma + beta into dst (which may be
+// src): float32 mean and biased variance in the fixed reduction order
+// described at the top of this file.
+func layerNormRow(dst, src, gamma, beta []float32, eps float32) {
+	n := len(src)
+	if useAVX2 && n >= 8 && n%8 == 0 {
+		layerNormAVX8(&dst[0], &src[0], &gamma[0], &beta[0], n, eps)
+		return
+	}
+	dst, gamma, beta = dst[:n], gamma[:n], beta[:n]
+	n8 := n &^ 7
+	var acc [8]float32
+	for i := 0; i < n8; i += 8 {
+		v := src[i : i+8 : i+8]
+		for l := range acc {
+			acc[l] += v[l]
+		}
+	}
+	sum := reduce8(&acc)
+	for _, v := range src[n8:] {
+		sum += v
+	}
+	mean := sum / float32(n)
+	acc = [8]float32{}
+	for i := 0; i < n8; i += 8 {
+		v := src[i : i+8 : i+8]
+		for l := range acc {
+			d := v[l] - mean
+			acc[l] += float32(d * d)
+		}
+	}
+	sum = reduce8(&acc)
+	for _, v := range src[n8:] {
+		d := v - mean
+		sum += float32(d * d)
+	}
+	inv := 1 / float32(math.Sqrt(float64(sum/float32(n)+eps)))
+	for j, v := range src {
+		dst[j] = float32(float32((v-mean)*inv)*gamma[j]) + beta[j]
+	}
+}
