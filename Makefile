@@ -105,9 +105,11 @@ bench-diffusion-smoke:
 	$(GO) run ./cmd/flashps-diffbench -smoke -o /dev/null
 
 # Kernel before/after evidence: naive vs blocked/fused kernels, with
-# GFLOP/s and allocs/op, written as machine-readable JSON.
+# GFLOP/s and allocs/op, plus the per-op budget of one block, written as
+# machine-readable JSON. Serial kernels (-par 1), as the serving plane runs
+# them and so that the budget's ops add up to the block.
 bench-kernels:
-	$(GO) run ./cmd/flashps-kernels -o BENCH_kernels.json
+	$(GO) run ./cmd/flashps-kernels -par 1 -o BENCH_kernels.json
 
 # Serving-plane benchmark: drive a fixed open-loop workload through the
 # in-process server (real engines on a reduced model) and write latency
