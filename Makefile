@@ -97,7 +97,7 @@ bench-smoke:
 # the uncached mask-aware path, SSIM vs the uncached output, and the
 # reused-block ratio, written as machine-readable JSON.
 bench-diffusion:
-	$(GO) run ./cmd/flashps-diffbench -o BENCH_diffusion.json
+	$(GO) run ./cmd/flashps-diffbench -par 1 -o BENCH_diffusion.json
 
 # Fast variant for make check: reduced model, one iteration, output
 # discarded — proves the sweep itself can't rot.
