@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: all check build bench-build test test-noavx vet race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
+.PHONY: all check build bench-build test test-noavx vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
 
 all: check
 
 # The default gate: build, vet, full test suite, the race detector over
-# the concurrent packages, the fault-injection suite, the tiered-store
+# the concurrent packages, the fault-injection suite, the virtual-time
+# conservation property over random fault schedules, the tiered-store
 # stress drill, the sim-vs-real differential replay (decisions, timings,
 # AND byte-identical telemetry), the fleet differential replay, the
 # observability lint/golden gate, the alerting/flight-recorder drill, the
@@ -13,16 +14,19 @@ all: check
 # (including a fleet router sweep) so the benchmarks themselves can't rot.
 # bench-build and test-noavx cover what the plain build and test do not:
 # the nested benchmark module and the portable (non-AVX2) kernels.
-check: build bench-build vet test test-noavx race faults cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
+check: build bench-build vet test test-noavx race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
 
 build:
 	$(GO) build ./...
 
-# benchmark/ is a module of its own, outside `go build ./...`: without this
-# a signature change that breaks benchmark/layers.go stays invisible until
-# the benchmark driver runs. -o /dev/null keeps the binary out of the tree.
+# benchmark/ is a module of its own, outside `go build ./...` and `go test
+# ./...`: without this a signature change that breaks benchmark/layers.go,
+# or a serving change that breaks the harness's served-PNG byte-compare or
+# a metric name it scrapes, stays invisible until the benchmark driver
+# runs. Its tests drive all four workloads through serve.Server (~16 s).
+# -o /dev/null keeps the binary out of the tree.
 bench-build:
-	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -35,13 +39,25 @@ test:
 test-noavx:
 	FLASHPS_NO_AVX2=1 $(GO) test ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
 
+# internal/metrics is no longer here: with SyncRecorder gone nothing in it
+# is concurrent. TestCalibrationGate is skipped: it budgets wall-clock
+# latencies the detector inflates several-fold (about every second run
+# misses the P99 budget under it); calib-gate runs it without the detector.
 race:
-	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/metrics/... ./internal/batching/... ./internal/replay/...
+	$(GO) test -race -skip TestCalibrationGate ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/batching/... ./internal/replay/...
 
 # Fault drills under the race detector: worker crash + retry, cache-load
 # degradation, deadline eviction, cancellation storms, load shedding.
 faults:
 	$(GO) test -race -count=1 ./internal/faults/... ./internal/serve/ -run 'TestWorkerCrash|TestHealthDegraded|TestCacheLoad|TestDeadlineExceeded|TestCancelConcurrent|TestShedLargest|TestFaultCounters|Test.*Injector|TestFail|TestAfter|TestProb|TestDelay|TestParse'
+
+# The conservation property in virtual time: random traces × random fault
+# schedules (worker crash, step delay, cancel, deadline) × every discipline
+# and router on the simulator's executor; every submitted request reaches
+# exactly one terminal state and the decision log replays to it. A failure
+# prints its seed.
+conservation:
+	$(GO) test -count=1 ./internal/cluster/ -run TestConservationUnderFaults
 
 # Tiered template-store stress drill: concurrent put/get/observe/pin/
 # delete/evict/spill traffic under the race detector, asserting the RAM

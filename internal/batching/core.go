@@ -2,7 +2,6 @@ package batching
 
 import (
 	"sync"
-	"time"
 
 	"flashps/internal/perfmodel"
 )
@@ -10,44 +9,16 @@ import (
 // Clock is the execution seam that makes the core clock-agnostic: the
 // discrete-event harness (internal/cluster, internal/replay) passes
 // *simclock.Clock, which satisfies it directly, while the live serving
-// plane runs on WallClock. Times are seconds; the epoch is driver-defined.
+// plane runs its Runner on *obs.WallClock. Times are seconds; the epoch is
+// driver-defined.
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64
-	// At schedules fn at absolute time t (panics if t is in the past).
+	// At schedules fn at absolute time t. A virtual clock panics if t is
+	// in the past; a wall clock runs fn as soon as it can.
 	At(t float64, fn func())
 	// After schedules fn delay seconds from now.
 	After(delay float64, fn func())
-}
-
-// WallClock drives the core with real time: Now is seconds since process
-// start and scheduling uses timer goroutines. It exists so live drivers
-// satisfy the same Clock seam the simulator uses; the serving plane's
-// engine loops keep their own blocking channel structure and only consult
-// Now for timestamps.
-type WallClock struct {
-	epoch time.Time
-	once  sync.Once
-}
-
-func (c *WallClock) init() { c.once.Do(func() { c.epoch = time.Now() }) }
-
-// Now returns seconds since the clock's first use.
-func (c *WallClock) Now() float64 {
-	c.init()
-	return time.Since(c.epoch).Seconds()
-}
-
-// At schedules fn at the absolute wall time t seconds after epoch.
-func (c *WallClock) At(t float64, fn func()) { c.After(t-c.Now(), fn) }
-
-// After schedules fn delay seconds from now on its own goroutine.
-func (c *WallClock) After(delay float64, fn func()) {
-	c.init()
-	if delay < 0 {
-		delay = 0
-	}
-	time.AfterFunc(time.Duration(delay*float64(time.Second)), fn)
 }
 
 // CoreConfig parameterizes the shared scheduling/batching core.
@@ -63,6 +34,15 @@ type CoreConfig struct {
 	MaxBatch int
 	// Seed feeds the policy's tie-breaking randomness.
 	Seed uint64
+	// MaxQueue, when > 0, bounds a worker's outstanding requests: a
+	// submission beyond it goes to ShedVictim.
+	MaxQueue int
+	// MaxRetries bounds how many times a request lost to a worker crash is
+	// re-placed on another replica (≤ 0: never).
+	MaxRetries int
+	// RetryBackoff is the base, in clock seconds, of the capped
+	// exponential backoff before each re-placement.
+	RetryBackoff float64
 	// Log, when non-nil, receives the decision sequence; nil allocates a
 	// private log (still readable via Decisions).
 	Log *DecisionLog
@@ -78,6 +58,9 @@ type Core struct {
 	sched    *Scheduler
 	disc     Discipline
 	maxBatch int
+	maxQueue int
+	retries  int
+	backoff  float64
 	log      *DecisionLog
 }
 
@@ -99,6 +82,9 @@ func NewCore(cfg CoreConfig) *Core {
 		sched:    New(cfg.Policy, cfg.Estimator, cfg.MaxBatch, cfg.Seed),
 		disc:     cfg.Discipline,
 		maxBatch: maxBatch,
+		maxQueue: cfg.MaxQueue,
+		retries:  cfg.MaxRetries,
+		backoff:  cfg.RetryBackoff,
 		log:      log,
 	}
 }
@@ -108,6 +94,23 @@ func (c *Core) Discipline() Discipline { return c.disc }
 
 // MaxBatch returns the per-worker running-batch bound.
 func (c *Core) MaxBatch() int { return c.maxBatch }
+
+// MaxQueue returns the per-worker bound on outstanding requests (0: none).
+func (c *Core) MaxQueue() int { return c.maxQueue }
+
+// Retry decides whether a request lost to a worker crash gets its
+// attempt-th re-placement (1-based) and after what backoff: the base
+// doubles per attempt, capped at 8× the base.
+func (c *Core) Retry(attempt int) (backoff float64, ok bool) {
+	if attempt > c.retries {
+		return 0, false
+	}
+	backoff = c.backoff * float64(int(1)<<(attempt-1))
+	if max := 8 * c.backoff; backoff > max {
+		backoff = max
+	}
+	return backoff, true
+}
 
 // Log returns the decision log.
 func (c *Core) Log() *DecisionLog { return c.log }
@@ -126,6 +129,23 @@ func (c *Core) Place(views []WorkerView, ids []int, item Item) int {
 	id := ids[pick]
 	c.log.append(Decision{Kind: KindPlace, Request: item.ID, Worker: id, Batch: len(views)})
 	return id
+}
+
+// PlaceAmong is Place restricted to the workers marked eligible (views and
+// eligible are indexed by worker ID); ok is false when none is.
+func (c *Core) PlaceAmong(views []WorkerView, eligible []bool, item Item) (worker int, ok bool) {
+	ids := make([]int, 0, len(views))
+	cands := make([]WorkerView, 0, len(views))
+	for i, v := range views {
+		if eligible[i] {
+			ids = append(ids, i)
+			cands = append(cands, v)
+		}
+	}
+	if len(ids) == 0 {
+		return 0, false
+	}
+	return c.Place(cands, ids, item), true
 }
 
 // PlaceFixed records an externally routed placement (the fleet router

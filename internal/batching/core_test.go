@@ -178,17 +178,40 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWallClockOrdering sanity-checks the live driver's Clock seam.
-func TestWallClockOrdering(t *testing.T) {
-	var c WallClock
-	t0 := c.Now()
-	if t0 < 0 {
-		t.Fatalf("Now() = %g before epoch", t0)
+// TestRetryBackoffIsCappedExponential pins the crash-retry policy: the
+// base doubles per attempt up to 8× and the budget bounds the attempts.
+func TestRetryBackoffIsCappedExponential(t *testing.T) {
+	core := NewCore(CoreConfig{MaxRetries: 6, RetryBackoff: 0.025})
+	want := []float64{0.025, 0.05, 0.1, 0.2, 0.2, 0.2}
+	for i, w := range want {
+		got, ok := core.Retry(i + 1)
+		if !ok || got != w {
+			t.Fatalf("attempt %d: backoff %g ok=%v, want %g", i+1, got, ok, w)
+		}
 	}
-	done := make(chan struct{})
-	c.After(0.001, func() { close(done) })
-	<-done
-	if c.Now() <= t0 {
-		t.Fatal("wall clock did not advance across a timer")
+	if _, ok := core.Retry(7); ok {
+		t.Fatal("attempt 7 allowed past a budget of 6")
+	}
+	if _, ok := NewCore(CoreConfig{}).Retry(1); ok {
+		t.Fatal("zero budget allowed a retry")
+	}
+}
+
+// TestPlaceAmongSkipsIneligibleWorkers: only eligible workers are
+// candidates, the decision names the worker's own ID, and no eligible
+// worker means no placement and no decision.
+func TestPlaceAmongSkipsIneligibleWorkers(t *testing.T) {
+	core := NewCore(CoreConfig{Policy: LeastRequests})
+	views := []WorkerView{{}, {Ratios: []float64{0.2}, RemSteps: []int{5}}, {Ratios: []float64{0.1, 0.1}, RemSteps: []int{5, 5}}}
+	got, ok := core.PlaceAmong(views, []bool{false, true, true}, Item{ID: 1, MaskRatio: 0.1})
+	if !ok || got != 1 {
+		t.Fatalf("placed on %d ok=%v, want the emptiest eligible worker 1", got, ok)
+	}
+	if _, ok := core.PlaceAmong(views, []bool{false, false, false}, Item{ID: 2}); ok {
+		t.Fatal("placed with no eligible worker")
+	}
+	dec := core.Decisions()
+	if len(dec) != 1 || dec[0].Worker != 1 || dec[0].Batch != 2 {
+		t.Fatalf("decisions = %v, want one placement on worker 1 among 2 candidates", dec)
 	}
 }

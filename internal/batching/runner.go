@@ -1,7 +1,8 @@
 package batching
 
 import (
-	"flashps/internal/perfmodel"
+	"sync"
+
 	"flashps/internal/workload"
 )
 
@@ -17,55 +18,155 @@ type StepView struct {
 	RemSteps int
 }
 
-// Executor is the execution seam of the Runner: the simulator provides a
-// pure cost model (internal/cluster), while the differential-replay real
-// driver (internal/replay) steps actual diffusion.EditSession replicas and
-// reports the modeled durations so virtual time advances identically.
+// Turn is one engine iteration of a worker, formed at a step boundary: the
+// requests that finished their last step and now leave the engine, the
+// requests that join, and the batch to step next. The Executor serves a
+// turn in that order, as one replica's engine would.
+type Turn struct {
+	Worker int
+	// Retired finished denoising at this boundary, in batch order. Each is
+	// delivered to its user (serialize, postprocess) and reported through
+	// Complete.
+	Retired []StepView
+	// Joined were admitted at this boundary, in admission order; they are
+	// also members of Batch.
+	Joined []StepView
+	// Batch is the running batch to step Aligned times. It is empty when
+	// the worker has nothing left to run; Done is then never called.
+	Batch   []StepView
+	Aligned int
+	// Complete reports that Retired[i] was delivered (ok) or lost.
+	Complete func(i int, ok bool)
+	// Done reports that Batch was stepped. crashed means the replica died
+	// under the batch; failed lists the members of Batch whose step
+	// returned an error.
+	Done func(crashed bool, failed []int)
+}
+
+// Executor is the execution seam of the Runner: it does (or cost-models)
+// the work the Runner schedules and says when it is over. The simulator's
+// executor is a pure cost model that answers through events on the virtual
+// clock (internal/cluster), the differential-replay executor steps real
+// diffusion.EditSession replicas beside that cost model (internal/replay),
+// and the serving plane's executor runs the real stages on goroutines and
+// answers when they return (internal/serve).
+//
+// The Runner calls every method with its lock held. A method returns
+// promptly and calls each callback it was given exactly once, after it
+// returned: from a clock event or from another goroutine.
 type Executor interface {
 	// TotalSteps returns how many denoising steps req computes (systems
 	// like TeaCache skip steps).
 	TotalSteps(req workload.Request) int
-	// StageReadyAt returns when req's template cache is staged on worker;
-	// any value ≤ now means it is ready immediately. Implementations with
-	// a cold-cache tier schedule their own staging-completion events on
-	// the clock before returning.
-	StageReadyAt(worker int, req workload.Request, now float64) float64
-	// RunSteps executes aligned consecutive denoising steps for the batch
-	// on worker and returns their total duration. Continuous disciplines
-	// always pass aligned=1; the static discipline runs the whole batch's
-	// step count in one call so the modeled duration stays one
-	// multiplication (bit-stable against re-association).
-	RunSteps(worker int, batch []StepView, aligned int) float64
-	// Retire tells the executor req finished denoising on worker (real
-	// executors release the session).
-	Retire(worker int, req workload.Request)
+	// Prepare makes req runnable on worker (preprocessing, template cache
+	// staging) and then calls ready; ok=false fails the request.
+	Prepare(worker int, req workload.Request, ready func(ok bool))
+	// RunTurn serves one engine iteration and returns, for each of
+	// t.Joined, the time at which it enters the batch.
+	RunTurn(t Turn) (joinedAt []float64)
+	// Restart brings a crashed worker back and then calls up.
+	Restart(worker int, up func())
 }
 
-// Observer receives the Runner's occupancy and completion signals. All
-// methods may be called with a nil receiver guard by the Runner; a nil
-// Observer is free.
+// Fleet is the control plane in front of the workers (internal/fleet): an
+// admission stage ahead of placement, the choice of replica, and a feed of
+// completions for its autoscaler. A nil Fleet admits everything and lets
+// the Core's policy place across the live workers. Submissions call Admit
+// and Place concurrently, without the Runner's lock.
+type Fleet interface {
+	// Admit decides at clock time now whether req enters the system;
+	// deadline is the request's own deadline in seconds (0: none).
+	Admit(req workload.Request, deadline, now float64) (ok bool, reason string)
+	// Place picks the worker for req among those alive, recording the
+	// placement through core; ok=false means no replica can take work.
+	Place(core *Core, req workload.Request, item Item, views []WorkerView, alive []bool) (worker int, ok bool)
+	// Completed feeds one completed request to the autoscaler's window.
+	Completed(stat RequestStat)
+}
+
+// Observer receives the Runner's occupancy signals and every request's
+// terminal state — the Runner itself keeps no record of finished requests,
+// so a long-lived server's memory does not grow with them. It is called
+// with the Runner's lock held; a nil Observer is free.
 type Observer interface {
 	// QueueDepth reports a worker's ready-queue depth after it changed.
 	QueueDepth(worker, depth int)
 	// BatchStep reports the running-batch size of one executed step.
 	BatchStep(size int)
-	// RequestDone reports a request's completion with its full timing
-	// breakdown (virtual or wall clock seconds).
+	// RequestDone reports a request's terminal state, once per submitted
+	// request, with its timing breakdown in the driving clock's seconds.
 	RequestDone(stat RequestStat)
 }
 
+// Outcome is a request's terminal state. Every submitted request reaches
+// exactly one.
+type Outcome int
+
+const (
+	// Completed requests were denoised, postprocessed and delivered.
+	Completed Outcome = iota
+	// Shed requests were sacrificed under overload for smaller-mask work.
+	Shed
+	// Evicted requests were abandoned by their caller (deadline, cancel)
+	// and left at the next stage or step boundary.
+	Evicted
+	// Rejected requests never got a worker: admission, no live replica, or
+	// a full queue with nothing larger to shed.
+	Rejected
+	// Failed requests hit an error in a stage, or outlived their crash
+	// retry budget.
+	Failed
+)
+
+// Reasons qualifying an Outcome in RequestStat.Reason.
+const (
+	ReasonDeadline   = "deadline"          // Evicted
+	ReasonCanceled   = "canceled"          // Evicted
+	ReasonOverloaded = "overloaded"        // Rejected: queue full, nothing larger to shed
+	ReasonNoReplica  = "no_live_replicas"  // Rejected on arrival, Failed on a retry
+	ReasonPrepare    = "prepare"           // Failed
+	ReasonStep       = "step"              // Failed
+	ReasonFinish     = "finish"            // Failed
+	ReasonRetries    = "retries_exhausted" // Failed
+)
+
+// Label returns the flashps_requests_total outcome label of a terminal
+// state.
+func (s RequestStat) Label() string {
+	switch s.Outcome {
+	case Completed:
+		return "ok"
+	case Shed:
+		return "shed"
+	case Evicted:
+		return s.Reason
+	case Rejected:
+		return "rejected"
+	default:
+		return "error"
+	}
+}
+
 // RequestStat is the per-request outcome of a run. All times are in the
-// driving clock's seconds.
+// driving clock's seconds; Admit, Finish and Complete are zero for stages
+// the request never reached.
 type RequestStat struct {
-	ID            int
-	Template      uint64
-	MaskRatio     float64
+	ID        int
+	Template  uint64
+	MaskRatio float64
+	// Worker is the replica that last held the request (-1: never placed).
 	Worker        int
 	Arrival       float64
 	Admit         float64
 	Finish        float64
 	Complete      float64
 	Interruptions int
+	Outcome       Outcome
+	// Reason qualifies a non-Completed outcome (the Reason constants, or
+	// the Fleet's admission reason for a Rejected request).
+	Reason string
+	// Retries counts re-executions on another replica after worker crashes.
+	Retries int
 }
 
 // Latency returns the end-to-end request latency.
@@ -84,81 +185,119 @@ type RunnerConfig struct {
 	// CostSteps is the step count Place's Algorithm-2 cost uses for the
 	// incoming request (the profile's denoising step count).
 	CostSteps int
-	// Core makes every placement and admission decision.
+	// Core makes every placement, admission, shedding and retry decision.
 	Core *Core
 	// Clock drives time (virtual or wall).
 	Clock Clock
 	// Exec performs (or models) the scheduled work.
 	Exec Executor
-	// Obs optionally receives occupancy signals.
+	// Obs optionally receives occupancy signals and terminal states.
 	Obs Observer
-	// Overheads are the CPU-stage and system-overhead costs the runner
-	// charges. Nil uses the paper's §6.6 constants; the digital twin
-	// passes a telemetry-fitted set (perfmodel.FitFromTelemetry).
-	Overheads *perfmodel.Overheads
+	// Fleet optionally fronts the workers with admission and routing.
+	Fleet Fleet
 }
 
-// Runner is the request/worker state machine shared by every clock-driven
-// driver: requests arrive via Submit, are placed by the Core, staged by the
-// Executor, and served under the Core's batching discipline. The caller
-// owns the event loop (schedule Submit calls on the clock, then drain it).
+// Runner is the one place a request moves ready queue → running batch →
+// step → retire, for every driver: requests arrive via Submit, are placed
+// by the Core, prepared by the Executor, and served under the Core's
+// batching discipline; overload shedding, deadline and cancel eviction,
+// and crash rescue are transitions of the same state machine, scheduled on
+// the same Clock. It is safe for concurrent use: Submit, Abort and the
+// Executor's callbacks may come from any goroutine.
 type Runner struct {
-	cfg     RunnerConfig
-	ov      perfmodel.Overheads
+	cfg RunnerConfig
+
+	mu      sync.Mutex
+	stopped bool
 	workers []*runnerWorker
-	stats   []RequestStat
-	pending int
+	live    map[int]*runnerReq // submitted, no terminal state yet
 
 	batchSizeSum int
 	batchSteps   int
 }
 
+// reqStage says which structure holds a live request.
+type reqStage int
+
+const (
+	stagePreparing reqStage = iota // Executor.Prepare in flight
+	stageQueued                    // in its worker's ready queue
+	stageRunning                   // in its worker's running batch
+	stageFinishing                 // denoised, being delivered
+	stageBackoff                   // lost to a crash, waiting to be re-placed
+)
+
 // runnerReq is a request's in-run state.
 type runnerReq struct {
 	workload.Request
+	w             *runnerWorker
+	stage         reqStage
 	remSteps      int
 	totalSteps    int
-	ready         float64 // preprocessing + cache staging complete
 	admit         float64 // joined a running batch
 	finish        float64 // denoising complete
 	complete      float64 // postprocessing complete (user receives image)
 	interruptions int
-	admitted      bool
-	done          bool
+	retries       int
+	// terminal is set once the request's outcome is recorded. A shed or
+	// evicted request may still sit in a stage; it leaves at the stage's
+	// next boundary.
+	terminal bool
 }
 
 // runnerWorker is one replica's state machine.
 type runnerWorker struct {
 	id          int
 	r           *Runner
+	alive       bool         // false between a crash and the restart
 	queue       []*runnerReq // ready, waiting to join a batch
 	running     []*runnerReq
 	busy        bool
-	outstanding []*runnerReq // assigned and not complete, in placement order
-	busyTime    float64      // accumulated GPU-occupied seconds
+	busySince   float64
+	draining    int          // static: retired requests not yet delivered
+	outstanding []*runnerReq // assigned and not finished, in placement order
+	busyTime    float64      // accumulated engine-occupied seconds
 }
 
-// NewRunner builds the state machine; Submit requests from clock events,
-// drain the clock, then read Stats/WorkerBusy.
+// NewRunner builds the state machine.
 func NewRunner(cfg RunnerConfig) *Runner {
-	r := &Runner{cfg: cfg, ov: perfmodel.PaperOverheads()}
-	if cfg.Overheads != nil {
-		r.ov = *cfg.Overheads
-	}
+	r := &Runner{cfg: cfg, live: make(map[int]*runnerReq)}
 	for i := 0; i < cfg.Workers; i++ {
-		r.workers = append(r.workers, &runnerWorker{id: i, r: r})
+		r.workers = append(r.workers, &runnerWorker{id: i, r: r, alive: true})
 	}
 	return r
 }
 
-// Pending returns the number of submitted requests not yet complete.
-func (r *Runner) Pending() int { return r.pending }
+// enter runs fn as one transition of the state machine; after Stop it
+// drops it.
+func (r *Runner) enter(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.stopped {
+		fn()
+	}
+}
 
-// Stats returns the completed requests' outcomes, in completion order.
-func (r *Runner) Stats() []RequestStat { return r.stats }
+// Stop ends the run: later submissions are refused and pending clock
+// events and Executor callbacks become no-ops.
+func (r *Runner) Stop() {
+	r.mu.Lock()
+	r.stopped = true
+	r.mu.Unlock()
+}
+
+// Pending returns the number of submitted requests without a terminal
+// state.
+func (r *Runner) Pending() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.live)
+}
 
 // WorkerBusy returns each worker's accumulated busy time.
 func (r *Runner) WorkerBusy() []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]float64, len(r.workers))
 	for i, w := range r.workers {
 		out[i] = w.busyTime
@@ -169,49 +308,16 @@ func (r *Runner) WorkerBusy() []float64 {
 // BatchOccupancy returns the running-batch occupancy sums across all
 // executed denoising steps (static batches count each aligned step).
 func (r *Runner) BatchOccupancy() (sizeSum, steps int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.batchSizeSum, r.batchSteps
 }
 
-// Submit routes a new request to a worker (paying the scheduler decision
-// overhead) and starts its preprocessing / cache staging. Call it from a
-// clock event at the request's arrival time.
-func (r *Runner) Submit(req workload.Request) {
-	r.pending++
-	views := make([]WorkerView, len(r.workers))
-	ids := make([]int, len(r.workers))
-	for i, w := range r.workers {
-		v := WorkerView{
-			Ratios:   make([]float64, 0, len(w.outstanding)),
-			RemSteps: make([]int, 0, len(w.outstanding)),
-		}
-		for _, o := range w.outstanding {
-			v.Ratios = append(v.Ratios, o.MaskRatio)
-			v.RemSteps = append(v.RemSteps, o.remSteps)
-		}
-		views[i] = v
-		ids[i] = w.id
-	}
-	wid := r.cfg.Core.Place(views, ids, Item{
-		ID: uint64(req.ID), MaskRatio: req.MaskRatio, Steps: r.cfg.CostSteps,
-	})
-	r.start(req, r.workers[wid])
-}
-
-// SubmitTo routes a new request to an externally chosen worker (the fleet
-// router's pick), recording the placement through the core so the decision
-// log stays the single sequence both drivers compare. candidates is the
-// router's eligible-replica count at decision time.
-func (r *Runner) SubmitTo(req workload.Request, worker, candidates int) {
-	r.pending++
-	r.cfg.Core.PlaceFixed(Item{
-		ID: uint64(req.ID), MaskRatio: req.MaskRatio, Steps: r.cfg.CostSteps,
-	}, worker, candidates)
-	r.start(req, r.workers[worker])
-}
-
-// OutstandingCounts snapshots every worker's assigned-and-incomplete
-// request count (the fleet router's queue-depth view).
+// OutstandingCounts snapshots every worker's assigned-and-unfinished
+// request count (the queue depth routers and health checks see).
 func (r *Runner) OutstandingCounts() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]int, len(r.workers))
 	for i, w := range r.workers {
 		out[i] = len(w.outstanding)
@@ -219,33 +325,197 @@ func (r *Runner) OutstandingCounts() []int {
 	return out
 }
 
-// start runs the post-placement tail shared by Submit and SubmitTo:
-// register the request with its worker, pay the scheduler/preprocess
-// overheads, wait for cache staging, and enqueue at ready time.
-func (r *Runner) start(req workload.Request, w *runnerWorker) {
-	steps := r.cfg.Exec.TotalSteps(req)
-	tr := &runnerReq{Request: req, remSteps: steps, totalSteps: steps}
-	w.outstanding = append(w.outstanding, tr)
-	now := r.cfg.Clock.Now()
+// Alive snapshots every worker's liveness.
+func (r *Runner) Alive() []bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]bool, len(r.workers))
+	for i, w := range r.workers {
+		out[i] = w.alive
+	}
+	return out
+}
 
-	ready := now + r.ov.SchedulerDecision
-	switch r.cfg.Core.Discipline() {
-	case DisaggregatedCB:
-		// Preprocessing runs on a separate CPU process, off the GPU path.
-		ready += r.ov.Preprocess
-	case Static, StrawmanCB:
-		// Preprocessing happens on the worker itself at admission time;
-		// the request is queueable immediately.
+// Submit runs a new request through admission, placement and the overload
+// policy, and starts preparing it on its worker. deadline, when positive,
+// evicts the request that many seconds from now unless it completed. It
+// returns the chosen worker, or ok=false when the request was turned away
+// (its Rejected state has been reported by then). Virtual-time drivers
+// call Submit from a clock event at the request's arrival time.
+func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok bool) {
+	q := &runnerReq{Request: req}
+	// Admission and placement work on a snapshot, without the lock:
+	// Algorithm 2's cost estimate is the slow part of a submission, and
+	// the workers' step boundaries must not wait for it.
+	r.mu.Lock()
+	views, alive := r.snapshot()
+	r.mu.Unlock()
+	admitted, reason := true, ""
+	if f := r.cfg.Fleet; f != nil {
+		admitted, reason = f.Admit(req, deadline, r.cfg.Clock.Now())
 	}
-	if stageDone := r.cfg.Exec.StageReadyAt(w.id, req, now); stageDone > ready {
-		ready = stageDone
+	wid, placed := 0, false
+	if admitted {
+		wid, placed = r.route(q, views, alive)
 	}
-	r.cfg.Clock.At(ready, func() {
-		tr.ready = r.cfg.Clock.Now()
-		w.queue = append(w.queue, tr)
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.stopped:
+		return -1, false
+	case !admitted:
+		r.terminal(q, Rejected, reason)
+		return -1, false
+	case !placed:
+		r.terminal(q, Rejected, ReasonNoReplica)
+		return -1, false
+	}
+	w := r.workers[wid]
+	q.w = w
+	r.live[req.ID] = q
+	// Overload: shed the largest-mask outstanding request on this replica
+	// if it is strictly larger than the newcomer, which then joins over
+	// the limit; otherwise turn the newcomer away.
+	if max := r.cfg.Core.MaxQueue(); max > 0 && len(w.outstanding) >= max {
+		var cands []Item
+		var victims []*runnerReq
+		for _, o := range w.outstanding {
+			if o.stage != stageFinishing { // a static batch's finished work holds its slot
+				cands = append(cands, Item{ID: uint64(o.ID), MaskRatio: o.MaskRatio})
+				victims = append(victims, o)
+			}
+		}
+		v := r.cfg.Core.ShedVictim(w.id, cands, r.item(q))
+		if v < 0 {
+			r.terminal(q, Rejected, ReasonOverloaded)
+			return -1, false
+		}
+		r.drop(victims[v], Shed, "")
+	}
+	if deadline > 0 {
+		id := req.ID
+		r.cfg.Clock.After(deadline, func() { r.Abort(id, ReasonDeadline) })
+	}
+	r.start(q, w)
+	return w.id, true
+}
+
+// Abort evicts a request its caller has given up on (ReasonDeadline or
+// ReasonCanceled): the Evicted state is reported at once and the request
+// leaves its stage at the next boundary. It reports false when the request
+// already had a terminal state.
+func (r *Runner) Abort(id int, reason string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	q := r.live[id]
+	if q == nil || r.stopped {
+		return false
+	}
+	r.drop(q, Evicted, reason)
+	return true
+}
+
+func (r *Runner) item(q *runnerReq) Item {
+	return Item{ID: uint64(q.ID), MaskRatio: q.MaskRatio, Steps: r.cfg.CostSteps}
+}
+
+// snapshot is the scheduler's view of every worker: its outstanding load
+// in placement order, and whether it is alive.
+func (r *Runner) snapshot() ([]WorkerView, []bool) {
+	// A static batch is one opaque engine call: the load balancer sees no
+	// step progress, and the batch's slots stay taken, until it returns.
+	static := r.cfg.Core.Discipline() == Static
+	views := make([]WorkerView, len(r.workers))
+	alive := make([]bool, len(r.workers))
+	for i, w := range r.workers {
+		v := WorkerView{
+			Ratios:   make([]float64, 0, len(w.outstanding)),
+			RemSteps: make([]int, 0, len(w.outstanding)),
+		}
+		for _, o := range w.outstanding {
+			rem := o.remSteps
+			if static {
+				rem = o.totalSteps
+			}
+			v.Ratios = append(v.Ratios, o.MaskRatio)
+			v.RemSteps = append(v.RemSteps, rem)
+		}
+		views[i], alive[i] = v, w.alive
+	}
+	return views, alive
+}
+
+// route picks q's worker among the live ones, through the Fleet when there
+// is one; ok=false means no replica can take work.
+func (r *Runner) route(q *runnerReq, views []WorkerView, alive []bool) (worker int, ok bool) {
+	if f := r.cfg.Fleet; f != nil {
+		return f.Place(r.cfg.Core, q.Request, r.item(q), views, alive)
+	}
+	return r.cfg.Core.PlaceAmong(views, alive, r.item(q))
+}
+
+// start registers q with w and has the Executor prepare it.
+func (r *Runner) start(q *runnerReq, w *runnerWorker) {
+	steps := r.cfg.Exec.TotalSteps(q.Request)
+	q.w, q.stage, q.remSteps, q.totalSteps = w, stagePreparing, steps, steps
+	w.outstanding = append(w.outstanding, q)
+	r.cfg.Exec.Prepare(w.id, q.Request, func(ok bool) {
+		r.enter(func() { r.ready(q, ok) })
+	})
+}
+
+// ready is Prepare's completion: the request joins its worker's queue.
+func (r *Runner) ready(q *runnerReq, ok bool) {
+	w := q.w
+	switch {
+	case q.terminal: // evicted or shed while preparing
+	case !ok:
+		w.release(q)
+		r.terminal(q, Failed, ReasonPrepare)
+	default:
+		q.stage = stageQueued
+		w.queue = append(w.queue, q)
 		r.observeQueue(w)
 		w.kick()
-	})
+	}
+}
+
+// drop records a request's early terminal state (shed or evicted) and
+// takes it out of the scheduler's view. A queued request leaves at once;
+// one in a stage leaves at that stage's next boundary.
+func (r *Runner) drop(q *runnerReq, outcome Outcome, reason string) {
+	r.terminal(q, outcome, reason)
+	w := q.w
+	switch q.stage {
+	case stageQueued:
+		w.queue = without(w.queue, q)
+		r.observeQueue(w)
+		w.release(q)
+	case stagePreparing, stageRunning:
+		w.release(q)
+	}
+}
+
+// terminal records q's outcome, once.
+func (r *Runner) terminal(q *runnerReq, outcome Outcome, reason string) {
+	q.terminal = true
+	delete(r.live, q.ID)
+	stat := RequestStat{
+		ID: q.ID, Template: q.Template, MaskRatio: q.MaskRatio, Worker: -1,
+		Arrival: q.Arrival, Admit: q.admit, Finish: q.finish,
+		Complete: q.complete, Interruptions: q.interruptions,
+		Outcome: outcome, Reason: reason, Retries: q.retries,
+	}
+	if q.w != nil {
+		stat.Worker = q.w.id
+	}
+	if outcome == Completed && r.cfg.Fleet != nil {
+		r.cfg.Fleet.Completed(stat)
+	}
+	if r.cfg.Obs != nil {
+		r.cfg.Obs.RequestDone(stat)
+	}
 }
 
 func (r *Runner) observeQueue(w *runnerWorker) {
@@ -254,22 +524,118 @@ func (r *Runner) observeQueue(w *runnerWorker) {
 	}
 }
 
-func (r *Runner) observeBatch(n int) {
-	if r.cfg.Obs != nil {
-		r.cfg.Obs.BatchStep(n)
+// release takes q out of the load-balancer's outstanding view.
+func (w *runnerWorker) release(q *runnerReq) { w.outstanding = without(w.outstanding, q) }
+
+// without removes q from list, keeping the order of the rest.
+func without(list []*runnerReq, q *runnerReq) []*runnerReq {
+	for i, o := range list {
+		if o == q {
+			return append(list[:i], list[i+1:]...)
+		}
 	}
+	return list
 }
 
-// kick starts the worker if it is idle and has ready requests.
+// kick starts the worker if it is alive, idle and has ready requests.
 func (w *runnerWorker) kick() {
-	if w.busy || len(w.queue) == 0 {
+	if w.busy || !w.alive || len(w.queue) == 0 {
 		return
 	}
 	w.busy = true
-	if w.r.cfg.Core.Discipline() == Static {
-		w.runStaticBatch()
-	} else {
-		w.runContinuousStep()
+	w.busySince = w.r.cfg.Clock.Now()
+	w.boundary()
+}
+
+func (w *runnerWorker) idle() {
+	w.busy = false
+	w.busyTime += w.r.cfg.Clock.Now() - w.busySince
+}
+
+// boundary is a step boundary of the worker's engine, the only point at
+// which the running batch changes: evicted and shed requests drop out,
+// finished ones retire, ready ones are admitted as the discipline allows,
+// and the next turn goes to the Executor.
+func (w *runnerWorker) boundary() {
+	r := w.r
+	disc := r.cfg.Core.Discipline()
+	now := r.cfg.Clock.Now()
+
+	var still, retired []*runnerReq
+	for _, q := range w.running {
+		switch {
+		case q.terminal: // evicted or shed: out at this boundary
+		case q.remSteps > 0:
+			still = append(still, q)
+		default:
+			q.finish, q.stage = now, stageFinishing
+			if disc != Static {
+				w.release(q)
+			}
+			retired = append(retired, q)
+			if disc == StrawmanCB {
+				// Postprocessing blocks the GPU stream and interrupts every
+				// other in-flight request (Fig 10-Top).
+				for _, other := range w.running {
+					if other != q && other.remSteps > 0 {
+						other.interruptions++
+					}
+				}
+			}
+		}
+	}
+	w.running = still
+
+	if disc == Static && len(retired) > 0 {
+		// A static batch is over only when every request in it has been
+		// delivered: the next one forms then, not now.
+		w.draining = len(retired)
+		w.turn(retired, nil, 0)
+		return
+	}
+
+	n := r.cfg.Core.Admit(w.id, len(w.running), w.queueItems())
+	joined := append([]*runnerReq(nil), w.queue[:n]...)
+	w.queue = w.queue[n:]
+	for _, q := range joined {
+		if disc == StrawmanCB {
+			// Preprocessing on the GPU process interrupts the batch.
+			for _, other := range w.running {
+				other.interruptions++
+			}
+		}
+		q.stage = stageRunning
+		w.running = append(w.running, q)
+	}
+	if n > 0 {
+		r.observeQueue(w)
+	}
+
+	// Continuous disciplines step once per turn; a static batch runs all
+	// its steps in one, so a cost model prices them as one multiplication.
+	aligned := 1
+	if disc == Static {
+		for _, q := range w.running {
+			if q.remSteps > aligned {
+				aligned = q.remSteps
+			}
+		}
+	}
+	if len(w.running) > 0 || len(retired) > 0 {
+		for i, at := range w.turn(retired, joined, aligned) {
+			joined[i].admit = at
+		}
+	}
+	if len(w.running) == 0 {
+		w.idle()
+		return
+	}
+	r.batchSizeSum += len(w.running) * aligned
+	r.batchSteps += aligned
+	if r.cfg.Obs != nil {
+		for i := 0; i < aligned; i++ {
+			r.cfg.Obs.BatchStep(len(w.running))
+		}
 	}
 }
 
@@ -282,158 +648,116 @@ func (w *runnerWorker) queueItems() []Item {
 	return items
 }
 
-// runStaticBatch serves one full batch to completion: serial preprocessing,
-// aligned denoising steps, serial postprocessing (Fig 10 baseline
-// behavior).
-func (w *runnerWorker) runStaticBatch() {
+// turn hands one engine iteration to the Executor: deliver retired, then
+// step the running batch aligned times (aligned 0: nothing to step).
+func (w *runnerWorker) turn(retired, joined []*runnerReq, aligned int) []float64 {
 	r := w.r
-	n := r.cfg.Core.Admit(w.id, 0, w.queueItems())
-	batch := w.queue[:n]
-	w.queue = w.queue[n:]
-	r.observeQueue(w)
-	w.running = batch
-
-	clock := r.cfg.Clock
-	now := clock.Now()
-	pre := float64(n) * r.ov.Preprocess
-	for _, q := range batch {
-		q.admit = now + pre
-		q.admitted = true
+	t := Turn{
+		Worker: w.id, Retired: stepViews(retired), Joined: stepViews(joined),
+		Aligned: aligned,
+		Complete: func(i int, ok bool) {
+			r.enter(func() { w.delivered(retired[i], ok) })
+		},
 	}
-	steps := batch[0].remSteps
-	for _, q := range batch {
-		if q.remSteps > steps {
-			steps = q.remSteps
+	if aligned > 0 && len(w.running) > 0 {
+		batch := w.running
+		t.Batch = stepViews(batch)
+		t.Done = func(crashed bool, failed []int) {
+			r.enter(func() { w.stepped(batch, aligned, crashed, failed) })
 		}
 	}
-	infer := r.cfg.Exec.RunSteps(w.id, stepViews(batch), steps)
-	post := float64(n) * r.ov.Postprocess
-	total := pre + infer + post
-	w.busyTime += total
-	r.batchSizeSum += n * steps
-	r.batchSteps += steps
-	for i := 0; i < steps; i++ {
-		r.observeBatch(n)
-	}
-	clock.After(total, func() {
-		end := clock.Now()
-		for _, q := range batch {
-			q.remSteps = 0
-			q.finish = end - post
-			q.complete = end
-			w.finishReq(q)
-		}
-		w.running = nil
-		w.busy = false
-		w.kick()
-	})
+	return r.cfg.Exec.RunTurn(t)
 }
 
-// runContinuousStep executes one denoising step of continuous batching:
-// retire finished requests, admit ready ones, run one batched step.
-func (w *runnerWorker) runContinuousStep() {
-	r := w.r
-	clock := r.cfg.Clock
-	disc := r.cfg.Core.Discipline()
-	now := clock.Now()
-	overhead := 0.0
-
-	// Retire completed requests.
-	var still []*runnerReq
+// stepped is a turn's completion: the batch advanced aligned steps, or
+// the replica crashed under it.
+func (w *runnerWorker) stepped(batch []*runnerReq, aligned int, crashed bool, failed []int) {
+	if crashed {
+		w.crash()
+		return
+	}
+	for _, i := range failed {
+		if q := batch[i]; !q.terminal {
+			w.release(q)
+			w.r.terminal(q, Failed, ReasonStep)
+		}
+	}
 	for _, q := range w.running {
-		if q.remSteps > 0 {
-			still = append(still, q)
+		if q.remSteps -= aligned; q.remSteps < 0 {
+			q.remSteps = 0
+		}
+	}
+	w.boundary()
+}
+
+// delivered is a retired request's completion: the user has the image.
+func (w *runnerWorker) delivered(q *runnerReq, ok bool) {
+	r := w.r
+	w.release(q)
+	switch {
+	case q.terminal: // evicted while being delivered
+	case ok:
+		q.complete = r.cfg.Clock.Now()
+		r.terminal(q, Completed, "")
+	default:
+		r.terminal(q, Failed, ReasonFinish)
+	}
+	if w.draining > 0 {
+		if w.draining--; w.draining == 0 {
+			w.idle()
+			w.kick()
+		}
+	}
+}
+
+// crash handles a replica dying under its running batch: the worker is
+// dead to placement until the Executor has restarted it, and each request
+// of the batch is re-placed on a live replica after the Core's capped
+// backoff, or fails when its retry budget is spent. Requests still queued
+// on the worker wait for the restart.
+func (w *runnerWorker) crash() {
+	r := w.r
+	w.alive = false
+	w.idle()
+	batch := w.running
+	w.running = nil
+	for _, q := range batch {
+		q := q
+		if q.terminal {
 			continue
 		}
-		q.finish = now
-		switch disc {
-		case StrawmanCB:
-			// Postprocessing blocks the GPU stream and interrupts every
-			// other in-flight request (Fig 10-Top).
-			overhead += r.ov.Postprocess
-			q.complete = now + overhead
-			for _, other := range w.running {
-				if other != q && other.remSteps > 0 {
-					other.interruptions++
-				}
-			}
-		case DisaggregatedCB:
-			// The GPU only serializes the latent and hands it to the
-			// postprocess worker; postprocessing overlaps (Fig 10-Bottom).
-			overhead += r.ov.Serialize + r.ov.IPC
-			q.complete = now + overhead + r.ov.Postprocess
+		w.release(q)
+		delay, ok := r.cfg.Core.Retry(q.retries + 1)
+		if !ok {
+			r.terminal(q, Failed, ReasonRetries)
+			continue
 		}
-		// The user receives the image at q.complete; keep the virtual
-		// clock (and thus the makespan) alive until then even when it is
-		// the last event.
-		clock.At(q.complete, func() {})
-		w.finishReq(q)
+		q.stage = stageBackoff
+		r.cfg.Clock.After(delay, func() { r.enter(func() { r.replace(q) }) })
 	}
-	w.running = still
-
-	// Admit ready requests up to the batch limit.
-	nAdmit := r.cfg.Core.Admit(w.id, len(w.running), w.queueItems())
-	for i := 0; i < nAdmit; i++ {
-		q := w.queue[0]
-		w.queue = w.queue[1:]
-		if disc == StrawmanCB {
-			// Preprocessing on the GPU process interrupts the batch.
-			overhead += r.ov.Preprocess
-			for _, other := range w.running {
-				other.interruptions++
-			}
-		}
-		q.admit = now + overhead
-		q.admitted = true
-		w.running = append(w.running, q)
-	}
-	if nAdmit > 0 {
-		r.observeQueue(w)
-	}
-
-	if len(w.running) == 0 {
-		w.busy = false
-		return
-	}
-
-	dur := overhead + r.cfg.Exec.RunSteps(w.id, stepViews(w.running), 1) +
-		r.ov.BatchOrganize
-	w.busyTime += dur
-	r.batchSizeSum += len(w.running)
-	r.batchSteps++
-	r.observeBatch(len(w.running))
-	clock.After(dur, func() {
-		for _, q := range w.running {
-			q.remSteps--
-		}
-		w.runContinuousStep()
+	r.cfg.Exec.Restart(w.id, func() {
+		r.enter(func() {
+			w.alive = true
+			w.kick()
+		})
 	})
 }
 
-// finishReq records a completed request and releases it from the
-// load-balancer's outstanding view.
-func (w *runnerWorker) finishReq(q *runnerReq) {
-	if q.done {
+// replace re-enters a crash-rescued request on a live replica; the
+// deterministic pipeline re-runs from preprocessing.
+func (r *Runner) replace(q *runnerReq) {
+	if q.terminal { // evicted during the backoff
 		return
 	}
-	q.done = true
-	for i, o := range w.outstanding {
-		if o == q {
-			w.outstanding = append(w.outstanding[:i], w.outstanding[i+1:]...)
-			break
-		}
+	views, alive := r.snapshot()
+	wid, ok := r.route(q, views, alive)
+	if !ok {
+		r.terminal(q, Failed, ReasonNoReplica)
+		return
 	}
-	w.r.cfg.Exec.Retire(w.id, q.Request)
-	stat := RequestStat{
-		ID: q.ID, Template: q.Template, MaskRatio: q.MaskRatio, Worker: w.id,
-		Arrival: q.Arrival, Admit: q.admit, Finish: q.finish,
-		Complete: q.complete, Interruptions: q.interruptions,
-	}
-	w.r.stats = append(w.r.stats, stat)
-	if w.r.cfg.Obs != nil {
-		w.r.cfg.Obs.RequestDone(stat)
-	}
-	w.r.pending--
+	q.retries++
+	q.admit, q.finish = 0, 0
+	r.start(q, r.workers[wid])
 }
 
 func stepViews(batch []*runnerReq) []StepView {

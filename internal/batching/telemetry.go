@@ -2,15 +2,15 @@ package batching
 
 import "flashps/internal/obs"
 
-// Stage names the clock-driven Runner emits for every completed request,
-// shared by the simulator and the differential-replay real driver so both
-// populate identical histogram/quantile families. The live serving plane
-// reuses "queue", "postprocess", and "request" with wall timings and adds
-// its finer-grained engine stages (see internal/serve and
-// docs/OBSERVABILITY.md for the sim-vs-real semantics).
+// Stage names the Runner's telemetry emits for every completed request,
+// the same four under every driver, so the simulator, the
+// differential-replay real driver and the live serving plane populate
+// identical histogram/quantile families. The serving plane's executor adds
+// its finer-grained stages inside them (see internal/serve and
+// docs/OBSERVABILITY.md).
 const (
-	// StageQueue is arrival → batch admission (includes modeled
-	// preprocessing and cache staging in the clock-driven drivers).
+	// StageQueue is arrival → batch admission (it spans scheduling,
+	// preprocessing and cache staging as well as the ready-queue wait).
 	StageQueue = "queue"
 	// StageInference is batch admission → last denoising step.
 	StageInference = "inference"
@@ -20,8 +20,8 @@ const (
 	StageRequest = "request"
 )
 
-// TraceCat is the span category the clock-driven Runner telemetry uses.
-// Both replay drivers share it so their Chrome traces compare equal.
+// TraceCat is the span category the Runner's telemetry uses under every
+// driver, so the replay drivers' Chrome traces compare equal.
 const TraceCat = "core"
 
 // Telemetry bridges the Runner's Observer seam and the Core's decision
@@ -32,8 +32,8 @@ const TraceCat = "core"
 // between the simulator and the real-engine driver — two drivers of the
 // same trace fill their planes identically, byte for byte.
 //
-// A nil *Telemetry is a valid no-op observer seam (NewTelemetry(nil)
-// returns nil and Observer() then yields a nil Observer).
+// A nil *Telemetry (NewTelemetry(nil)) is a valid Observer that does
+// nothing.
 type Telemetry struct {
 	plane *obs.Plane
 }
@@ -46,14 +46,6 @@ func NewTelemetry(p *obs.Plane) *Telemetry {
 	return &Telemetry{plane: p}
 }
 
-// Observer adapts the bridge to the RunnerConfig.Obs seam; nil-safe.
-func (t *Telemetry) Observer() Observer {
-	if t == nil {
-		return nil
-	}
-	return t
-}
-
 // DecisionSink returns the hook to install via DecisionLog.SetSink, or nil
 // for a nil bridge.
 func (t *Telemetry) DecisionSink() func(Decision) {
@@ -64,20 +56,35 @@ func (t *Telemetry) DecisionSink() func(Decision) {
 }
 
 // QueueDepth implements Observer.
-func (t *Telemetry) QueueDepth(worker, depth int) { t.plane.SetQueueDepth(worker, depth) }
+func (t *Telemetry) QueueDepth(worker, depth int) {
+	if t != nil {
+		t.plane.SetQueueDepth(worker, depth)
+	}
+}
 
 // BatchStep implements Observer. A batch of n requests advancing one step
 // executes n request-steps, matching the live plane's per-request counting.
 func (t *Telemetry) BatchStep(size int) {
+	if t == nil {
+		return
+	}
 	t.plane.ObserveBatch(size)
 	t.plane.AddSteps(size)
 }
 
-// RequestDone implements Observer: it emits the request's span breakdown
-// in clock seconds — as a causal tree under the request's deterministic
-// trace id, so both replay drivers derive identical ids from identical
-// request ids — and the SLO observation.
+// RequestDone implements Observer: it counts the terminal outcome and, for
+// a completed request, emits the span breakdown in clock seconds — as a
+// causal tree under the request's deterministic trace id, so both replay
+// drivers derive identical ids from identical request ids — and the SLO
+// observation.
 func (t *Telemetry) RequestDone(s RequestStat) {
+	if t == nil {
+		return
+	}
+	t.plane.RequestOutcome(s.Label())
+	if s.Outcome != Completed {
+		return
+	}
 	req := uint64(s.ID)
 	trace := obs.TraceID(req)
 	root := obs.SpanID(trace, StageRequest, 0)
@@ -91,6 +98,5 @@ func (t *Telemetry) RequestDone(s RequestStat) {
 		trace, obs.SpanID(trace, StagePostprocess, 0), root, nil)
 	t.plane.SpanCausal(req, StageRequest, TraceCat, s.Worker, s.Arrival, s.Latency(),
 		trace, root, 0, args)
-	t.plane.RequestOutcome("ok")
 	t.plane.ObserveSLO(s.MaskRatio, s.Latency())
 }

@@ -20,12 +20,12 @@ import (
 	"flashps/internal/batching"
 	"flashps/internal/cache"
 	"flashps/internal/diffusion"
+	"flashps/internal/faults"
 	"flashps/internal/metrics"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
 	"flashps/internal/pipeline"
 	"flashps/internal/simclock"
-	"flashps/internal/tensor"
 	"flashps/internal/workload"
 )
 
@@ -278,98 +278,38 @@ func (r *Result) Throughput() float64 {
 	return metrics.Throughput(len(r.Stats), r.Makespan)
 }
 
-// Run simulates serving the given trace and returns per-request stats.
-func Run(cfg Config, reqs []workload.Request) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(reqs) == 0 {
-		return &Result{}, nil
-	}
-	var clock simclock.Clock
-	if cfg.Obs != nil {
-		cfg.Obs.BindClock(&clock)
-	}
-	exec := &simExecutor{cfg: &cfg, clock: &clock}
-	if cfg.System == SystemFlashPS {
-		tiers, err := NewTierSet(cfg.Profile, cfg.Workers, cfg.ColdCacheTemplates)
-		if err != nil {
-			return nil, err
-		}
-		exec.tiers = tiers
-	}
-	est := cfg.Estimator
-	if est == nil {
-		var err error
-		est, err = perfmodel.Calibrate(cfg.Profile, tensor.NewRNG(cfg.Seed^0xE57), 0.02)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var overheads *perfmodel.Overheads
-	if cfg.Costs != nil {
-		if err := cfg.Costs.Validate(); err != nil {
-			return nil, err
-		}
-		ov := cfg.Costs.Overheads
-		overheads = &ov
-		if cfg.Obs != nil {
-			cfg.Obs.SetCalibration(cfg.Costs.Info())
-		}
-	}
-	telemetry := batching.NewTelemetry(cfg.Obs)
-	log := cfg.Decisions
-	if log == nil && cfg.Obs != nil {
-		log = new(batching.DecisionLog)
-	}
-	log.SetSink(telemetry.DecisionSink())
-	runner := batching.NewRunner(batching.RunnerConfig{
-		Workers:   cfg.Workers,
-		CostSteps: cfg.Profile.Steps,
-		Core: batching.NewCore(batching.CoreConfig{
-			Policy:     cfg.Policy,
-			Discipline: cfg.Batching.Discipline(),
-			Estimator:  est,
-			MaxBatch:   cfg.maxBatch(),
-			Seed:       cfg.Seed,
-			Log:        log,
-		}),
-		Clock:     &clock,
-		Exec:      exec,
-		Obs:       telemetry.Observer(),
-		Overheads: overheads,
-	})
-
-	for _, r := range reqs {
-		r := r
-		clock.At(r.Arrival, func() { runner.Submit(r) })
-	}
-	// Generous runaway guard: steps×requests×constant events.
-	maxEvents := len(reqs)*(cfg.Profile.Steps+16)*8 + 4096
-	clock.Drain(maxEvents)
-	if runner.Pending() > 0 {
-		return nil, fmt.Errorf("cluster: simulation stalled with %d requests pending", runner.Pending())
-	}
-	res := &Result{
-		Stats: runner.Stats(), Makespan: clock.Now(),
-		WorkerBusy: runner.WorkerBusy(),
-	}
-	res.BatchSizeSum, res.BatchSteps = runner.BatchOccupancy()
-	PublishTierStats(cfg.Obs, exec.tiers)
-	return res, nil
-}
-
-// simExecutor is the cost-model batching.Executor: work takes the time the
-// per-system engine models predict, and nothing real executes.
-type simExecutor struct {
+// Executor is the cost-model batching.Executor: every stage takes the time
+// the per-system engine models and the CPU-stage overheads predict, it
+// answers the Runner through events on the virtual clock, and nothing real
+// executes. The differential-replay driver embeds it and steps real
+// sessions beside it (internal/replay).
+type Executor struct {
 	cfg   *Config
 	clock *simclock.Clock
+	disc  batching.Discipline
+	ov    perfmodel.Overheads
 	tiers []cache.StagingTier // per worker; empty when all caches are warm
+	// staticEnd is, per worker, when the static batch in flight delivers:
+	// its start plus preprocessing, steps and postprocessing as one sum.
+	staticEnd []float64
+
+	// Faults optionally perturbs the modelled run the way it perturbs the
+	// serving plane: faults.StepStage delays stretch a turn's steps and
+	// faults.WorkerCrash kills the replica under its batch. Nil injects
+	// nothing.
+	Faults *faults.Injector
 }
+
+// restartDelay is how long a crashed modelled replica stays down (the
+// serving plane's default).
+const restartDelay = 0.05
+
+// Replicas returns the size of the worker pool the executor models.
+func (e *Executor) Replicas() int { return len(e.staticEnd) }
 
 // TotalSteps returns how many denoising steps a request computes under
 // the configured system (TeaCache skips steps).
-func (e *simExecutor) TotalSteps(workload.Request) int {
+func (e *Executor) TotalSteps(workload.Request) int {
 	steps := e.cfg.Profile.Steps
 	if e.cfg.System == SystemTeaCache {
 		steps = int(math.Ceil(float64(steps) * perfmodel.TeaCacheStepFraction))
@@ -380,9 +320,25 @@ func (e *simExecutor) TotalSteps(workload.Request) int {
 	return steps
 }
 
-// StageReadyAt consults the worker's cold-cache tier (§4.2), scheduling the
+// Prepare models the scheduler decision, the preprocessing stage where the
+// discipline runs it off the engine (otherwise RunTurn charges it at
+// admission), and cold-cache staging (§4.2).
+func (e *Executor) Prepare(worker int, req workload.Request, ready func(ok bool)) {
+	now := e.clock.Now()
+	at := now + e.ov.SchedulerDecision
+	if e.disc == batching.DisaggregatedCB {
+		// Preprocessing runs on a separate CPU process, off the GPU path.
+		at += e.ov.Preprocess
+	}
+	if stageDone := e.stageReadyAt(worker, req, now); stageDone > at {
+		at = stageDone
+	}
+	e.clock.At(at, func() { ready(true) })
+}
+
+// stageReadyAt consults the worker's cold-cache tier, scheduling the
 // staging-completion event when the template must be fetched from disk.
-func (e *simExecutor) StageReadyAt(worker int, req workload.Request, now float64) float64 {
+func (e *Executor) stageReadyAt(worker int, req workload.Request, now float64) float64 {
 	if len(e.tiers) == 0 {
 		return now
 	}
@@ -391,16 +347,73 @@ func (e *simExecutor) StageReadyAt(worker int, req workload.Request, now float64
 	if stageDone > now {
 		tpl := req.Template
 		e.clock.At(stageDone, func() { tier.Complete(tpl, stageDone) })
-		RecordStageCost(e.cfg.Obs, e.cfg.Profile, stageDone-now)
+		recordStageCost(e.cfg.Obs, e.cfg.Profile, stageDone-now)
 	}
 	return stageDone
 }
 
-// RunSteps models aligned denoising steps of the batch as a single
+// RunTurn models one engine iteration. The engine is sequential, so the
+// costs of a turn accumulate on one timeline from the boundary: delivering
+// the retired requests, admitting the joined ones, then the steps.
+func (e *Executor) RunTurn(t batching.Turn) []float64 {
+	now := e.clock.Now()
+	joinedAt := make([]float64, len(t.Joined))
+	complete := func(i int, at float64) {
+		e.clock.At(at, func() { t.Complete(i, true) })
+	}
+	var overhead float64
+	if e.disc == batching.Static {
+		// Serial preprocessing, aligned steps, serial postprocessing, and
+		// the batch delivers together (Fig 10 baseline behavior).
+		for i := range t.Retired {
+			complete(i, e.staticEnd[t.Worker])
+		}
+		overhead = float64(len(t.Batch)) * e.ov.Preprocess
+		for i := range joinedAt {
+			joinedAt[i] = now + overhead
+		}
+	} else {
+		for i := range t.Retired {
+			if e.disc == batching.StrawmanCB {
+				// Postprocessing blocks the GPU stream (Fig 10-Top).
+				overhead += e.ov.Postprocess
+				complete(i, now+overhead)
+			} else {
+				// The GPU only serializes the latent and hands it to the
+				// postprocess worker; postprocessing overlaps (Fig 10-Bottom).
+				overhead += e.ov.Serialize + e.ov.IPC
+				complete(i, now+overhead+e.ov.Postprocess)
+			}
+		}
+		for i := range joinedAt {
+			if e.disc == batching.StrawmanCB {
+				overhead += e.ov.Preprocess
+			}
+			joinedAt[i] = now + overhead
+		}
+	}
+	if len(t.Batch) == 0 {
+		return joinedAt
+	}
+	if e.Faults.Fire(faults.WorkerCrash(t.Worker)) {
+		e.clock.After(0, func() { t.Done(true, nil) })
+		return joinedAt
+	}
+	dur := overhead + e.stepCost(t.Batch, t.Aligned)
+	if e.disc == batching.Static {
+		e.staticEnd[t.Worker] = now + (dur + float64(len(t.Batch))*e.ov.Postprocess)
+	} else {
+		dur += e.ov.BatchOrganize
+	}
+	e.clock.After(dur, func() { t.Done(false, nil) })
+	return joinedAt
+}
+
+// stepCost models aligned denoising steps of the batch as a single
 // duration: per-step engine latency times the aligned step count. In
 // digital-twin mode (Config.Costs) the per-step latency comes from the
 // telemetry-fitted step law instead of the analytic device model.
-func (e *simExecutor) RunSteps(_ int, batch []batching.StepView, aligned int) float64 {
+func (e *Executor) stepCost(batch []batching.StepView, aligned int) float64 {
 	views := make([]ReqView, len(batch))
 	for i, s := range batch {
 		views[i] = ReqView{
@@ -424,12 +437,15 @@ func (e *simExecutor) RunSteps(_ int, batch []batching.StepView, aligned int) fl
 	if aligned != 1 {
 		lat = float64(aligned) * lat
 	}
-	RecordStepCost(e.cfg.Obs, e.cfg.System, e.cfg.Profile, batch, aligned, lat, scale)
+	if d := e.Faults.Delay(faults.StepStage); d > 0 {
+		lat += d.Seconds()
+	}
+	recordStepCost(e.cfg.Obs, e.cfg.System, e.cfg.Profile, batch, aligned, lat, scale)
 	return lat
 }
 
-// Retire is a no-op: the cost model holds no per-request state.
-func (e *simExecutor) Retire(int, workload.Request) {}
+// Restart models the replica coming back after restartDelay.
+func (e *Executor) Restart(_ int, up func()) { e.clock.After(restartDelay, up) }
 
 // ReqView is the minimal request description the engine cost models need.
 type ReqView struct {
@@ -458,10 +474,10 @@ func BatchStepFLOPs(sys System, p perfmodel.ModelProfile, batch []batching.StepV
 
 // PolicyComputeScale returns the fraction of a batch step's block work an
 // adaptive step policy plans to compute, averaged over the batch items'
-// current step indices — the decision-visible pricing the sim and
-// replay-real executors share (diffusion.PlannedReuseFraction; nothing
-// data-dependent, so both drivers derive the identical number). 1 when the
-// policy is off.
+// current step indices — decision-visible pricing
+// (diffusion.PlannedReuseFraction; nothing data-dependent, so the sim and
+// replay-real drivers derive the identical number). 1 when the policy is
+// off.
 func PolicyComputeScale(policy string, p perfmodel.ModelProfile, views []ReqView) float64 {
 	if policy == "" || policy == "off" || len(views) == 0 {
 		return 1
@@ -473,14 +489,12 @@ func PolicyComputeScale(policy string, p perfmodel.ModelProfile, views []ReqView
 	return sum / float64(len(views))
 }
 
-// RecordStepCost records one executed (or modeled) batch step as a
-// calibration cost sample. The sim and replay-real executors call it with
-// identical arguments, so the differential-replay byte-identity covers the
-// profile stream too. computeScale is the step's planned compute fraction
+// recordStepCost records one modeled batch step as a calibration cost
+// sample. computeScale is the step's planned compute fraction
 // (PolicyComputeScale): it discounts the FLOP feature and splits the block
 // count into computed vs. policy-reused, so telemetry fitters can exclude
-// priced-down samples. Exported for the replay driver.
-func RecordStepCost(plane *obs.Plane, sys System, p perfmodel.ModelProfile,
+// priced-down samples.
+func recordStepCost(plane *obs.Plane, sys System, p perfmodel.ModelProfile,
 	batch []batching.StepView, aligned int, seconds, computeScale float64) {
 	if plane == nil || len(batch) == 0 {
 		return
@@ -500,10 +514,9 @@ func RecordStepCost(plane *obs.Plane, sys System, p perfmodel.ModelProfile,
 	})
 }
 
-// RecordStageCost records one cold-cache disk staging as a calibration
-// cost sample. Exported for the replay driver (same identity requirement
-// as RecordStepCost).
-func RecordStageCost(plane *obs.Plane, p perfmodel.ModelProfile, seconds float64) {
+// recordStageCost records one cold-cache disk staging as a calibration
+// cost sample.
+func recordStageCost(plane *obs.Plane, p perfmodel.ModelProfile, seconds float64) {
 	if plane == nil || seconds <= 0 {
 		return
 	}
@@ -517,9 +530,8 @@ func RecordStageCost(plane *obs.Plane, p perfmodel.ModelProfile, seconds float64
 }
 
 // StepLatency computes one denoising step's duration for a batch under the
-// given system's engine model. Exported so benchmarks, the scheduler, and
-// the differential-replay real driver can reuse the exact engine cost
-// model.
+// given system's engine model. Exported so benchmarks and the scheduler can
+// reuse the exact engine cost model.
 func StepLatency(sys System, p perfmodel.ModelProfile, batch []ReqView) float64 {
 	if len(batch) == 0 {
 		return 0

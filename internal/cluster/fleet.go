@@ -1,15 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"flashps/internal/batching"
-	"flashps/internal/fleet"
-	"flashps/internal/perfmodel"
-	"flashps/internal/simclock"
-	"flashps/internal/tensor"
-	"flashps/internal/workload"
-)
+import "flashps/internal/fleet"
 
 // FleetResult aggregates a fleet simulation run: the usual per-request
 // stats plus the fleet control plane's event sequence and final replica
@@ -67,105 +58,4 @@ func NormalizeFleet(cfg Config, fc fleet.Config) fleet.Config {
 		fc.Metrics = cfg.Obs.Fleet()
 	}
 	return fc
-}
-
-// RunFleet simulates serving the trace through the full fleet pipeline:
-// admission → router → per-replica queues on the shared batching core,
-// with the SLO-driven autoscaler ticking on the virtual clock. It is the
-// fleet counterpart of Run and the virtual-time half of
-// TestDifferentialReplayFleet.
-func RunFleet(cfg Config, fc fleet.Config, reqs []workload.Request) (*FleetResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if fc.Router == fleet.RouterCore {
-		return nil, fmt.Errorf("cluster: fleet driver needs an explicit router (least-loaded or affinity)")
-	}
-	fc = NormalizeFleet(cfg, fc)
-	pool := fc.MaxReplicas
-
-	var clock simclock.Clock
-	if cfg.Obs != nil {
-		cfg.Obs.BindClock(&clock)
-	}
-	exec := &simExecutor{cfg: &cfg, clock: &clock}
-	if cfg.System == SystemFlashPS {
-		tiers, err := NewTierSet(cfg.Profile, pool, cfg.ColdCacheTemplates)
-		if err != nil {
-			return nil, err
-		}
-		exec.tiers = tiers
-	}
-	est := cfg.Estimator
-	if est == nil {
-		var err error
-		est, err = perfmodel.Calibrate(cfg.Profile, tensor.NewRNG(cfg.Seed^0xE57), 0.02)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var overheads *perfmodel.Overheads
-	if cfg.Costs != nil {
-		if err := cfg.Costs.Validate(); err != nil {
-			return nil, err
-		}
-		ov := cfg.Costs.Overheads
-		overheads = &ov
-		if cfg.Obs != nil {
-			cfg.Obs.SetCalibration(cfg.Costs.Info())
-		}
-	}
-	telemetry := batching.NewTelemetry(cfg.Obs)
-	log := cfg.Decisions
-	if log == nil && cfg.Obs != nil {
-		log = new(batching.DecisionLog)
-	}
-	log.SetSink(telemetry.DecisionSink())
-	ctrl, err := fleet.NewController(fc)
-	if err != nil {
-		return nil, err
-	}
-	runner := batching.NewRunner(batching.RunnerConfig{
-		Workers:   pool,
-		CostSteps: cfg.Profile.Steps,
-		Core: batching.NewCore(batching.CoreConfig{
-			Policy:     cfg.Policy,
-			Discipline: cfg.Batching.Discipline(),
-			Estimator:  est,
-			MaxBatch:   cfg.maxBatch(),
-			Seed:       cfg.Seed,
-			Log:        log,
-		}),
-		Clock:     &clock,
-		Exec:      exec,
-		Obs:       fleet.WrapObserver(ctrl, telemetry.Observer()),
-		Overheads: overheads,
-	})
-
-	if len(reqs) > 0 {
-		fleet.Drive(ctrl, runner, &clock, reqs)
-		// The runaway guard from Run, plus headroom for the autoscaler's
-		// tick chain (one event per interval until the fleet settles).
-		maxEvents := len(reqs)*(cfg.Profile.Steps+16)*8 + 65536
-		clock.Drain(maxEvents)
-		if runner.Pending() > 0 {
-			return nil, fmt.Errorf("cluster: fleet simulation stalled with %d requests pending", runner.Pending())
-		}
-	}
-	res := &FleetResult{
-		Result: Result{
-			Stats: runner.Stats(), Makespan: clock.Now(),
-			WorkerBusy: runner.WorkerBusy(),
-		},
-		Events: ctrl.Events(),
-		States: ctrl.States(),
-	}
-	res.BatchSizeSum, res.BatchSteps = runner.BatchOccupancy()
-	for _, e := range res.Events {
-		if e.Kind == fleet.EventReject {
-			res.Rejected++
-		}
-	}
-	PublishTierStats(cfg.Obs, exec.tiers)
-	return res, nil
 }

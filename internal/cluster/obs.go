@@ -6,12 +6,11 @@ import (
 	"flashps/internal/perfmodel"
 )
 
-// NewTierSet builds one cold-cache staging tier per worker (§4.2):
+// newTierSet builds one cold-cache staging tier per worker (§4.2):
 // hosting coldTemplates templates each, with LRU eviction and the
 // profile's disk staging latency. Returns nil when coldTemplates <= 0
-// (all caches warm). Exported so the differential-replay real driver arms
-// the exact same staging behavior as the simulator.
-func NewTierSet(profile perfmodel.ModelProfile, workers, coldTemplates int) ([]cache.StagingTier, error) {
+// (all caches warm).
+func newTierSet(profile perfmodel.ModelProfile, workers, coldTemplates int) ([]cache.StagingTier, error) {
 	if coldTemplates <= 0 {
 		return nil, nil
 	}
@@ -27,13 +26,11 @@ func NewTierSet(profile perfmodel.ModelProfile, workers, coldTemplates int) ([]c
 	return tiers, nil
 }
 
-// PublishTierStats folds the tiers' end-of-run counters into the plane's
+// publishTierStats folds the tiers' end-of-run counters into the plane's
 // per-tier cache accounting: host-tier hits and evictions, and disk-tier
 // loads (every host miss stages one template from disk). Byte totals are
-// ops × the tier's template footprint. Both replay drivers call this after
-// drain, so identical tier behavior yields identical counters. Nil-safe in
-// both arguments.
-func PublishTierStats(p *obs.Plane, tiers []cache.StagingTier) {
+// ops × the tier's template footprint. Nil-safe in both arguments.
+func publishTierStats(p *obs.Plane, tiers []cache.StagingTier) {
 	if p == nil {
 		return
 	}

@@ -5,34 +5,67 @@ import (
 	"flashps/internal/workload"
 )
 
-// Drive wires a trace through the full fleet pipeline on a clock-driven
-// Runner: each arrival passes admission, is routed against the runner's
-// live queue depths, and enters its replica's queue via SubmitTo; when
-// autoscaling is enabled a tick chain advances the controller every
-// interval until the fleet settles. Both virtual-time drivers
-// (internal/cluster, internal/replay) call Drive with identical arguments,
-// which is what makes routing choices and scale events replay
-// byte-identically.
-func Drive(ctrl *Controller, runner *batching.Runner, clock batching.Clock, reqs []workload.Request) {
-	lastArrival := 0.0
-	for _, r := range reqs {
-		if r.Arrival > lastArrival {
-			lastArrival = r.Arrival
+// Front returns the controller as the batching.Runner's fleet seam. Every
+// driver, virtual-time or wall-clock, hands its Runner this one front, so
+// an arrival always runs admission → routing → per-replica queue in the
+// same code and in the same order.
+func (c *Controller) Front() batching.Fleet { return front{c} }
+
+type front struct{ c *Controller }
+
+func request(req workload.Request) Request {
+	return Request{ID: uint64(req.ID), Template: req.Template, MaskRatio: req.MaskRatio}
+}
+
+// Admit implements batching.Fleet.
+func (f front) Admit(req workload.Request, deadline, now float64) (bool, string) {
+	fr := request(req)
+	fr.DeadlineSeconds = deadline
+	return f.c.Admit(fr, now)
+}
+
+// Place implements batching.Fleet. Under a fleet router the controller
+// picks among the Active live replicas and the pick is recorded in the
+// core's decision log as a fixed placement; under RouterCore the core's
+// policy places across the same replicas and the controller only tracks
+// the template for affinity.
+func (f front) Place(core *batching.Core, req workload.Request, item batching.Item,
+	views []batching.WorkerView, alive []bool) (int, bool) {
+	c := f.c
+	if c.cfg.Router == RouterCore {
+		eligible := make([]bool, len(views))
+		for i := range views {
+			eligible[i] = alive[i] && c.Routable(i)
 		}
-		req := r
-		clock.At(req.Arrival, func() {
-			now := clock.Now()
-			fr := Request{ID: uint64(req.ID), Template: req.Template, MaskRatio: req.MaskRatio}
-			if ok, _ := ctrl.Admit(fr, now); !ok {
-				return
-			}
-			dest, _, err := ctrl.Route(fr, runner.OutstandingCounts(), nil)
-			if err != nil {
-				return
-			}
-			runner.SubmitTo(req, dest, ctrl.ActiveCount())
-		})
+		dest, ok := core.PlaceAmong(views, eligible, item)
+		if ok {
+			c.NoteRoute(dest, req.Template)
+		}
+		return dest, ok
 	}
+	depths := make([]int, len(views))
+	for i, v := range views {
+		depths[i] = len(v.Ratios)
+	}
+	dest, _, err := c.Route(request(req), depths, alive)
+	if err != nil {
+		return 0, false
+	}
+	core.PlaceFixed(item, dest, c.ActiveCount())
+	return dest, true
+}
+
+// Completed implements batching.Fleet: completions feed the autoscaler's
+// attainment window.
+func (f front) Completed(stat batching.RequestStat) {
+	f.c.ObserveCompletion(stat.MaskRatio, stat.Latency())
+}
+
+// Autoscale chains the controller's tick on a virtual-time driver's clock,
+// one event per interval, until every arrival has fired (lastArrival),
+// every request has drained and the autoscaler has settled; then the clock
+// runs dry and the driver's drain terminates.
+func Autoscale(ctrl *Controller, runner *batching.Runner, clock batching.Clock, lastArrival float64) {
 	if !ctrl.AutoscaleEnabled() {
 		return
 	}
@@ -41,45 +74,10 @@ func Drive(ctrl *Controller, runner *batching.Runner, clock batching.Clock, reqs
 	tick = func() {
 		now := clock.Now()
 		ctrl.Tick(now, runner.OutstandingCounts())
-		// Keep ticking until all arrivals have fired, every request has
-		// drained, and the autoscaler has settled; then let the clock run
-		// dry so Drain terminates.
 		if now >= lastArrival && runner.Pending() == 0 && ctrl.Settled() {
 			return
 		}
 		clock.After(interval, tick)
 	}
 	clock.After(interval, tick)
-}
-
-// WrapObserver interposes the controller's SLO window on a runner
-// observer chain: completions feed ObserveCompletion (the autoscaler's
-// attainment signal) and then the wrapped observer, so telemetry is
-// untouched.
-func WrapObserver(ctrl *Controller, inner batching.Observer) batching.Observer {
-	return &fleetObserver{ctrl: ctrl, inner: inner}
-}
-
-type fleetObserver struct {
-	ctrl  *Controller
-	inner batching.Observer
-}
-
-func (o *fleetObserver) QueueDepth(worker, depth int) {
-	if o.inner != nil {
-		o.inner.QueueDepth(worker, depth)
-	}
-}
-
-func (o *fleetObserver) BatchStep(size int) {
-	if o.inner != nil {
-		o.inner.BatchStep(size)
-	}
-}
-
-func (o *fleetObserver) RequestDone(stat batching.RequestStat) {
-	o.ctrl.ObserveCompletion(stat.MaskRatio, stat.Latency())
-	if o.inner != nil {
-		o.inner.RequestDone(stat)
-	}
 }

@@ -29,7 +29,9 @@ func (f ClockFunc) Now() float64 { return f() }
 // WallClock is the live drivers' Clock: seconds since its first use. It
 // also converts wall timestamps the serving plane already holds
 // (time.Time) onto the same axis, so spans measured with time.Now() land
-// on the clock's scale without double reads.
+// on the clock's scale without double reads, and it schedules callbacks
+// (At, After) so the serving plane's batching.Runner runs on the same
+// clock its telemetry is stamped with.
 type WallClock struct {
 	epoch time.Time
 	once  sync.Once
@@ -48,4 +50,16 @@ func (c *WallClock) Now() float64 {
 func (c *WallClock) Seconds(t time.Time) float64 {
 	c.init()
 	return t.Sub(c.epoch).Seconds()
+}
+
+// At runs fn on its own goroutine at t seconds after epoch, or as soon as
+// it can when t has passed.
+func (c *WallClock) At(t float64, fn func()) { c.After(t-c.Now(), fn) }
+
+// After runs fn on its own goroutine delay seconds from now.
+func (c *WallClock) After(delay float64, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	time.AfterFunc(time.Duration(delay*float64(time.Second)), fn)
 }

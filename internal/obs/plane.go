@@ -273,6 +273,17 @@ func (p *Plane) stageQuantiles() []LabeledValue {
 	return out
 }
 
+// StageTotal returns a stage's all-time span count and summed seconds.
+func (p *Plane) StageTotal(stage string) (count uint64, seconds float64) {
+	return p.stageQ.With(stage).Total()
+}
+
+// StageQuantile returns a stage's q-quantile over the quantile window, in
+// seconds (NaN when the window holds no span of the stage).
+func (p *Plane) StageQuantile(stage string, q float64) float64 {
+	return p.stageQ.With(stage).Quantile(p.Now(), q)
+}
+
 // Span records one stage span (clock seconds) into the tracer, the stage
 // histogram, and the stage quantile window, so the trace, the histogram,
 // and the quantiles never disagree.
@@ -296,9 +307,6 @@ func (p *Plane) SpanCausal(req uint64, stage, cat string, tid int, start, dur fl
 // RequestOutcome counts one terminal request outcome ("ok", "error",
 // "rejected", "deadline", "canceled", "shed").
 func (p *Plane) RequestOutcome(outcome string) { p.requests.With(outcome).Inc() }
-
-// IncSteps counts one executed per-request denoising step.
-func (p *Plane) IncSteps() { p.steps.Inc() }
 
 // AddSteps counts n per-request denoising steps at once (a batch of n
 // requests advancing one step executes n request-steps).

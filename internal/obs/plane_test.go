@@ -377,4 +377,13 @@ func TestWallClockSeconds(t *testing.T) {
 	if math.Abs(b-w.Now()) > 1.0 {
 		t.Fatalf("Seconds diverges from Now: %g vs %g", b, w.Now())
 	}
+	// After and At (in the past: at once) run their callbacks.
+	done := make(chan struct{}, 2)
+	w.After(0.001, func() { done <- struct{}{} })
+	w.At(a-1, func() { done <- struct{}{} })
+	<-done
+	<-done
+	if w.Now() <= a {
+		t.Fatal("wall clock did not advance across a timer")
+	}
 }

@@ -1,60 +1,17 @@
 package replay
 
 import (
-	"fmt"
-
 	"flashps/internal/batching"
 	"flashps/internal/cluster"
-	"flashps/internal/diffusion"
 	"flashps/internal/fleet"
-	"flashps/internal/perfmodel"
-	"flashps/internal/simclock"
-	"flashps/internal/tensor"
 	"flashps/internal/workload"
 )
-
-// clusterConfig is the simulator-config rendering of a replay config; the
-// sim and real fleet drivers both derive their fleet defaults from it
-// (cluster.NormalizeFleet) so the two controllers are configured
-// identically.
-func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		System:             cluster.SystemFlashPS,
-		Batching:           c.Batching,
-		Policy:             c.Policy,
-		Workers:            c.Workers,
-		Profile:            c.profile(),
-		MaxBatch:           c.MaxBatch,
-		ColdCacheTemplates: c.ColdCacheTemplates,
-		StepPolicy:         c.StepPolicy,
-		Seed:               c.Seed,
-		Obs:                c.Obs,
-	}
-}
 
 // SimFleet replays the trace through the virtual-time fleet pipeline
 // (admission → router → per-replica queues → autoscaler) on the
 // discrete-event cost-model harness.
 func SimFleet(cfg Config, fc fleet.Config, reqs []workload.Request) (*cluster.FleetResult, []batching.Decision, error) {
-	log := &batching.DecisionLog{}
-	ccfg := cfg.clusterConfig()
-	ccfg.Decisions = log
-	res, err := cluster.RunFleet(ccfg, fc, reqs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, log.Snapshot(), nil
-}
-
-// RealFleetResult aggregates the real-engine fleet driver's run.
-type RealFleetResult struct {
-	RealResult
-	// Rejected counts requests the admission stage turned away.
-	Rejected int
-	// Events is the fleet event sequence (routes, rejects, scale actions).
-	Events []fleet.Event
-	// States is each replica's final lifecycle state.
-	States []fleet.State
+	return cluster.Drive(cfg.clusterConfig(), &fc, nil, reqs)
 }
 
 // RealFleet replays the trace through the same fleet pipeline on the
@@ -63,95 +20,6 @@ type RealFleetResult struct {
 // diffusion.EditSession replicas. Routing choices, scale events,
 // decisions, and telemetry must replay byte-identically against SimFleet
 // — the fleet extension of the differential contract.
-func RealFleet(cfg Config, fc fleet.Config, reqs []workload.Request) (*RealFleetResult, []batching.Decision, error) {
-	if cfg.Workers <= 0 {
-		return nil, nil, fmt.Errorf("replay: invalid worker count %d", cfg.Workers)
-	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if fc.Router == fleet.RouterCore {
-		return nil, nil, fmt.Errorf("replay: fleet driver needs an explicit router (least-loaded or affinity)")
-	}
-	profile := cfg.profile()
-	fc = cluster.NormalizeFleet(cfg.clusterConfig(), fc)
-	pool := fc.MaxReplicas
-
-	var clock simclock.Clock
-	if cfg.Obs != nil {
-		cfg.Obs.BindClock(&clock)
-	}
-	exec := &realExecutor{cfg: &cfg, profile: profile, faults: cfg.Faults,
-		clock: &clock, sessions: make(map[int]*diffusion.EditSession)}
-	tiers, err := cluster.NewTierSet(profile, pool, cfg.ColdCacheTemplates)
-	if err != nil {
-		return nil, nil, err
-	}
-	exec.tiers = tiers
-	for i := 0; i < pool; i++ {
-		eng, err := diffusion.NewEngine(cfg.Model, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		exec.engines = append(exec.engines, eng)
-	}
-	if len(reqs) == 0 {
-		return &RealFleetResult{}, nil, nil
-	}
-	if err := exec.prepareTemplates(reqs); err != nil {
-		return nil, nil, err
-	}
-
-	est, err := perfmodel.Calibrate(profile, tensor.NewRNG(cfg.Seed^0xE57), 0.02)
-	if err != nil {
-		return nil, nil, err
-	}
-	log := &batching.DecisionLog{}
-	telemetry := batching.NewTelemetry(cfg.Obs)
-	log.SetSink(telemetry.DecisionSink())
-	ctrl, err := fleet.NewController(fc)
-	if err != nil {
-		return nil, nil, err
-	}
-	runner := batching.NewRunner(batching.RunnerConfig{
-		Workers:   pool,
-		CostSteps: profile.Steps,
-		Core: batching.NewCore(batching.CoreConfig{
-			Policy:     cfg.Policy,
-			Discipline: cfg.Batching.Discipline(),
-			Estimator:  est,
-			MaxBatch:   cfg.maxBatch(),
-			Seed:       cfg.Seed,
-			Log:        log,
-		}),
-		Clock: &clock,
-		Exec:  exec,
-		Obs:   fleet.WrapObserver(ctrl, telemetry.Observer()),
-	})
-	fleet.Drive(ctrl, runner, &clock, reqs)
-	maxEvents := len(reqs)*(profile.Steps+16)*8 + 65536
-	clock.Drain(maxEvents)
-	if exec.err != nil {
-		return nil, nil, exec.err
-	}
-	if runner.Pending() > 0 {
-		return nil, nil, fmt.Errorf("replay: real fleet driver stalled with %d requests pending", runner.Pending())
-	}
-	cluster.PublishTierStats(cfg.Obs, exec.tiers)
-	res := &RealFleetResult{
-		RealResult: RealResult{
-			Stats:         runner.Stats(),
-			Makespan:      clock.Now(),
-			StepsComputed: exec.steps,
-			Decoded:       exec.decoded,
-		},
-		Events: ctrl.Events(),
-		States: ctrl.States(),
-	}
-	for _, e := range res.Events {
-		if e.Kind == fleet.EventReject {
-			res.Rejected++
-		}
-	}
-	return res, log.Snapshot(), nil
+func RealFleet(cfg Config, fc fleet.Config, reqs []workload.Request) (*RealResult, []batching.Decision, error) {
+	return realDrive(cfg, &fc, reqs)
 }

@@ -18,16 +18,15 @@ import (
 	"fmt"
 
 	"flashps/internal/batching"
-	"flashps/internal/cache"
 	"flashps/internal/cluster"
 	"flashps/internal/diffusion"
 	"flashps/internal/faults"
+	"flashps/internal/fleet"
 	"flashps/internal/img"
 	"flashps/internal/mask"
 	mdl "flashps/internal/model"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
-	"flashps/internal/simclock"
 	"flashps/internal/tensor"
 	"flashps/internal/workload"
 )
@@ -78,47 +77,40 @@ func (c Config) profile() perfmodel.ModelProfile {
 	return p
 }
 
-func (c Config) maxBatch() int {
-	b := c.MaxBatch
-	if b <= 0 {
-		b = c.Profile.MaxBatch
+// clusterConfig is the simulator-config rendering of a replay config; the
+// sim and real drivers both run on it, so the two cores, cost models and
+// fleet defaults (cluster.NormalizeFleet) are configured identically.
+func (c Config) clusterConfig() cluster.Config {
+	return cluster.Config{
+		System:             cluster.SystemFlashPS,
+		Batching:           c.Batching,
+		Policy:             c.Policy,
+		Workers:            c.Workers,
+		Profile:            c.profile(),
+		MaxBatch:           c.MaxBatch,
+		ColdCacheTemplates: c.ColdCacheTemplates,
+		StepPolicy:         c.StepPolicy,
+		Seed:               c.Seed,
+		Obs:                c.Obs,
 	}
-	if b < 1 {
-		b = 1
-	}
-	return b
 }
 
 // Sim replays the trace through the discrete-event cost-model harness and
 // returns its result plus the decision sequence the shared core made.
 func Sim(cfg Config, reqs []workload.Request) (*cluster.Result, []batching.Decision, error) {
-	log := &batching.DecisionLog{}
-	res, err := cluster.Run(cluster.Config{
-		System:             cluster.SystemFlashPS,
-		Batching:           cfg.Batching,
-		Policy:             cfg.Policy,
-		Workers:            cfg.Workers,
-		Profile:            cfg.profile(),
-		MaxBatch:           cfg.MaxBatch,
-		ColdCacheTemplates: cfg.ColdCacheTemplates,
-		StepPolicy:         cfg.StepPolicy,
-		Seed:               cfg.Seed,
-		Decisions:          log,
-		Obs:                cfg.Obs,
-	}, reqs)
+	res, dec, err := cluster.Drive(cfg.clusterConfig(), nil, nil, reqs)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, log.Snapshot(), nil
+	return &res.Result, dec, nil
 }
 
-// RealResult aggregates the real driver's run.
+// RealResult is the real driver's run: the shared driver's result — stats
+// in the virtual clock's seconds, comparable one-to-one with the
+// simulator's, and under a fleet the rejects, events and replica states —
+// plus what the sessions did.
 type RealResult struct {
-	// Stats are the per-request outcomes in the virtual clock's seconds,
-	// comparable one-to-one with the simulator's.
-	Stats []batching.RequestStat
-	// Makespan is the virtual end time.
-	Makespan float64
+	cluster.FleetResult
 	// StepsComputed counts real denoising steps executed across sessions.
 	StepsComputed int
 	// Decoded counts finished sessions whose latents were decoded into
@@ -128,83 +120,53 @@ type RealResult struct {
 
 // Real replays the trace through the real-engine driver: the identical
 // batching Core/Runner code placed on a virtual clock, with an Executor
-// that steps real diffusion.EditSession replicas and reports the cost
-// model's durations so virtual time advances exactly as in the simulator.
+// that steps real diffusion.EditSession replicas beside the cost model, so
+// virtual time advances exactly as in the simulator.
 func Real(cfg Config, reqs []workload.Request) (*RealResult, []batching.Decision, error) {
-	if cfg.Workers <= 0 {
-		return nil, nil, fmt.Errorf("replay: invalid worker count %d", cfg.Workers)
-	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if len(reqs) == 0 {
-		return &RealResult{}, nil, nil
-	}
-	profile := cfg.profile()
-
-	var clock simclock.Clock
-	if cfg.Obs != nil {
-		cfg.Obs.BindClock(&clock)
-	}
-	exec := &realExecutor{cfg: &cfg, profile: profile, faults: cfg.Faults,
-		clock: &clock, sessions: make(map[int]*diffusion.EditSession)}
-	tiers, err := cluster.NewTierSet(profile, cfg.Workers, cfg.ColdCacheTemplates)
-	if err != nil {
-		return nil, nil, err
-	}
-	exec.tiers = tiers
-	for i := 0; i < cfg.Workers; i++ {
-		eng, err := diffusion.NewEngine(cfg.Model, cfg.Seed)
-		if err != nil {
+		if err := cfg.validate(); err != nil {
 			return nil, nil, err
 		}
-		exec.engines = append(exec.engines, eng)
+		return &RealResult{}, nil, nil
 	}
-	if err := exec.prepareTemplates(reqs); err != nil {
-		return nil, nil, err
-	}
+	return realDrive(cfg, nil, reqs)
+}
 
-	est, err := perfmodel.Calibrate(profile, tensor.NewRNG(cfg.Seed^0xE57), 0.02)
-	if err != nil {
+func (c Config) validate() error {
+	if c.Workers <= 0 {
+		return fmt.Errorf("replay: invalid worker count %d", c.Workers)
+	}
+	return c.Model.Validate()
+}
+
+// realDrive runs the real-engine driver, behind a fleet controller when fc is
+// non-nil: cluster.Drive with the cost-model executor wrapped in one that
+// steps real sessions.
+func realDrive(cfg Config, fc *fleet.Config, reqs []workload.Request) (*RealResult, []batching.Decision, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	log := &batching.DecisionLog{}
-	telemetry := batching.NewTelemetry(cfg.Obs)
-	log.SetSink(telemetry.DecisionSink())
-	runner := batching.NewRunner(batching.RunnerConfig{
-		Workers:   cfg.Workers,
-		CostSteps: profile.Steps,
-		Core: batching.NewCore(batching.CoreConfig{
-			Policy:     cfg.Policy,
-			Discipline: cfg.Batching.Discipline(),
-			Estimator:  est,
-			MaxBatch:   cfg.maxBatch(),
-			Seed:       cfg.Seed,
-			Log:        log,
-		}),
-		Clock: &clock,
-		Exec:  exec,
-		Obs:   telemetry.Observer(),
-	})
-	for _, r := range reqs {
-		r := r
-		clock.At(r.Arrival, func() { runner.Submit(r) })
-	}
-	maxEvents := len(reqs)*(profile.Steps+16)*8 + 4096
-	clock.Drain(maxEvents)
+	exec := &realExecutor{cfg: &cfg, sessions: make(map[int]*diffusion.EditSession)}
+	res, dec, err := cluster.Drive(cfg.clusterConfig(), fc,
+		func(model *cluster.Executor) (batching.Executor, error) {
+			model.Faults = cfg.Faults
+			exec.Executor = model
+			for i := 0; i < model.Replicas(); i++ {
+				eng, err := diffusion.NewEngine(cfg.Model, cfg.Seed)
+				if err != nil {
+					return nil, err
+				}
+				exec.engines = append(exec.engines, eng)
+			}
+			return exec, exec.prepareTemplates(reqs)
+		}, reqs)
 	if exec.err != nil {
 		return nil, nil, exec.err
 	}
-	if runner.Pending() > 0 {
-		return nil, nil, fmt.Errorf("replay: real driver stalled with %d requests pending", runner.Pending())
+	if err != nil {
+		return nil, nil, err
 	}
-	cluster.PublishTierStats(cfg.Obs, exec.tiers)
-	return &RealResult{
-		Stats:         runner.Stats(),
-		Makespan:      clock.Now(),
-		StepsComputed: exec.steps,
-		Decoded:       exec.decoded,
-	}, log.Snapshot(), nil
+	return &RealResult{FleetResult: *res, StepsComputed: exec.steps, Decoded: exec.decoded}, dec, nil
 }
 
 // Diff compares the two decision sequences, returning nil when identical.
@@ -212,18 +174,16 @@ func Diff(sim, real []batching.Decision) error {
 	return batching.DiffDecisions(sim, real)
 }
 
-// realExecutor is the real-engine batching.Executor: scheduled work steps
-// actual edit sessions while virtual time advances by the cost model's
-// durations (plus any injected step-stage delay).
+// realExecutor is the real-engine batching.Executor: it embeds the
+// simulator's cost-model executor, which keeps answering the Runner in
+// virtual time, and steps actual edit sessions for the work each turn
+// describes.
 type realExecutor struct {
+	*cluster.Executor
 	cfg       *Config
-	profile   perfmodel.ModelProfile
-	clock     *simclock.Clock
 	engines   []*diffusion.Engine
 	templates map[uint64]*diffusion.TemplateCache
 	sessions  map[int]*diffusion.EditSession // by request ID
-	tiers     []cache.StagingTier            // per worker; empty when all caches are warm
-	faults    *faults.Injector
 
 	steps   int
 	decoded int
@@ -279,42 +239,36 @@ func (e *realExecutor) session(worker int, req workload.Request) (*diffusion.Edi
 // TotalSteps: the real sessions compute every denoising step.
 func (e *realExecutor) TotalSteps(workload.Request) int { return e.cfg.Model.Steps }
 
-// StageReadyAt consults the worker's cold-cache tier exactly as the
-// simulator's executor does (§4.2): the numeric template cache itself is
-// prepared up front, but virtual time still pays the modeled disk staging
-// latency when the tier says the template is cold. Warm configuration
-// (no tiers): the template is ready now.
-func (e *realExecutor) StageReadyAt(worker int, req workload.Request, now float64) float64 {
-	if len(e.tiers) == 0 {
-		return now
-	}
-	tier := e.tiers[worker]
-	stageDone := tier.ReadyAt(req.Template, now)
-	if stageDone > now {
-		tpl := req.Template
-		e.clock.At(stageDone, func() { tier.Complete(tpl, stageDone) })
-		cluster.RecordStageCost(e.cfg.Obs, e.profile, stageDone-now)
-	}
-	return stageDone
-}
-
-// RunSteps steps every session in the batch aligned times for real, then
-// returns the cost model's duration for those steps (so virtual time in
-// the real driver advances exactly as in the simulator).
-func (e *realExecutor) RunSteps(worker int, batch []batching.StepView, aligned int) float64 {
-	views := make([]cluster.ReqView, len(batch))
-	for i, v := range batch {
-		views[i] = cluster.ReqView{
-			Template:  v.Req.Template,
-			MaskRatio: v.Req.MaskRatio,
-			StepIndex: v.StepIndex,
+// RunTurn does the turn's work for real — decode every retired session's
+// image, step every session of the batch — and lets the cost model say
+// how long that took. Virtual time advances by the decision-visible
+// pricing, never by the sessions' measured reuse, so the drivers stay
+// byte-identical even though the real sessions' dynamic block reuse
+// differs step to step.
+func (e *realExecutor) RunTurn(t batching.Turn) []float64 {
+	for _, v := range t.Retired {
+		s := e.sessions[v.Req.ID]
+		delete(e.sessions, v.Req.ID)
+		switch {
+		case s == nil:
+		case !s.Done():
+			e.fail(fmt.Errorf("replay: request %d retired with %d steps remaining",
+				v.Req.ID, s.RemainingSteps()))
+		default:
+			if _, err := s.Result(); err != nil {
+				e.fail(err)
+			} else {
+				e.decoded++
+			}
 		}
-		s, err := e.session(worker, v.Req)
+	}
+	for _, v := range t.Batch {
+		s, err := e.session(t.Worker, v.Req)
 		if err != nil {
 			e.fail(err)
 			continue
 		}
-		for k := 0; k < aligned && !s.Done(); k++ {
+		for k := 0; k < t.Aligned && !s.Done(); k++ {
 			if _, err := s.Step(); err != nil {
 				e.fail(err)
 				break
@@ -322,45 +276,14 @@ func (e *realExecutor) RunSteps(worker int, batch []batching.StepView, aligned i
 			e.steps++
 		}
 	}
-	// Virtual time advances by the decision-visible pricing, never by the
-	// sessions' measured reuse: the planned scale is the same number the
-	// simulator derives, so the drivers stay byte-identical even though
-	// the real sessions' dynamic block reuse differs step to step.
-	scale := cluster.PolicyComputeScale(e.cfg.StepPolicy, e.profile, views)
-	lat := cluster.StepLatency(cluster.SystemFlashPS, e.profile, views)
-	lat *= scale
-	if aligned != 1 {
-		lat = float64(aligned) * lat
-	}
-	// The serving plane's fault seam, in virtual time. Nil injector
-	// (differential test): stubbed, zero delay.
-	if d := e.faults.Delay(faults.StepStage); d > 0 {
-		lat += d.Seconds()
-	}
-	// Same call, same arguments as the simulator's executor: the
-	// differential byte-identity extends to the profile stream.
-	cluster.RecordStepCost(e.cfg.Obs, cluster.SystemFlashPS, e.profile, batch, aligned, lat, scale)
-	return lat
+	return e.Executor.RunTurn(t)
 }
 
-// Retire verifies the session really finished, decodes its image, and
-// releases it.
-func (e *realExecutor) Retire(_ int, req workload.Request) {
-	s, ok := e.sessions[req.ID]
-	if !ok {
-		return
-	}
+// Prepare drops the session a request lost to a crash had on its old
+// worker: the rescue re-runs it from the first step.
+func (e *realExecutor) Prepare(worker int, req workload.Request, ready func(ok bool)) {
 	delete(e.sessions, req.ID)
-	if !s.Done() {
-		e.fail(fmt.Errorf("replay: request %d retired with %d steps remaining",
-			req.ID, s.RemainingSteps()))
-		return
-	}
-	if _, err := s.Result(); err != nil {
-		e.fail(err)
-		return
-	}
-	e.decoded++
+	e.Executor.Prepare(worker, req, ready)
 }
 
 func (e *realExecutor) fail(err error) {

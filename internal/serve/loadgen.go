@@ -49,14 +49,13 @@ type RequestOutcome struct {
 	Error     bool
 }
 
-// LoadGenResult aggregates an open-loop run. The recorders are
-// SyncRecorders because in-flight request goroutines record concurrently;
-// Errors is only written under the run's internal lock and is safe to read
-// once RunLoad returns.
+// LoadGenResult aggregates an open-loop run. In-flight request goroutines
+// fill it under the run's internal lock; it is safe to read once RunLoad
+// returns.
 type LoadGenResult struct {
-	Total     metrics.SyncRecorder // total latency, ms
-	Queue     metrics.SyncRecorder // queue time, ms
-	Inference metrics.SyncRecorder // inference time, ms
+	Total     metrics.Recorder // total latency, ms
+	Queue     metrics.Recorder // queue time, ms
+	Inference metrics.Recorder // inference time, ms
 	Errors    int
 	// Degraded and Retried count completed requests that fell back to full
 	// compute or were re-executed after a worker crash.
@@ -140,10 +139,10 @@ func RunLoad(ctx context.Context, srv *Server, cfg LoadGenConfig) (*LoadGenResul
 				Worker: resp.Worker, TotalMS: resp.TotalMS,
 				QueueMS: resp.QueueMS, InferMS: resp.InferenceMS,
 			})
-			mu.Unlock()
 			res.Total.Add(resp.TotalMS)
 			res.Queue.Add(resp.QueueMS)
 			res.Inference.Add(resp.InferenceMS)
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()

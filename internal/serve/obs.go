@@ -3,19 +3,27 @@ package serve
 import (
 	"time"
 
+	"flashps/internal/batching"
 	"flashps/internal/cache"
 	"flashps/internal/obs"
 )
 
 // Span taxonomy: every request emits one span per pipeline stage it
 // crosses (Fig 10-Bottom), all tied together by the request id and placed
-// on the serving worker's trace track. The clock-driven replay drivers
-// emit the coarse subset (request/queue/postprocess plus a single
-// "inference" span) through the same plane; docs/OBSERVABILITY.md maps the
-// two taxonomies onto each other.
+// on the serving worker's trace track. The Runner's telemetry bridge
+// (batching.Telemetry) emits the four coarse spans every driver shares —
+// request, queue, inference, postprocess — when the request completes; the
+// wall executor adds the fine ones below inside them as its stages run.
+// docs/OBSERVABILITY.md has the table.
 const (
 	// stageRequest is the parent span, arrival → response complete.
-	stageRequest = "request"
+	stageRequest = batching.StageRequest
+	// stageQueue is arrival → admission into the running batch at a step
+	// boundary.
+	stageQueue = batching.StageQueue
+	// stagePostprocess is denoising done → response complete: serialize,
+	// handoff, latent decode + PNG encode.
+	stagePostprocess = batching.StagePostprocess
 	// stageSchedule is the routing decision (Algorithm 2, §6.6 overhead).
 	stageSchedule = "schedule"
 	// stagePreprocess is mask rasterization + session open on the CPU pool.
@@ -23,17 +31,12 @@ const (
 	// stageCacheLoad is the template-cache fetch inside preprocessing
 	// (host hit or disk staging, §4.2).
 	stageCacheLoad = "cache_load"
-	// stageQueue is the wait in the worker's ready queue until admission
-	// into the running batch at a step boundary.
-	stageQueue = "queue"
 	// stageDenoiseStep is one denoising step of the running batch (§4.3).
 	stageDenoiseStep = "denoise_step"
 	// stageSerialize is latent serialization on the engine loop (§6.6).
 	stageSerialize = "serialize"
 	// stageHandoff is the engine → postprocess pool transfer (§6.6).
 	stageHandoff = "handoff"
-	// stagePostprocess is latent decode + PNG encode on the CPU pool.
-	stagePostprocess = "postprocess"
 	// stageEvict marks a job removed at a stage/step boundary because its
 	// deadline expired, its client canceled, or it was shed.
 	stageEvict = "evict"
@@ -43,16 +46,6 @@ const (
 	stageReplicaStage = "replica_stage"
 )
 
-// Request outcome labels for flashps_requests_total.
-const (
-	outcomeOK       = "ok"
-	outcomeError    = "error"
-	outcomeRejected = "rejected"
-	outcomeDeadline = "deadline"
-	outcomeCanceled = "canceled"
-	outcomeShed     = "shed"
-)
-
 // traceCat is the span category the live serving plane records under.
 const traceCat = "serve"
 
@@ -60,12 +53,17 @@ const traceCat = "serve"
 // live plane's wall-clock seam and its serve-only fault-tolerance
 // counters. All core instruments — outcome/step counters, per-stage
 // histograms and quantiles, batch occupancy, worker queue depths, SLO
-// attainment, goodput — live on the plane, so a live run and a replayed
-// trace expose identical metric shapes. Hot-path updates are lock-free
-// (atomics) or one short critical section (tracer ring).
+// attainment, goodput — live on the plane and are fed by the Runner's
+// telemetry bridge, so a live run and a replayed trace expose identical
+// metric shapes. Hot-path updates are lock-free (atomics) or one short
+// critical section (tracer ring).
 type serveObs struct {
 	plane *obs.Plane
-	wall  *obs.WallClock
+	// wall is the clock the plane stamps with and the Runner runs on.
+	wall *obs.WallClock
+	// organize windows the batch-organize overhead for /v1/stats; it has no
+	// span of its own.
+	organize *obs.WindowQuantile
 
 	// reg/tracer alias the plane's registry and tracer for the HTTP layer.
 	reg    *obs.Registry
@@ -87,10 +85,11 @@ func newServeObs(traceRing int) *serveObs {
 	plane := obs.NewPlane(obs.PlaneConfig{Clock: wall, TraceRing: traceRing})
 	reg := plane.Reg
 	return &serveObs{
-		plane:  plane,
-		wall:   wall,
-		reg:    reg,
-		tracer: plane.Tracer,
+		plane:    plane,
+		wall:     wall,
+		organize: obs.NewWindowQuantile(obs.DefaultSampleWindow, 0),
+		reg:      reg,
+		tracer:   plane.Tracer,
 		retries: reg.Counter("flashps_retries_total",
 			"Jobs retried on an alternate replica after a worker crash"),
 		degraded: reg.Counter("flashps_degraded_total",
@@ -194,37 +193,15 @@ func (o *serveObs) span(req uint64, stage string, worker int, start time.Time, d
 	if step, ok := args["step"]; ok && step > 0 {
 		idx = uint64(step)
 	}
-	id, parent := obs.SpanID(trace, stage, idx), root
-	switch stage {
-	case stageRequest:
-		id, parent = root, 0
-	case stageCacheLoad, stageReplicaStage:
+	parent := root
+	if stage == stageCacheLoad || stage == stageReplicaStage {
 		// Nested inside preprocessing: hang under that span, not the root.
 		parent = obs.SpanID(trace, stagePreprocess, 0)
 	}
-	o.plane.SpanCausal(req, stage, traceCat, worker,
-		o.wall.Seconds(start), dur.Seconds(), trace, id, parent, args)
+	o.plane.SpanCausal(req, stage, traceCat, worker, o.wall.Seconds(start),
+		dur.Seconds(), trace, obs.SpanID(trace, stage, idx), parent, args)
 }
-
-// outcome counts one terminal request outcome.
-func (o *serveObs) outcome(outcome string) { o.plane.RequestOutcome(outcome) }
-
-// observeSLO classifies a completed request against its deadline class.
-func (o *serveObs) observeSLO(ratio float64, latency time.Duration) {
-	o.plane.ObserveSLO(ratio, latency.Seconds())
-}
-
-// incStep counts one executed per-request denoising step.
-func (o *serveObs) incStep() { o.plane.IncSteps() }
 
 // cost records one structured cost sample into the plane's profile
 // recorder (wall-clock measured durations; the calibration input).
 func (o *serveObs) cost(s obs.CostSample) { o.plane.RecordCost(s) }
-
-// observeBatch records the running-batch size at one executed engine step.
-func (o *serveObs) observeBatch(size int) { o.plane.ObserveBatch(size) }
-
-// setOutstanding publishes a worker's queue depth.
-func (o *serveObs) setOutstanding(worker, depth int) {
-	o.plane.SetQueueDepth(worker, depth)
-}

@@ -8,9 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"flashps/internal/batching"
+	"flashps/internal/faults"
 	"flashps/internal/perfmodel"
 	"flashps/internal/workload"
 )
@@ -201,10 +204,14 @@ func TestGETOnlyEndpointsReject405(t *testing.T) {
 }
 
 func TestHealthzReadiness(t *testing.T) {
-	// Not started yet → 503 "starting".
+	// Not started yet → 503 "starting". The step delay keeps the two edits
+	// below in flight long enough to observe the saturated state.
+	inj := faults.New(1)
+	inj.SetDelay(faults.StepStage, 30*time.Millisecond, 0)
 	s, err := New(Config{
 		Model: testModel, Profile: perfmodel.SD21Paper,
 		Workers: 1, MaxBatch: 1, MaxQueue: 2, Policy: batching.MaskAware, Seed: 1,
+		Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +247,23 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 
 	// Saturate the single worker's admission budget → 503 "overloaded".
-	j1, j2 := &job{id: 1001}, &job{id: 1002}
-	s.workers[0].addOutstanding(j1)
-	s.workers[0].addOutstanding(j2)
+	prepareTemplate(t, s, 1)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.SubmitEdit(context.Background(), EditRequestAPI{
+				TemplateID: 1, Seed: uint64(i),
+				Mask: MaskSpec{Type: "ratio", Ratio: 0.2, Seed: uint64(i)},
+			}); err != nil {
+				t.Errorf("edit %d: %v", i, err)
+			}
+		}()
+	}
+	waitUntil(t, time.Second, func() bool { return s.Health().QueueDepths[0] == 2 },
+		"two edits never outstanding together")
 	res, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +275,7 @@ func TestHealthzReadiness(t *testing.T) {
 	if res.StatusCode != http.StatusServiceUnavailable || body.Status != "overloaded" {
 		t.Fatalf("saturated healthz = %d %+v", res.StatusCode, body)
 	}
-	s.workers[0].removeOutstanding(j1)
-	s.workers[0].removeOutstanding(j2)
+	wg.Wait()
 	if got := s.Health().Status; got != "ok" {
 		t.Fatalf("drained health = %q", got)
 	}

@@ -16,10 +16,10 @@ import (
 	"flashps/internal/faults"
 	"flashps/internal/fleet"
 	"flashps/internal/img"
-	"flashps/internal/metrics"
 	"flashps/internal/model"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
+	"flashps/internal/workload"
 )
 
 // Config parameterizes the serving plane.
@@ -156,45 +156,36 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// job is one in-flight edit request.
+// job is one in-flight edit request: what the stages of the wall executor
+// need and leave behind. Where the request is, and how it ends, is the
+// batching.Runner's state; the job's fields are written by one stage at a
+// time, in the order the Runner runs them.
 type job struct {
-	id      uint64
-	api     EditRequestAPI
-	mode    diffusion.EditMode
-	ratio   float64
-	session *diffusion.EditSession
-	worker  *worker
+	id        uint64
+	api       EditRequestAPI
+	mode      diffusion.EditMode
+	ratioHint float64 // the scheduler's view, estimated before rasterization
+	arrival   time.Time
 
-	// ctx carries the caller's cancellation plus the optional deadline_ms;
-	// the pipeline checks it at every stage and step boundary.
-	ctx        context.Context
-	cancel     context.CancelFunc
-	deadlineMS int64
+	// ctx is the caller's context, canceled as soon as the request has a
+	// terminal state; the stages check it to stop working for a waiter
+	// that is gone.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// resp receives the request's one result when the Runner reports its
+	// terminal state.
+	resp chan jobResult
 
-	// responded guards the single response delivery: the pipeline, the
-	// retry path, load shedding, and the abandoning waiter race for it.
-	responded atomic.Bool
-	// attempts counts crash-driven re-executions.
-	attempts atomic.Int32
-
-	// degraded* are written by the preprocessing stage and read after the
-	// job flows through channels (happens-before via channel handoff).
+	worker         *worker
+	ratio          float64 // rasterized mask ratio
+	session        *diffusion.EditSession
 	degraded       bool
 	degradedReason string
-
-	// Scheduler-visible load fields: ratioHint is immutable after submit;
-	// remaining is updated atomically by the engine loop.
-	ratioHint float64
-	remaining atomic.Int32
-
-	arrival time.Time
-	ready   time.Time
-	admit   time.Time
-	finish  time.Time
-
-	latentBytes []byte
-	resp        chan jobResult
-	handoff     time.Time
+	latentBytes    []byte
+	handoff        time.Time
+	png            []byte
+	stepsComputed  int
+	err            error // what failed the stage that reported !ok
 }
 
 type jobResult struct {
@@ -202,25 +193,29 @@ type jobResult struct {
 	err  error
 }
 
-// deliver completes the job exactly once; later deliveries are dropped.
-// It reports whether this call won the race (so callers count the
-// terminal outcome exactly once).
-func (j *job) deliver(res jobResult) bool {
-	if !j.responded.CompareAndSwap(false, true) {
+// aborted reports that nobody waits for the job any more: it has its
+// terminal state (completed, shed, evicted, failed) or its caller gave up.
+// Stages consult it to skip dead work; the Runner evicts at boundaries.
+func (j *job) aborted() bool { return j.ctx.Err() != nil }
+
+// abandoned is aborted for a stage about to report to the Runner: a stage
+// may see the caller's context expire before the caller's own Abort
+// arrives, so it aborts first, and what it then reports as not done lands
+// on an evicted request, not a failed one.
+func (s *Server) abandoned(j *job) bool {
+	if !j.aborted() {
 		return false
 	}
-	j.resp <- res // buffered; never blocks
+	s.runner.Abort(int(j.id), abortReason(j.ctx))
 	return true
 }
 
-// aborted reports that the job no longer needs work: it has been
-// completed, shed, abandoned, or its deadline expired. Stages and the
-// engine loop consult it at boundaries to evict dead work early.
-func (j *job) aborted() bool {
-	if j.responded.Load() {
-		return true
+// abortReason says why a done context's request is being evicted.
+func abortReason(ctx context.Context) string {
+	if ctx.Err() == context.DeadlineExceeded {
+		return batching.ReasonDeadline
 	}
-	return j.ctx != nil && j.ctx.Err() != nil
+	return batching.ReasonCanceled
 }
 
 // Server is the multi-worker serving plane.
@@ -236,33 +231,30 @@ type Server struct {
 	// this engine.
 	engProfile perfmodel.ModelProfile
 
-	// core makes every placement, admission, and shedding decision and
-	// records them in its decision log (see Decisions). It is the same
-	// code the simulator drives.
-	core *batching.Core
+	// runner is the batching.Runner the simulator and the replay drivers
+	// also run: it moves every request from arrival to its terminal state
+	// on the plane's wall clock, through core for every placement,
+	// admission, shedding and retry decision (see Decisions), ctrl for
+	// fleet admission and routing, and the wall executor for the work.
+	runner *batching.Runner
+	core   *batching.Core
 
 	// ctrl is the fleet control plane: admission, routing (when a fleet
 	// router is selected), replica lifecycle, and the SLO-driven
 	// autoscaler. It is always present — with the zero fleet config it
-	// admits everything and marks every worker Active — so the request
-	// path has no nil checks. It is the same code the virtual-time
-	// drivers run (DESIGN.md §12).
-	ctrl       *fleet.Controller
-	routerKind fleet.RouterKind
+	// admits everything and marks every worker Active. It is the same code
+	// the virtual-time drivers run (DESIGN.md §8).
+	ctrl *fleet.Controller
 
-	preCh  chan *job
-	postCh chan *job
+	// pre and post are the CPU stage pools of the disaggregated discipline
+	// (Fig 10-Bottom).
+	pre, post *pool
 
-	// Recorders back the JSON /v1/stats snapshot; they are SyncRecorders
-	// because the engine loops, CPU pools, and frontend all record
-	// concurrently. The registry-backed instruments live in obs.
-	total     metrics.SyncRecorder
-	queue     metrics.SyncRecorder
-	inference metrics.SyncRecorder
-	decision  metrics.SyncRecorder // seconds
-	organize  metrics.SyncRecorder
-	serialize metrics.SyncRecorder
-	handoff   metrics.SyncRecorder
+	// jobs holds every request the Runner has no terminal state for yet,
+	// by request id.
+	jobsMu sync.Mutex
+	jobs   map[uint64]*job
+
 	completed atomic.Int64
 
 	obs     *serveObs
@@ -272,6 +264,14 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+}
+
+// job returns the registered job of a Runner request id, nil once the
+// request has its terminal state.
+func (s *Server) job(id int) *job {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	return s.jobs[uint64(id)]
 }
 
 // New builds a serving plane; call Start before submitting work and Close
@@ -367,10 +367,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	// Mirror the core's decision stream into the telemetry plane's
-	// per-kind counters as decisions are made.
+	// The Runner's telemetry bridge mirrors the core's decision stream into
+	// the plane's per-kind counters and reports every terminal state.
+	telemetry := batching.NewTelemetry(sObs.plane)
 	dlog := new(batching.DecisionLog)
-	dlog.SetSink(func(d batching.Decision) { sObs.plane.Decision(d.Kind.String()) })
+	dlog.SetSink(telemetry.DecisionSink())
 	s := &Server{
 		cfg:    cfg,
 		store:  store,
@@ -379,20 +380,23 @@ func New(cfg Config) (*Server, error) {
 			cfg.Model.Tokens(), cfg.Model.Hidden, cfg.Model.FFNMult,
 			cfg.Model.Steps, cfg.MaxBatch),
 		core: batching.NewCore(batching.CoreConfig{
-			Policy:     cfg.Policy,
-			Discipline: cfg.Discipline,
-			Estimator:  est,
-			MaxBatch:   cfg.MaxBatch,
-			Seed:       cfg.Seed,
-			Log:        dlog,
+			Policy:       cfg.Policy,
+			Discipline:   cfg.Discipline,
+			Estimator:    est,
+			MaxBatch:     cfg.MaxBatch,
+			Seed:         cfg.Seed,
+			MaxQueue:     cfg.MaxQueue,
+			MaxRetries:   cfg.MaxRetries,
+			RetryBackoff: cfg.RetryBackoff.Seconds(),
+			Log:          dlog,
 		}),
-		preCh:      make(chan *job, 1024),
-		postCh:     make(chan *job, 1024),
-		obs:        sObs,
-		ctrl:       ctrl,
-		routerKind: routerKind,
-		ctx:        ctx,
-		cancel:     cancel,
+		pre:    newPool(),
+		post:   newPool(),
+		jobs:   make(map[uint64]*job),
+		obs:    sObs,
+		ctrl:   ctrl,
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	s.obs.bindStore(store)
 	// Warm-start prefetch: promote templates spilled by a previous process
@@ -404,25 +408,27 @@ func New(cfg Config) (*Server, error) {
 			cancel()
 			return nil, err
 		}
-		s.workers = append(s.workers, newWorker(i, eng, s))
-		s.obs.setOutstanding(i, 0)
+		s.workers = append(s.workers, &worker{id: i, eng: eng, loop: newPool()})
+		s.obs.plane.SetQueueDepth(i, 0)
 	}
+	s.runner = batching.NewRunner(batching.RunnerConfig{
+		Workers:   pool,
+		CostSteps: cfg.Model.Steps,
+		Core:      s.core,
+		Clock:     sObs.wall,
+		Exec:      wallExecutor{s},
+		Obs:       observer{telemetry, s},
+		Fleet:     ctrl.Front(),
+	})
 	return s, nil
 }
 
-// Start launches the CPU pools and supervised worker engine loops.
+// Start launches the CPU pools and one engine goroutine per replica.
 func (s *Server) Start() {
-	for i := 0; i < s.cfg.PreWorkers; i++ {
-		s.wg.Add(1)
-		go s.preLoop()
-	}
-	for i := 0; i < s.cfg.PostWorkers; i++ {
-		s.wg.Add(1)
-		go s.postLoop()
-	}
+	s.pre.start(s.cfg.PreWorkers, &s.wg)
+	s.post.start(s.cfg.PostWorkers, &s.wg)
 	for _, w := range s.workers {
-		s.wg.Add(1)
-		go w.run()
+		w.loop.start(1, &s.wg)
 	}
 	// Periodic sampler tick: the live plane advances its time series on
 	// wall time (the replay drivers instead tick at completion events so
@@ -455,11 +461,7 @@ func (s *Server) Start() {
 				case <-s.ctx.Done():
 					return
 				case <-t.C:
-					depths := make([]int, len(s.workers))
-					for i, w := range s.workers {
-						depths[i] = w.outstandingCount()
-					}
-					s.ctrl.Tick(s.obs.wall.Seconds(time.Now()), depths)
+					s.ctrl.Tick(s.obs.wall.Now(), s.runner.OutstandingCounts())
 				}
 			}
 		}()
@@ -535,6 +537,12 @@ func (s *Server) Decisions() []batching.Decision { return s.core.Decisions() }
 // spill tier.
 func (s *Server) Close() {
 	s.cancel()
+	s.runner.Stop()
+	s.pre.close()
+	s.post.close()
+	for _, w := range s.workers {
+		w.loop.close()
+	}
 	s.wg.Wait()
 	s.store.Close()
 }
@@ -658,11 +666,12 @@ func (s *Server) CacheStats() CacheStatsResponse {
 	return out
 }
 
-// SubmitEdit serves one edit request synchronously: route → preprocess →
-// continuous-batched denoising → postprocess. The caller's ctx plus the
+// SubmitEdit serves one edit request synchronously: admission → route →
+// preprocess → continuous-batched denoising → postprocess, every step of
+// it a transition of the batching.Runner. The caller's ctx plus the
 // optional DeadlineMS field bound the request: on expiry SubmitEdit
 // returns immediately with a deadline_exceeded/canceled APIError and the
-// pipeline evicts the job at its next stage or step boundary.
+// Runner evicts the job at its next stage or step boundary.
 func (s *Server) SubmitEdit(ctx context.Context, api EditRequestAPI) (EditResponse, error) {
 	mode, err := parseMode(api.Mode)
 	if err != nil {
@@ -679,243 +688,137 @@ func (s *Server) SubmitEdit(ctx context.Context, api EditRequestAPI) (EditRespon
 		resp:      make(chan jobResult, 1),
 		ratioHint: s.maskRatioHint(api.Mask),
 	}
-	j.remaining.Store(int32(s.cfg.Model.Steps))
-	if api.DeadlineMS > 0 {
-		j.deadlineMS = api.DeadlineMS
-		j.ctx, j.cancel = context.WithTimeout(ctx, time.Duration(api.DeadlineMS)*time.Millisecond)
-	} else {
-		j.ctx, j.cancel = context.WithCancel(ctx)
-	}
-	// SubmitEdit is synchronous: once it returns, the request is finished
-	// or abandoned either way, and cancel tells the pipeline to evict.
+	j.ctx, j.cancel = context.WithCancel(ctx)
 	defer j.cancel()
+	s.jobsMu.Lock()
+	s.jobs[j.id] = j
+	s.jobsMu.Unlock()
 
-	// Fleet admission (DESIGN.md §12): the deadline-feasibility check and
-	// the token bucket run before any routing or queueing work. With the
-	// zero fleet config both are disabled and every request passes.
-	if ok, reason := s.ctrl.Admit(fleet.Request{
-		ID: j.id, Template: api.TemplateID, MaskRatio: j.ratioHint,
-		DeadlineSeconds: float64(api.DeadlineMS) / 1000,
-	}, s.obs.wall.Seconds(time.Now())); !ok {
-		s.obs.outcome(outcomeRejected)
-		if reason == "deadline_infeasible" {
-			return EditResponse{}, apiErrorf(CodeDeadlineExceeded, false,
-				"deadline of %d ms is below the admission service floor", api.DeadlineMS)
-		}
-		return EditResponse{}, apiErrorf(CodeOverloaded, true,
-			"admission rate limit exceeded")
-	}
-
-	// Route (Algorithm 2) across live replicas, measuring the paper's
-	// §6.6 decision overhead.
+	// One call runs fleet admission, routing (Algorithm 2 or the fleet
+	// router) across live replicas and the overload policy; its duration is
+	// the paper's §6.6 scheduling overhead. A request turned away has its
+	// error waiting in j.resp already.
 	t0 := time.Now()
-	idx, rerr := s.route(j)
-	decision := time.Since(t0)
-	if rerr != nil {
-		s.obs.outcome(outcomeRejected)
-		return EditResponse{}, rerr
-	}
-	s.obs.span(j.id, stageSchedule, idx, t0, decision,
-		map[string]float64{"mask_ratio_hint": j.ratioHint})
-	s.obs.cost(obs.CostSample{Stage: obs.CostStageSchedule, Units: 1,
-		Seconds: decision.Seconds()})
-
-	j.worker = s.workers[idx]
-	if !j.worker.tryAddOutstanding(j, s.cfg.MaxQueue) {
-		// Overload (the atomic check-and-enqueue refused): shed the
-		// largest-mask outstanding job on this replica if it is strictly
-		// larger than the newcomer; otherwise reject the newcomer (blind
-		// rejection only as the last resort). The core picks the victim
-		// and logs the decision. After a shed the newcomer joins over the
-		// limit; the victim releases its slot at the next step boundary.
-		cands, jobs := j.worker.shedCandidates()
-		v := s.core.ShedVictim(j.worker.id, cands,
-			batching.Item{ID: j.id, MaskRatio: j.ratioHint})
-		if v < 0 {
-			s.obs.outcome(outcomeRejected)
-			return EditResponse{}, ErrOverloaded
-		}
-		s.shed(jobs[v])
-		j.worker.addOutstanding(j)
-	}
-	s.decision.Add(decision.Seconds())
-
-	select {
-	case s.preCh <- j:
-	case <-j.ctx.Done():
-		j.worker.removeOutstanding(j)
-		return EditResponse{}, s.ctxError(j)
-	case <-s.ctx.Done():
-		j.worker.removeOutstanding(j)
-		return EditResponse{}, apiErrorf(CodeInternal, false, "serve: server closed")
+	worker, placed := s.runner.Submit(workload.Request{
+		ID: int(j.id), Arrival: s.obs.wall.Seconds(j.arrival),
+		Template: api.TemplateID, MaskRatio: j.ratioHint,
+	}, float64(api.DeadlineMS)/1000)
+	if placed {
+		decision := time.Since(t0)
+		s.obs.span(j.id, stageSchedule, worker, t0, decision,
+			map[string]float64{"mask_ratio_hint": j.ratioHint})
+		s.obs.cost(obs.CostSample{Stage: obs.CostStageSchedule, Units: 1,
+			Seconds: decision.Seconds()})
 	}
 
+	closed := apiErrorf(CodeInternal, false, "serve: server closed")
 	select {
 	case res := <-j.resp:
-		if res.err != nil {
-			return EditResponse{}, asAPIError(res.err)
+		return res.resp, res.err
+	case <-ctx.Done():
+		// The Runner reports the eviction (or whatever terminal state won
+		// the race) into j.resp.
+		s.runner.Abort(int(j.id), abortReason(ctx))
+		select {
+		case res := <-j.resp:
+			return res.resp, res.err
+		case <-s.ctx.Done():
+			return EditResponse{}, closed
 		}
-		return res.resp, nil
-	case <-j.ctx.Done():
-		if j.responded.CompareAndSwap(false, true) {
-			// No result will ever arrive; the pipeline evicts the job at
-			// its next boundary.
-			return EditResponse{}, s.ctxError(j)
-		}
-		// A result won the race; take it.
-		res := <-j.resp
-		if res.err != nil {
-			return EditResponse{}, asAPIError(res.err)
-		}
-		return res.resp, nil
 	case <-s.ctx.Done():
-		j.responded.CompareAndSwap(false, true)
-		return EditResponse{}, apiErrorf(CodeInternal, false, "serve: server closed")
+		return EditResponse{}, closed
 	}
 }
 
-// ctxError converts the job's expired context into the terminal APIError,
-// counting the outcome exactly once (callers only invoke it after winning
-// the responded CAS or before any pipeline handoff).
-func (s *Server) ctxError(j *job) error {
-	worker := -1
-	if j.worker != nil {
-		worker = j.worker.id
-	}
-	if j.ctx.Err() == context.DeadlineExceeded {
-		s.obs.deadlineExceeded.Inc()
-		s.obs.outcome(outcomeDeadline)
-		s.obs.plane.RecordFlight("deadline_miss", j.id, worker,
-			fmt.Sprintf("deadline_ms=%d", j.deadlineMS))
-		return apiErrorf(CodeDeadlineExceeded, true,
-			"deadline of %d ms exceeded", j.deadlineMS)
-	}
-	s.obs.outcome(outcomeCanceled)
-	s.obs.plane.RecordFlight("canceled", j.id, worker, "client canceled")
-	return apiErrorf(CodeCanceled, false, "request canceled by client")
+// observer is the Runner's Observer on the serving plane: the shared
+// telemetry bridge, plus the delivery of every terminal state to the
+// request's waiter.
+type observer struct {
+	*batching.Telemetry
+	s *Server
 }
 
-// route picks a live replica for the job. Under a fleet router
-// (least-loaded, affinity) the fleet controller chooses among Active live
-// replicas and the choice is recorded into the core's decision log as a
-// fixed placement; under the core router the batching core's policy
-// (Algorithm 2 or a baseline) places across live routable replicas as
-// before, with the controller informed for affinity tracking. Either path
-// returns an overloaded (retryable) error when no replica can take work.
-func (s *Server) route(j *job) (int, error) {
-	if s.routerKind != fleet.RouterCore {
-		depths := make([]int, len(s.workers))
-		alive := make([]bool, len(s.workers))
-		for i, w := range s.workers {
-			depths[i] = w.outstandingCount()
-			alive[i] = w.alive.Load()
-		}
-		idx, _, err := s.ctrl.Route(fleet.Request{
-			ID: j.id, Template: j.api.TemplateID, MaskRatio: j.ratioHint,
-		}, depths, alive)
-		if err != nil {
-			return 0, apiErrorf(CodeOverloaded, true, "no live worker replicas")
-		}
-		s.core.PlaceFixed(batching.Item{
-			ID: j.id, MaskRatio: j.ratioHint, Steps: s.cfg.Model.Steps,
-		}, idx, s.ctrl.ActiveCount())
-		return idx, nil
-	}
-	idxs := make([]int, 0, len(s.workers))
-	views := make([]batching.WorkerView, 0, len(s.workers))
-	for i, w := range s.workers {
-		if !w.alive.Load() || !s.ctrl.Routable(i) {
-			continue
-		}
-		idxs = append(idxs, i)
-		views = append(views, w.view())
-	}
-	if len(idxs) == 0 {
-		return 0, apiErrorf(CodeOverloaded, true, "no live worker replicas")
-	}
-	idx := s.core.Place(views, idxs, batching.Item{
-		ID: j.id, MaskRatio: j.ratioHint, Steps: s.cfg.Model.Steps,
-	})
-	s.ctrl.NoteRoute(idx, j.api.TemplateID)
-	return idx, nil
-}
-
-// shed evicts an outstanding job in favor of smaller work under overload:
-// the victim's waiter receives an overloaded envelope and the pipeline
-// drops the job at its next boundary.
-func (s *Server) shed(victim *job) {
-	if victim.deliver(jobResult{err: apiErrorf(CodeOverloaded, true,
-		"shed under overload for smaller-mask work (mask ratio %.2f)", victim.ratioHint)}) {
-		s.obs.outcome(outcomeShed)
-		s.obs.span(victim.id, stageEvict, victim.worker.id, time.Now(), 0,
-			map[string]float64{"shed": 1, "mask_ratio_hint": victim.ratioHint})
-		s.obs.plane.RecordFlight("shed", victim.id, victim.worker.id,
-			fmt.Sprintf("mask_ratio=%.2f", victim.ratioHint))
-	}
-	victim.worker.removeOutstanding(victim)
-}
-
-// rescueBatch re-routes the jobs a crashed worker loop was running:
-// each is retried on an alternate live replica with capped exponential
-// backoff, at most cfg.MaxRetries times, idempotently (the deterministic
-// seed-driven pipeline re-runs from preprocessing). Runs on the crashed
-// worker's supervisor goroutine, which owns w.running.
-func (s *Server) rescueBatch(w *worker) {
-	batch := w.running
-	w.running = nil
-	for _, j := range batch {
-		w.removeOutstanding(j)
-		if j.aborted() {
-			continue
-		}
-		attempt := int(j.attempts.Add(1))
-		if attempt > s.cfg.MaxRetries {
-			if j.deliver(jobResult{err: apiErrorf(CodeInternal, true,
-				"worker %d crashed; retry budget (%d) exhausted", w.id, s.cfg.MaxRetries)}) {
-				s.obs.outcome(outcomeError)
-			}
-			continue
-		}
-		s.obs.retries.Inc()
-		backoff := s.cfg.RetryBackoff << (attempt - 1)
-		if max := 8 * s.cfg.RetryBackoff; backoff > max {
-			backoff = max
-		}
-		s.wg.Add(1)
-		go func(j *job, d time.Duration) {
-			defer s.wg.Done()
-			select {
-			case <-time.After(d):
-			case <-s.ctx.Done():
-				return
-			}
-			s.resubmit(j)
-		}(j, backoff)
-	}
-}
-
-// resubmit re-enters a rescued job at the preprocessing stage on a live
-// replica.
-func (s *Server) resubmit(j *job) {
-	if j.aborted() {
+// RequestDone turns a terminal state into the waiter's response or error
+// envelope, after the counters a client may read next have moved.
+func (o observer) RequestDone(st batching.RequestStat) {
+	o.Telemetry.RequestDone(st)
+	s := o.s
+	s.jobsMu.Lock()
+	j := s.jobs[uint64(st.ID)]
+	delete(s.jobs, uint64(st.ID))
+	s.jobsMu.Unlock()
+	if j == nil {
 		return
 	}
-	idx, err := s.route(j)
-	if err != nil {
-		if j.deliver(jobResult{err: err}) {
-			s.obs.outcome(outcomeError)
+	s.obs.retries.Add(float64(st.Retries))
+	var res jobResult
+	switch st.Outcome {
+	case batching.Completed:
+		s.completed.Add(1)
+		res.resp = EditResponse{
+			RequestID:      j.id,
+			Worker:         st.Worker,
+			MaskRatio:      j.ratio,
+			QueueMS:        st.QueueTime() * 1e3,
+			InferenceMS:    st.InferenceTime() * 1e3,
+			TotalMS:        st.Latency() * 1e3,
+			StepsComputed:  j.stepsComputed,
+			ImagePNG:       j.png,
+			Degraded:       j.degraded,
+			DegradedReason: j.degradedReason,
+			Retries:        st.Retries,
+			DeadlineMS:     j.api.DeadlineMS,
+			Policy:         j.session.Policy(),
+			TraceID:        obs.FormatTraceID(obs.TraceID(j.id)),
 		}
-		return
+		if r := j.session.ReusedBlockRatio(); r > 0 {
+			res.resp.ReusedBlockRatio = r
+		}
+	case batching.Shed:
+		s.obs.span(j.id, stageEvict, st.Worker, time.Now(), 0,
+			map[string]float64{"shed": 1, "mask_ratio_hint": j.ratioHint})
+		s.obs.plane.RecordFlight("shed", j.id, st.Worker,
+			fmt.Sprintf("mask_ratio=%.2f", j.ratioHint))
+		res.err = apiErrorf(CodeOverloaded, true,
+			"shed under overload for smaller-mask work (mask ratio %.2f)", j.ratioHint)
+	case batching.Evicted:
+		s.obs.span(j.id, stageEvict, st.Worker, time.Now(), 0,
+			map[string]float64{"deadline_ms": float64(j.api.DeadlineMS)})
+		if st.Reason == batching.ReasonDeadline {
+			s.obs.deadlineExceeded.Inc()
+			s.obs.plane.RecordFlight("deadline_miss", j.id, st.Worker,
+				fmt.Sprintf("deadline_ms=%d", j.api.DeadlineMS))
+			res.err = apiErrorf(CodeDeadlineExceeded, true,
+				"deadline of %d ms exceeded", j.api.DeadlineMS)
+		} else {
+			s.obs.plane.RecordFlight("canceled", j.id, st.Worker, "client canceled")
+			res.err = apiErrorf(CodeCanceled, false, "request canceled by client")
+		}
+	case batching.Rejected:
+		switch st.Reason {
+		case "deadline_infeasible":
+			res.err = apiErrorf(CodeDeadlineExceeded, false,
+				"deadline of %d ms is below the admission service floor", j.api.DeadlineMS)
+		case "rate_limited":
+			res.err = apiErrorf(CodeOverloaded, true, "admission rate limit exceeded")
+		case batching.ReasonNoReplica:
+			res.err = apiErrorf(CodeOverloaded, true, "no live worker replicas")
+		default:
+			res.err = ErrOverloaded
+		}
+	case batching.Failed:
+		switch st.Reason {
+		case batching.ReasonRetries:
+			res.err = apiErrorf(CodeInternal, true,
+				"worker %d crashed; retry budget (%d) exhausted", st.Worker, s.cfg.MaxRetries)
+		case batching.ReasonNoReplica:
+			res.err = apiErrorf(CodeOverloaded, true, "no live worker replicas")
+		default:
+			res.err = asAPIError(j.err)
+		}
 	}
-	j.worker = s.workers[idx]
-	j.session = nil
-	j.degraded, j.degradedReason = false, ""
-	j.worker.addOutstanding(j)
-	select {
-	case s.preCh <- j:
-	case <-s.ctx.Done():
-		j.worker.removeOutstanding(j)
-	}
+	j.resp <- res // buffered, and the Runner reports one terminal state
+	j.cancel()
 }
 
 // maskRatioHint estimates a request's mask ratio before rasterization, for
@@ -957,48 +860,6 @@ func parseMode(mode string) (diffusion.EditMode, error) {
 		return diffusion.EditTeaCache, nil
 	default:
 		return 0, fmt.Errorf("serve: unknown mode %q", mode)
-	}
-}
-
-// preLoop is the preprocessing CPU pool: rasterize the mask, fetch the
-// template cache and open the edit session, then hand the job to its
-// worker's ready queue. Jobs whose deadline expired (or that were shed)
-// are evicted here instead of doing any work.
-func (s *Server) preLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case j := <-s.preCh:
-			if j.aborted() {
-				s.evict(j, stagePreprocess)
-				continue
-			}
-			if d := s.faults.Delay(faults.PreStage); d > 0 {
-				sleepCtx(j.ctx, d)
-			}
-			t0 := time.Now()
-			err := s.preprocess(j)
-			pre := time.Since(t0)
-			s.obs.span(j.id, stagePreprocess, j.worker.id, t0, pre,
-				map[string]float64{"mask_ratio": j.ratio})
-			if err != nil {
-				j.worker.removeOutstanding(j)
-				if j.deliver(jobResult{err: err}) {
-					s.obs.outcome(outcomeError)
-				}
-				continue
-			}
-			s.obs.cost(obs.CostSample{Stage: obs.CostStagePreprocess, Units: 1,
-				MaskSum: j.ratio, Seconds: pre.Seconds()})
-			j.ready = time.Now()
-			select {
-			case j.worker.readyCh <- j:
-			case <-s.ctx.Done():
-				return
-			}
-		}
 	}
 }
 
@@ -1093,15 +954,6 @@ func (s *Server) preprocess(j *job) error {
 	return nil
 }
 
-// evict drops a job whose waiter is gone (deadline, cancel, shed) at a
-// stage boundary, releasing its admission slot.
-func (s *Server) evict(j *job, at string) {
-	j.worker.removeOutstanding(j)
-	s.obs.span(j.id, stageEvict, j.worker.id, time.Now(), 0,
-		map[string]float64{"deadline_ms": float64(j.deadlineMS)})
-	s.obs.plane.RecordFlight("evict", j.id, j.worker.id, at)
-}
-
 // sleepCtx sleeps for d or until ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
@@ -1112,115 +964,33 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// postLoop is the postprocessing CPU pool (the disaggregated discipline's
-// separate process, Fig 10-Bottom): decode the final latent into an image
-// (and PNG when requested) and complete the response.
-func (s *Server) postLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case j := <-s.postCh:
-			s.postprocess(j)
-		}
-	}
-}
-
-// postprocess decodes a finished job's latent and completes its response.
-// The postLoop pool calls it under the disaggregated discipline; the
-// strawman discipline calls it inline from the engine loop.
-func (s *Server) postprocess(j *job) {
-	if j.aborted() {
-		// The waiter is gone (deadline/cancel after denoising);
-		// skip the decode entirely.
-		return
-	}
-	if d := s.faults.Delay(faults.PostStage); d > 0 {
-		sleepCtx(j.ctx, d)
-	}
-	post := time.Now()
-	handoff := post.Sub(j.handoff)
-	s.obs.span(j.id, stageHandoff, j.worker.id, j.handoff, handoff, nil)
-	s.obs.cost(obs.CostSample{Stage: obs.CostStageHandoff, Units: 1,
-		Seconds: handoff.Seconds()})
-	res, err := j.session.Result()
-	var png []byte
-	if err == nil && j.api.ReturnImage {
-		png, err = img.EncodePNG(res.Image)
-	}
-	complete := time.Now()
-	s.obs.span(j.id, stagePostprocess, j.worker.id, post, complete.Sub(post), nil)
-	s.obs.cost(obs.CostSample{Stage: obs.CostStagePostprocess, Units: 1,
-		Seconds: complete.Sub(post).Seconds()})
-	if err != nil {
-		if j.deliver(jobResult{err: asAPIError(err)}) {
-			s.obs.outcome(outcomeError)
-		}
-		return
-	}
-	resp := EditResponse{
-		RequestID:      j.id,
-		Worker:         j.worker.id,
-		MaskRatio:      j.ratio,
-		QueueMS:        msBetween(j.arrival, j.admit),
-		InferenceMS:    msBetween(j.admit, j.finish),
-		TotalMS:        msBetween(j.arrival, complete),
-		StepsComputed:  res.StepsComputed,
-		ImagePNG:       png,
-		Degraded:       j.degraded,
-		DegradedReason: j.degradedReason,
-		Retries:        int(j.attempts.Load()),
-		DeadlineMS:     j.deadlineMS,
-		Policy:         j.session.Policy(),
-		TraceID:        obs.FormatTraceID(obs.TraceID(j.id)),
-	}
-	if r := j.session.ReusedBlockRatio(); r > 0 {
-		resp.ReusedBlockRatio = r
-	}
-	s.completed.Add(1)
-	s.total.Add(resp.TotalMS)
-	s.queue.Add(resp.QueueMS)
-	s.inference.Add(resp.InferenceMS)
-	s.handoff.Add(handoff.Seconds())
-	s.obs.span(j.id, stageRequest, j.worker.id, j.arrival, complete.Sub(j.arrival),
-		map[string]float64{
-			"mask_ratio": j.ratio,
-			"steps":      float64(res.StepsComputed),
-			"worker":     float64(j.worker.id),
-		})
-	if j.deliver(jobResult{resp: resp}) {
-		s.obs.outcome(outcomeOK)
-		s.obs.observeSLO(j.ratio, complete.Sub(j.arrival))
-		// Feed the autoscaler's attainment window with the same
-		// (ratio, latency) observation the plane's SLO tracker sees.
-		s.ctrl.ObserveCompletion(j.ratio, complete.Sub(j.arrival).Seconds())
-	}
-}
-
-func msBetween(a, b time.Time) float64 {
-	return float64(b.Sub(a).Microseconds()) / 1000
-}
-
-// Snapshot returns the live statistics.
+// Snapshot returns the live statistics. Latency figures come from the
+// telemetry plane's per-stage quantile windows (all-time means, windowed
+// P95), so they cost no memory of their own.
 func (s *Server) Snapshot() Stats {
 	host := s.store.Stats()[0]
-	hits, misses, evicted := int(host.Hits), int(host.Misses), int(host.Evictions)
+	meanUS := func(count uint64, sum float64) float64 {
+		if count == 0 {
+			return 0
+		}
+		return sum / float64(count) * 1e6
+	}
+	stage := func(name string) float64 { return meanUS(s.obs.plane.StageTotal(name)) }
 	st := Stats{
 		Completed:          int(s.completed.Load()),
-		MeanTotalMS:        s.total.Mean(),
-		P95TotalMS:         s.total.P95(),
-		MeanQueueMS:        s.queue.Mean(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheEvicted:       evicted,
-		ScheduleDecisionUS: s.decision.Mean() * 1e6,
-		BatchOrganizeUS:    s.organize.Mean() * 1e6,
-		SerializeUS:        s.serialize.Mean() * 1e6,
-		HandoffUS:          s.handoff.Mean() * 1e6,
+		MeanTotalMS:        stage(stageRequest) / 1e3,
+		MeanQueueMS:        stage(stageQueue) / 1e3,
+		CacheHits:          int(host.Hits),
+		CacheMisses:        int(host.Misses),
+		CacheEvicted:       int(host.Evictions),
+		ScheduleDecisionUS: stage(stageSchedule),
+		BatchOrganizeUS:    meanUS(s.obs.organize.Total()),
+		SerializeUS:        stage(stageSerialize),
+		HandoffUS:          stage(stageHandoff),
+		WorkerQueueDepths:  s.runner.OutstandingCounts(),
 	}
-	for _, w := range s.workers {
-		st.WorkerQueueDepths = append(st.WorkerQueueDepths, w.outstandingCount())
+	if st.Completed > 0 {
+		st.P95TotalMS = s.obs.plane.StageQuantile(stageRequest, 0.95) * 1e3
 	}
 	return st
 }
@@ -1242,11 +1012,11 @@ func (s *Server) Health() Health {
 		Completed: s.completed.Load(),
 	}
 	states := s.ctrl.States()
+	depths, live := s.runner.OutstandingCounts(), s.runner.Alive()
 	saturated := s.cfg.MaxQueue > 0
 	routable, liveRoutable := 0, 0
-	for i, w := range s.workers {
-		d := w.outstandingCount()
-		alive := w.alive.Load()
+	for i := range s.workers {
+		d, alive := depths[i], live[i]
 		h.QueueDepths = append(h.QueueDepths, d)
 		h.WorkerAlive = append(h.WorkerAlive, alive)
 		state := fleet.Active
@@ -1289,16 +1059,16 @@ func (s *Server) Health() Health {
 // templates actually staged replica-locally (when staging is enabled).
 func (s *Server) Fleet() FleetResponse {
 	resp := FleetResponse{
-		Router:    s.routerKind.String(),
+		Router:    s.ctrl.Router().String(),
 		Autoscale: s.ctrl.AutoscaleEnabled(),
 	}
+	depths, live := s.runner.OutstandingCounts(), s.runner.Alive()
 	for _, ri := range s.ctrl.Replicas() {
 		fr := FleetReplica{ID: ri.ID, State: ri.State.String(), Templates: ri.Templates}
 		if ri.ID < len(s.workers) {
-			w := s.workers[ri.ID]
-			fr.Alive = w.alive.Load()
-			fr.QueueDepth = w.outstandingCount()
-			fr.StagedTemplates = w.stagedTemplates()
+			fr.Alive = live[ri.ID]
+			fr.QueueDepth = depths[ri.ID]
+			fr.StagedTemplates = s.workers[ri.ID].stagedTemplates()
 		}
 		resp.Replicas = append(resp.Replicas, fr)
 	}

@@ -5,50 +5,83 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flashps/internal/batching"
 	"flashps/internal/diffusion"
 	"flashps/internal/faults"
+	"flashps/internal/img"
 	"flashps/internal/model"
 	"flashps/internal/obs"
 	"flashps/internal/tensor"
+	"flashps/internal/workload"
 )
 
-// worker is one engine replica running a continuous-batching loop under
-// the shared core's discipline (batching.Core decides every admission).
-// Under the default disaggregated discipline (Fig 10-Bottom) the loop only
-// ever executes denoising steps, admits preprocessed jobs at step
-// boundaries, and serializes finished latents before handing them to the
-// postprocessing pool. Under strawman-cb the decode runs inline on the
-// engine loop (the Fig 10-Top defect), and under static joins happen only
-// into an empty batch.
-//
-// The loop is supervised: a crash (panic or injected fault) marks the
-// replica dead, re-routes its running batch to live replicas, and
-// restarts the loop after Config.WorkerRestartDelay. While dead, the
-// scheduler does not route to it and /healthz reports "degraded".
+// pool runs tasks on a fixed set of goroutines in submission order. The
+// serving plane has one per CPU stage (preprocessing, postprocessing) and,
+// with a single goroutine, one per engine replica. run never blocks: the
+// batching.Runner hands work over with its lock held.
+type pool struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	tasks  []func()
+	closed bool
+}
+
+func newPool() *pool {
+	p := &pool{}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// start launches n goroutines serving the pool until close.
+func (p *pool) start(n int, wg *sync.WaitGroup) {
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				p.mu.Lock()
+				for len(p.tasks) == 0 && !p.closed {
+					p.cond.Wait()
+				}
+				if p.closed {
+					p.mu.Unlock()
+					return
+				}
+				task := p.tasks[0]
+				p.tasks[0] = nil
+				p.tasks = p.tasks[1:]
+				p.mu.Unlock()
+				task()
+			}
+		}()
+	}
+}
+
+func (p *pool) run(task func()) {
+	p.mu.Lock()
+	p.tasks = append(p.tasks, task)
+	p.mu.Unlock()
+	p.cond.Signal()
+}
+
+// close stops the goroutines after their current task; queued tasks are
+// dropped.
+func (p *pool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+// worker is one engine replica: its numeric engine, the single goroutine
+// its turns run on, and its replica-local staged template set. Which
+// requests it runs, and when, is the batching.Runner's business.
 type worker struct {
-	id      int
-	eng     *diffusion.Engine
-	srv     *Server
-	readyCh chan *job
-
-	// alive is the scheduler-visible liveness flag, false between a crash
-	// and the supervised restart.
-	alive atomic.Bool
-
-	// running is the engine loop's current batch. It is owned by the
-	// supervisor goroutine (the loop runs on it), so the crash handler can
-	// rescue it without locks.
-	running []*job
-
-	mu sync.Mutex
-	// outstanding holds assigned-and-incomplete jobs in placement order;
-	// a stable order keeps the scheduler view (a floating-point cost sum)
-	// deterministic, unlike the map it replaced.
-	outstanding []*job
+	id   int
+	eng  *diffusion.Engine
+	loop *pool
 
 	// Replica-local staged template set (fleet mode, Config.StagedTemplates
 	// > 0): an LRU of template IDs this replica has staged, least-recent
@@ -58,59 +91,208 @@ type worker struct {
 	stageSum map[uint64]uint32
 }
 
-func newWorker(id int, eng *diffusion.Engine, srv *Server) *worker {
-	w := &worker{
-		id:      id,
-		eng:     eng,
-		srv:     srv,
-		readyCh: make(chan *job, 256),
+// wallExecutor is the serving plane's batching.Executor: the stages are
+// the real ones, they take the time they take, and each answers the Runner
+// when it returns. Preprocessing and postprocessing run on the CPU pools;
+// a replica's turns run one at a time on its own goroutine, so two
+// replicas step concurrently.
+type wallExecutor struct{ s *Server }
+
+// TotalSteps: a session takes one Step call per denoising step of the
+// schedule, whatever a TeaCache or step-policy session skips inside them.
+func (e wallExecutor) TotalSteps(workload.Request) int { return e.s.cfg.Model.Steps }
+
+// Prepare runs the preprocessing stage on the CPU pool: rasterize the
+// mask, fetch the template cache and open the edit session on the
+// worker's engine. A crash-rescued request comes through here again and
+// re-runs its deterministic seed-driven pipeline from the start.
+func (e wallExecutor) Prepare(worker int, req workload.Request, ready func(ok bool)) {
+	s := e.s
+	j := s.job(req.ID)
+	j.worker, j.session = s.workers[worker], nil
+	j.degraded, j.degradedReason = false, ""
+	s.pre.run(func() {
+		if s.abandoned(j) {
+			ready(false)
+			return
+		}
+		if d := s.faults.Delay(faults.PreStage); d > 0 {
+			sleepCtx(j.ctx, d)
+		}
+		t0 := time.Now()
+		err := s.preprocess(j)
+		pre := time.Since(t0)
+		s.obs.span(j.id, stagePreprocess, j.worker.id, t0, pre,
+			map[string]float64{"mask_ratio": j.ratio})
+		if err != nil {
+			j.err = err
+		} else {
+			s.obs.cost(obs.CostSample{Stage: obs.CostStagePreprocess, Units: 1,
+				MaskSum: j.ratio, Seconds: pre.Seconds()})
+		}
+		ready(err == nil)
+	})
+}
+
+// RunTurn queues one engine iteration on the replica's goroutine: hand the
+// retired sessions' latents to postprocessing, then step the batch.
+// Requests join the batch now, at the boundary.
+func (e wallExecutor) RunTurn(t batching.Turn) []float64 {
+	s := e.s
+	w := s.workers[t.Worker]
+	retired, batch := e.jobs(t.Retired), e.jobs(t.Batch)
+	joinedAt := make([]float64, len(t.Joined))
+	now := s.obs.wall.Now()
+	for i := range joinedAt {
+		joinedAt[i] = now
 	}
-	w.alive.Store(true)
-	return w
+	w.loop.run(func() {
+		for i, j := range retired {
+			i := i
+			e.deliver(w, j, func(ok bool) { t.Complete(i, ok) })
+		}
+		if len(batch) == 0 {
+			return
+		}
+		crashed, failed := e.step(w, batch, t.Aligned)
+		// The Runner forms the next turn inside Done: its duration is the
+		// batch-organize overhead of §6.6.
+		t0 := time.Now()
+		t.Done(crashed, failed)
+		organize := time.Since(t0).Seconds()
+		s.obs.organize.Observe(s.obs.wall.Now(), organize)
+		s.obs.cost(obs.CostSample{Stage: obs.CostStageOrganize, Units: 1,
+			Batch: len(batch), Seconds: organize})
+	})
+	return joinedAt
 }
 
-func (w *worker) addOutstanding(j *job) {
-	w.mu.Lock()
-	w.outstanding = append(w.outstanding, j)
-	depth := len(w.outstanding)
-	w.mu.Unlock()
-	w.srv.obs.setOutstanding(w.id, depth)
+// jobs resolves a turn's requests, none of which has a terminal state yet,
+// to the plane's jobs.
+func (e wallExecutor) jobs(views []batching.StepView) []*job {
+	out := make([]*job, len(views))
+	for i, v := range views {
+		out[i] = e.s.job(v.Req.ID)
+	}
+	return out
 }
 
-// tryAddOutstanding atomically checks the admission limit and enqueues:
-// it refuses when maxQueue > 0 and the worker already has maxQueue
-// outstanding jobs. The check and the append share one critical section
-// so a concurrent burst cannot slip past the limit between them.
-func (w *worker) tryAddOutstanding(j *job, maxQueue int) bool {
-	w.mu.Lock()
-	if maxQueue > 0 && len(w.outstanding) >= maxQueue {
-		w.mu.Unlock()
+// step runs aligned denoising steps for every session of the batch. A
+// panic under the batch — a bug in a kernel, or the injected
+// faults.WorkerCrash — is the replica crashing: the Runner rescues the
+// batch and restarts the replica. Abandoned jobs (expired deadline,
+// canceled client, shed) stop burning steps at once; the Runner drops them
+// at the boundary.
+func (e wallExecutor) step(w *worker, batch []*job, aligned int) (crashed bool, failed []int) {
+	s := e.s
+	defer func() {
+		if r := recover(); r != nil {
+			crashed = true
+			s.obs.workerRestarts.Inc()
+			s.obs.plane.RecordFlight("worker_crash", 0, w.id, "engine loop crashed; restarting")
+		}
+	}()
+	if s.faults.Fire(faults.WorkerCrash(w.id)) {
+		panic("faults: injected worker crash")
+	}
+	size := float64(len(batch))
+	for k := 0; k < aligned; k++ {
+		for i, j := range batch {
+			if j.err != nil || j.aborted() || j.session.Done() {
+				continue
+			}
+			if d := s.faults.Delay(faults.StepStage); d > 0 {
+				time.Sleep(d)
+			}
+			stepIdx := j.session.StepsComputed()
+			ts := time.Now()
+			_, err := j.session.Step()
+			stepDur := time.Since(ts)
+			s.obs.span(j.id, stageDenoiseStep, w.id, ts, stepDur,
+				map[string]float64{"step": float64(stepIdx), "batch": size})
+			if err != nil {
+				j.err = asAPIError(err)
+				failed = append(failed, i)
+				continue
+			}
+			// The session reports what the step actually executed:
+			// computed blocks carry real FLOPs, policy-reused blocks and
+			// TeaCache-skipped steps carry none. The split rides on the
+			// sample so calibration can exclude (or featureize)
+			// approximated steps instead of fitting an inflated law.
+			computed, reused := j.session.LastStepBlocks()
+			s.obs.cost(obs.CostSample{Stage: obs.CostStageDenoiseStep,
+				Units: 1, Batch: len(batch), MaskSum: j.ratio,
+				FLOPs:          s.blockFLOPs(j) * float64(computed),
+				BlocksComputed: computed, BlocksReused: reused,
+				Seconds: stepDur.Seconds()})
+		}
+	}
+	return false, failed
+}
+
+// deliver takes a finished session off the engine: serialize the latent
+// (measured §6.6 overhead) and hand it to the postprocessing pool — the
+// engine goroutine never decodes, except under strawman-cb, whose defect
+// (Fig 10-Top) is exactly that postprocessing blocks the stream.
+func (e wallExecutor) deliver(w *worker, j *job, complete func(ok bool)) {
+	s := e.s
+	if s.abandoned(j) {
+		complete(false)
+		return
+	}
+	ts := time.Now()
+	j.latentBytes = serializeLatent(j.session.Latent())
+	serialize := time.Since(ts)
+	s.obs.span(j.id, stageSerialize, w.id, ts, serialize, nil)
+	s.obs.cost(obs.CostSample{Stage: obs.CostStageSerialize,
+		Units: 1, Bytes: float64(len(j.latentBytes)),
+		Seconds: serialize.Seconds()})
+	j.handoff = time.Now()
+	post := func() { complete(e.postprocess(j)) }
+	if s.core.Discipline() == batching.StrawmanCB {
+		post()
+		return
+	}
+	s.post.run(post)
+}
+
+// postprocess decodes a finished job's latent into an image (and PNG when
+// requested) and leaves the result on the job for the response.
+func (e wallExecutor) postprocess(j *job) bool {
+	s := e.s
+	if s.abandoned(j) {
+		// The waiter is gone (deadline/cancel after denoising); skip the
+		// decode entirely.
 		return false
 	}
-	w.outstanding = append(w.outstanding, j)
-	depth := len(w.outstanding)
-	w.mu.Unlock()
-	w.srv.obs.setOutstanding(w.id, depth)
+	if d := s.faults.Delay(faults.PostStage); d > 0 {
+		sleepCtx(j.ctx, d)
+	}
+	post := time.Now()
+	handoff := post.Sub(j.handoff)
+	s.obs.span(j.id, stageHandoff, j.worker.id, j.handoff, handoff, nil)
+	s.obs.cost(obs.CostSample{Stage: obs.CostStageHandoff, Units: 1,
+		Seconds: handoff.Seconds()})
+	res, err := j.session.Result()
+	if err == nil && j.api.ReturnImage {
+		j.png, err = img.EncodePNG(res.Image)
+	}
+	s.obs.cost(obs.CostSample{Stage: obs.CostStagePostprocess, Units: 1,
+		Seconds: time.Since(post).Seconds()})
+	if err != nil {
+		j.err = asAPIError(err)
+		return false
+	}
+	j.stepsComputed = res.StepsComputed
 	return true
 }
 
-func (w *worker) removeOutstanding(j *job) {
-	w.mu.Lock()
-	for i, o := range w.outstanding {
-		if o == j {
-			w.outstanding = append(w.outstanding[:i], w.outstanding[i+1:]...)
-			break
-		}
-	}
-	depth := len(w.outstanding)
-	w.mu.Unlock()
-	w.srv.obs.setOutstanding(w.id, depth)
-}
-
-func (w *worker) outstandingCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.outstanding)
+// Restart brings a crashed replica back after Config.WorkerRestartDelay.
+// Its goroutine survived the recovered panic, so coming back is only the
+// Runner routing to it again.
+func (e wallExecutor) Restart(_ int, up func()) {
+	e.s.obs.wall.After(e.s.cfg.WorkerRestartDelay.Seconds(), up)
 }
 
 // ensureStaged makes a template replica-local: a hit on this worker's
@@ -209,217 +391,6 @@ func stagePass(tc *diffusion.TemplateCache) (int64, uint32) {
 	addFloats(tc.Cond)
 	flush()
 	return total, crc.Sum32()
-}
-
-// shedCandidates snapshots the live outstanding jobs as core items (with
-// the matching jobs in a parallel slice) for the overload policy.
-func (w *worker) shedCandidates() ([]batching.Item, []*job) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	items := make([]batching.Item, 0, len(w.outstanding))
-	jobs := make([]*job, 0, len(w.outstanding))
-	for _, j := range w.outstanding {
-		if j.aborted() {
-			continue
-		}
-		items = append(items, batching.Item{ID: j.id, MaskRatio: j.ratioHint})
-		jobs = append(jobs, j)
-	}
-	return items, jobs
-}
-
-// view snapshots the worker's load for the scheduler, in placement order.
-func (w *worker) view() batching.WorkerView {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	v := batching.WorkerView{
-		Ratios:   make([]float64, 0, len(w.outstanding)),
-		RemSteps: make([]int, 0, len(w.outstanding)),
-	}
-	for _, j := range w.outstanding {
-		v.Ratios = append(v.Ratios, j.ratioHint)
-		v.RemSteps = append(v.RemSteps, int(j.remaining.Load()))
-	}
-	return v
-}
-
-// admitJob marks a preprocessed job as admitted into the running batch and
-// records its ready-queue wait as the "queue" span.
-func (w *worker) admitJob(j *job) {
-	j.admit = time.Now()
-	w.srv.obs.span(j.id, stageQueue, w.id, j.ready, j.admit.Sub(j.ready), nil)
-}
-
-// run is the supervisor: it executes the engine loop until clean shutdown,
-// and on a crash rescues the running batch, waits out the restart delay,
-// and brings the loop back.
-func (w *worker) run() {
-	defer w.srv.wg.Done()
-	for {
-		if !w.runOnce() {
-			return // clean shutdown (server closing)
-		}
-		w.alive.Store(false)
-		w.srv.obs.workerRestarts.Inc()
-		w.srv.obs.plane.RecordFlight("worker_crash", 0, w.id, "engine loop crashed; restarting")
-		w.srv.rescueBatch(w)
-		select {
-		case <-time.After(w.srv.cfg.WorkerRestartDelay):
-		case <-w.srv.ctx.Done():
-			return
-		}
-		w.alive.Store(true)
-	}
-}
-
-// runOnce is the engine loop. It owns w.running exclusively and reports
-// whether it crashed (panic — real or injected) rather than shut down.
-func (w *worker) runOnce() (crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-		}
-	}()
-	core := w.srv.core
-	for {
-		// The discipline's admission budget for this iteration: static
-		// admits only into an empty batch (where it forms the whole batch
-		// at once), the continuous disciplines top up to MaxBatch. Computed
-		// before any admission so the blocking pull below counts against
-		// it. Jobs beyond the budget stay queued in readyCh.
-		budget := core.AdmitBudget(w.id, len(w.running))
-		// Block for work when idle; otherwise admit without blocking.
-		// An admitted job joins w.running immediately: a crash at any
-		// point after the pull must leave it visible to rescueBatch.
-		if len(w.running) == 0 {
-			select {
-			case <-w.srv.ctx.Done():
-				return false
-			case j := <-w.readyCh:
-				if j.aborted() {
-					w.srv.evict(j, stageQueue)
-					continue
-				}
-				core.Admit(w.id, len(w.running),
-					[]batching.Item{{ID: j.id, MaskRatio: j.ratioHint}})
-				w.admitJob(j)
-				w.running = append(w.running, j)
-				budget--
-			}
-		}
-		if w.srv.faults.Fire(faults.WorkerCrash(w.id)) {
-			panic("faults: injected worker crash")
-		}
-		t0 := time.Now()
-		for budget > 0 {
-			select {
-			case j := <-w.readyCh:
-				if j.aborted() {
-					w.srv.evict(j, stageQueue)
-					continue
-				}
-				core.Admit(w.id, len(w.running),
-					[]batching.Item{{ID: j.id, MaskRatio: j.ratioHint}})
-				w.admitJob(j)
-				w.running = append(w.running, j)
-				budget--
-				continue
-			default:
-			}
-			break
-		}
-		organize := time.Since(t0)
-		if len(w.running) == 0 {
-			continue
-		}
-		w.srv.obs.cost(obs.CostSample{Stage: obs.CostStageOrganize, Units: 1,
-			Batch: len(w.running), Seconds: organize.Seconds()})
-
-		// One denoising step for every running session; abandoned jobs
-		// (expired deadline, canceled client, shed) leave at this step
-		// boundary instead of burning denoise steps.
-		batch := float64(len(w.running))
-		w.srv.obs.observeBatch(len(w.running))
-		// Fresh slice (not an in-place filter): a panic mid-loop must
-		// leave w.running intact for rescueBatch, with no duplicates.
-		still := make([]*job, 0, len(w.running))
-		for _, j := range w.running {
-			if j.aborted() {
-				w.srv.evict(j, stageDenoiseStep)
-				continue
-			}
-			if d := w.srv.faults.Delay(faults.StepStage); d > 0 {
-				time.Sleep(d)
-			}
-			stepIdx := j.session.StepsComputed()
-			ts := time.Now()
-			done, err := j.session.Step()
-			stepDur := time.Since(ts)
-			w.srv.obs.incStep()
-			w.srv.obs.span(j.id, stageDenoiseStep, w.id, ts, stepDur,
-				map[string]float64{"step": float64(stepIdx), "batch": batch})
-			if err == nil {
-				// The session reports what the step actually executed:
-				// computed blocks carry real FLOPs, policy-reused blocks
-				// and TeaCache-skipped steps carry none. The split rides
-				// on the sample so calibration can exclude (or featureize)
-				// approximated steps instead of fitting an inflated law.
-				computed, reused := j.session.LastStepBlocks()
-				w.srv.obs.cost(obs.CostSample{Stage: obs.CostStageDenoiseStep,
-					Units: 1, Batch: len(w.running), MaskSum: j.ratio,
-					FLOPs:          w.srv.blockFLOPs(j) * float64(computed),
-					BlocksComputed: computed, BlocksReused: reused,
-					Seconds: stepDur.Seconds()})
-			}
-			if err != nil {
-				w.removeOutstanding(j)
-				if j.deliver(jobResult{err: asAPIError(err)}) {
-					w.srv.obs.outcome(outcomeError)
-				}
-				continue
-			}
-			j.remaining.Store(int32(j.session.RemainingSteps()))
-			if !done {
-				still = append(still, j)
-				continue
-			}
-			j.finish = time.Now()
-			// Serialize the latent (measured §6.6 overhead) and hand off
-			// to the postprocess pool; the engine loop never decodes.
-			ts = time.Now()
-			j.latentBytes = serializeLatent(j.session.Latent())
-			serialize := time.Since(ts)
-			w.srv.obs.span(j.id, stageSerialize, w.id, ts, serialize, nil)
-			w.srv.obs.cost(obs.CostSample{Stage: obs.CostStageSerialize,
-				Units: 1, Bytes: float64(len(j.latentBytes)),
-				Seconds: serialize.Seconds()})
-			w.removeOutstanding(j)
-			j.handoff = time.Now()
-
-			w.srv.serialize.Add(serialize.Seconds())
-
-			if core.Discipline() == batching.StrawmanCB {
-				// Fig 10-Top: postprocessing runs on the engine loop,
-				// blocking the stream and every other in-flight request.
-				w.srv.postprocess(j)
-				continue
-			}
-			select {
-			case w.srv.postCh <- j:
-			case <-w.srv.ctx.Done():
-				return false
-			}
-		}
-		w.running = still
-
-		w.srv.organize.Add(organize.Seconds())
-
-		select {
-		case <-w.srv.ctx.Done():
-			return false
-		default:
-		}
-	}
 }
 
 // serializeLatent encodes a latent matrix into the wire format used
