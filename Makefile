@@ -39,12 +39,8 @@ test:
 test-noavx:
 	FLASHPS_NO_AVX2=1 $(GO) test ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
 
-# internal/metrics is no longer here: with SyncRecorder gone nothing in it
-# is concurrent. TestCalibrationGate is skipped: it budgets wall-clock
-# latencies the detector inflates several-fold (about every second run
-# misses the P99 budget under it); calib-gate runs it without the detector.
 race:
-	$(GO) test -race -skip TestCalibrationGate ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/batching/... ./internal/replay/...
+	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/batching/... ./internal/replay/...
 
 # Fault drills under the race detector: worker crash + retry, cache-load
 # degradation, deadline eviction, cancellation storms, load shedding.

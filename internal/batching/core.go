@@ -131,23 +131,6 @@ func (c *Core) Place(views []WorkerView, ids []int, item Item) int {
 	return id
 }
 
-// PlaceAmong is Place restricted to the workers marked eligible (views and
-// eligible are indexed by worker ID); ok is false when none is.
-func (c *Core) PlaceAmong(views []WorkerView, eligible []bool, item Item) (worker int, ok bool) {
-	ids := make([]int, 0, len(views))
-	cands := make([]WorkerView, 0, len(views))
-	for i, v := range views {
-		if eligible[i] {
-			ids = append(ids, i)
-			cands = append(cands, v)
-		}
-	}
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return c.Place(cands, ids, item), true
-}
-
 // PlaceFixed records an externally routed placement (the fleet router
 // picked the worker before the core saw the request) as a KindPlace
 // decision with the same shape Place emits: Batch carries the candidate

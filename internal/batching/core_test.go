@@ -196,22 +196,3 @@ func TestRetryBackoffIsCappedExponential(t *testing.T) {
 		t.Fatal("zero budget allowed a retry")
 	}
 }
-
-// TestPlaceAmongSkipsIneligibleWorkers: only eligible workers are
-// candidates, the decision names the worker's own ID, and no eligible
-// worker means no placement and no decision.
-func TestPlaceAmongSkipsIneligibleWorkers(t *testing.T) {
-	core := NewCore(CoreConfig{Policy: LeastRequests})
-	views := []WorkerView{{}, {Ratios: []float64{0.2}, RemSteps: []int{5}}, {Ratios: []float64{0.1, 0.1}, RemSteps: []int{5, 5}}}
-	got, ok := core.PlaceAmong(views, []bool{false, true, true}, Item{ID: 1, MaskRatio: 0.1})
-	if !ok || got != 1 {
-		t.Fatalf("placed on %d ok=%v, want the emptiest eligible worker 1", got, ok)
-	}
-	if _, ok := core.PlaceAmong(views, []bool{false, false, false}, Item{ID: 2}); ok {
-		t.Fatal("placed with no eligible worker")
-	}
-	dec := core.Decisions()
-	if len(dec) != 1 || dec[0].Worker != 1 || dec[0].Batch != 2 {
-		t.Fatalf("decisions = %v, want one placement on worker 1 among 2 candidates", dec)
-	}
-}

@@ -70,9 +70,10 @@ type Executor interface {
 
 // Fleet is the control plane in front of the workers (internal/fleet): an
 // admission stage ahead of placement, the choice of replica, and a feed of
-// completions for its autoscaler. A nil Fleet admits everything and lets
-// the Core's policy place across the live workers. Submissions call Admit
-// and Place concurrently, without the Runner's lock.
+// completions for its autoscaler. Its methods must not call back into the
+// Runner: Submit calls Admit and Place from any goroutine without the
+// Runner's lock, a crash re-placement calls Place with it held, and
+// Completed always runs under it.
 type Fleet interface {
 	// Admit decides at clock time now whether req enters the system;
 	// deadline is the request's own deadline in seconds (0: none).
@@ -91,6 +92,9 @@ type Fleet interface {
 type Observer interface {
 	// QueueDepth reports a worker's ready-queue depth after it changed.
 	QueueDepth(worker, depth int)
+	// Outstanding reports how many requests a worker holds — placed on it
+	// and not yet finished — after that changed.
+	Outstanding(worker, n int)
 	// BatchStep reports the running-batch size of one executed step.
 	BatchStep(size int)
 	// RequestDone reports a request's terminal state, once per submitted
@@ -193,7 +197,7 @@ type RunnerConfig struct {
 	Exec Executor
 	// Obs optionally receives occupancy signals and terminal states.
 	Obs Observer
-	// Fleet optionally fronts the workers with admission and routing.
+	// Fleet fronts the workers with admission and routing.
 	Fleet Fleet
 }
 
@@ -337,12 +341,11 @@ func (r *Runner) Alive() []bool {
 }
 
 // Submit runs a new request through admission, placement and the overload
-// policy, and starts preparing it on its worker. deadline, when positive,
-// evicts the request that many seconds from now unless it completed. It
-// returns the chosen worker, or ok=false when the request was turned away
-// (its Rejected state has been reported by then). Virtual-time drivers
-// call Submit from a clock event at the request's arrival time.
-func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok bool) {
+// policy, and starts preparing it on its worker; a request turned away
+// gets its Rejected state at once. deadline, when positive, evicts the
+// request that many seconds from now unless it completed. Virtual-time
+// drivers call Submit from a clock event at the request's arrival time.
+func (r *Runner) Submit(req workload.Request, deadline float64) {
 	q := &runnerReq{Request: req}
 	// Admission and placement work on a snapshot, without the lock:
 	// Algorithm 2's cost estimate is the slow part of a submission, and
@@ -350,10 +353,7 @@ func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok 
 	r.mu.Lock()
 	views, alive := r.snapshot()
 	r.mu.Unlock()
-	admitted, reason := true, ""
-	if f := r.cfg.Fleet; f != nil {
-		admitted, reason = f.Admit(req, deadline, r.cfg.Clock.Now())
-	}
+	admitted, reason := r.cfg.Fleet.Admit(req, deadline, r.cfg.Clock.Now())
 	wid, placed := 0, false
 	if admitted {
 		wid, placed = r.route(q, views, alive)
@@ -363,13 +363,13 @@ func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok 
 	defer r.mu.Unlock()
 	switch {
 	case r.stopped:
-		return -1, false
+		return
 	case !admitted:
 		r.terminal(q, Rejected, reason)
-		return -1, false
+		return
 	case !placed:
 		r.terminal(q, Rejected, ReasonNoReplica)
-		return -1, false
+		return
 	}
 	w := r.workers[wid]
 	q.w = w
@@ -389,7 +389,7 @@ func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok 
 		v := r.cfg.Core.ShedVictim(w.id, cands, r.item(q))
 		if v < 0 {
 			r.terminal(q, Rejected, ReasonOverloaded)
-			return -1, false
+			return
 		}
 		r.drop(victims[v], Shed, "")
 	}
@@ -398,22 +398,18 @@ func (r *Runner) Submit(req workload.Request, deadline float64) (worker int, ok 
 		r.cfg.Clock.After(deadline, func() { r.Abort(id, ReasonDeadline) })
 	}
 	r.start(q, w)
-	return w.id, true
 }
 
 // Abort evicts a request its caller has given up on (ReasonDeadline or
 // ReasonCanceled): the Evicted state is reported at once and the request
-// leaves its stage at the next boundary. It reports false when the request
-// already had a terminal state.
-func (r *Runner) Abort(id int, reason string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := r.live[id]
-	if q == nil || r.stopped {
-		return false
-	}
-	r.drop(q, Evicted, reason)
-	return true
+// leaves its stage at the next boundary. A request that already has its
+// terminal state is left alone.
+func (r *Runner) Abort(id int, reason string) {
+	r.enter(func() {
+		if q := r.live[id]; q != nil {
+			r.drop(q, Evicted, reason)
+		}
+	})
 }
 
 func (r *Runner) item(q *runnerReq) Item {
@@ -446,13 +442,10 @@ func (r *Runner) snapshot() ([]WorkerView, []bool) {
 	return views, alive
 }
 
-// route picks q's worker among the live ones, through the Fleet when there
-// is one; ok=false means no replica can take work.
+// route has the Fleet pick q's worker among the live ones; ok=false means
+// no replica can take work.
 func (r *Runner) route(q *runnerReq, views []WorkerView, alive []bool) (worker int, ok bool) {
-	if f := r.cfg.Fleet; f != nil {
-		return f.Place(r.cfg.Core, q.Request, r.item(q), views, alive)
-	}
-	return r.cfg.Core.PlaceAmong(views, alive, r.item(q))
+	return r.cfg.Fleet.Place(r.cfg.Core, q.Request, r.item(q), views, alive)
 }
 
 // start registers q with w and has the Executor prepare it.
@@ -460,6 +453,7 @@ func (r *Runner) start(q *runnerReq, w *runnerWorker) {
 	steps := r.cfg.Exec.TotalSteps(q.Request)
 	q.w, q.stage, q.remSteps, q.totalSteps = w, stagePreparing, steps, steps
 	w.outstanding = append(w.outstanding, q)
+	r.observeOutstanding(w)
 	r.cfg.Exec.Prepare(w.id, q.Request, func(ok bool) {
 		r.enter(func() { r.ready(q, ok) })
 	})
@@ -510,7 +504,7 @@ func (r *Runner) terminal(q *runnerReq, outcome Outcome, reason string) {
 	if q.w != nil {
 		stat.Worker = q.w.id
 	}
-	if outcome == Completed && r.cfg.Fleet != nil {
+	if outcome == Completed {
 		r.cfg.Fleet.Completed(stat)
 	}
 	if r.cfg.Obs != nil {
@@ -524,8 +518,19 @@ func (r *Runner) observeQueue(w *runnerWorker) {
 	}
 }
 
+func (r *Runner) observeOutstanding(w *runnerWorker) {
+	if r.cfg.Obs != nil {
+		r.cfg.Obs.Outstanding(w.id, len(w.outstanding))
+	}
+}
+
 // release takes q out of the load-balancer's outstanding view.
-func (w *runnerWorker) release(q *runnerReq) { w.outstanding = without(w.outstanding, q) }
+func (w *runnerWorker) release(q *runnerReq) {
+	if rest := without(w.outstanding, q); len(rest) != len(w.outstanding) {
+		w.outstanding = rest
+		w.r.observeOutstanding(w)
+	}
+}
 
 // without removes q from list, keeping the order of the rest.
 func without(list []*runnerReq, q *runnerReq) []*runnerReq {

@@ -55,12 +55,19 @@ func (t *Telemetry) DecisionSink() func(Decision) {
 	return func(d Decision) { t.plane.Decision(d.Kind.String()) }
 }
 
-// QueueDepth implements Observer.
+// QueueDepth implements Observer: the virtual-time drivers publish the
+// ready queue as flashps_worker_queue_depth.
 func (t *Telemetry) QueueDepth(worker, depth int) {
 	if t != nil {
 		t.plane.SetQueueDepth(worker, depth)
 	}
 }
+
+// Outstanding implements Observer. The bridge publishes nothing for it;
+// the serving plane, whose flashps_worker_queue_depth has always been the
+// outstanding count its saturation runbook reads, publishes this instead
+// of QueueDepth (internal/serve).
+func (t *Telemetry) Outstanding(worker, n int) {}
 
 // BatchStep implements Observer. A batch of n requests advancing one step
 // executes n request-steps, matching the live plane's per-request counting.

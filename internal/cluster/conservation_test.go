@@ -61,13 +61,13 @@ func faultyRun(seed uint64) (reqs []workload.Request, got []batching.RequestStat
 	maxRetries = rng.Intn(3)
 	maxQueue := []int{0, 2, 5}[rng.Intn(3)]
 
-	rn, err := newRun(cfg, fc, nil, func(cc *batching.CoreConfig) {
-		cc.MaxQueue, cc.MaxRetries, cc.RetryBackoff = maxQueue, maxRetries, 0.01
-	})
+	rn, err := newRun(cfg, fc, nil)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
+	rn.core.MaxQueue, rn.core.MaxRetries, rn.core.RetryBackoff = maxQueue, maxRetries, 0.01
 	rn.exec.Faults = inj
+	rn.start()
 	for _, r := range reqs {
 		r := r
 		deadline := 0.0
@@ -81,9 +81,7 @@ func faultyRun(seed uint64) (reqs []workload.Request, got []batching.RequestStat
 		}
 		rn.clock.At(r.Arrival, func() { rn.runner.Submit(r, deadline) })
 	}
-	if rn.ctrl != nil {
-		fleet.Autoscale(rn.ctrl, rn.runner, &rn.clock, reqs[len(reqs)-1].Arrival)
-	}
+	fleet.Autoscale(rn.ctrl, rn.runner, &rn.clock, reqs[len(reqs)-1].Arrival)
 	if _, err := rn.drain(len(reqs)); err != nil {
 		return nil, nil, nil, 0, err
 	}

@@ -17,10 +17,12 @@ import (
 type run struct {
 	cfg    Config
 	clock  simclock.Clock
-	exec   *Executor
+	exec   *Executor         // the cost model
+	drive  batching.Executor // what the Runner drives: exec, or its wrapper
+	core   batching.CoreConfig
 	log    *batching.DecisionLog
+	ctrl   *fleet.Controller
 	runner *batching.Runner
-	ctrl   *fleet.Controller // nil without a fleet
 	seen   collector
 }
 
@@ -36,30 +38,30 @@ func (c *collector) RequestDone(stat batching.RequestStat) {
 	c.Telemetry.RequestDone(stat)
 }
 
-// newRun is the one set-up every virtual-time driver shares. fc, when
-// non-nil, puts a fleet controller in front of the workers. wrap, when
-// non-nil, substitutes the executor the Runner drives for one built around
-// the cost model (the differential-replay driver steps real sessions
-// beside it). tune, when non-nil, edits the core's configuration.
-func newRun(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executor, error),
-	tune func(*batching.CoreConfig)) (*run, error) {
+// newRun is the one set-up every virtual-time driver shares, up to but not
+// including the Runner, which start builds. fc, when non-nil, configures
+// the fleet controller in front of the workers; without it the controller
+// admits everything and leaves placement to the core's policy, as on a
+// plain server. wrap, when non-nil, substitutes the executor the Runner
+// drives for one built around the cost model (the differential-replay
+// driver steps real sessions beside it).
+func newRun(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executor, error)) (*run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rn := &run{cfg: cfg}
-	pool := cfg.Workers
-	var front batching.Fleet
+	fleetCfg := fleet.Config{Replicas: cfg.Workers}
 	if fc != nil {
 		if fc.Router == fleet.RouterCore {
 			return nil, fmt.Errorf("cluster: fleet driver needs an explicit router (least-loaded or affinity)")
 		}
-		norm := NormalizeFleet(cfg, *fc)
-		ctrl, err := fleet.NewController(norm)
-		if err != nil {
-			return nil, err
-		}
-		rn.ctrl, front, pool = ctrl, ctrl.Front(), norm.MaxReplicas
+		fleetCfg = NormalizeFleet(cfg, *fc)
 	}
+	var err error
+	if rn.ctrl, err = fleet.NewController(fleetCfg); err != nil {
+		return nil, err
+	}
+	pool := rn.ctrl.Pool()
 	if cfg.Obs != nil {
 		cfg.Obs.BindClock(&rn.clock)
 	}
@@ -68,15 +70,12 @@ func newRun(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executo
 		ov: perfmodel.PaperOverheads(), staticEnd: make([]float64, pool),
 	}
 	if cfg.System == SystemFlashPS {
-		tiers, err := newTierSet(cfg.Profile, pool, cfg.ColdCacheTemplates)
-		if err != nil {
+		if rn.exec.tiers, err = newTierSet(cfg.Profile, pool, cfg.ColdCacheTemplates); err != nil {
 			return nil, err
 		}
-		rn.exec.tiers = tiers
 	}
 	est := cfg.Estimator
 	if est == nil {
-		var err error
 		est, err = perfmodel.Calibrate(cfg.Profile, tensor.NewRNG(cfg.Seed^0xE57), 0.02)
 		if err != nil {
 			return nil, err
@@ -97,14 +96,13 @@ func newRun(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executo
 		rn.log = new(batching.DecisionLog)
 	}
 	rn.log.SetSink(rn.seen.DecisionSink())
-	var exec batching.Executor = rn.exec
+	rn.drive = rn.exec
 	if wrap != nil {
-		var err error
-		if exec, err = wrap(rn.exec); err != nil {
+		if rn.drive, err = wrap(rn.exec); err != nil {
 			return nil, err
 		}
 	}
-	cc := batching.CoreConfig{
+	rn.core = batching.CoreConfig{
 		Policy:     cfg.Policy,
 		Discipline: cfg.Batching.Discipline(),
 		Estimator:  est,
@@ -112,23 +110,24 @@ func newRun(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executo
 		Seed:       cfg.Seed,
 		Log:        rn.log,
 	}
-	if tune != nil {
-		tune(&cc)
-	}
-	rn.runner = batching.NewRunner(batching.RunnerConfig{
-		Workers:   pool,
-		CostSteps: cfg.Profile.Steps,
-		Core:      batching.NewCore(cc),
-		Clock:     &rn.clock,
-		Exec:      exec,
-		Obs:       &rn.seen,
-		Fleet:     front,
-	})
 	return rn, nil
 }
 
-// arrive schedules every request's submission at its arrival time and, in
-// a fleet run, the autoscaler's tick chain.
+// start builds the Runner on everything newRun set up.
+func (rn *run) start() {
+	rn.runner = batching.NewRunner(batching.RunnerConfig{
+		Workers:   rn.ctrl.Pool(),
+		CostSteps: rn.cfg.Profile.Steps,
+		Core:      batching.NewCore(rn.core),
+		Clock:     &rn.clock,
+		Exec:      rn.drive,
+		Obs:       &rn.seen,
+		Fleet:     rn.ctrl.Front(),
+	})
+}
+
+// arrive schedules every request's submission at its arrival time and the
+// autoscaler's tick chain, if it is armed.
 func (rn *run) arrive(reqs []workload.Request) {
 	lastArrival := 0.0
 	for _, r := range reqs {
@@ -138,7 +137,7 @@ func (rn *run) arrive(reqs []workload.Request) {
 		}
 		rn.clock.At(r.Arrival, func() { rn.runner.Submit(r, 0) })
 	}
-	if rn.ctrl != nil && len(reqs) > 0 {
+	if len(reqs) > 0 {
 		fleet.Autoscale(rn.ctrl, rn.runner, &rn.clock, lastArrival)
 	}
 }
@@ -160,12 +159,10 @@ func (rn *run) drain(n int) (*FleetResult, error) {
 		}
 	}
 	res.BatchSizeSum, res.BatchSteps = rn.runner.BatchOccupancy()
-	if rn.ctrl != nil {
-		res.Events, res.States = rn.ctrl.Events(), rn.ctrl.States()
-		for _, e := range res.Events {
-			if e.Kind == fleet.EventReject {
-				res.Rejected++
-			}
+	res.Events, res.States = rn.ctrl.Events(), rn.ctrl.States()
+	for _, e := range res.Events {
+		if e.Kind == fleet.EventReject {
+			res.Rejected++
 		}
 	}
 	publishTierStats(rn.cfg.Obs, rn.exec.tiers)
@@ -178,10 +175,11 @@ func (rn *run) drain(n int) (*FleetResult, error) {
 // drivers (wrap steps real sessions beside the cost model) are fronts of.
 func Drive(cfg Config, fc *fleet.Config, wrap func(*Executor) (batching.Executor, error),
 	reqs []workload.Request) (*FleetResult, []batching.Decision, error) {
-	rn, err := newRun(cfg, fc, wrap, nil)
+	rn, err := newRun(cfg, fc, wrap)
 	if err != nil {
 		return nil, nil, err
 	}
+	rn.start()
 	rn.arrive(reqs)
 	res, err := rn.drain(len(reqs))
 	if err != nil {

@@ -33,15 +33,19 @@ func (f front) Place(core *batching.Core, req workload.Request, item batching.It
 	views []batching.WorkerView, alive []bool) (int, bool) {
 	c := f.c
 	if c.cfg.Router == RouterCore {
-		eligible := make([]bool, len(views))
-		for i := range views {
-			eligible[i] = alive[i] && c.Routable(i)
+		var ids []int
+		var cands []batching.WorkerView
+		for i, v := range views {
+			if alive[i] && c.Routable(i) {
+				ids, cands = append(ids, i), append(cands, v)
+			}
 		}
-		dest, ok := core.PlaceAmong(views, eligible, item)
-		if ok {
-			c.NoteRoute(dest, req.Template)
+		if len(ids) == 0 {
+			return 0, false
 		}
-		return dest, ok
+		dest := core.Place(cands, ids, item)
+		c.NoteRoute(dest, req.Template)
+		return dest, true
 	}
 	depths := make([]int, len(views))
 	for i, v := range views {

@@ -3,7 +3,9 @@ package fleet
 import (
 	"testing"
 
+	"flashps/internal/batching"
 	"flashps/internal/tensor"
+	"flashps/internal/workload"
 )
 
 func newTestController(t *testing.T, cfg Config) *Controller {
@@ -184,6 +186,32 @@ func TestDrainingReceivesNoTraffic(t *testing.T) {
 	c.Tick(0, []int{5, 0})
 	if got := c.States()[1]; got != Down {
 		t.Fatalf("empty draining replica should be Down, got %v", got)
+	}
+}
+
+// TestCorePlacementSkipsIneligibleReplicas: under RouterCore the core's
+// policy sees only the live Active replicas, the decision names the
+// replica's own ID, and no eligible replica means no placement and no
+// decision.
+func TestCorePlacementSkipsIneligibleReplicas(t *testing.T) {
+	c := newTestController(t, Config{Replicas: 3, MaxReplicas: 4})
+	core := batching.NewCore(batching.CoreConfig{Policy: batching.LeastRequests})
+	views := []batching.WorkerView{{}, {Ratios: []float64{0.2}, RemSteps: []int{5}},
+		{Ratios: []float64{0.1, 0.1}, RemSteps: []int{5, 5}}, {}}
+	place := func(id int, alive []bool) (int, bool) {
+		return c.Front().Place(core, workload.Request{ID: id, Template: 7},
+			batching.Item{ID: uint64(id), MaskRatio: 0.1}, views, alive)
+	}
+	// Replica 0 is dead and replica 3 is Down: 1 is the emptiest left.
+	if got, ok := place(1, []bool{false, true, true, true}); !ok || got != 1 {
+		t.Fatalf("placed on %d ok=%v, want the emptiest eligible replica 1", got, ok)
+	}
+	if _, ok := place(2, []bool{false, false, false, true}); ok {
+		t.Fatal("placed with no eligible replica")
+	}
+	dec := core.Decisions()
+	if len(dec) != 1 || dec[0].Worker != 1 || dec[0].Batch != 2 {
+		t.Fatalf("decisions = %v, want one placement on replica 1 among 2 candidates", dec)
 	}
 }
 

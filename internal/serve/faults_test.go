@@ -17,6 +17,7 @@ import (
 	"flashps/internal/batching"
 	"flashps/internal/faults"
 	"flashps/internal/perfmodel"
+	"flashps/internal/workload"
 )
 
 // faultServer builds a started server around the toy model with the given
@@ -140,6 +141,81 @@ func TestWorkerCrashRetriesOnAlternateReplica(t *testing.T) {
 		}
 		return h.Status == "ok"
 	}, "health did not recover after worker restart")
+}
+
+// TestWorkerCrashOutsideStepIsContained drills a panic on the replica's
+// goroutine that is not under a denoising step: delivering a retired
+// request. The wall executor must keep it inside the replica — the
+// requests it had not handed on fail, a batch behind them is reported
+// crashed so the Runner rescues it, and the replica keeps serving.
+func TestWorkerCrashOutsideStepIsContained(t *testing.T) {
+	s := faultServer(t, Config{Workers: 1, MaxBatch: 4})
+	prepareTemplate(t, s, 1)
+	// Jobs without a session: serializing their latent dereferences nil.
+	view := func(id uint64) batching.StepView {
+		j := &job{id: id, resp: make(chan jobResult, 1)}
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		t.Cleanup(j.cancel)
+		s.jobsMu.Lock()
+		s.jobs[id] = j
+		s.jobsMu.Unlock()
+		return batching.StepView{Req: workload.Request{ID: int(id)}}
+	}
+	type answer struct {
+		i       int
+		ok, run bool // run: the answer came through Done
+	}
+	answers := make(chan answer, 4)
+	turn := batching.Turn{
+		Worker:   0,
+		Retired:  []batching.StepView{view(1 << 40), view(1<<40 + 1)},
+		Aligned:  1,
+		Complete: func(i int, ok bool) { answers <- answer{i: i, ok: ok} },
+		Done:     func(crashed bool, _ []int) { answers <- answer{ok: !crashed, run: true} },
+	}
+	recv := func() answer {
+		select {
+		case a := <-answers:
+			return a
+		case <-time.After(5 * time.Second):
+			t.Fatal("the turn never answered")
+			return answer{}
+		}
+	}
+
+	// Deliver-only turn: both retired requests fail, nothing else happens.
+	wallExecutor{s}.RunTurn(turn)
+	for want := 0; want < 2; want++ {
+		if a := recv(); a.run || a.ok || a.i != want {
+			t.Fatalf("deliver-only turn answered %+v, want Complete(%d, false)", a, want)
+		}
+	}
+	if v := metricValue(t, s, "flashps_worker_restarts_total"); v != 0 {
+		t.Fatalf("worker_restarts_total = %v after a turn without a batch, want 0", v)
+	}
+
+	// The same with a batch behind the delivery: it is reported crashed.
+	turn.Batch = []batching.StepView{view(1<<40 + 2)}
+	wallExecutor{s}.RunTurn(turn)
+	for want := 0; want < 2; want++ {
+		if a := recv(); a.run || a.ok || a.i != want {
+			t.Fatalf("turn answered %+v, want Complete(%d, false)", a, want)
+		}
+	}
+	if a := recv(); !a.run || a.ok {
+		t.Fatalf("turn answered %+v, want Done(crashed)", a)
+	}
+	if v := metricValue(t, s, "flashps_worker_restarts_total"); v != 1 {
+		t.Fatalf("worker_restarts_total = %v, want 1", v)
+	}
+
+	// The replica's goroutine survived both.
+	resp, err := s.SubmitEdit(context.Background(), EditRequestAPI{
+		TemplateID: 1, Seed: 1, Mask: MaskSpec{Type: "ratio", Ratio: 0.2, Seed: 1},
+	})
+	if err != nil || resp.StepsComputed != testModel.Steps {
+		t.Fatalf("edit after the contained crashes: %+v, %v", resp, err)
+	}
 }
 
 // TestHealthDegradedWhileWorkerDown pins the liveness contract: with the

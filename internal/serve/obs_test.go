@@ -264,6 +264,15 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 	waitUntil(t, time.Second, func() bool { return s.Health().QueueDepths[0] == 2 },
 		"two edits never outstanding together")
+	// The gauge is the outstanding count (one running, one waiting), not
+	// the ready queue alone.
+	var expo bytes.Buffer
+	if err := s.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if want := `flashps_worker_queue_depth{worker="0"} 2`; !strings.Contains(expo.String(), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
 	res, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -418,7 +418,7 @@ func New(cfg Config) (*Server, error) {
 		Clock:     sObs.wall,
 		Exec:      wallExecutor{s},
 		Obs:       observer{telemetry, s},
-		Fleet:     ctrl.Front(),
+		Fleet:     timedFleet{ctrl.Front(), s},
 	})
 	return s, nil
 }
@@ -694,22 +694,13 @@ func (s *Server) SubmitEdit(ctx context.Context, api EditRequestAPI) (EditRespon
 	s.jobs[j.id] = j
 	s.jobsMu.Unlock()
 
-	// One call runs fleet admission, routing (Algorithm 2 or the fleet
-	// router) across live replicas and the overload policy; its duration is
-	// the paper's §6.6 scheduling overhead. A request turned away has its
-	// error waiting in j.resp already.
-	t0 := time.Now()
-	worker, placed := s.runner.Submit(workload.Request{
+	// One call runs fleet admission, routing across live replicas and the
+	// overload policy. A request turned away has its error waiting in
+	// j.resp already.
+	s.runner.Submit(workload.Request{
 		ID: int(j.id), Arrival: s.obs.wall.Seconds(j.arrival),
 		Template: api.TemplateID, MaskRatio: j.ratioHint,
 	}, float64(api.DeadlineMS)/1000)
-	if placed {
-		decision := time.Since(t0)
-		s.obs.span(j.id, stageSchedule, worker, t0, decision,
-			map[string]float64{"mask_ratio_hint": j.ratioHint})
-		s.obs.cost(obs.CostSample{Stage: obs.CostStageSchedule, Units: 1,
-			Seconds: decision.Seconds()})
-	}
 
 	closed := apiErrorf(CodeInternal, false, "serve: server closed")
 	select {
@@ -730,6 +721,27 @@ func (s *Server) SubmitEdit(ctx context.Context, api EditRequestAPI) (EditRespon
 	}
 }
 
+// timedFleet is the fleet front with the routing decision (Algorithm 2 or
+// the fleet router) timed: the paper's §6.6 scheduling overhead.
+type timedFleet struct {
+	batching.Fleet
+	s *Server
+}
+
+func (f timedFleet) Place(core *batching.Core, req workload.Request, item batching.Item,
+	views []batching.WorkerView, alive []bool) (int, bool) {
+	t0 := time.Now()
+	worker, ok := f.Fleet.Place(core, req, item, views, alive)
+	if ok {
+		decision := time.Since(t0)
+		f.s.obs.span(item.ID, stageSchedule, worker, t0, decision,
+			map[string]float64{"mask_ratio_hint": item.MaskRatio})
+		f.s.obs.cost(obs.CostSample{Stage: obs.CostStageSchedule, Units: 1,
+			Seconds: decision.Seconds()})
+	}
+	return worker, ok
+}
+
 // observer is the Runner's Observer on the serving plane: the shared
 // telemetry bridge, plus the delivery of every terminal state to the
 // request's waiter.
@@ -737,6 +749,13 @@ type observer struct {
 	*batching.Telemetry
 	s *Server
 }
+
+// QueueDepth and Outstanding: the serving plane's
+// flashps_worker_queue_depth is the outstanding count (what /healthz,
+// /v1/fleet and the MaxQueue limit go by), not the ready queue alone.
+func (o observer) QueueDepth(int, int) {}
+
+func (o observer) Outstanding(worker, n int) { o.s.obs.plane.SetQueueDepth(worker, n) }
 
 // RequestDone turns a terminal state into the waiter's response or error
 // envelope, after the counters a client may read next have moved.
@@ -750,7 +769,6 @@ func (o observer) RequestDone(st batching.RequestStat) {
 	if j == nil {
 		return
 	}
-	s.obs.retries.Add(float64(st.Retries))
 	var res jobResult
 	switch st.Outcome {
 	case batching.Completed:

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"sort"
 	"sync"
@@ -109,6 +110,9 @@ func (e wallExecutor) TotalSteps(workload.Request) int { return e.s.cfg.Model.St
 func (e wallExecutor) Prepare(worker int, req workload.Request, ready func(ok bool)) {
 	s := e.s
 	j := s.job(req.ID)
+	if j.worker != nil {
+		s.obs.retries.Inc() // re-placed after a crash
+	}
 	j.worker, j.session = s.workers[worker], nil
 	j.degraded, j.degradedReason = false, ""
 	s.pre.run(func() {
@@ -137,6 +141,12 @@ func (e wallExecutor) Prepare(worker int, req workload.Request, ready func(ok bo
 // RunTurn queues one engine iteration on the replica's goroutine: hand the
 // retired sessions' latents to postprocessing, then step the batch.
 // Requests join the batch now, at the boundary.
+//
+// A panic anywhere in the iteration — a bug in a kernel, in serialization
+// or in strawman-cb's inline decode, or the injected faults.WorkerCrash —
+// is the replica crashing, and stays inside it: the retired requests it
+// had not handed on yet fail, and the Runner rescues the batch and
+// restarts the replica.
 func (e wallExecutor) RunTurn(t batching.Turn) []float64 {
 	s := e.s
 	w := s.workers[t.Worker]
@@ -147,14 +157,35 @@ func (e wallExecutor) RunTurn(t batching.Turn) []float64 {
 		joinedAt[i] = now
 	}
 	w.loop.run(func() {
-		for i, j := range retired {
-			i := i
-			e.deliver(w, j, func(ok bool) { t.Complete(i, ok) })
+		handed := 0 // retired requests handed on to postprocessing
+		var failed []int
+		cause := func() (cause interface{}) {
+			defer func() { cause = recover() }()
+			for ; handed < len(retired); handed++ {
+				i := handed
+				e.deliver(w, retired[i], func(ok bool) { t.Complete(i, ok) })
+			}
+			if len(batch) > 0 {
+				failed = e.step(w, batch, t.Aligned)
+			}
+			return nil
+		}()
+		crashed := cause != nil
+		if crashed {
+			s.obs.plane.RecordFlight("worker_crash", 0, w.id,
+				fmt.Sprintf("engine loop crashed: %v", cause))
+			for i := handed; i < len(retired); i++ {
+				retired[i].err = apiErrorf(CodeInternal, true,
+					"worker %d crashed delivering the result", w.id)
+				t.Complete(i, false)
+			}
 		}
 		if len(batch) == 0 {
 			return
 		}
-		crashed, failed := e.step(w, batch, t.Aligned)
+		if crashed {
+			s.obs.workerRestarts.Inc()
+		}
 		// The Runner forms the next turn inside Done: its duration is the
 		// batch-organize overhead of §6.6.
 		t0 := time.Now()
@@ -177,21 +208,12 @@ func (e wallExecutor) jobs(views []batching.StepView) []*job {
 	return out
 }
 
-// step runs aligned denoising steps for every session of the batch. A
-// panic under the batch — a bug in a kernel, or the injected
-// faults.WorkerCrash — is the replica crashing: the Runner rescues the
-// batch and restarts the replica. Abandoned jobs (expired deadline,
+// step runs aligned denoising steps for every session of the batch and
+// returns the members whose step failed. Abandoned jobs (expired deadline,
 // canceled client, shed) stop burning steps at once; the Runner drops them
 // at the boundary.
-func (e wallExecutor) step(w *worker, batch []*job, aligned int) (crashed bool, failed []int) {
+func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) {
 	s := e.s
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-			s.obs.workerRestarts.Inc()
-			s.obs.plane.RecordFlight("worker_crash", 0, w.id, "engine loop crashed; restarting")
-		}
-	}()
 	if s.faults.Fire(faults.WorkerCrash(w.id)) {
 		panic("faults: injected worker crash")
 	}
@@ -228,7 +250,7 @@ func (e wallExecutor) step(w *worker, batch []*job, aligned int) (crashed bool, 
 				Seconds: stepDur.Seconds()})
 		}
 	}
-	return false, failed
+	return failed
 }
 
 // deliver takes a finished session off the engine: serialize the latent
