@@ -1,6 +1,8 @@
 GO ?= go
+PARENT ?= HEAD~1
+RUNS ?= 0
 
-.PHONY: all check build bench-build test test-noavx vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
+.PHONY: all check build bench-build test test-noavx vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-pair bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
 
 all: check
 
@@ -35,9 +37,11 @@ test:
 	$(GO) test ./...
 
 # The numeric packages again on the portable scalar kernels, which on an
-# AVX2 host no other target runs.
+# AVX2 host no other target runs. -count=1: the switch is read at package
+# initialisation, which the test cache does not see, so a cached AVX2 run
+# would answer for this one.
 test-noavx:
-	FLASHPS_NO_AVX2=1 $(GO) test ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
+	FLASHPS_NO_AVX2=1 $(GO) test -count=1 ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/batching/... ./internal/replay/...
@@ -122,6 +126,16 @@ bench-diffusion-smoke:
 # them and so that the budget's ops add up to the block.
 bench-kernels:
 	$(GO) run ./cmd/flashps-kernels -par 1 -o BENCH_kernels.json
+
+# Paired end-to-end runs, parent commit against the working tree, through
+# benchmark/run.sh: prints where each binary's host meter was linked,
+# alternates idle meter probes and refuses the pair (exit 1) when the two
+# binaries' beats differ by more than 10% — their normalised metrics would
+# differ by that much whatever the change does. `make bench-pair RUNS=10`
+# then alternates ten pairs per workload and prints the comparison table;
+# PARENT, PROBES, SEED0, WORKLOADS as in scripts/bench-pair.sh.
+bench-pair:
+	PARENT=$(PARENT) RUNS=$(RUNS) bash scripts/bench-pair.sh
 
 # Serving-plane benchmark: drive a fixed open-loop workload through the
 # in-process server (real engines on a reduced model) and write latency

@@ -4,17 +4,24 @@
 // is the evidence artifact for the kernel-optimization work; regenerate it
 // with `make bench-kernels`.
 //
-// The report has two parts: before/after entries per kernel and shape, and
-// a per-op budget of one transformer block (full, and mask-aware at
+// The report has three parts: before/after entries per kernel and shape; a
+// per-op budget of one transformer block (full, and mask-aware at
 // m = 0.11) — FLOPs, computed bytes, ns and share of the block — which is
-// the roofline ROADMAP item 2 asks for.
+// the roofline ROADMAP item 2 asks for; and every "after" kernel again at
+// parallelism 1 and 2, where 2 must not lose (the command exits 1 if it
+// does).
+//
+// Everything that is compared is timed in interleaved rounds and reported
+// as a median (timeRounds): on a shared host a vCPU changes speed every few
+// seconds, so two numbers taken a second apart differ by more than most of
+// the effects measured here.
 //
 // Usage:
 //
 //	flashps-kernels                    # print JSON to stdout
 //	flashps-kernels -o BENCH_kernels.json
 //	flashps-kernels -par 1             # force serial kernels
-//	flashps-kernels -test.benchtime 100ms   # quicker, noisier
+//	flashps-kernels -rounds 5          # quicker, noisier
 package main
 
 import (
@@ -24,7 +31,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"flashps/internal/benchfmt"
 	"flashps/internal/mask"
@@ -52,10 +61,11 @@ type Entry struct {
 }
 
 // BudgetRow is one op of a transformer block, timed on its own at the
-// block's shapes. FLOP counts 2 per multiply-accumulate; Bytes is computed
-// from the operand shapes (every input and output touched once), not
-// measured. Pct is the op's share of the whole block's measured time; the
-// "(unattributed)" row is what the separately timed ops do not add up to.
+// block's shapes, in the same interleaved rounds as the block. FLOP counts
+// 2 per multiply-accumulate; Bytes is computed from the operand shapes
+// (every input and output touched once), not measured. Pct is the op's
+// share of the whole block's time; the "(unattributed)" row is what the ops
+// do not add up to.
 type BudgetRow struct {
 	Op     string  `json:"op"`
 	Shape  string  `json:"shape"`
@@ -76,35 +86,125 @@ type Budget struct {
 	Rows         []BudgetRow `json:"rows"`
 }
 
+// ParRow is one kernel at parallelism 1 and 2. The split threshold is
+// sized by work (tensor.minTaskFLOPs), so small shapes run the same serial
+// code at both settings and Ratio is 1 within noise; a shape that splits
+// (33 MFLOP here: the 256³ GEMM, flux-sim attention) must not lose by it.
+type ParRow struct {
+	Op    string  `json:"op"`
+	Shape string  `json:"shape"`
+	Ns1   int64   `json:"ns_par1"`
+	Ns2   int64   `json:"ns_par2"`
+	Ratio float64 `json:"par2_over_par1"`
+}
+
+// parSlack is how much slower than parallelism 1 a kernel may measure at
+// parallelism 2 before it counts as a loss: the spread of two medians of
+// the same serial code on this class of host.
+const parSlack = 1.10
+
 // Report is the top-level BENCH_kernels.json document.
 type Report struct {
 	Meta        benchfmt.Meta `json:"meta"`
 	Parallelism int           `json:"parallelism"`
 	Entries     []Entry       `json:"entries"`
 	Budgets     []Budget      `json:"block_budgets"`
+	ParCheck    []ParRow      `json:"par_check,omitempty"`
 }
 
-func measure(flop int64, fn func()) Side {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fn()
+// rounds is how many interleaved rounds timeRounds takes (-rounds).
+var rounds = 15
+
+// timeRounds returns ns per call of each fn in each of the rounds. Each
+// round times every fn once, for about a slice of calls, so all of them
+// sample the same stretch of host speed; their medians are comparable with
+// each other — and add up, where the fns are the parts of a whole — in a
+// way back-to-back benchmarks of a second each are not.
+func timeRounds(slice time.Duration, fns ...func()) [][]float64 {
+	iters := make([]int, len(fns))
+	for i, fn := range fns {
+		fn() // warm caches and size arenas
+		for n := 1; ; n *= 2 {
+			start := time.Now()
+			for j := 0; j < n; j++ {
+				fn()
+			}
+			if el := time.Since(start); el >= slice/2 || n >= 1<<20 {
+				iters[i] = max(1, int(float64(n)*float64(slice)/float64(el+1)))
+				break
+			}
 		}
-	})
-	s := Side{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp()}
-	if s.NsPerOp > 0 && flop > 0 {
-		s.GFLOPs = float64(flop) / float64(s.NsPerOp)
+	}
+	samples := make([][]float64, len(fns))
+	for r := 0; r < rounds; r++ {
+		for i, fn := range fns {
+			start := time.Now()
+			for j := 0; j < iters[i]; j++ {
+				fn()
+			}
+			samples[i] = append(samples[i], float64(time.Since(start).Nanoseconds())/float64(iters[i]))
+		}
+	}
+	return samples
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
+// medianRounds is the median of timeRounds per fn, at millisecond slices.
+func medianRounds(fns ...func()) []float64 {
+	var med []float64
+	for _, s := range timeRounds(time.Millisecond, fns...) {
+		med = append(med, median(s))
+	}
+	return med
+}
+
+func side(ns float64, flop int64, fn func()) Side {
+	s := Side{NsPerOp: int64(ns + 0.5), AllocsPerOp: int64(testing.AllocsPerRun(5, fn))}
+	if ns > 0 && flop > 0 {
+		s.GFLOPs = float64(flop) / ns
 	}
 	return s
 }
 
-func entry(op, shape string, flop int64, before, after func()) Entry {
-	e := Entry{Op: op, Shape: shape, FLOP: flop,
-		Before: measure(flop, before), After: measure(flop, after)}
-	if e.After.NsPerOp > 0 {
-		e.Speedup = float64(e.Before.NsPerOp) / float64(e.After.NsPerOp)
+// benchCase is one kernel and shape: the reference implementation it
+// replaced ("before") and the kernel ("after").
+type benchCase struct {
+	op, shape     string
+	flop          int64
+	before, after func()
+}
+
+func (c benchCase) entry() Entry {
+	ns := medianRounds(c.before, c.after)
+	e := Entry{Op: c.op, Shape: c.shape, FLOP: c.flop,
+		Before: side(ns[0], c.flop, c.before), After: side(ns[1], c.flop, c.after)}
+	if ns[1] > 0 {
+		e.Speedup = ns[0] / ns[1]
 	}
 	return e
+}
+
+// parRow times c's kernel at parallelism 1 and 2, interleaved in slices
+// long enough for the worker pool to be as warm as it is inside a denoise
+// step, where one split call follows another. Ratio is the median over
+// rounds of the two adjacent slices' ratio, which the host's speed changes
+// move less than they move either median.
+func (c benchCase) parRow() ParRow {
+	at := func(p int) func() {
+		return func() { tensor.SetParallelism(p); c.after() }
+	}
+	defer tensor.SetParallelism(tensor.Parallelism())
+	ns := timeRounds(10*time.Millisecond, at(1), at(2))
+	ratios := make([]float64, len(ns[0]))
+	for r := range ratios {
+		ratios[r] = ns[1][r] / ns[0][r]
+	}
+	return ParRow{Op: c.op, Shape: c.shape, Ns1: int64(median(ns[0]) + 0.5), Ns2: int64(median(ns[1]) + 0.5), Ratio: median(ratios)}
 }
 
 // The float64 scalar formulas internal/tensor computed with before the
@@ -167,13 +267,13 @@ func refLayerNormRows(dst, src *tensor.Matrix, gamma, beta []float32, eps float3
 	}
 }
 
-// tokenwiseEntries benchmarks exp, GeLU, LayerNorm and softmax at the
+// tokenwiseCases benchmarks exp, GeLU, LayerNorm and softmax at the
 // sd21-sim shapes. Every iteration restores its input first (both sides
 // pay the same copy), so repeated in-place application cannot drift the
 // values away from the activation range the step sees.
-func tokenwiseEntries(rng *tensor.RNG, cfg model.Config) []Entry {
+func tokenwiseCases(rng *tensor.RNG, cfg model.Config) []benchCase {
 	L, H, F := cfg.Tokens(), cfg.Hidden, cfg.Hidden*cfg.FFNMult
-	var out []Entry
+	var out []benchCase
 
 	scores := tensor.Randn(rng, L, L, 2)
 	shifted := scores.Clone()
@@ -181,52 +281,53 @@ func tokenwiseEntries(rng *tensor.RNG, cfg model.Config) []Entry {
 		shifted.Data[i] = -float32(math.Abs(float64(shifted.Data[i]))) // softmax arguments are ≤ 0
 	}
 	work := tensor.New(L, L)
-	out = append(out, entry("exp", fmt.Sprintf("%d", L*L), 0,
+	out = append(out, benchCase{"exp", fmt.Sprintf("%d", L*L), 0,
 		func() { copy(work.Data, shifted.Data); refExp(work.Data) },
-		func() { copy(work.Data, shifted.Data); tensor.Exp(work.Data) }))
-	out = append(out, entry("softmax", fmt.Sprintf("%dx%d", L, L), 0,
+		func() { copy(work.Data, shifted.Data); tensor.Exp(work.Data) }})
+	out = append(out, benchCase{"softmax", fmt.Sprintf("%dx%d", L, L), 0,
 		func() { copy(work.Data, scores.Data); refSoftmaxRows(work) },
-		func() { copy(work.Data, scores.Data); tensor.SoftmaxRows(work) }))
+		func() { copy(work.Data, scores.Data); tensor.SoftmaxRows(work) }})
 
 	pre := tensor.Randn(rng, L, F, 1)
 	ff := tensor.New(L, F)
-	out = append(out, entry("gelu", fmt.Sprintf("%dx%d", L, F), 0,
+	out = append(out, benchCase{"gelu", fmt.Sprintf("%dx%d", L, F), 0,
 		func() { copy(ff.Data, pre.Data); refGeLU(ff.Data) },
-		func() { copy(ff.Data, pre.Data); tensor.GeLU(ff) }))
+		func() { copy(ff.Data, pre.Data); tensor.GeLU(ff) }})
 
 	x := tensor.Randn(rng, L, H, 1)
 	ln := tensor.New(L, H)
 	gamma, beta := tensor.Randn(rng, 1, H, 1).Data, tensor.Randn(rng, 1, H, 1).Data
-	out = append(out, entry("layernorm", fmt.Sprintf("%dx%d", L, H), 0,
+	out = append(out, benchCase{"layernorm", fmt.Sprintf("%dx%d", L, H), 0,
 		func() { refLayerNormRows(ln, x, gamma, beta, 1e-5) },
-		func() { tensor.LayerNormRowsInto(ln, x, gamma, beta, 1e-5) }))
+		func() { tensor.LayerNormRowsInto(ln, x, gamma, beta, 1e-5) }})
 	return out
 }
 
-// gemmEntries benchmarks the masked-row GEMMs: M rows against the
+// gemmCases benchmarks the masked-row GEMMs: M rows against the
 // sd21-sim projection (H×H), FFN-up (H×4H) and FFN-down (4H×H) weights.
 // M = 1, 2, 3 run wholly in the remainder micro-kernel; 5, 7, 13 mix it
 // with full 4-row tiles; 8 and 64 are full tiles only.
-func gemmEntries(rng *tensor.RNG, cfg model.Config) []Entry {
+func gemmCases(rng *tensor.RNG, cfg model.Config) []benchCase {
 	H, F := cfg.Hidden, cfg.Hidden*cfg.FFNMult
-	var out []Entry
+	var out []benchCase
 	for _, w := range []struct{ k, n int }{{H, H}, {H, F}, {F, H}} {
 		b := tensor.Randn(rng, w.k, w.n, 1)
 		for _, m := range []int{1, 2, 3, 5, 7, 8, 13, 64} {
 			a := tensor.Randn(rng, m, w.k, 1)
 			dst := tensor.New(m, w.n)
 			flop := 2 * int64(m) * int64(w.k) * int64(w.n)
-			out = append(out, entry("matmul", fmt.Sprintf("%dx%dx%d", m, w.k, w.n), flop,
+			out = append(out, benchCase{"matmul", fmt.Sprintf("%dx%dx%d", m, w.k, w.n), flop,
 				func() { tensor.MatMulNaiveInto(dst, a, b) },
-				func() { tensor.MatMulInto(dst, a, b) }))
+				func() { tensor.MatMulInto(dst, a, b) }})
 		}
 	}
 	return out
 }
 
-// blockBudget times every op of one block on its own, at the shapes the
-// block runs them with (M = len(idx) masked rows of L tokens; idx nil means
-// the full-token block), and the whole block for the shares.
+// blockBudget times the whole block and every op of it on its own, at the
+// shapes the block runs them with (M = len(idx) masked rows of L tokens;
+// idx nil means the full-token block), in the same interleaved rounds, so
+// that the ops' medians add up to the block's.
 func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 	L, H, F := cfg.Tokens(), cfg.Hidden, cfg.Hidden*cfg.FFNMult
 	M, name := L, "full"
@@ -255,7 +356,8 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 	tensor.MatMulInto(q, qIn, blk.WQ)
 	tensor.MatMulInto(k, ln1, blk.WK)
 	tensor.MatMulInto(v, ln1, blk.WV)
-	tensor.FusedAttentionInto(attn, q, k, v, cfg.Heads, scale)
+	attnWS := tensor.NewArena()
+	tensor.FusedAttentionWS(attnWS, attn, q, k, v, cfg.Heads, scale)
 	tensor.MatMulInto(h, attn, blk.WO)
 	tensor.AddInPlace(h, xM)
 	tensor.LayerNormRowsInto(ln2, h, blk.LN2Gamma, blk.LN2Beta, 1e-5)
@@ -293,7 +395,10 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 		gemm("k_proj", k, ln1, blk.WK, func() { tensor.MatMulInto(k, ln1, blk.WK) }),
 		gemm("v_proj", v, ln1, blk.WV, func() { tensor.MatMulInto(v, ln1, blk.WV) }),
 		op{"attention", fmt.Sprintf("Lq%d_Lk%d_H%d_h%d", M, L, H, cfg.Heads), 4 * int64(M) * int64(L) * int64(H),
-			f4(2*M*H, 2*L*H), func() { tensor.FusedAttentionInto(attn, q, k, v, cfg.Heads, scale) }},
+			f4(2*M*H, 2*L*H), func() {
+				attnWS.Reset()
+				tensor.FusedAttentionWS(attnWS, attn, q, k, v, cfg.Heads, scale)
+			}},
 		gemm("o_proj+residual", h, attn, blk.WO, func() {
 			tensor.MatMulInto(h, attn, blk.WO)
 			tensor.AddInPlace(h, xM)
@@ -323,41 +428,44 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 			blk.ForwardWS(ws, x, nil, nil)
 		}
 	}
-	run() // size the arena
+	fns := []func(){run}
 	var blockFLOP int64
 	for _, o := range ops {
+		fns = append(fns, o.fn)
 		blockFLOP += o.flop
 	}
-	whole := measure(blockFLOP, run)
-	bud := Budget{Block: name, MaskedTokens: M, BlockNs: whole.NsPerOp, BlockGFLOPs: whole.GFLOPs}
-	var sum int64
-	for _, o := range ops {
-		s := measure(o.flop, o.fn)
-		sum += s.NsPerOp
-		bud.Rows = append(bud.Rows, BudgetRow{Op: o.name, Shape: o.shape, FLOP: o.flop, Bytes: o.bytes,
-			Ns: s.NsPerOp, GFLOPs: s.GFLOPs, GBps: float64(o.bytes) / float64(s.NsPerOp),
-			Pct: 100 * float64(s.NsPerOp) / float64(whole.NsPerOp)})
+	ns := medianRounds(fns...)
+	whole, rest := ns[0], ns[0]
+	bud := Budget{Block: name, MaskedTokens: M, BlockNs: int64(whole + 0.5), BlockGFLOPs: float64(blockFLOP) / whole}
+	for i, o := range ops {
+		t := ns[i+1]
+		rest -= t
+		row := BudgetRow{Op: o.name, Shape: o.shape, FLOP: o.flop, Bytes: o.bytes,
+			Ns: int64(t + 0.5), GBps: float64(o.bytes) / t, Pct: 100 * t / whole}
+		if o.flop > 0 {
+			row.GFLOPs = float64(o.flop) / t
+		}
+		bud.Rows = append(bud.Rows, row)
 	}
 	// Arena Get/clear, headers and call overhead — or, if negative, ops that
 	// run faster back to back on a warm cache than inside the block.
-	rest := whole.NsPerOp - sum
-	bud.Rows = append(bud.Rows, BudgetRow{Op: "(unattributed)", Ns: rest,
-		Pct: 100 * float64(rest) / float64(whole.NsPerOp)})
+	bud.Rows = append(bud.Rows, BudgetRow{Op: "(unattributed)", Ns: int64(rest), Pct: 100 * rest / whole})
 	return bud
 }
 
 func main() {
-	testing.Init() // registers -test.benchtime for quicker runs
 	var (
 		out = flag.String("o", "", "output file (default stdout)")
 		par = flag.Int("par", runtime.GOMAXPROCS(0), "kernel worker parallelism (1 = serial)")
 	)
+	flag.IntVar(&rounds, "rounds", rounds, "interleaved timing rounds per comparison (median reported)")
 	flag.Parse()
 	tensor.SetParallelism(*par)
 
 	rng := tensor.NewRNG(1)
 	cfg := model.SD21Sim
 	rep := Report{Meta: benchfmt.CollectMeta(), Parallelism: tensor.Parallelism()}
+	var cases []benchCase
 
 	// GEMM at the flat SD21Sim backbone's attention-projection and FFN
 	// shapes (L=64, H=64, 4H=256) and a larger square for headroom.
@@ -368,38 +476,47 @@ func main() {
 		b := tensor.Randn(rng, s.k, s.n, 1)
 		dst := tensor.New(s.m, s.n)
 		flop := 2 * int64(s.m) * int64(s.k) * int64(s.n)
-		rep.Entries = append(rep.Entries, entry(
+		cases = append(cases, benchCase{
 			"matmul", fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), flop,
 			func() { tensor.MatMulNaiveInto(dst, a, b) },
 			func() { tensor.MatMulInto(dst, a, b) },
-		))
+		})
 	}
 
-	// Multi-head attention at the SD21Sim (L=64, H=64, 4 heads) and
-	// FluxSim (L=256, H=128, 8 heads) shapes. FLOP counts the two GEMMs
-	// (QK^T and PV) per head: 4·L²·H total.
-	for _, s := range []struct{ l, h, heads int }{
-		{64, 64, 4}, {256, 128, 8},
-	} {
-		q := tensor.Randn(rng, s.l, s.h, 1)
-		k := tensor.Randn(rng, s.l, s.h, 1)
-		v := tensor.Randn(rng, s.l, s.h, 1)
-		dst := tensor.New(s.l, s.h)
-		scale := float32(1.0 / float64(s.h/s.heads))
-		flop := 4 * int64(s.l) * int64(s.l) * int64(s.h)
-		e := entry(
-			"attention", fmt.Sprintf("L%d_H%d_h%d", s.l, s.h, s.heads), flop,
-			func() { tensor.AttentionNaiveInto(dst, q, k, v, s.heads, scale) },
-			func() { tensor.FusedAttentionInto(dst, q, k, v, s.heads, scale) },
-		)
-		if e.Speedup < 1.5 {
-			e.Note = "fused does not beat naive by 1.5x at this shape (ROADMAP item 2: delete it next)"
+	// Multi-head self-attention at the SD21Sim (L=64, H=64, 4 heads),
+	// SDXLSim (L=144, H=96, 4 heads) and FluxSim (L=256, H=128, 8 heads)
+	// shapes, then the masked-query shapes of an SD21Sim edit: Lq gathered
+	// rows against all 64 keys, down to the 1–3 rows of a 3% mask, where a
+	// cost that does not shrink with Lq would show. FLOP counts the two
+	// GEMMs (QK^T and PV) per head: 4·Lq·Lk·H total. The kernel runs as in
+	// the block, its packed K^T served by a warm arena.
+	attnShapes := []struct{ lq, lk, h, heads int }{{64, 64, 64, 4}, {144, 144, 96, 4}, {256, 256, 128, 8}}
+	for _, lq := range []int{1, 2, 3, 7, 13, 22} {
+		attnShapes = append(attnShapes, struct{ lq, lk, h, heads int }{lq, 64, 64, 4})
+	}
+	for _, s := range attnShapes {
+		q := tensor.Randn(rng, s.lq, s.h, 1)
+		k := tensor.Randn(rng, s.lk, s.h, 1)
+		v := tensor.Randn(rng, s.lk, s.h, 1)
+		dst := tensor.New(s.lq, s.h)
+		ws := tensor.NewArena()
+		scale := float32(1 / math.Sqrt(float64(s.h/s.heads)))
+		shape := fmt.Sprintf("L%d_H%d_h%d", s.lk, s.h, s.heads)
+		if s.lq != s.lk {
+			shape = fmt.Sprintf("Lq%d_Lk%d_H%d_h%d", s.lq, s.lk, s.h, s.heads)
 		}
-		rep.Entries = append(rep.Entries, e)
+		cases = append(cases, benchCase{
+			"attention", shape, 4 * int64(s.lq) * int64(s.lk) * int64(s.h),
+			func() { tensor.AttentionNaiveInto(dst, q, k, v, s.heads, scale) },
+			func() {
+				ws.Reset()
+				tensor.FusedAttentionWS(ws, dst, q, k, v, s.heads, scale)
+			},
+		})
 	}
 
-	rep.Entries = append(rep.Entries, tokenwiseEntries(rng, cfg)...)
-	rep.Entries = append(rep.Entries, gemmEntries(rng, cfg)...)
+	cases = append(cases, tokenwiseCases(rng, cfg)...)
+	cases = append(cases, gemmCases(rng, cfg)...)
 
 	// One full transformer block at SD21Sim scale: "before" is the exported
 	// allocating entry point (heap matrices per call), "after" runs the
@@ -408,36 +525,69 @@ func main() {
 	blk.Heads = 4
 	x := tensor.Randn(rng, 64, 64, 1)
 	ws := tensor.NewArena()
-	blk.ForwardWS(ws, x, nil, nil) // size the arena
 	// Block FLOP ≈ QKV+out projections (8LH²) + attention (4L²H) + FFN (16LH²).
-	blockFLOP := 24*int64(64)*64*64 + 4*64*64*64
-	rep.Entries = append(rep.Entries, entry(
-		"block_forward", "L64_H64_h4", blockFLOP,
+	cases = append(cases, benchCase{
+		"block_forward", "L64_H64_h4", 24*int64(64)*64*64 + 4*64*64*64,
 		func() { blk.Forward(x, nil, nil) },
 		func() {
 			ws.Reset()
 			blk.ForwardWS(ws, x, nil, nil)
 		},
-	))
+	})
+
+	for _, c := range cases {
+		rep.Entries = append(rep.Entries, c.entry())
+	}
 
 	// Where one block's time goes: full, and mask-aware with 7 of 64
 	// tokens (m = 0.11) in a contiguous blob, as production masks are.
 	idx := mask.Blob(tensor.NewRNG(7), cfg.LatentH, cfg.LatentW, 7).MaskedIndices()
 	rep.Budgets = []Budget{blockBudget(rng, cfg, idx), blockBudget(rng, cfg, nil)}
 
-	enc := json.NewEncoder(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashps-kernels: %v\n", err)
-			os.Exit(1)
+	// ROADMAP 2e: splitting a call across workers must never lose to
+	// running it on the caller.
+	var lost []string
+	if runtime.GOMAXPROCS(0) > 1 {
+		for _, c := range cases {
+			row := c.parRow()
+			rep.ParCheck = append(rep.ParCheck, row)
+			if row.Ratio > parSlack {
+				lost = append(lost, fmt.Sprintf("%s %s: %d ns at parallelism 2, %d ns at 1", row.Op, row.Shape, row.Ns2, row.Ns1))
+			}
 		}
-		defer f.Close()
-		enc = json.NewEncoder(f)
 	}
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+
+	if err := write(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "flashps-kernels: %v\n", err)
 		os.Exit(1)
 	}
+	if len(lost) > 0 {
+		fmt.Fprintf(os.Stderr, "flashps-kernels: slower at parallelism 2 than at 1 by more than %.0f%%:\n", 100*(parSlack-1))
+		for _, l := range lost {
+			fmt.Fprintln(os.Stderr, "  "+l)
+		}
+		os.Exit(1)
+	}
+}
+
+// write encodes rep to path, or to stdout when path is empty.
+func write(path string, rep Report) error {
+	w := os.Stdout
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		return err
+	}
+	if path != "" {
+		return w.Close()
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"runtime"
 	"testing"
 
 	"flashps/internal/img"
@@ -133,5 +134,47 @@ func TestSteadyStatePolicyStepZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state %s policy step: %v allocs/op, want 0", preset.Name, n)
 			}
 		})
+	}
+}
+
+// TestPrepareTemplateAllocatesTheTemplate pins what a cache-Y prepare
+// leaves behind: the Y matrices it returns and little else. K and V are
+// copied only when asked for — copying them for every block and dropping
+// them afterwards was twice the template in garbage per prepare.
+func TestPrepareTemplateAllocatesTheTemplate(t *testing.T) {
+	cfg := testCfg
+	cfg.Name = "difftest-guided"
+	cfg.GuidanceScale = 1.5
+	e, err := NewEngine(cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, w := e.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
+	im := img.SynthTemplate(7, h, w)
+	var tc *TemplateCache
+	prepare := func(recordKV bool) func() {
+		return func() {
+			if tc, _, err = e.PrepareTemplate(7, im, "template", recordKV); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	prepare(false)() // warms the engine's arena
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prepare(false)()
+	runtime.ReadMemStats(&after)
+	blocks := int64(cfg.NumBlocks * cfg.Steps * 2) // two guidance passes
+	if want := blocks * int64(cfg.Tokens()*cfg.Hidden*4); tc.SizeBytes() != want {
+		t.Fatalf("template holds %d bytes, want %d (Y only)", tc.SizeBytes(), want)
+	}
+	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), tc.SizeBytes()*3/2; got > limit {
+		t.Fatalf("PrepareTemplate(recordKV=false) allocated %d bytes for a %d-byte template (limit %d)", got, tc.SizeBytes(), limit)
+	}
+	// Per block: Y's header and data. K and V would be four more.
+	withoutKV := testing.AllocsPerRun(3, prepare(false))
+	withKV := testing.AllocsPerRun(3, prepare(true))
+	if perBlock := (withKV - withoutKV) / float64(blocks); perBlock != 4 {
+		t.Fatalf("recording K/V costs %.2f allocations per block, want 4 (and none without it: %v vs %v)", perBlock, withKV, withoutKV)
 	}
 }

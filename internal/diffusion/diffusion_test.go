@@ -449,3 +449,44 @@ func BenchmarkEditCachedY(b *testing.B) {
 		}
 	}
 }
+
+func TestDDIMUpdateIntoMatchesDDIMStep(t *testing.T) {
+	// ddimUpdateInto takes the step's four square roots once; every
+	// element must still be the per-element formula's bits.
+	e := newTestEngine(t)
+	s := e.Sched
+	perElement := func(x, eps float64, t int) float64 {
+		st, nt := s.SignalNoise(t)
+		x0 := (x - nt*eps) / st
+		if t == 0 {
+			return x0
+		}
+		sp, np := s.SignalNoise(t - 1)
+		return sp*x0 + np*eps
+	}
+	rng := tensor.NewRNG(3)
+	x := tensor.Randn(rng, testCfg.Tokens(), testCfg.LatentChannels, 1)
+	eps := tensor.Randn(rng, x.R, x.C, 1)
+	for tt := 0; tt < s.Steps; tt++ {
+		for _, rows := range [][]int{nil, {0, 5, 17}} {
+			dst := tensor.New(x.R, x.C)
+			e.ddimUpdateInto(dst, x, eps, tt, rows)
+			updated := make(map[int]bool)
+			for _, r := range rows {
+				updated[r] = true
+			}
+			for i, got := range dst.Data {
+				want := float32(perElement(float64(x.Data[i]), float64(eps.Data[i]), tt))
+				if rows != nil && !updated[i/x.C] {
+					want = x.Data[i]
+				}
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("t=%d rows=%v element %d: %g, per-element formula %g", tt, rows, i, got, want)
+				}
+				if step := s.DDIMStep(float64(x.Data[i]), float64(eps.Data[i]), tt); step != perElement(float64(x.Data[i]), float64(eps.Data[i]), tt) {
+					t.Fatalf("t=%d element %d: DDIMStep %g, per-element formula %g", tt, i, step, want)
+				}
+			}
+		}
+	}
+}

@@ -243,12 +243,6 @@ func (e *Engine) PrepareTemplate(templateID uint64, im *img.Image, prompt string
 		tc.UncondSteps = make([]*model.StepActivations, e.Sched.Steps)
 	}
 
-	stripKV := func(rec *model.StepActivations) {
-		for i := range rec.Blocks {
-			rec.Blocks[i].K = nil
-			rec.Blocks[i].V = nil
-		}
-	}
 	ws := e.acquireWS()
 	defer e.releaseWS(ws)
 	x := e.noisyInit(z0, noise, nil, nil)
@@ -256,22 +250,16 @@ func (e *Engine) PrepareTemplate(templateID uint64, im *img.Image, prompt string
 	for t := e.Sched.Steps - 1; t >= 0; t-- {
 		ws.Reset()
 		rec := &model.StepActivations{}
-		eps, err := e.Model.ForwardStep(x, t, cond, model.StepOptions{Record: rec, WS: ws})
+		eps, err := e.Model.ForwardStep(x, t, cond, model.StepOptions{Record: rec, RecordKV: recordKV, WS: ws})
 		if err != nil {
 			return nil, nil, err
-		}
-		if !recordKV {
-			stripKV(rec)
 		}
 		tc.Steps[t] = rec
 		if guidance > 0 {
 			recU := &model.StepActivations{}
-			epsU, err := e.Model.ForwardStep(x, t, nil, model.StepOptions{Record: recU, WS: ws})
+			epsU, err := e.Model.ForwardStep(x, t, nil, model.StepOptions{Record: recU, RecordKV: recordKV, WS: ws})
 			if err != nil {
 				return nil, nil, err
-			}
-			if !recordKV {
-				stripKV(recU)
 			}
 			tc.UncondSteps[t] = recU
 			g := ws.Get(eps.R, eps.C)
@@ -407,10 +395,11 @@ func (e *Engine) ddimUpdateInto(dst, x, eps *tensor.Matrix, t int, onlyRows []in
 	if onlyRows != nil {
 		copy(dst.Data, x.Data)
 	}
+	c := e.Sched.ddimCoeffs(t)
 	apply := func(row int) {
 		xr, er, or := x.Row(row), eps.Row(row), dst.Row(row)
 		for j := range xr {
-			or[j] = float32(e.Sched.DDIMStep(float64(xr[j]), float64(er[j]), t))
+			or[j] = float32(c.apply(float64(xr[j]), float64(er[j])))
 		}
 	}
 	if onlyRows != nil {

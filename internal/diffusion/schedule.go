@@ -48,11 +48,30 @@ func (s *Schedule) SignalNoise(t int) (signal, noise float64) {
 // value x given the predicted noise eps at step t, returning the step t-1
 // value. At t == 0 it returns the predicted clean value x0.
 func (s *Schedule) DDIMStep(x, eps float64, t int) float64 {
-	st, nt := s.SignalNoise(t)
-	x0 := (x - nt*eps) / st
-	if t == 0 {
+	return s.ddimCoeffs(t).apply(x, eps)
+}
+
+// ddimCoeffs holds the four scalars of step t's DDIM update, so a latent's
+// L×C values share one set of square roots instead of taking them each.
+type ddimCoeffs struct {
+	st, nt float64 // √ᾱ_t, √(1-ᾱ_t)
+	sp, np float64 // the same at t-1; unused when last
+	last   bool    // t == 0: the update returns x0
+}
+
+func (s *Schedule) ddimCoeffs(t int) ddimCoeffs {
+	c := ddimCoeffs{last: t == 0}
+	c.st, c.nt = s.SignalNoise(t)
+	if !c.last {
+		c.sp, c.np = s.SignalNoise(t - 1)
+	}
+	return c
+}
+
+func (c ddimCoeffs) apply(x, eps float64) float64 {
+	x0 := (x - c.nt*eps) / c.st
+	if c.last {
 		return x0
 	}
-	sp, np := s.SignalNoise(t - 1)
-	return sp*x0 + np*eps
+	return c.sp*x0 + c.np*eps
 }

@@ -92,12 +92,12 @@ func (b *Block) headDim() int { return b.Hidden / b.heads() }
 // attention computes multi-head scaled dot-product attention for query
 // rows q over keys/values k, v (all …×H) and returns the q.R×H
 // concatenated head outputs. Heads are strided views into q/k/v (zero
-// copy) and the fused kernel streams K/V with an online softmax, so the
-// q.R×k.R score matrix is never materialized.
+// copy) and the kernel runs an online softmax over K/V tiles, so the
+// q.R×k.R score matrix is never materialized; its packed kᵀ comes from ws.
 func (b *Block) attention(ws *tensor.Arena, q, k, v *tensor.Matrix) *tensor.Matrix {
 	out := ws.Get(q.R, b.Hidden)
 	scale := float32(1 / math.Sqrt(float64(b.headDim())))
-	tensor.FusedAttentionInto(out, q, k, v, b.heads(), scale)
+	tensor.FusedAttentionWS(ws, out, q, k, v, b.heads(), scale)
 	return out
 }
 
@@ -161,6 +161,13 @@ func (b *Block) Forward(x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Ma
 // ForwardWS is Forward with all intermediates and the returned output
 // served from ws (nil ws allocates).
 func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Matrix {
+	return b.forward(ws, x, ctx, rec, true)
+}
+
+// forward is ForwardWS recording K and V into rec only when recKV is set:
+// a cache-Y template keeps Y alone, and copying two L×H matrices per block
+// to drop them afterwards is most of a prepare's garbage.
+func (b *Block) forward(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActivations, recKV bool) *tensor.Matrix {
 	ln1 := ws.Get(x.R, x.C)
 	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
@@ -181,8 +188,10 @@ func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockAct
 
 	if rec != nil {
 		rec.Y = y.Clone()
-		rec.K = k.Clone()
-		rec.V = v.Clone()
+		if recKV {
+			rec.K = k.Clone()
+			rec.V = v.Clone()
+		}
 	}
 	return y
 }

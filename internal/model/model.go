@@ -19,6 +19,11 @@ type Model struct {
 	inProj  *tensor.Matrix // C×H
 	outProj *tensor.Matrix // H×C
 	timeW   *tensor.Matrix // H×H applied to the sinusoidal embedding
+	// timeEmb holds the projected timestep embedding of every step the
+	// engine runs (Cfg.Steps × H): per step it is the same on every pass of
+	// every request, and its H exp/sin/cos calls cost as much as a block's
+	// LayerNorm.
+	timeEmb *tensor.Matrix
 	// ctxExpand maps the prompt embedding to ContextTokens context rows
 	// for cross-attention (nil when the config disables it).
 	ctxExpand []*tensor.Matrix
@@ -41,6 +46,7 @@ func New(cfg Config, seed uint64) (*Model, error) {
 		timeW:   tensor.Randn(rng, cfg.Hidden, cfg.Hidden, 1/math.Sqrt(float64(cfg.Hidden))),
 	}
 	m.posEmb = PositionalEmbedding2D(cfg.LatentH, cfg.LatentW, cfg.Hidden)
+	m.timeEmb = m.timestepRows(0, cfg.Steps)
 	for i := 0; i < cfg.ContextTokens; i++ {
 		m.ctxExpand = append(m.ctxExpand,
 			tensor.Randn(rng, cfg.Hidden, cfg.Hidden, 1/math.Sqrt(float64(cfg.Hidden))))
@@ -127,6 +133,10 @@ type StepOptions struct {
 	// (always records the block outputs actually produced). Recorded
 	// matrices are deep copies, never workspace-backed.
 	Record *StepActivations
+	// RecordKV additionally records each full block's attention K and V
+	// into Record (the cached-KV mode's inputs); without it only block
+	// outputs are recorded.
+	RecordKV bool
 	// WS, when non-nil, serves every intermediate of the step — and the
 	// returned noise prediction — from the arena. The caller owns the
 	// arena and must not Reset it until the returned matrix has been
@@ -215,7 +225,7 @@ func (m *Model) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts S
 			if opts.Record != nil {
 				rec = &opts.Record.Blocks[i]
 			}
-			x = blk.ForwardWS(ws, x, ctx, rec)
+			x = blk.forward(ws, x, ctx, rec, opts.RecordKV)
 		case ExecCachedY:
 			ca := opts.Cached.Blocks[i]
 			x = blk.ForwardMaskedWS(ws, x, ca.Y, ctx, opts.MaskedIdx)
@@ -273,26 +283,38 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 func (m *Model) embed(ws *tensor.Arena, latent *tensor.Matrix, t int, cond []float32) *tensor.Matrix {
 	x := ws.Get(latent.R, m.Cfg.Hidden)
 	tensor.MatMulInto(x, latent, m.inProj)
-	// Denoisers are strongly timestep-conditioned; the gain keeps ε_θ's
-	// dependence on t comparable to its dependence on content, so that
-	// step-skipping baselines (TeaCache) pay a realistic quality cost.
-	const timestepGain = 4
-	sin := ws.Get(1, m.Cfg.Hidden)
-	TimestepEmbeddingInto(sin.Data, t)
-	temb := ws.Get(1, m.Cfg.Hidden)
-	tensor.MatMulInto(temb, sin, m.timeW)
-	tensor.Scale(temb, timestepGain)
+	var temb []float32
+	if t >= 0 && t < m.timeEmb.R {
+		temb = m.timeEmb.Row(t)
+	} else {
+		temb = m.timestepRows(t, t+1).Data
+	}
 	for i := 0; i < x.R; i++ {
 		row := x.Row(i)
 		pos := m.posEmb.Row(i)
 		for j := range row {
-			row[j] += temb.Data[j] + pos[j]
+			row[j] += temb[j] + pos[j]
 			if cond != nil {
 				row[j] += cond[j]
 			}
 		}
 	}
 	return x
+}
+
+// timestepRows returns the conditioning vector of each timestep in
+// [lo, hi), one per row: the sinusoidal embedding projected by timeW. GEMM
+// rows are independent, so a step's row has the same bits in any range.
+func (m *Model) timestepRows(lo, hi int) *tensor.Matrix {
+	// Denoisers are strongly timestep-conditioned; the gain keeps ε_θ's
+	// dependence on t comparable to its dependence on content, so that
+	// step-skipping baselines (TeaCache) pay a realistic quality cost.
+	const timestepGain = 4
+	sin := tensor.New(hi-lo, m.Cfg.Hidden)
+	for t := lo; t < hi; t++ {
+		TimestepEmbeddingInto(sin.Row(t-lo), t)
+	}
+	return tensor.Scale(tensor.MatMul(sin, m.timeW), timestepGain)
 }
 
 // PositionalEmbedding2D returns the fixed 2D sinusoidal positional

@@ -136,7 +136,7 @@ func TestForwardStepBoundedActivations(t *testing.T) {
 func recordFull(t *testing.T, m *Model, x *tensor.Matrix, step int, cond []float32) (*tensor.Matrix, *StepActivations) {
 	t.Helper()
 	rec := &StepActivations{}
-	y, err := m.ForwardStep(x, step, cond, StepOptions{Record: rec})
+	y, err := m.ForwardStep(x, step, cond, StepOptions{Record: rec, RecordKV: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,6 +573,30 @@ func TestPositionalEmbedding2D(t *testing.T) {
 	for _, v := range pe.Data {
 		if v < -1 || v > 1 {
 			t.Fatalf("positional value %v out of [-1,1]", v)
+		}
+	}
+}
+
+func TestEmbedTimestepTableMatchesPerCall(t *testing.T) {
+	// The per-step conditioning comes from a table built at construction;
+	// it must be the bits a per-call embedding → projection → gain gives,
+	// for the engine's steps and for a timestep outside the table.
+	m := MustNew(testCfg, 7)
+	x := randLatent(testCfg, 4)
+	cond := EmbedPrompt("p", testCfg.Hidden)
+	for _, step := range []int{0, 1, testCfg.Steps - 1, testCfg.Steps + 3} {
+		want := tensor.MatMul(x, m.inProj)
+		sin := tensor.FromSlice(1, testCfg.Hidden, TimestepEmbedding(step, testCfg.Hidden))
+		temb := tensor.Scale(tensor.MatMul(sin, m.timeW), 4)
+		for i := 0; i < want.R; i++ {
+			row, pos := want.Row(i), m.posEmb.Row(i)
+			for j := range row {
+				row[j] += temb.Data[j] + pos[j]
+				row[j] += cond[j]
+			}
+		}
+		if got := m.embed(nil, x, step, cond); !tensor.Equal(got, want) {
+			t.Fatalf("step %d: embed differs from the per-call formula (maxdiff %g)", step, tensor.MaxAbsDiff(got, want))
 		}
 	}
 }

@@ -72,10 +72,7 @@ func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc 
 func dotAVX8(x, y *float32, n int) float32
 
 //go:noescape
-func segDotAVX8(q, k *float32, d8, heads int, out *float32, ostride int, scale float32)
-
-//go:noescape
-func segAxpyAVX8(w *float32, wstride int, v, o *float32, d8, heads int)
+func transposeScaleAVX8(src *float32, lds int, dst *float32, ldd int, n int, scale float32)
 
 //go:noescape
 func expShiftSumAVX8(x *float32, n int, shift float32) float32

@@ -162,79 +162,67 @@ dotreduce:
 	VMOVSS X0, ret+24(FP)
 	RET
 
-// func segDotAVX8(q, k *float32, d8, heads int, out *float32, ostride int, scale float32)
+// func transposeScaleAVX8(src *float32, lds int, dst *float32, ldd int, n int, scale float32)
 //
-// Per head h: out[h*ostride] = scale · Σ_i q[h*d8+i]*k[h*d8+i] for i in
-// [0, d8), d8 a positive multiple of 8. q and k are the contiguous full
-// hidden rows, so one call produces every head's scaled score for a
-// (query, key) pair; ostride lays the heads' score rows out contiguously
-// per head for the vector softmax pass.
-TEXT ·segDotAVX8(SB), NOSPLIT, $0-52
-	MOVQ q+0(FP), SI
-	MOVQ k+8(FP), DI
-	MOVQ d8+16(FP), R8
-	MOVQ heads+24(FP), R9
-	MOVQ out+32(FP), DX
-	MOVQ ostride+40(FP), R10
-	SHLQ $2, R10
-	VMOVSS scale+48(FP), X15
+// dst[c][r] = scale · src[r][c] for r in [0, 8) and c in [0, n), n a
+// positive multiple of 8: an 8-row strip of a row-major matrix (row stride
+// lds floats) written as n rows of 8 (row stride ldd). Each 8×8 block is
+// loaded as 128-bit row halves paired across rows r and r+4, scaled, and
+// transposed in-lane by an unpack and a shuffle.
+#define TR_LOAD(off, ra, rb, rc, rd, xa, xb, xc, xd) \
+	VMOVUPS off(SI), xa; \
+	VMOVUPS off(SI)(R8*1), xb; \
+	VMOVUPS off(SI)(R8*2), xc; \
+	VMOVUPS off(SI)(R9*1), xd; \
+	VINSERTF128 $1, off(R11), ra, ra; \
+	VINSERTF128 $1, off(R11)(R8*1), rb, rb; \
+	VINSERTF128 $1, off(R11)(R8*2), rc, rc; \
+	VINSERTF128 $1, off(R11)(R9*1), rd, rd; \
+	VMULPS Y15, ra, ra; \
+	VMULPS Y15, rb, rb; \
+	VMULPS Y15, rc, rc; \
+	VMULPS Y15, rd, rd
 
-sdheadloop:
-	VXORPS Y0, Y0, Y0
-	MOVQ R8, CX
-	SHRQ $3, CX
+// TR_STORE4: four dst rows at ptr from the row quad (ra, rb, rc, rd);
+// clobbers Y8-Y14.
+#define TR_STORE4(ptr, ra, rb, rc, rd) \
+	VUNPCKLPS rb, ra, Y8; \
+	VUNPCKHPS rb, ra, Y9; \
+	VUNPCKLPS rd, rc, Y10; \
+	VUNPCKHPS rd, rc, Y11; \
+	VSHUFPS $0x44, Y10, Y8, Y12; \
+	VSHUFPS $0xEE, Y10, Y8, Y13; \
+	VSHUFPS $0x44, Y11, Y9, Y14; \
+	VSHUFPS $0xEE, Y11, Y9, Y8; \
+	VMOVUPS Y12, (ptr); \
+	VMOVUPS Y13, (ptr)(R10*1); \
+	VMOVUPS Y14, (ptr)(R10*2); \
+	VMOVUPS Y8, (ptr)(R12*1)
 
-sdinner:
-	VMOVUPS (SI), Y4
-	VMOVUPS (DI), Y8
-	VFMADD231PS Y8, Y4, Y0
+TEXT ·transposeScaleAVX8(SB), NOSPLIT, $0-44
+	MOVQ src+0(FP), SI
+	MOVQ lds+8(FP), R8
+	SHLQ $2, R8               // src row stride in bytes
+	MOVQ dst+16(FP), DI
+	MOVQ ldd+24(FP), R10
+	SHLQ $2, R10              // dst row stride in bytes
+	MOVQ n+32(FP), CX
+	VBROADCASTSS scale+40(FP), Y15
+	LEAQ (R8)(R8*2), R9       // 3 src rows
+	LEAQ (SI)(R8*4), R11      // &src[4][0]
+	LEAQ (R10)(R10*2), R12    // 3 dst rows
+
+trloop:
+	TR_LOAD(0, Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	TR_LOAD(16, Y4, Y5, Y6, Y7, X4, X5, X6, X7)
+	LEAQ (DI)(R10*4), DX
+	TR_STORE4(DI, Y0, Y1, Y2, Y3)
+	TR_STORE4(DX, Y4, Y5, Y6, Y7)
 	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  sdinner
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VMULSS X15, X0, X0
-	VMOVSS X0, (DX)
-	ADDQ R10, DX
-	DECQ R9
-	JNZ  sdheadloop
-	VZEROUPPER
-	RET
-
-// func segAxpyAVX8(w *float32, wstride int, v, o *float32, d8, heads int)
-//
-// Per head h: o[h*d8 : (h+1)*d8] += w[h*wstride] * v[h*d8 : (h+1)*d8], d8
-// a positive multiple of 8. One call accumulates a key's V row into every
-// head's output segment with that head's softmax weight.
-TEXT ·segAxpyAVX8(SB), NOSPLIT, $0-48
-	MOVQ w+0(FP), DX
-	MOVQ wstride+8(FP), R10
-	SHLQ $2, R10
-	MOVQ v+16(FP), SI
-	MOVQ o+24(FP), DI
-	MOVQ d8+32(FP), R8
-	MOVQ heads+40(FP), R9
-
-saheadloop:
-	VBROADCASTSS (DX), Y15
-	MOVQ R8, CX
-	SHRQ $3, CX
-
-sainner:
-	VMOVUPS (SI), Y4
-	VMOVUPS (DI), Y8
-	VFMADD231PS Y15, Y4, Y8
-	VMOVUPS Y8, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  sainner
-	ADDQ R10, DX
-	DECQ R9
-	JNZ  saheadloop
+	ADDQ $32, R11
+	LEAQ (DX)(R10*4), DI
+	SUBQ $8, CX
+	JNZ  trloop
 	VZEROUPPER
 	RET
 

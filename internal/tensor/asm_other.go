@@ -18,12 +18,8 @@ func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc 
 
 func dotAVX8(x, y *float32, n int) float32 { panic("tensor: dotAVX8 without AVX2") }
 
-func segDotAVX8(q, k *float32, d8, heads int, out *float32, ostride int, scale float32) {
-	panic("tensor: segDotAVX8 without AVX2")
-}
-
-func segAxpyAVX8(w *float32, wstride int, v, o *float32, d8, heads int) {
-	panic("tensor: segAxpyAVX8 without AVX2")
+func transposeScaleAVX8(src *float32, lds int, dst *float32, ldd int, n int, scale float32) {
+	panic("tensor: transposeScaleAVX8 without AVX2")
 }
 
 func expShiftSumAVX8(x *float32, n int, shift float32) float32 {

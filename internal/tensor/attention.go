@@ -5,65 +5,121 @@ import (
 	"math"
 )
 
-// attnKTile is the key/value tile length of the fused attention kernel: a
-// tile of scores lives in a fixed stack buffer and the running softmax
-// statistics are rescaled at most once per tile.
-const attnKTile = 64
+// attnKTile is the key/value tile length of the attention kernel: a row
+// group's scores for one tile live in a fixed stack buffer (4 KiB) and the
+// running softmax statistics are rescaled at most once per tile. The three
+// stand-in models' self-attention (Lk ≤ 256) is a single tile; longer key
+// sequences stream through the same buffer.
+const attnKTile = 256
 
-// FusedAttentionInto computes multi-head scaled dot-product attention
+// FusedAttentionWS computes multi-head scaled dot-product attention
 //
 //	dst[h] = softmax(q[h]·k[h]ᵀ · scale) · v[h]   per head h, concatenated,
 //
 // where q is Lq×H, k and v are Lk×H, dst is Lq×H, and head h occupies the
-// column slice [h·d, (h+1)·d) with d = H/heads. Heads are addressed as
-// strided views into the full matrices, so per-head slicing is zero-copy,
-// and the kernel streams over K/V tiles with an online softmax
-// (FlashAttention-style), so the Lq×Lk score matrix is never materialized.
-// When heads does not divide H the trailing H mod heads columns carry no
-// head and are zeroed.
+// column slice [h·d, (h+1)·d) with d = H/heads. When heads does not divide
+// H the trailing H mod heads columns carry no head and are zeroed.
+//
+// The kernel is two small GEMMs per (head, 4-query row group, key tile) on
+// the matmul micro-kernels (gemmTile): the scores Q_h·K_hᵀ against scale·kᵀ,
+// packed once per call into k.C × k.R floats of ws (a nil ws allocates
+// them), and P·V_h accumulated straight into dst's head columns. Heads are
+// strided views into q, v and dst (zero copy). Between the two an online
+// softmax (FlashAttention-style) turns each score row into weights and
+// rescales the row's accumulator when a tile raises its running max, so
+// the Lq×Lk score matrix is never materialized.
 //
 // The masked-query paths (Block.ForwardMasked*) pass a q holding only the
 // gathered masked rows (Lq < Lk); nothing in the kernel assumes Lq == Lk.
 //
-// dst is fully overwritten and must not alias q, k, or v. Each output row
-// is produced by a single deterministic pass, so results are bit-identical
-// at any parallelism setting.
-func FusedAttentionInto(dst, q, k, v *Matrix, heads int, scale float32) {
+// dst is fully overwritten and must not alias q, k, or v. Determinism
+// contract, as for GEMM (matmul.go): every score and every output element
+// is one chain over its own q row, k and v, so results are bit-identical at
+// any parallelism setting and a dst row depends only on its q row, k and v
+// — alone, in any subset of rows, or in the full call it has the same bits
+// (TestAttentionRowIndependent).
+func FusedAttentionWS(ws *Arena, dst, q, k, v *Matrix, heads int, scale float32) {
 	if heads < 1 {
-		panic(fmt.Sprintf("tensor: FusedAttentionInto invalid head count %d", heads))
+		panic(fmt.Sprintf("tensor: FusedAttentionWS invalid head count %d", heads))
 	}
 	if q.C != k.C || k.C != v.C || dst.C != q.C || dst.R != q.R || k.R != v.R {
-		panic(fmt.Sprintf("tensor: FusedAttentionInto shape mismatch dst=%v q=%v k=%v v=%v", dst, q, k, v))
+		panic(fmt.Sprintf("tensor: FusedAttentionWS shape mismatch dst=%v q=%v k=%v v=%v", dst, q, k, v))
 	}
-	if k.R == 0 || q.C/heads == 0 {
-		for i := 0; i < dst.R; i++ {
-			clear(dst.Row(i))
-		}
+	if k.R == 0 || q.C/heads == 0 || q.R == 0 {
+		clear(dst.Data)
 		return
 	}
-	if !shouldParallelize(q.R) {
-		fusedAttentionRange(dst, q, k, v, heads, scale, 0, q.R)
+	kt := ws.floats(k.R * k.C)
+	packKT(kt, k, scale)
+	flops := 4 * k.R * k.C // per query row: the score and the PV GEMM
+	if !shouldParallelize(q.R, flops) {
+		attentionRange(dst, q, kt, v, heads, 0, q.R)
 		return
 	}
-	parallelRows(q.R, func(lo, hi int) {
-		fusedAttentionRange(dst, q, k, v, heads, scale, lo, hi)
+	parallelRows(q.R, flops, func(lo, hi int) {
+		attentionRange(dst, q, kt, v, heads, lo, hi)
 	})
 }
 
-// maxAttnHeads bounds the head count of the vectorized attention path so
-// its per-tile score buffer can live on the stack.
-const maxAttnHeads = 16
+// FusedAttentionInto is FusedAttentionWS with a heap-allocated pack.
+func FusedAttentionInto(dst, q, k, v *Matrix, heads int, scale float32) {
+	FusedAttentionWS(nil, dst, q, k, v, heads, scale)
+}
 
-// fusedAttentionRange computes query rows [lo, hi) of all heads, picking
-// the vectorized path when the head dimension is a multiple of the AVX2
-// vector width. The choice depends only on the shape — never on the
-// parallelism setting — so results stay bit-identical at any parallelism.
-func fusedAttentionRange(dst, q, k, v *Matrix, heads int, scale float32, lo, hi int) {
-	if d := q.C / heads; useAVX2 && d >= 8 && d%8 == 0 && heads <= maxAttnHeads {
-		fusedAttentionRangeAVX(dst, q, k, v, heads, scale, lo, hi)
-		return
+// packKT writes scale·kᵀ into kt (k.C rows of k.R): row c holds feature c
+// of every key, so head h's keys are the contiguous rows [h·d, (h+1)·d) —
+// the B operand of the score GEMM. Folding the scale in here costs one
+// multiply per k element instead of one per score.
+func packKT(kt []float32, k *Matrix, scale float32) {
+	lk, h := k.R, k.C
+	j8, c8 := 0, 0
+	if useAVX2 && h >= 8 {
+		j8, c8 = lk&^7, h&^7
+		for j := 0; j < j8; j += 8 {
+			transposeScaleAVX8(&k.Data[j*h], h, &kt[j], lk, c8, scale)
+		}
 	}
-	fusedAttentionRangeGeneric(dst, q, k, v, heads, scale, lo, hi)
+	for j := 0; j < lk; j++ {
+		c := c8
+		if j >= j8 {
+			c = 0
+		}
+		for ; c < h; c++ {
+			kt[c*lk+j] = k.Data[j*h+c] * scale
+		}
+	}
+}
+
+// attentionRange computes query rows [lo, hi) of every head against the
+// packed keys kt. Heads are the outer loop so one head's slice of kt and v
+// stays cache-resident across the row groups.
+func attentionRange(dst, q *Matrix, kt []float32, v *Matrix, heads, lo, hi int) {
+	h, lk := q.C, v.R
+	d := h / heads
+	clear(dst.Data[lo*h : hi*h])
+	var sbuf [mcRows * attnKTile]float32
+	var mMax, lsum [mcRows]float32
+	for off := 0; off < heads*d; off += d {
+		for i := lo; i < hi; i += mcRows {
+			rows := min(mcRows, hi-i)
+			for r := 0; r < rows; r++ {
+				mMax[r], lsum[r] = float32(math.Inf(-1)), 0
+			}
+			for j0 := 0; j0 < lk; j0 += attnKTile {
+				nk := min(attnKTile, lk-j0)
+				gemmTile(d, q.Data[i*h+off:], h, kt[off*lk+j0:], lk, sbuf[:], attnKTile, rows, nk, true)
+				for r := 0; r < rows; r++ {
+					o := (i+r)*h + off
+					softmaxTile(sbuf[r*attnKTile:r*attnKTile+nk], &mMax[r], &lsum[r], dst.Data[o:o+d])
+				}
+				gemmTile(nk, sbuf[:], attnKTile, v.Data[j0*h+off:], h, dst.Data[i*h+off:], h, rows, d, false)
+			}
+			for r := 0; r < rows; r++ {
+				o := (i+r)*h + off
+				normalizeSeg(dst.Data[o:o+d], lsum[r])
+			}
+		}
+	}
 }
 
 // softmaxTile folds one K/V tile's scaled scores s for one (query, head)
@@ -98,83 +154,6 @@ func normalizeSeg(oseg []float32, lsum float32) {
 	inv := 1 / lsum
 	for t := range oseg {
 		oseg[t] *= inv
-	}
-}
-
-// fusedAttentionRangeAVX is the vectorized streaming-softmax kernel. Per
-// (query, key) pair it computes every head's scaled score with one
-// segmented-dot call over the contiguous hidden rows, and accumulates every
-// head's output segment with one segmented-axpy call, so the strided
-// per-head views never materialize. A tile's scores are stored head-major
-// (head h's scores for the tile's keys are contiguous), which lets
-// softmaxTile run the vector max and exp passes over them.
-func fusedAttentionRangeAVX(dst, q, k, v *Matrix, heads int, scale float32, lo, hi int) {
-	h := q.C
-	d := h / heads
-	lk := k.R
-	var sbuf [maxAttnHeads * attnKTile]float32
-	var mMax, lsum [maxAttnHeads]float32
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*h : (i+1)*h]
-		clear(drow)
-		qrow := q.Data[i*h : (i+1)*h]
-		for head := 0; head < heads; head++ {
-			mMax[head] = float32(math.Inf(-1))
-			lsum[head] = 0
-		}
-		for j0 := 0; j0 < lk; j0 += attnKTile {
-			nk := min(attnKTile, lk-j0)
-			for t := 0; t < nk; t++ {
-				segDotAVX8(&qrow[0], &k.Data[(j0+t)*h], d, heads, &sbuf[t], attnKTile, scale)
-			}
-			for head := 0; head < heads; head++ {
-				softmaxTile(sbuf[head*attnKTile:head*attnKTile+nk], &mMax[head], &lsum[head], drow[head*d:head*d+d])
-			}
-			for t := 0; t < nk; t++ {
-				segAxpyAVX8(&sbuf[t], attnKTile, &v.Data[(j0+t)*h], &drow[0], d, heads)
-			}
-		}
-		for head := 0; head < heads; head++ {
-			normalizeSeg(drow[head*d:head*d+d], lsum[head])
-		}
-	}
-}
-
-// fusedAttentionRangeGeneric is the portable scalar kernel; it also covers
-// head dimensions that are not a multiple of the vector width. Each
-// (row, head) output segment doubles as the running FlashAttention
-// accumulator (see softmaxTile).
-func fusedAttentionRangeGeneric(dst, q, k, v *Matrix, heads int, scale float32, lo, hi int) {
-	h := q.C
-	d := h / heads
-	lk := k.R
-	var sbuf [attnKTile]float32
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*h : (i+1)*h]
-		clear(drow)
-		qrow := q.Data[i*h : (i+1)*h]
-		for head := 0; head < heads; head++ {
-			off := head * d
-			qseg := qrow[off : off+d]
-			oseg := drow[off : off+d]
-			mMax := float32(math.Inf(-1))
-			var lsum float32
-			for j0 := 0; j0 < lk; j0 += attnKTile {
-				s := sbuf[:min(attnKTile, lk-j0)]
-				for t := range s {
-					s[t] = dot(qseg, k.Data[(j0+t)*h+off:(j0+t)*h+off+d]) * scale
-				}
-				softmaxTile(s, &mMax, &lsum, oseg)
-				for t, w := range s {
-					vseg := v.Data[(j0+t)*h+off : (j0+t)*h+off+d]
-					eseg := oseg[:len(vseg)]
-					for c, vv := range vseg {
-						eseg[c] += w * vv
-					}
-				}
-			}
-			normalizeSeg(oseg, lsum)
-		}
 	}
 }
 

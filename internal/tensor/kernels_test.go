@@ -17,11 +17,14 @@ var oddShapes = []struct{ m, k, n int }{
 	{34, 16, 34},
 }
 
+// withParallelism sets the parallelism budget for the test and lowers the
+// split threshold so that every call with rows to spare is partitioned.
 func withParallelism(t *testing.T, p int) {
 	t.Helper()
-	old := Parallelism()
+	old, oldMin := Parallelism(), minTaskFLOPs
 	SetParallelism(p)
-	t.Cleanup(func() { SetParallelism(old) })
+	minTaskFLOPs = 1
+	t.Cleanup(func() { SetParallelism(old); minTaskFLOPs = oldMin })
 }
 
 func TestMatMulIntoMatchesNaive(t *testing.T) {
@@ -79,10 +82,10 @@ var attnShapes = []struct{ lq, lk, h, heads int }{
 	{1, 17, 16, 4},
 	{17, 17, 16, 4},
 	{5, 17, 16, 1},
-	{3, 65, 16, 2},  // lk straddles attnKTile
-	{9, 130, 24, 3}, // multiple K tiles
-	{10, 10, 10, 3}, // heads ∤ hidden: trailing column carries no head
-	{4, 4, 6, 8},    // headDim 0: defined as all-zero output
+	{3, attnKTile + 1, 16, 2},   // lk straddles attnKTile
+	{9, 2*attnKTile + 2, 24, 3}, // multiple K tiles
+	{10, 10, 10, 3},             // heads ∤ hidden: trailing column carries no head
+	{4, 4, 6, 8},                // headDim 0: defined as all-zero output
 }
 
 func TestFusedAttentionMatchesNaive(t *testing.T) {
@@ -108,8 +111,8 @@ func TestFusedAttentionExtremeScores(t *testing.T) {
 	// running-max bookkeeping.
 	rng := NewRNG(15)
 	q := Randn(rng, 8, 16, 30)
-	k := Randn(rng, 70, 16, 30)
-	v := Randn(rng, 70, 16, 1)
+	k := Randn(rng, attnKTile+6, 16, 30)
+	v := Randn(rng, attnKTile+6, 16, 1)
 	got := New(8, 16)
 	want := New(8, 16)
 	FusedAttentionInto(got, q, k, v, 4, 1)
@@ -125,7 +128,7 @@ func TestKernelsParallelBitIdentical(t *testing.T) {
 	// by exactly one worker in a fixed accumulation order. Every kernel of
 	// the step is pinned, row-partitioned or not.
 	rng := NewRNG(16)
-	a := Randn(rng, 130, 96, 1) // above the 2*minRowsPerTask threshold
+	a := Randn(rng, 130, 96, 1)
 	b := Randn(rng, 96, 80, 1)
 	bt := Randn(rng, 80, 96, 1)
 	q := Randn(rng, 130, 64, 1)
@@ -173,6 +176,8 @@ func TestSerialKernelsZeroAllocs(t *testing.T) {
 	o := New(24, 32)
 	ln := New(23, 32)
 	gamma, beta := Randn(rng, 1, 32, 1).Data, Randn(rng, 1, 32, 1).Data
+	ws := NewArena()
+	FusedAttentionWS(ws, o, q, k, v, 4, 0.1) // size the arena
 	cases := []struct {
 		name string
 		fn   func()
@@ -180,7 +185,7 @@ func TestSerialKernelsZeroAllocs(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulGeLUInto", func() { MatMulGeLUInto(dst, a, b) }},
 		{"MatMulTInto", func() { MatMulTInto(sq, q, k) }},
-		{"FusedAttentionInto", func() { FusedAttentionInto(o, q, k, v, 4, 0.1) }},
+		{"FusedAttentionWS", func() { ws.Reset(); FusedAttentionWS(ws, o, q, k, v, 4, 0.1) }},
 		{"TransposeInto", func() { TransposeInto(sq, sq) }},
 		{"LayerNormRowsInto", func() { LayerNormRowsInto(ln, a, gamma, beta, 1e-5) }},
 		{"LayerNormRows", func() { LayerNormRows(ln, gamma, beta, 1e-5) }},

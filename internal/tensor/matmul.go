@@ -36,41 +36,20 @@ const (
 )
 
 // matMulRange computes rows [lo, hi) of dst = a × b, then applies GeLU to
-// them if gelu is set (each row group while it is still in L1).
-//
-// On AVX2 hardware everything runs in assembly: full 4-row × 16-column
-// tiles in gemm4x16, the 1–3 remainder rows and the < 16 remainder columns
-// in gemmEdge, both with the same per-element FMA chain. The first
+// them if gelu is set (each row group while it is still in L1). The first
 // reduction panel stores its tile, later panels add to it, so dst needs no
 // clearing.
 func matMulRange(dst, a, b *Matrix, lo, hi int, gelu bool) {
 	k, m := a.C, b.C
-	if m == 0 {
-		return
-	}
-	if k == 0 || !useAVX2 {
-		matMulRangePortable(dst, a, b, lo, hi)
-		if gelu {
-			geluSlice(dst.Data[lo*m : hi*m])
-		}
+	if k == 0 {
+		clear(dst.Data[lo*m : hi*m])
 		return
 	}
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		kc := min(kcBlock, k-p0)
-		first := p0 == 0
 		for i := lo; i < hi; i += mcRows {
 			rows := min(mcRows, hi-i)
-			ap := &a.Data[i*k+p0]
-			j := 0
-			if rows == mcRows {
-				for ; j+ncCols <= m; j += ncCols {
-					gemm4x16(kc, ap, k, &b.Data[p0*m+j], m, &dst.Data[i*m+j], m, first)
-				}
-			}
-			for ; j < m; j += ncCols {
-				cols := min(ncCols, m-j)
-				gemmEdge(kc, ap, k, &b.Data[p0*m+j], m, &dst.Data[i*m+j], m, rows, &edgeMask[ncCols-cols], first)
-			}
+			gemmTile(kc, a.Data[i*k+p0:], k, b.Data[p0*m:], m, dst.Data[i*m:], m, rows, m, p0 == 0)
 			if gelu && p0+kc == k {
 				geluSlice(dst.Data[i*m : (i+rows)*m])
 			}
@@ -78,60 +57,43 @@ func matMulRange(dst, a, b *Matrix, lo, hi int, gelu bool) {
 	}
 }
 
-// matMulRangePortable is matMulRange's scalar form: the only matmul of
-// non-AVX2 builds (and of FLASHPS_NO_AVX2=1).
-func matMulRangePortable(dst, a, b *Matrix, lo, hi int) {
-	k, m := a.C, b.C
-	clear(dst.Data[lo*m : hi*m])
-	for p0 := 0; p0 < k; p0 += kcBlock {
-		p1 := min(p0+kcBlock, k)
-		i := lo
-		for ; i+mcRows <= hi; i += mcRows {
-			matMulTile4(dst, a, b, i, p0, p1, 0, m)
-		}
-		for ; i < hi; i++ {
-			matMulTile1(dst, a, b, i, p0, p1, 0, m)
-		}
+// gemmTile is one row group of a GEMM: c = (first ? 0 : c) + a·b for a
+// tile of rows ≤ mcRows rows and cols columns over a kc-long reduction.
+// a, b and c begin at the tile's first element, with row strides lda, ldb
+// and ldc, so the operands may be strided views (attention's per-head
+// column slices). It is the only caller of the micro-kernels.
+//
+// On AVX2 hardware everything runs in assembly: full 4-row × 16-column
+// tiles in gemm4x16, the 1–3 remainder rows and the < 16 remainder columns
+// in gemmEdge, both with the same per-element FMA chain. The scalar loop is
+// the only GEMM of non-AVX2 builds (and of FLASHPS_NO_AVX2=1); it
+// accumulates in place, rounding each product before the add.
+func gemmTile(kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, rows, cols int, first bool) {
+	if cols == 0 {
+		return
 	}
-}
-
-// matMulTile4 accumulates dst rows [i, i+4) columns [j0, j1) over the
-// reduction panel [p0, p1).
-func matMulTile4(dst, a, b *Matrix, i, p0, p1, j0, j1 int) {
-	k, m := a.C, b.C
-	a0 := a.Data[(i+0)*k : (i+1)*k]
-	a1 := a.Data[(i+1)*k : (i+2)*k]
-	a2 := a.Data[(i+2)*k : (i+3)*k]
-	a3 := a.Data[(i+3)*k : (i+4)*k]
-	d0 := dst.Data[(i+0)*m+j0 : (i+0)*m+j1]
-	d1 := dst.Data[(i+1)*m+j0 : (i+1)*m+j1]
-	d2 := dst.Data[(i+2)*m+j0 : (i+2)*m+j1]
-	d3 := dst.Data[(i+3)*m+j0 : (i+3)*m+j1]
-	for p := p0; p < p1; p++ {
-		brow := b.Data[p*m+j0 : p*m+j1]
-		av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
-		e0, e1, e2, e3 := d0[:len(brow)], d1[:len(brow)], d2[:len(brow)], d3[:len(brow)]
-		for j, bv := range brow {
-			e0[j] += av0 * bv
-			e1[j] += av1 * bv
-			e2[j] += av2 * bv
-			e3[j] += av3 * bv
+	if useAVX2 {
+		j := 0
+		if rows == mcRows {
+			for ; j+ncCols <= cols; j += ncCols {
+				gemm4x16(kc, &a[0], lda, &b[j], ldb, &c[j], ldc, first)
+			}
 		}
+		for ; j < cols; j += ncCols {
+			gemmEdge(kc, &a[0], lda, &b[j], ldb, &c[j], ldc, rows, &edgeMask[ncCols-min(ncCols, cols-j)], first)
+		}
+		return
 	}
-}
-
-// matMulTile1 accumulates a single dst row, columns [j0, j1), over the
-// reduction panel [p0, p1); it is the remainder kernel of matMulTile4.
-func matMulTile1(dst, a, b *Matrix, i, p0, p1, j0, j1 int) {
-	k, m := a.C, b.C
-	arow := a.Data[i*k : (i+1)*k]
-	drow := dst.Data[i*m+j0 : i*m+j1]
-	for p := p0; p < p1; p++ {
-		brow := b.Data[p*m+j0 : p*m+j1]
-		av := arow[p]
-		erow := drow[:len(brow)]
-		for j, bv := range brow {
-			erow[j] += av * bv
+	for r := 0; r < rows; r++ {
+		crow := c[r*ldc : r*ldc+cols]
+		if first {
+			clear(crow)
+		}
+		for p, av := range a[r*lda : r*lda+kc] {
+			brow := b[p*ldb : p*ldb+cols]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
 		}
 	}
 }

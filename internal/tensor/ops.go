@@ -32,11 +32,12 @@ func matMulInto(dst, a, b *Matrix, gelu bool) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst, a, b))
 	}
-	if !shouldParallelize(a.R) {
+	flops := 2 * a.C * b.C
+	if !shouldParallelize(a.R, flops) {
 		matMulRange(dst, a, b, 0, a.R, gelu)
 		return
 	}
-	parallelRows(a.R, func(lo, hi int) { matMulRange(dst, a, b, lo, hi, gelu) })
+	parallelRows(a.R, flops, func(lo, hi int) { matMulRange(dst, a, b, lo, hi, gelu) })
 }
 
 // MatMulNaiveInto is the reference ikj matmul this package shipped before
@@ -80,11 +81,12 @@ func MatMulTInto(dst, a, b *Matrix) {
 	if a.C != b.C || dst.R != a.R || dst.C != b.R {
 		panic(fmt.Sprintf("tensor: MatMulTInto shape mismatch dst=%v a=%v × %vᵀ", dst, a, b))
 	}
-	if !shouldParallelize(a.R) {
+	flops := 2 * a.C * b.R
+	if !shouldParallelize(a.R, flops) {
 		matMulTRange(dst, a, b, 0, a.R)
 		return
 	}
-	parallelRows(a.R, func(lo, hi int) { matMulTRange(dst, a, b, lo, hi) })
+	parallelRows(a.R, flops, func(lo, hi int) { matMulTRange(dst, a, b, lo, hi) })
 }
 
 // Transpose returns a new matrix that is mᵀ.

@@ -12,6 +12,8 @@
 //   - every kernel is bit-identical at any SetParallelism setting;
 //   - a MatMulInto dst row depends only on its a row and on b, not on its
 //     row index or on which other rows are computed with it (matmul.go);
+//     likewise a FusedAttentionInto dst row depends only on its q row, k
+//     and v (attention.go);
 //   - exp and GeLU of a value do not depend on its position in the slice
 //     or on the slice length, and the vector kernels, their scalar tails
 //     and the portable code agree bit for bit (vecmath.go).

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -490,7 +491,7 @@ func TestParallelismSettings(t *testing.T) {
 func TestParallelMatMulBitIdentical(t *testing.T) {
 	// Row-partitioned parallelism must produce bit-identical results to
 	// the serial path at any goroutine budget.
-	defer SetParallelism(1)
+	withParallelism(t, 1)
 	rng := NewRNG(77)
 	a := Randn(rng, 96, 64, 1)
 	b := Randn(rng, 64, 80, 1)
@@ -509,23 +510,33 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 }
 
 func TestParallelRowsCoverage(t *testing.T) {
+	// Every row lands in exactly one partition, and the number of
+	// partitions follows the work, not the row count.
 	defer SetParallelism(1)
 	SetParallelism(4)
-	covered := make([]int32, 200)
-	parallelRows(200, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i]++
+	for _, tc := range []struct{ rows, rowFLOPs, parts int }{
+		{200, minTaskFLOPs, 4},       // work to spare: the whole budget
+		{200, minTaskFLOPs / 80, 2},  // 2.5 tasks' worth
+		{200, minTaskFLOPs / 200, 1}, // one task's worth
+		{5, 1000, 1},                 // tiny
+		{6, minTaskFLOPs, 2},         // partitions are whole 4-row groups
+		{3, minTaskFLOPs, 1},
+	} {
+		covered := make([]int32, tc.rows)
+		var parts atomic.Int32
+		parallelRows(tc.rows, tc.rowFLOPs, func(lo, hi int) {
+			parts.Add(1)
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&covered[i], 1)
+			}
+		})
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("%+v: row %d covered %d times", tc, i, c)
+			}
 		}
-	})
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("row %d covered %d times", i, c)
+		if got := int(parts.Load()); got != tc.parts {
+			t.Fatalf("%+v: %d partitions", tc, got)
 		}
-	}
-	// Tiny workloads run serially.
-	n := 0
-	parallelRows(5, func(lo, hi int) { n += hi - lo })
-	if n != 5 {
-		t.Fatalf("serial fallback covered %d of 5", n)
 	}
 }

@@ -40,19 +40,35 @@ func (a *Arena) Get(r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %d×%d", r, c))
 	}
-	n := r * c
-	a.want += n
-	var data []float32
-	if a.off+n <= len(a.slab) {
-		data = a.slab[a.off : a.off+n : a.off+n]
-		a.off += n
+	data, fresh := a.alloc(r * c)
+	if !fresh {
 		clear(data)
-	} else {
-		data = make([]float32, n)
 	}
 	m := a.header()
 	*m = Matrix{R: r, C: c, Data: data}
 	return m
+}
+
+// floats returns n floats of scratch with arbitrary contents, for buffers
+// the caller overwrites in full.
+func (a *Arena) floats(n int) []float32 {
+	if a == nil {
+		return make([]float32, n)
+	}
+	data, _ := a.alloc(n)
+	return data
+}
+
+// alloc carves n floats out of the slab, or from the heap (fresh, hence
+// zeroed) when the slab is exhausted.
+func (a *Arena) alloc(n int) (data []float32, fresh bool) {
+	a.want += n
+	if a.off+n > len(a.slab) {
+		return make([]float32, n), true
+	}
+	data = a.slab[a.off : a.off+n : a.off+n]
+	a.off += n
+	return data, false
 }
 
 // Wrap returns an r×c matrix header over data without copying, using an
