@@ -550,6 +550,11 @@ func main() {
 	if runtime.GOMAXPROCS(0) > 1 {
 		for _, c := range cases {
 			row := c.parRow()
+			// A loss must repeat: a neighbour's burst on one vCPU can cover
+			// most of one case's rounds.
+			for retry := 0; retry < 2 && row.Ratio > parSlack; retry++ {
+				row = c.parRow()
+			}
 			rep.ParCheck = append(rep.ParCheck, row)
 			if row.Ratio > parSlack {
 				lost = append(lost, fmt.Sprintf("%s %s: %d ns at parallelism 2, %d ns at 1", row.Op, row.Shape, row.Ns2, row.Ns1))
