@@ -131,10 +131,12 @@ func attentionRange(dst, q *Matrix, kt []float32, v *Matrix, heads, lo, hi int) 
 // exp(-Inf − -Inf) = NaN.
 func softmaxTile(s []float32, mMax, lsum *float32, oseg []float32) {
 	if tileMax := maxOf(s); tileMax > *mMax {
-		corr := expf(*mMax - tileMax)
-		*lsum *= corr
-		for t := range oseg {
-			oseg[t] *= corr
+		if *lsum != 0 { // something accumulated under the old max
+			corr := expf(*mMax - tileMax)
+			*lsum *= corr
+			for t := range oseg {
+				oseg[t] *= corr
+			}
 		}
 		*mMax = tileMax
 	}

@@ -12,10 +12,7 @@ import (
 // operation order), so experiments stay reproducible at any setting.
 var parallelism atomic.Int32
 
-func init() {
-	parallelism.Store(1)
-	linkPad() // keeps the pad linked; see linkpad.go
-}
+func init() { parallelism.Store(1) }
 
 // SetParallelism sets the kernel parallelism budget (values < 1 mean 1).
 // Deterministic results are preserved at any setting. Binaries that want
