@@ -95,15 +95,14 @@ func (t *Telemetry) RequestDone(s RequestStat) {
 	req := uint64(s.ID)
 	trace := obs.TraceID(req)
 	root := obs.SpanID(trace, StageRequest, 0)
-	args := map[string]float64{"mask_ratio": s.MaskRatio}
-	t.plane.SpanCausal(req, StageQueue, TraceCat, s.Worker, s.Arrival, s.QueueTime(),
-		trace, obs.SpanID(trace, StageQueue, 0), root, nil)
-	t.plane.SpanCausal(req, StageInference, TraceCat, s.Worker, s.Admit, s.InferenceTime(),
-		trace, obs.SpanID(trace, StageInference, 0), root,
-		map[string]float64{"interruptions": float64(s.Interruptions)})
-	t.plane.SpanCausal(req, StagePostprocess, TraceCat, s.Worker, s.Finish, s.Complete-s.Finish,
-		trace, obs.SpanID(trace, StagePostprocess, 0), root, nil)
-	t.plane.SpanCausal(req, StageRequest, TraceCat, s.Worker, s.Arrival, s.Latency(),
-		trace, root, 0, args)
+	span := func(stage string, start, dur float64, id, parent uint64, args obs.SpanArgs) {
+		t.plane.RecordSpan(obs.Span{Request: req, Name: stage, Cat: TraceCat, TID: s.Worker,
+			Start: start, Dur: dur, Args: args, Trace: trace, ID: id, Parent: parent})
+	}
+	span(StageQueue, s.Arrival, s.QueueTime(), obs.SpanID(trace, StageQueue, 0), root, obs.SpanArgs{})
+	span(StageInference, s.Admit, s.InferenceTime(), obs.SpanID(trace, StageInference, 0), root,
+		obs.Arg("interruptions", float64(s.Interruptions)))
+	span(StagePostprocess, s.Finish, s.Complete-s.Finish, obs.SpanID(trace, StagePostprocess, 0), root, obs.SpanArgs{})
+	span(StageRequest, s.Arrival, s.Latency(), root, 0, obs.Arg("mask_ratio", s.MaskRatio))
 	t.plane.ObserveSLO(s.MaskRatio, s.Latency())
 }

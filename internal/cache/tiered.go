@@ -25,19 +25,24 @@ var (
 
 // Info describes one stored template for the /v1/templates listing.
 type Info struct {
-	ID       uint64
-	Bytes    int64
-	Tier     string // "host", "disk", or "host+disk"
-	Pinned   bool
-	Hits     int64
-	LastUsed time.Time
+	ID    uint64
+	Bytes int64
+	// DerivedBytes is the derived K/V held beside a RAM-resident template
+	// (charged to the RAM budget, not part of Bytes, never on disk).
+	DerivedBytes int64
+	Tier         string // "host", "disk", or "host+disk"
+	Pinned       bool
+	Hits         int64
+	LastUsed     time.Time
 }
 
 // TierStats is one tier's row in GET /v1/cache/stats.
 type TierStats struct {
 	Tier          string
 	CapacityBytes int64 // 0 = unbounded (disk)
-	UsedBytes     int64 // disk: physical bytes after dedup
+	UsedBytes     int64 // host: templates + derived K/V; disk: physical bytes after dedup
+	DerivedBytes  int64 // host only: the derived K/V share of UsedBytes
+	Derivations   int64 // host only: derivations granted
 	LogicalBytes  int64 // disk only: bytes before dedup
 	Entries       int
 	Pinned        int
@@ -89,6 +94,7 @@ type archMeta struct {
 type ramEntry struct {
 	tc       *diffusion.TemplateCache
 	meta     entryMeta
+	derived  int64 // derived K/V bytes granted to tc, charged beside meta.bytes
 	lastUsed time.Time
 }
 
@@ -103,6 +109,14 @@ type obsEvent struct {
 // RAM and write back to disk asynchronously; misses promote from disk
 // (singleflighted) while evictions demote under the configured policy.
 // Pinned templates are never evicted and cannot be deleted.
+//
+// The RAM budget also covers the resident templates' derived K/V
+// (diffusion.TemplateCache.SetDeriveGate): the store grants a derivation
+// only when its bytes fit beside everything resident, and derived state —
+// rebuilt in a couple of milliseconds — is what the tier gives up first:
+// an admission or promotion that needs room strips it from the coldest
+// templates before any template is demoted. It is never written to the
+// spill tier.
 type TieredStore struct {
 	budget   int64
 	policy   Policy
@@ -118,11 +132,17 @@ type TieredStore struct {
 	queue    []uint64
 	loading  map[uint64]chan struct{} // singleflight disk promotions
 	seq      uint64
-	used     int64
+	used     int64 // resident templates plus their derived K/V
 	writing  int
-	closed   bool
+	// writingID is the template the write-back goroutine is saving while
+	// writing > 0, and stale says it was deleted since that save began: the
+	// copy about to land is fenced from every reader and removed on landing.
+	writingID uint64
+	stale     bool
+	closed    bool
 
 	hostHits, hostMisses, evictions int64
+	derivations                     int64
 	diskHits, diskErrors            int64
 	promotions                      int64
 
@@ -193,8 +213,10 @@ func (s *TieredStore) PutCost(id uint64, tc *diffusion.TemplateCache, recomputeS
 	}
 	evs := []obsEvent{{"host", "store", 1, float64(b)}}
 	if e, ok := s.entries[id]; ok {
+		s.stripLocked(e)
 		s.used += b - e.meta.bytes
 		e.tc = tc
+		s.gateLocked(id, tc)
 		e.meta.bytes = b
 		if recomputeSeconds > 0 {
 			e.meta.cost = recomputeSeconds
@@ -229,6 +251,7 @@ func (s *TieredStore) PutCost(id uint64, tc *diffusion.TemplateCache, recomputeS
 	}
 	s.entries[id] = e
 	s.used += b
+	s.gateLocked(id, tc)
 	s.enqueueLocked(id, tc)
 	evs2, err := s.evictOverLocked(id)
 	s.mu.Unlock()
@@ -281,7 +304,7 @@ func (s *TieredStore) GetTracked(id uint64) (*diffusion.TemplateCache, GetResult
 		s.emit(evs)
 		return tc, GetResult{Tier: "disk", Promoted: true, Bytes: b}
 	}
-	if s.spill == nil || !s.spill.Has(id) {
+	if !s.spilledLocked(id) {
 		s.mu.Unlock()
 		s.emit(evs)
 		return nil, GetResult{}
@@ -335,18 +358,79 @@ func (s *TieredStore) promoteLocked(id uint64, tc *diffusion.TemplateCache, hit 
 	}
 	s.entries[id] = e
 	s.used += b
+	s.gateLocked(id, tc)
 	s.promotions++
 	evs, _ := s.evictOverLocked(id)
 	return evs
 }
 
-// evictOverLocked demotes entries until the RAM tier fits its budget,
+// gateLocked makes the store the judge of tc's derived K/V (dropping any
+// it did not grant) for as long as tc is the resident copy of id.
+func (s *TieredStore) gateLocked(id uint64, tc *diffusion.TemplateCache) {
+	tc.SetDeriveGate(func(bytes int64) bool { return s.grantDerived(id, tc, bytes) })
+}
+
+// grantDerived charges bytes of derived K/V to the RAM budget if tc is
+// resident and they fit. It makes no room: derived state never displaces
+// anything, so a tier sized in whole templates behaves as if it did not
+// exist.
+func (s *TieredStore) grantDerived(id uint64, tc *diffusion.TemplateCache, bytes int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[id]
+	if !ok || e.tc != tc || s.used-e.derived+bytes > s.budget {
+		return false
+	}
+	s.used += bytes - e.derived
+	e.derived = bytes
+	s.derivations++
+	return true
+}
+
+// stripLocked takes an entry's derived K/V back, granted or already built.
+func (s *TieredStore) stripLocked(e *ramEntry) {
+	if e.derived == 0 {
+		return
+	}
+	s.used -= e.derived
+	e.derived = 0
+	e.tc.DropDerived()
+}
+
+// coldestDerivedLocked returns the entry the policy would evict first among
+// those holding derived K/V, pinned or not (a pin protects the template,
+// which stripping leaves resident), or nil when none holds any.
+func (s *TieredStore) coldestDerivedLocked() *ramEntry {
+	var metas []entryMeta
+	for _, e := range s.entries {
+		if e.derived > 0 {
+			m := e.meta
+			m.pinned = false
+			metas = append(metas, m)
+		}
+	}
+	cands := make([]*entryMeta, len(metas))
+	for i := range metas {
+		cands[i] = &metas[i]
+	}
+	if v := s.policy.victim(cands, s.seq); v >= 0 {
+		return s.entries[metas[v].id]
+	}
+	return nil
+}
+
+// evictOverLocked makes the RAM tier fit its budget: it first strips
+// derived K/V, coldest template first, and only then demotes entries,
 // protecting the just-inserted id unless every other entry is pinned —
 // then the newcomer itself spills (or, with no spill tier, the put
 // fails with ErrCacheFull).
 func (s *TieredStore) evictOverLocked(protect uint64) ([]obsEvent, error) {
 	var evs []obsEvent
 	for s.used > s.budget {
+		if e := s.coldestDerivedLocked(); e != nil {
+			s.stripLocked(e)
+			continue
+		}
 		cands := make([]*entryMeta, 0, len(s.entries))
 		for id, e := range s.entries {
 			if id == protect {
@@ -379,6 +463,7 @@ func (s *TieredStore) demoteLocked(id uint64) []obsEvent {
 	if !ok {
 		return nil
 	}
+	s.stripLocked(e)
 	delete(s.entries, id)
 	s.used -= e.meta.bytes
 	s.evictions++
@@ -450,14 +535,17 @@ func (s *TieredStore) Unpin(id uint64) error {
 	if _, ok := s.pending[id]; ok {
 		return nil
 	}
-	if s.spill != nil && s.spill.Has(id) {
+	if s.spilledLocked(id) {
 		return nil
 	}
 	return fmt.Errorf("cache: unpin %d: %w", id, ErrNotFound)
 }
 
 // Delete removes a template from every tier. Pinned templates refuse
-// with ErrPinned; unknown ids return ErrNotFound.
+// with ErrPinned; unknown ids return ErrNotFound. It does not wait for a
+// write-back of the template that is already in flight: it marks that
+// write stale, which hides the landing copy from every reader until the
+// write-back goroutine removes it.
 func (s *TieredStore) Delete(id uint64) error {
 	s.mu.Lock()
 	e, resident := s.entries[id]
@@ -468,15 +556,21 @@ func (s *TieredStore) Delete(id uint64) error {
 	_, wasPending := s.pending[id]
 	delete(s.pending, id)
 	if resident {
+		s.stripLocked(e)
 		delete(s.entries, id)
 		s.used -= e.meta.bytes
 	}
 	_, wasArchived := s.archived[id]
 	delete(s.archived, id)
+	// A copy an earlier Delete already fenced is the write-back
+	// goroutine's to remove, and nothing this call found.
+	onDisk := s.spilledLocked(id)
+	if s.writing > 0 && s.writingID == id {
+		s.stale = true
+	}
 	s.mu.Unlock()
-	onDisk := false
-	if s.spill != nil {
-		onDisk = s.spill.Delete(id)
+	if onDisk {
+		s.spill.Delete(id)
 	}
 	if !resident && !wasPending && !onDisk && !wasArchived {
 		return fmt.Errorf("cache: delete %d: %w", id, ErrNotFound)
@@ -530,7 +624,7 @@ func (s *TieredStore) prefetchOne(id uint64) (closed bool) {
 		s.emit(evs)
 		return false
 	}
-	if !s.spill.Has(id) {
+	if !s.spilledLocked(id) {
 		s.mu.Unlock()
 		return false
 	}
@@ -592,6 +686,7 @@ func (s *TieredStore) writer() {
 			continue // deleted or already written
 		}
 		s.writing++
+		s.writingID = id
 		s.mu.Unlock()
 
 		start := time.Now()
@@ -613,19 +708,24 @@ func (s *TieredStore) writer() {
 		if s.pending[id] == tc {
 			delete(s.pending, id)
 		}
-		if err == nil {
-			if _, p := s.pending[id]; !p {
-				if _, r := s.entries[id]; !r {
-					if _, a := s.archived[id]; !a {
-						// Deleted while the write was in flight: the
-						// fresh spill copy must not resurrect it.
-						s.spill.Delete(id)
-					}
-				}
-			}
+		if s.stale {
+			// Deleted while the write was in flight: the copy that just
+			// landed must not resurrect it. A template put again under
+			// the same id since is still pending and is written next.
+			s.stale = false
+			s.spill.Delete(id)
 		}
 		s.work.Broadcast()
 	}
+}
+
+// spilledLocked reports whether id has a readable copy on the spill tier:
+// one a Delete has overtaken while it was being written does not count.
+func (s *TieredStore) spilledLocked(id uint64) bool {
+	if s.spill == nil || (s.stale && s.writingID == id) {
+		return false
+	}
+	return s.spill.Has(id)
 }
 
 // Flush blocks until every queued write-back has reached the spill tier.
@@ -665,7 +765,7 @@ func (s *TieredStore) List() []Info {
 	seen := make(map[uint64]bool, len(s.entries))
 	for id, e := range s.entries {
 		out = append(out, Info{
-			ID: id, Bytes: e.meta.bytes, Tier: hostTier,
+			ID: id, Bytes: e.meta.bytes, DerivedBytes: e.derived, Tier: hostTier,
 			Pinned: e.meta.pinned, Hits: e.meta.hits, LastUsed: e.lastUsed,
 		})
 		seen[id] = true
@@ -685,8 +785,11 @@ func (s *TieredStore) List() []Info {
 				continue
 			}
 			s.mu.Lock()
-			a := s.archived[id]
+			a, fenced := s.archived[id], s.stale && s.writingID == id
 			s.mu.Unlock()
+			if fenced {
+				continue
+			}
 			out = append(out, Info{ID: id, Bytes: s.spill.Bytes(id), Tier: "disk", Hits: a.hits, LastUsed: a.lastUsed})
 		}
 	}
@@ -701,9 +804,10 @@ func (s *TieredStore) Stats() []TierStats {
 	host := TierStats{
 		Tier: "host", CapacityBytes: s.budget, UsedBytes: s.used,
 		Entries: len(s.entries), Hits: s.hostHits, Misses: s.hostMisses,
-		Evictions: s.evictions,
+		Evictions: s.evictions, Derivations: s.derivations,
 	}
 	for _, e := range s.entries {
+		host.DerivedBytes += e.derived
 		if e.meta.pinned {
 			host.Pinned++
 		}
@@ -747,7 +851,8 @@ func (s *TieredStore) Len() int {
 	return len(s.entries)
 }
 
-// UsedBytes returns the RAM tier's occupancy.
+// UsedBytes returns the RAM tier's occupancy: resident templates plus the
+// derived K/V granted to them.
 func (s *TieredStore) UsedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

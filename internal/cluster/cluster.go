@@ -456,20 +456,24 @@ type ReqView struct {
 
 // BatchStepFLOPs returns the mask-aware FLOPs (all blocks) and mask-ratio
 // sum of one denoising step of the batch under the given system's compute
-// pattern — the linear features the telemetry-fitted step law consumes.
+// pattern — the linear features the telemetry-fitted step law consumes, so
+// they count what the live engine executes: FlashPS projects K/V over all
+// tokens in the first block only and takes them derived from the template
+// in the rest (the serving plane's stepFLOPs, RAM permitting).
 func BatchStepFLOPs(sys System, p perfmodel.ModelProfile, batch []batching.StepView) (flops, maskSum float64) {
+	blocks := float64(p.Blocks)
 	for _, s := range batch {
 		maskSum += s.Req.MaskRatio
 		switch sys {
 		case SystemDiffusers, SystemTeaCache:
-			flops += p.BlockFLOPsFull()
+			flops += blocks * p.BlockFLOPsFull()
 		case SystemFISEdit:
-			flops += p.BlockFLOPsMaskedKV(s.Req.MaskRatio)
+			flops += blocks * p.BlockFLOPsMaskedKV(s.Req.MaskRatio)
 		default: // SystemFlashPS
-			flops += p.BlockFLOPsMasked(s.Req.MaskRatio)
+			flops += p.BlockFLOPsMasked(s.Req.MaskRatio) + (blocks-1)*p.BlockFLOPsMaskedKV(s.Req.MaskRatio)
 		}
 	}
-	return flops * float64(p.Blocks), maskSum
+	return flops, maskSum
 }
 
 // PolicyComputeScale returns the fraction of a batch step's block work an

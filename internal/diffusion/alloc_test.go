@@ -7,13 +7,14 @@ import (
 	"flashps/internal/img"
 	"flashps/internal/mask"
 	"flashps/internal/model"
-	"flashps/internal/tensor"
 )
 
 // steadyStateStep builds the per-step closure the Edit loop runs: reset the
 // workspace, evaluate the denoiser, apply the DDIM update into the ping-pong
-// buffer. It returns the closure plus the engine's warm arena.
-func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []int, tpl *TemplateCache) func() {
+// buffer — the first step of a session over maskedIdx, again and again. A
+// nil tpl prepares one; derive says whether a cached-Y session may use
+// derived K/V.
+func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []int, tpl *TemplateCache, derive bool) func() {
 	t.Helper()
 	e, err := NewEngine(cfg, 42)
 	if err != nil {
@@ -27,22 +28,30 @@ func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []
 			t.Fatal(err)
 		}
 	}
-	cond := model.EmbedPrompt("edit prompt", cfg.Hidden)
-	rng := tensor.NewRNG(99)
-	fresh := tensor.Randn(rng, tpl.Z0.R, tpl.Z0.C, 1)
-	x := e.noisyInit(tpl.Z0, tpl.Noise, fresh, maskedIdx)
-	xNext := x.Clone()
+	tpl.SetDeriveGate(func(int64) bool { return derive })
+	var m *mask.Mask
+	if maskedIdx != nil {
+		m = mask.New(cfg.LatentH, cfg.LatentW)
+		for _, i := range maskedIdx {
+			m.Bits[i] = true
+		}
+	}
+	s, err := e.BeginEdit(EditRequest{Template: tpl, Mask: m, Prompt: "edit prompt", Seed: 99, Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (s.derived != nil) != (derive && mode == EditCachedY) {
+		t.Fatalf("mode %v, derive %v: session has derived K/V: %v", mode, derive, s.derived != nil)
+	}
 	ws := e.acquireWS()
-	modes := e.blockModes(EditRequest{Mode: mode, Template: tpl})
-	step := e.Sched.Steps - 1
 	return func() {
 		ws.Reset()
-		eps, err := e.stepEps(ws, x, step, cond, maskedIdx, modes, tpl, mode, nil, nil, nil)
+		eps, err := s.stepEps(ws, s.t)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.updateInto(xNext, x, eps, step, mode, maskedIdx)
-		x, xNext = xNext, x
+		e.updateInto(s.xNext, s.x, eps, s.t, mode, s.maskedIdx)
+		s.x, s.xNext = s.xNext, s.x
 	}
 }
 
@@ -50,7 +59,7 @@ func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []
 // acceptance test: once the arena has grown to the step's working set, a
 // full-computation denoising step performs zero heap allocations.
 func TestSteadyStateDenoiseStepZeroAllocs(t *testing.T) {
-	step := steadyStateStep(t, testCfg, EditFull, nil, nil)
+	step := steadyStateStep(t, testCfg, EditFull, nil, nil, false)
 	// Two warm cycles: the first records the arena demand, the second runs
 	// fully slab-backed.
 	step()
@@ -66,7 +75,7 @@ func TestSteadyStateGuidedStepZeroAllocs(t *testing.T) {
 	cfg := testCfg
 	cfg.Name = "difftest-guided"
 	cfg.GuidanceScale = 1.5
-	step := steadyStateStep(t, cfg, EditFull, nil, nil)
+	step := steadyStateStep(t, cfg, EditFull, nil, nil, false)
 	step()
 	step()
 	if n := testing.AllocsPerRun(10, step); n != 0 {
@@ -78,17 +87,21 @@ func TestSteadyStateGuidedStepZeroAllocs(t *testing.T) {
 // gather/scatter bookkeeping is arena-backed and only the Record-free
 // cached path is exercised, so they too must be allocation-free once warm
 // — at every masked-row count class the GEMM distinguishes: remainder
-// rows only (1, 3), full 4-row tiles only (4), and both (7).
+// rows only (1, 3), full 4-row tiles only (4), and both (7) — with K/V
+// computed, derived, and recorded.
 func TestSteadyStateMaskedStepZeroAllocs(t *testing.T) {
 	e := newTestEngine(t)
 	tpl, _ := testTemplate(t, e, true)
-	for _, mode := range []EditMode{EditCachedY, EditCachedKV} {
+	for _, c := range []struct {
+		mode   EditMode
+		derive bool
+	}{{EditCachedY, false}, {EditCachedY, true}, {EditCachedKV, false}} {
 		for _, maskedIdx := range [][]int{{8}, {1, 7, 8}, {1, 7, 8, 14}, {1, 2, 7, 8, 13, 14, 20}} {
-			step := steadyStateStep(t, testCfg, mode, maskedIdx, tpl)
+			step := steadyStateStep(t, testCfg, c.mode, maskedIdx, tpl, c.derive)
 			step()
 			step()
 			if n := testing.AllocsPerRun(10, step); n != 0 {
-				t.Fatalf("steady-state %v denoise step, %d masked rows: %v allocs/op, want 0", mode, len(maskedIdx), n)
+				t.Fatalf("steady-state %v denoise step (derived %v), %d masked rows: %v allocs/op, want 0", c.mode, c.derive, len(maskedIdx), n)
 			}
 		}
 	}

@@ -98,11 +98,19 @@ type TemplateCache struct {
 	// model runs classifier-free guidance (nil otherwise).
 	UncondSteps []*model.StepActivations
 	Cond        []float32 // conditioning used for the template pass
+
+	// Derived K/V (derived.go). deriveMu serializes derivations; dmu guards
+	// the three fields below it and is never held across a call out.
+	deriveMu sync.Mutex
+	dmu      sync.Mutex
+	derived  *derivedKV
+	epoch    uint64 // bumped by every drop
+	gate     func(bytes int64) bool
 }
 
 // SizeBytes returns the total size of the cached activations in bytes
 // (float32 Y matrices across all steps and blocks; K/V add 2× more when
-// recorded).
+// recorded). Derived K/V is not part of it: see DerivedBytes.
 func (tc *TemplateCache) SizeBytes() int64 {
 	var total int64
 	for _, steps := range [][]*model.StepActivations{tc.Steps, tc.UncondSteps} {
@@ -262,7 +270,7 @@ func (e *Engine) PrepareTemplate(templateID uint64, im *img.Image, prompt string
 				return nil, nil, err
 			}
 			tc.UncondSteps[t] = recU
-			g := ws.Get(eps.R, eps.C)
+			g := ws.GetRaw(eps.R, eps.C)
 			guideInto(g, epsU, eps, guidance)
 			eps = g
 		}
@@ -294,41 +302,6 @@ func (e *Engine) Edit(req EditRequest) (*EditResult, error) {
 			return s.Result()
 		}
 	}
-}
-
-// stepEps evaluates the denoiser for one step under the request's mode,
-// running the classifier-free-guidance dual pass when the model config
-// enables it. For cached modes each pass uses its own activation cache, so
-// unmasked rows reproduce the template trajectory exactly under guidance
-// too. reuse/rcC/rcU thread the adaptive step policy's per-block reuse
-// plan and the per-pass residual caches (all nil when no policy is
-// active); each guidance pass keeps its own residuals because the two
-// trajectories drift differently.
-func (e *Engine) stepEps(ws *tensor.Arena, x *tensor.Matrix, t int, cond []float32, maskedIdx []int, modes []model.ExecMode, tpl *TemplateCache, mode EditMode, reuse []bool, rcC, rcU *model.ReuseCache) (*tensor.Matrix, error) {
-	optsC := model.StepOptions{MaskedIdx: maskedIdx, Modes: modes, WS: ws, Reuse: reuse, ReuseCache: rcC}
-	cached := mode == EditCachedY || mode == EditCachedKV
-	if cached {
-		optsC.Cached = tpl.Steps[t]
-	}
-	eps, err := e.Model.ForwardStep(x, t, cond, optsC)
-	if err != nil {
-		return nil, err
-	}
-	guidance := e.Model.Config().GuidanceScale
-	if guidance <= 0 {
-		return eps, nil
-	}
-	optsU := model.StepOptions{MaskedIdx: maskedIdx, Modes: modes, WS: ws, Reuse: reuse, ReuseCache: rcU}
-	if cached {
-		optsU.Cached = tpl.UncondSteps[t]
-	}
-	epsU, err := e.Model.ForwardStep(x, t, nil, optsU)
-	if err != nil {
-		return nil, err
-	}
-	g := ws.Get(eps.R, eps.C)
-	guideInto(g, epsU, eps, guidance)
-	return g, nil
 }
 
 // guideInto combines the unconditional and conditional predictions into dst:

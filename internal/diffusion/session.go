@@ -22,6 +22,8 @@ type EditSession struct {
 	cond      []float32
 	maskedIdx []int
 	modes     []model.ExecMode
+	derived   *derivedKV // the template's, as of BeginEdit; nil = compute K/V
+	kvBlocks  []bool     // blocks that are given their unmasked K/V (derived or recorded)
 
 	// TeaCache state.
 	teaThreshold float64
@@ -44,6 +46,7 @@ type EditSession struct {
 
 	lastBlocksComputed  int
 	lastBlocksReused    int
+	lastBlocksKV        int
 	totalBlocksComputed int
 	totalBlocksReused   int
 }
@@ -112,6 +115,17 @@ func (e *Engine) BeginEdit(req EditRequest) (*EditSession, error) {
 		s.passes = 2
 	}
 	s.xNext = s.x.Clone()
+	if req.Mode == EditCachedY {
+		// EditCachedKV has K/V recorded for every block and needs none
+		// derived. BeginEdit is the place: callers run it off the
+		// goroutine that steps their batch.
+		s.derived = e.derivedFor(req.Template)
+	}
+	s.kvBlocks = make([]bool, len(s.modes))
+	for i, m := range s.modes {
+		s.kvBlocks[i] = m == model.ExecCachedKV ||
+			(m == model.ExecCachedY && s.derived != nil && model.Replenished(s.modes, i))
+	}
 	if req.Mode == EditTeaCache {
 		s.teaThreshold = req.TeaCacheThreshold
 		if s.teaThreshold <= 0 {
@@ -159,6 +173,11 @@ func (s *EditSession) LastStepBlocks() (computed, reused int) {
 	return s.lastBlocksComputed, s.lastBlocksReused
 }
 
+// LastStepBlocksKV returns how many of the most recent Step's computed
+// blocks were given their unmasked tokens' K/V — derived from the template
+// or recorded with it — instead of projecting all tokens.
+func (s *EditSession) LastStepBlocksKV() int { return s.lastBlocksKV }
+
 // TotalBlocks returns the session-lifetime computed/reused block counts.
 func (s *EditSession) TotalBlocks() (computed, reused int) {
 	return s.totalBlocksComputed, s.totalBlocksReused
@@ -197,9 +216,9 @@ func (s *EditSession) Step() (done bool, err error) {
 			s.teaAccum += embeddingDrift(s.teaLastT, t, e.Model.Config().Hidden)
 			recompute = s.teaAccum >= s.teaThreshold
 		}
-		s.lastBlocksComputed, s.lastBlocksReused = 0, 0
+		s.lastBlocksComputed, s.lastBlocksReused, s.lastBlocksKV = 0, 0, 0
 		if recompute {
-			eps, err := e.stepEps(ws, s.x, t, s.cond, nil, nil, s.req.Template, EditTeaCache, nil, nil, nil)
+			eps, err := s.stepEps(ws, t)
 			if err != nil {
 				return false, err
 			}
@@ -218,18 +237,16 @@ func (s *EditSession) Step() (done bool, err error) {
 		e.updateInto(s.xNext, s.x, s.teaLastEps, t, s.req.Mode, s.maskedIdx)
 		s.x, s.xNext = s.xNext, s.x
 	default:
-		var reuse []bool
 		if s.policy != nil {
 			// stepIdx is the 0-based execution index (step 0 denoises from
 			// pure noise); policies reason in execution order, not timestep.
 			s.policy.PlanStep(s.reusePlan, e.Sched.Steps-1-t)
-			reuse = s.reusePlan
 			s.rcCond.BeginStep()
 			if s.rcUncond != nil {
 				s.rcUncond.BeginStep()
 			}
 		}
-		eps, err := e.stepEps(ws, s.x, t, s.cond, s.maskedIdx, s.modes, s.req.Template, s.req.Mode, reuse, s.rcCond, s.rcUncond)
+		eps, err := s.stepEps(ws, t)
 		if err != nil {
 			return false, err
 		}
@@ -246,6 +263,15 @@ func (s *EditSession) Step() (done bool, err error) {
 		}
 		s.lastBlocksComputed = blocksPerStep - reused
 		s.lastBlocksReused = reused
+		s.lastBlocksKV = 0
+		rcs := [...]*model.ReuseCache{s.rcCond, s.rcUncond}
+		for i, kv := range s.kvBlocks {
+			for _, rc := range rcs[:s.passes] {
+				if kv && (rc == nil || !rc.StepReused()[i]) {
+					s.lastBlocksKV++
+				}
+			}
+		}
 		s.totalBlocksComputed += blocksPerStep - reused
 		s.totalBlocksReused += reused
 		e.updateInto(s.xNext, s.x, eps, t, s.req.Mode, s.maskedIdx)
@@ -253,6 +279,48 @@ func (s *EditSession) Step() (done bool, err error) {
 	}
 	s.t--
 	return s.Done(), nil
+}
+
+// stepEps evaluates the denoiser for step t of the session under its mode,
+// running the classifier-free-guidance dual pass when the model config
+// enables it. For cached modes each pass uses its own activation cache (and
+// its own derived K/V), so unmasked rows reproduce the template trajectory
+// exactly under guidance too. The adaptive step policy's per-block reuse
+// plan and per-pass residual caches ride along (all nil when no policy is
+// active); each guidance pass keeps its own residuals because the two
+// trajectories drift differently.
+func (s *EditSession) stepEps(ws *tensor.Arena, t int) (*tensor.Matrix, error) {
+	e, tpl := s.engine, s.req.Template
+	cached := s.req.Mode == EditCachedY || s.req.Mode == EditCachedKV
+	opts := model.StepOptions{MaskedIdx: s.maskedIdx, Modes: s.modes, WS: ws, Reuse: s.reusePlan, ReuseCache: s.rcCond}
+	if cached {
+		opts.Cached = tpl.Steps[t]
+		if s.derived != nil {
+			opts.Derived = s.derived.cond[t]
+		}
+	}
+	eps, err := e.Model.ForwardStep(s.x, t, s.cond, opts)
+	if err != nil {
+		return nil, err
+	}
+	guidance := e.Model.Config().GuidanceScale
+	if guidance <= 0 {
+		return eps, nil
+	}
+	opts.ReuseCache = s.rcUncond
+	if cached {
+		opts.Cached = tpl.UncondSteps[t]
+		if s.derived != nil {
+			opts.Derived = s.derived.uncond[t]
+		}
+	}
+	epsU, err := e.Model.ForwardStep(s.x, t, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	g := ws.GetRaw(eps.R, eps.C)
+	guideInto(g, epsU, eps, guidance)
+	return g, nil
 }
 
 // Latent returns the current latent (aliased; callers must not mutate).

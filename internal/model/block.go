@@ -63,16 +63,16 @@ func (b *Block) crossAttend(ws *tensor.Arena, h, ctx *tensor.Matrix) *tensor.Mat
 	if b.WQc == nil || ctx == nil || ctx.R == 0 {
 		return h
 	}
-	ln := ws.Get(h.R, h.C)
+	ln := ws.GetRaw(h.R, h.C)
 	tensor.LayerNormRowsInto(ln, h, b.LNcGamma, b.LNcBeta, 1e-5)
-	q := ws.Get(h.R, b.Hidden)
+	q := ws.GetRaw(h.R, b.Hidden)
 	tensor.MatMulInto(q, ln, b.WQc)
-	k := ws.Get(ctx.R, b.Hidden)
+	k := ws.GetRaw(ctx.R, b.Hidden)
 	tensor.MatMulInto(k, ctx, b.WKc)
-	v := ws.Get(ctx.R, b.Hidden)
+	v := ws.GetRaw(ctx.R, b.Hidden)
 	tensor.MatMulInto(v, ctx, b.WVc)
 	attn := b.attention(ws, q, k, v)
-	proj := ws.Get(h.R, b.Hidden)
+	proj := ws.GetRaw(h.R, b.Hidden)
 	tensor.MatMulInto(proj, attn, b.WOc)
 	tensor.AddInPlace(h, proj)
 	return h
@@ -95,7 +95,7 @@ func (b *Block) headDim() int { return b.Hidden / b.heads() }
 // copy) and the kernel runs an online softmax over K/V tiles, so the
 // q.R×k.R score matrix is never materialized; its packed kᵀ comes from ws.
 func (b *Block) attention(ws *tensor.Arena, q, k, v *tensor.Matrix) *tensor.Matrix {
-	out := ws.Get(q.R, b.Hidden)
+	out := ws.GetRaw(q.R, b.Hidden)
 	scale := float32(1 / math.Sqrt(float64(b.headDim())))
 	tensor.FusedAttentionWS(ws, out, q, k, v, b.heads(), scale)
 	return out
@@ -161,30 +161,43 @@ func (b *Block) Forward(x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Ma
 // ForwardWS is Forward with all intermediates and the returned output
 // served from ws (nil ws allocates).
 func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActivations) *tensor.Matrix {
-	return b.forward(ws, x, ctx, rec, true)
+	return b.forward(ws, nil, x, ctx, rec, true)
 }
 
-// forward is ForwardWS recording K and V into rec only when recKV is set:
-// a cache-Y template keeps Y alone, and copying two L×H matrices per block
-// to drop them afterwards is most of a prepare's garbage.
-func (b *Block) forward(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActivations, recKV bool) *tensor.Matrix {
-	ln1 := ws.Get(x.R, x.C)
+// outBuf returns the r×c buffer a forward variant writes its result into:
+// dst when the caller supplied one (Model.ForwardStep ping-pongs two block
+// outputs so that everything else a block takes from ws can be released at
+// the block boundary), arena scratch otherwise. dst must not alias the
+// block's input.
+func outBuf(ws *tensor.Arena, dst *tensor.Matrix, r, c int) *tensor.Matrix {
+	if dst != nil {
+		return dst
+	}
+	return ws.GetRaw(r, c)
+}
+
+// forward is ForwardWS writing its result into dst (see outBuf) and
+// recording K and V into rec only when recKV is set: a cache-Y template
+// keeps Y alone, and copying two L×H matrices per block to drop them
+// afterwards is most of a prepare's garbage.
+func (b *Block) forward(ws *tensor.Arena, dst, x, ctx *tensor.Matrix, rec *BlockActivations, recKV bool) *tensor.Matrix {
+	ln1 := ws.GetRaw(x.R, x.C)
 	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 
-	q := ws.Get(x.R, b.Hidden)
+	q := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(q, ln1, b.WQ)
-	k := ws.Get(x.R, b.Hidden)
+	k := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(k, ln1, b.WK)
-	v := ws.Get(x.R, b.Hidden)
+	v := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(v, ln1, b.WV)
 
 	attn := b.attention(ws, q, k, v)
-	h := ws.Get(x.R, b.Hidden)
+	h := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(h, attn, b.WO)
 	tensor.AddInPlace(h, x)
 	h = b.crossAttend(ws, h, ctx)
 
-	y := b.ffn(ws, h)
+	y := b.ffn(ws, dst, h)
 
 	if rec != nil {
 		rec.Y = y.Clone()
@@ -196,14 +209,14 @@ func (b *Block) forward(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockActiv
 	return y
 }
 
-// ffn applies the LN2 + GeLU MLP sublayer: h + FFN(LN2(h)), returning an
-// arena-backed result.
-func (b *Block) ffn(ws *tensor.Arena, h *tensor.Matrix) *tensor.Matrix {
-	ln2 := ws.Get(h.R, h.C)
+// ffn applies the LN2 + GeLU MLP sublayer: h + FFN(LN2(h)), written into
+// dst (see outBuf).
+func (b *Block) ffn(ws *tensor.Arena, dst, h *tensor.Matrix) *tensor.Matrix {
+	ln2 := ws.GetRaw(h.R, h.C)
 	tensor.LayerNormRowsInto(ln2, h, b.LN2Gamma, b.LN2Beta, 1e-5)
-	ff := ws.Get(h.R, b.W1.C)
+	ff := ws.GetRaw(h.R, b.W1.C)
 	tensor.MatMulGeLUInto(ff, ln2, b.W1)
-	y := ws.Get(h.R, b.Hidden)
+	y := outBuf(ws, dst, h.R, b.Hidden)
 	tensor.MatMulInto(y, ff, b.W2)
 	tensor.AddInPlace(y, h)
 	return y
@@ -247,72 +260,102 @@ func (b *Block) ForwardMasked(x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *
 
 // ForwardMaskedWS is ForwardMasked with intermediates served from ws.
 func (b *Block) ForwardMaskedWS(ws *tensor.Arena, x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return ws.Clone(cachedY)
-	}
-	ln1 := ws.Get(x.R, x.C)
-	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
-
-	lnM := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
-	q := ws.Get(len(maskedIdx), b.Hidden) // m·L × H
-	tensor.MatMulInto(q, lnM, b.WQ)
-	k := ws.Get(x.R, b.Hidden) // L × H (all tokens)
-	tensor.MatMulInto(k, ln1, b.WK)
-	v := ws.Get(x.R, b.Hidden)
-	tensor.MatMulInto(v, ln1, b.WV)
-
-	return b.finishMasked(ws, x, cachedY, ctx, maskedIdx, q, k, v)
+	return b.forwardMasked(ws, nil, x, cachedY, ctx, maskedIdx)
 }
 
-// ForwardMaskedKV runs the alternative mask-aware pass of Fig 7: K and V of
-// unmasked tokens come from cachedK/cachedV instead of being recomputed,
-// at the cost of caching twice the data. Fresh K/V rows are still computed
-// for masked tokens and scattered into copies of the cached matrices.
+func (b *Block) forwardMasked(ws *tensor.Arena, dst, x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
+	if len(maskedIdx) == 0 {
+		return copyInto(ws, dst, cachedY)
+	}
+	ln1 := ws.GetRaw(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
+
+	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
+	q := ws.GetRaw(len(maskedIdx), b.Hidden) // m·L × H
+	tensor.MatMulInto(q, lnM, b.WQ)
+	k := ws.GetRaw(x.R, b.Hidden) // L × H (all tokens)
+	tensor.MatMulInto(k, ln1, b.WK)
+	v := ws.GetRaw(x.R, b.Hidden)
+	tensor.MatMulInto(v, ln1, b.WV)
+
+	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.GatherRowsInto(xM, x, maskedIdx)
+	return b.finishMasked(ws, dst, xM, cachedY, ctx, maskedIdx, q, k, v)
+}
+
+// ForwardMaskedKV runs the mask-aware pass with the unmasked tokens' K and
+// V given instead of recomputed: cachedK/cachedV are K and V of the block's
+// input with its unmasked rows at their template values — recorded beside Y
+// (the paper's Fig 7, at 3× the cache bytes) or derived once per template
+// from the previous block's cached output (Model.DeriveKV). Only the masked
+// rows of x are read: they are gathered first, LN1 and the Q/K/V projections
+// run on those rows alone, and the fresh K/V rows are scattered into copies
+// of the given matrices. LN1 and GEMM rows are independent (tensor's
+// determinism contract), so the result is bit-identical to ForwardMasked on
+// an x whose unmasked rows produced cachedK/cachedV.
 func (b *Block) ForwardMaskedKV(x, cachedY, cachedK, cachedV, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
 	return b.ForwardMaskedKVWS(nil, x, cachedY, cachedK, cachedV, ctx, maskedIdx)
 }
 
 // ForwardMaskedKVWS is ForwardMaskedKV with intermediates served from ws.
 func (b *Block) ForwardMaskedKVWS(ws *tensor.Arena, x, cachedY, cachedK, cachedV, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return ws.Clone(cachedY)
-	}
-	ln1 := ws.Get(x.R, x.C)
-	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
+	return b.forwardMaskedKV(ws, nil, x, cachedY, cachedK, cachedV, ctx, maskedIdx)
+}
 
-	lnM := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
-	q := ws.Get(len(maskedIdx), b.Hidden)
+func (b *Block) forwardMaskedKV(ws *tensor.Arena, dst, x, cachedY, cachedK, cachedV, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
+	if len(maskedIdx) == 0 {
+		return copyInto(ws, dst, cachedY)
+	}
+	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.GatherRowsInto(xM, x, maskedIdx)
+	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
+
+	q := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(q, lnM, b.WQ)
-	kM := ws.Get(len(maskedIdx), b.Hidden)
+	kM := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(kM, lnM, b.WK)
-	vM := ws.Get(len(maskedIdx), b.Hidden)
+	vM := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(vM, lnM, b.WV)
 	k := ws.Clone(cachedK)
 	v := ws.Clone(cachedV)
 	tensor.ScatterRows(k, kM, maskedIdx)
 	tensor.ScatterRows(v, vM, maskedIdx)
 
-	return b.finishMasked(ws, x, cachedY, ctx, maskedIdx, q, k, v)
+	return b.finishMasked(ws, dst, xM, cachedY, ctx, maskedIdx, q, k, v)
 }
 
-// finishMasked completes a mask-aware pass given masked-row queries q and
-// full-token k, v: masked rows attend over all tokens, then the output
-// projection, residual, LN2 and FFN run on masked rows only, and the
-// result is spliced into a copy of cachedY.
-func (b *Block) finishMasked(ws *tensor.Arena, x, cachedY, ctx *tensor.Matrix, maskedIdx []int, q, k, v *tensor.Matrix) *tensor.Matrix {
+// projectKV writes K and V of the full-token input x into k and v.
+func (b *Block) projectKV(ws *tensor.Arena, x, k, v *tensor.Matrix) {
+	ln1 := ws.GetRaw(x.R, x.C)
+	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
+	tensor.MatMulInto(k, ln1, b.WK)
+	tensor.MatMulInto(v, ln1, b.WV)
+}
+
+// copyInto copies m into dst (see outBuf).
+func copyInto(ws *tensor.Arena, dst, m *tensor.Matrix) *tensor.Matrix {
+	y := outBuf(ws, dst, m.R, m.C)
+	copy(y.Data, m.Data)
+	return y
+}
+
+// finishMasked completes a mask-aware pass given the masked rows xM of the
+// input, their queries q and full-token k, v: masked rows attend over all
+// tokens, then the output projection, residual, LN2 and FFN run on masked
+// rows only, and the result is spliced into a copy of base — the block's
+// cached output, or for the naive baseline its input.
+func (b *Block) finishMasked(ws *tensor.Arena, dst, xM, base, ctx *tensor.Matrix, maskedIdx []int, q, k, v *tensor.Matrix) *tensor.Matrix {
 	attn := b.attention(ws, q, k, v) // m·L × H
-	xM := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	h := ws.Get(len(maskedIdx), b.Hidden)
+	h := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(h, attn, b.WO)
 	tensor.AddInPlace(h, xM)
 	h = b.crossAttend(ws, h, ctx)
 
-	yM := b.ffn(ws, h)
+	yM := b.ffn(ws, nil, h)
 
-	y := ws.Clone(cachedY)
+	y := copyInto(ws, dst, base)
 	tensor.ScatterRows(y, yM, maskedIdx)
 	return y
 }
@@ -328,32 +371,24 @@ func (b *Block) ForwardNaiveSkip(x, ctx *tensor.Matrix, maskedIdx []int) *tensor
 
 // ForwardNaiveSkipWS is ForwardNaiveSkip with intermediates served from ws.
 func (b *Block) ForwardNaiveSkipWS(ws *tensor.Arena, x, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return ws.Clone(x)
-	}
-	ln1 := ws.Get(x.R, x.C)
-	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
+	return b.forwardNaiveSkip(ws, nil, x, ctx, maskedIdx)
+}
 
-	lnM := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
-	q := ws.Get(len(maskedIdx), b.Hidden)
+func (b *Block) forwardNaiveSkip(ws *tensor.Arena, dst, x, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
+	if len(maskedIdx) == 0 {
+		return copyInto(ws, dst, x)
+	}
+	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.GatherRowsInto(xM, x, maskedIdx)
+	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
+	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
+
+	q := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(q, lnM, b.WQ)
-	k := ws.Get(len(maskedIdx), b.Hidden) // masked tokens only: no global context
+	k := ws.GetRaw(len(maskedIdx), b.Hidden) // masked tokens only: no global context
 	tensor.MatMulInto(k, lnM, b.WK)
-	v := ws.Get(len(maskedIdx), b.Hidden)
+	v := ws.GetRaw(len(maskedIdx), b.Hidden)
 	tensor.MatMulInto(v, lnM, b.WV)
 
-	attn := b.attention(ws, q, k, v)
-	xM := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	h := ws.Get(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(h, attn, b.WO)
-	tensor.AddInPlace(h, xM)
-	h = b.crossAttend(ws, h, ctx)
-
-	yM := b.ffn(ws, h)
-
-	y := ws.Clone(x)
-	tensor.ScatterRows(y, yM, maskedIdx)
-	return y
+	return b.finishMasked(ws, dst, xM, x, ctx, maskedIdx, q, k, v)
 }

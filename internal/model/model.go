@@ -87,8 +87,9 @@ const (
 	// rows from the cached block output (Fig 5-Bottom, the paper's
 	// primary design).
 	ExecCachedY
-	// ExecCachedKV additionally reuses cached K/V for unmasked tokens
-	// (Fig 7 alternative; 2× cache size, skips unmasked K/V projection).
+	// ExecCachedKV additionally reuses K/V recorded beside Y for unmasked
+	// tokens (Fig 7 alternative; 3× cache size, skips the unmasked K/V
+	// projection in every block, the first included).
 	ExecCachedKV
 	// ExecNaiveSkip computes masked tokens with no global context
 	// (Fig 1 rightmost; distorts output, kept as a quality baseline).
@@ -126,6 +127,12 @@ type StepOptions struct {
 	// full run on the same template. Required when any block mode is
 	// ExecCachedY or ExecCachedKV.
 	Cached *StepActivations
+	// Derived holds this step's derived K/V (Model.DeriveKV over Cached).
+	// An ExecCachedY block whose predecessor replenished from the cache
+	// takes its unmasked tokens' K and V from here instead of projecting
+	// all tokens again; nil, or a nil entry, computes them as before. The
+	// output is the same bits either way.
+	Derived *StepActivations
 	// Modes gives the per-block execution mode. nil means ExecFull for
 	// every block. A short slice is padded with ExecFull.
 	Modes []ExecMode
@@ -208,43 +215,51 @@ func (m *Model) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts S
 	if opts.Record != nil {
 		opts.Record.Blocks = make([]BlockActivations, len(m.Blocks))
 	}
+	// Block outputs ping-pong between two buffers, so everything else a
+	// block takes from ws is released at its boundary and the arena holds
+	// one block's working set, not the step's. Without an arena each block
+	// allocates its own output.
+	var bufs [2]*tensor.Matrix
+	if ws != nil {
+		bufs = [2]*tensor.Matrix{ws.GetRaw(x.R, x.C), ws.GetRaw(x.R, x.C)}
+	}
+	mark := ws.Mark()
 	rc := opts.ReuseCache
 	for i, blk := range m.Blocks {
+		xin, dst := x, bufs[i%2] // x is the embedding or bufs[(i-1)%2]
 		if rc != nil && i < len(opts.Reuse) && opts.Reuse[i] && rc.Has(i) &&
 			modes[i] != ExecNaiveSkip {
-			x = rc.Apply(ws, i, x, modes[i], opts.Cached, opts.MaskedIdx)
+			x = rc.Apply(ws, dst, i, x, modes[i], opts.Cached, opts.MaskedIdx)
 			if opts.Record != nil {
 				opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
 			}
 			continue
 		}
-		xin := x
 		switch modes[i] {
 		case ExecFull:
 			var rec *BlockActivations
 			if opts.Record != nil {
 				rec = &opts.Record.Blocks[i]
 			}
-			x = blk.forward(ws, x, ctx, rec, opts.RecordKV)
-		case ExecCachedY:
+			x = blk.forward(ws, dst, x, ctx, rec, opts.RecordKV)
+		case ExecCachedY, ExecCachedKV:
 			ca := opts.Cached.Blocks[i]
-			x = blk.ForwardMaskedWS(ws, x, ca.Y, ctx, opts.MaskedIdx)
-			if opts.Record != nil {
-				opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
+			k, v := ca.K, ca.V
+			if modes[i] == ExecCachedY {
+				k, v = derivedKV(opts.Derived, modes, i)
 			}
-		case ExecCachedKV:
-			ca := opts.Cached.Blocks[i]
-			x = blk.ForwardMaskedKVWS(ws, x, ca.Y, ca.K, ca.V, ctx, opts.MaskedIdx)
-			if opts.Record != nil {
-				opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
+			if k != nil {
+				x = blk.forwardMaskedKV(ws, dst, x, ca.Y, k, v, ctx, opts.MaskedIdx)
+			} else {
+				x = blk.forwardMasked(ws, dst, x, ca.Y, ctx, opts.MaskedIdx)
 			}
 		case ExecNaiveSkip:
-			x = blk.ForwardNaiveSkipWS(ws, x, ctx, opts.MaskedIdx)
-			if opts.Record != nil {
-				opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
-			}
+			x = blk.forwardNaiveSkip(ws, dst, x, ctx, opts.MaskedIdx)
 		default:
 			return nil, fmt.Errorf("model: block %d: unknown exec mode %v", i, modes[i])
+		}
+		if opts.Record != nil && modes[i] != ExecFull {
+			opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
 		}
 		if rc != nil {
 			// The residual rows that matter are the ones Apply would touch:
@@ -256,10 +271,64 @@ func (m *Model) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts S
 			}
 			rc.Update(i, xin, x, rows, t)
 		}
+		ws.Release(mark)
 	}
-	out := ws.Get(x.R, m.Cfg.LatentChannels)
+	out := ws.GetRaw(x.R, m.Cfg.LatentChannels)
 	tensor.MatMulInto(out, x, m.outProj)
 	return out, nil
+}
+
+// derivedKV returns block i's derived K and V, or nil when there are none
+// or the block's input does not carry the previous block's cached output in
+// its unmasked rows: the first block's input is the embedding (which adds
+// the request's own prompt), and a predecessor that computed all tokens
+// (a bubble-free pipeline hole) or passed its input through (naive skip)
+// hands on rows the cache has never seen.
+func derivedKV(d *StepActivations, modes []ExecMode, i int) (k, v *tensor.Matrix) {
+	if d == nil || i >= len(d.Blocks) || !Replenished(modes, i) {
+		return nil, nil
+	}
+	return d.Blocks[i].K, d.Blocks[i].V
+}
+
+// Replenished reports whether block i's input carries the previous block's
+// cached output in its unmasked rows under modes — the condition for
+// derived K/V to stand in for block i's own projections.
+func Replenished(modes []ExecMode, i int) bool {
+	return i > 0 && (modes[i-1] == ExecCachedY || modes[i-1] == ExecCachedKV)
+}
+
+// DeriveKV computes the derived K/V of one cached step: for every block
+// after the first, K = LN1(Y')·WK and V = LN1(Y')·WV of the previous
+// block's cached output Y'. A mask-aware step splices its computed rows
+// into a copy of Y' (Block.finishMasked), so the next block's unmasked
+// input rows are rows of Y' whatever the request, and their K/V are a
+// function of the template alone; LN1 and GEMM rows being independent, the
+// derived rows have the bits the block would compute. Intermediates come
+// from ws; the result is heap-allocated in one piece (DerivedKVBytes).
+func (m *Model) DeriveKV(ws *tensor.Arena, cached *StepActivations) *StepActivations {
+	out := &StepActivations{Blocks: make([]BlockActivations, len(m.Blocks))}
+	slab := make([]float32, DerivedKVBytes(cached)/4)
+	mark := ws.Mark()
+	for i := 1; i < len(m.Blocks); i++ {
+		y := cached.Blocks[i-1].Y
+		n := len(y.Data)
+		k, v := tensor.FromSlice(y.R, y.C, slab[:n:n]), tensor.FromSlice(y.R, y.C, slab[n:2*n:2*n])
+		slab = slab[2*n:]
+		m.Blocks[i].projectKV(ws, y, k, v)
+		ws.Release(mark)
+		out.Blocks[i] = BlockActivations{K: k, V: v}
+	}
+	return out
+}
+
+// DerivedKVBytes returns the size of DeriveKV's result for cached.
+func DerivedKVBytes(cached *StepActivations) int64 {
+	var n int64
+	for _, b := range cached.Blocks[:max(len(cached.Blocks)-1, 0)] {
+		n += 2 * 4 * int64(len(b.Y.Data))
+	}
+	return n
 }
 
 // buildContext expands the prompt embedding into ContextTokens context
@@ -269,7 +338,7 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 	if len(m.ctxExpand) == 0 || len(cond) == 0 {
 		return nil
 	}
-	ctx := ws.Get(len(m.ctxExpand), m.Cfg.Hidden)
+	ctx := ws.GetRaw(len(m.ctxExpand), m.Cfg.Hidden)
 	c := ws.Wrap(1, m.Cfg.Hidden, cond)
 	for i, w := range m.ctxExpand {
 		row := ws.Wrap(1, m.Cfg.Hidden, ctx.Row(i))
@@ -281,7 +350,7 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 // embed maps the latent into hidden space and adds timestep and prompt
 // conditioning (all token-wise).
 func (m *Model) embed(ws *tensor.Arena, latent *tensor.Matrix, t int, cond []float32) *tensor.Matrix {
-	x := ws.Get(latent.R, m.Cfg.Hidden)
+	x := ws.GetRaw(latent.R, m.Cfg.Hidden)
 	tensor.MatMulInto(x, latent, m.inProj)
 	var temb []float32
 	if t >= 0 && t < m.timeEmb.R {

@@ -83,14 +83,14 @@ func (rc *ReuseCache) TotalReused() int { return rc.totalReused }
 // Apply produces block i's output from the stored residual instead of
 // computing the block: y = x + Δ for full execution, and for the masked
 // cached modes y replenishes unmasked rows from the template's cached
-// output and applies the residual to the masked rows only. The returned
-// matrix is arena-backed.
-func (rc *ReuseCache) Apply(ws *tensor.Arena, i int, x *tensor.Matrix, mode ExecMode, cached *StepActivations, maskedIdx []int) *tensor.Matrix {
+// output and applies the residual to the masked rows only. The result is
+// written into dst, or into arena scratch when dst is nil (see outBuf).
+func (rc *ReuseCache) Apply(ws *tensor.Arena, dst *tensor.Matrix, i int, x *tensor.Matrix, mode ExecMode, cached *StepActivations, maskedIdx []int) *tensor.Matrix {
 	d := rc.delta[i]
 	var y *tensor.Matrix
 	switch mode {
 	case ExecCachedY, ExecCachedKV:
-		y = ws.Clone(cached.Blocks[i].Y)
+		y = copyInto(ws, dst, cached.Blocks[i].Y)
 		for _, r := range maskedIdx {
 			xr, dr, yr := x.Row(r), d.Row(r), y.Row(r)
 			for j := range yr {
@@ -98,7 +98,7 @@ func (rc *ReuseCache) Apply(ws *tensor.Arena, i int, x *tensor.Matrix, mode Exec
 			}
 		}
 	default:
-		y = ws.Get(x.R, x.C)
+		y = outBuf(ws, dst, x.R, x.C)
 		for j := range y.Data {
 			y.Data[j] = x.Data[j] + d.Data[j]
 		}

@@ -276,7 +276,7 @@ func (u *UNet) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts St
 				if opts.Record != nil {
 					rec = &opts.Record.Blocks[flat]
 				}
-				x = blk.forward(ws, x, nil, rec, opts.RecordKV)
+				x = blk.forward(ws, nil, x, nil, rec, opts.RecordKV)
 			case ExecCachedY:
 				x = blk.ForwardMaskedWS(ws, x, opts.Cached.Blocks[flat].Y, nil, maskedIdx)
 				if opts.Record != nil {

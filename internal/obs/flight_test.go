@@ -68,7 +68,7 @@ func TestFlightSnapshotRoundTrip(t *testing.T) {
 		len(got.Events) != len(snap.Events) || len(got.Spans) != len(snap.Spans) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if got.Spans[0].Trace != trace || got.Spans[0].Args["mask_ratio"] != 0.2 {
+	if got.Spans[0].Trace != trace || got.Spans[0].Args != Arg("mask_ratio", 0.2) {
 		t.Fatalf("span lost in round trip: %+v", got.Spans[0])
 	}
 	if got.Events[0].Kind != "admission_reject" || got.Events[0].Detail != "rate_limited" {

@@ -295,13 +295,20 @@ func (p *Plane) Span(req uint64, stage, cat string, tid int, start, dur float64,
 // trace id, this span's id within it, and the parent span it hangs under
 // (0 for the request root). All-zero ids record a legacy non-causal span.
 func (p *Plane) SpanCausal(req uint64, stage, cat string, tid int, start, dur float64, trace, id, parent uint64, args map[string]float64) {
-	if dur < 0 {
-		dur = 0
+	p.RecordSpan(Span{Request: req, Name: stage, Cat: cat, TID: tid,
+		Start: start, Dur: dur, Args: ArgsFromMap(args), Trace: trace, ID: id, Parent: parent})
+}
+
+// RecordSpan records s in the trace ring and its duration in the stage
+// histograms. It is what Span and SpanCausal come down to, and the form
+// for hot paths: with annotations built inline (Arg) nothing allocates.
+func (p *Plane) RecordSpan(s Span) {
+	if s.Dur < 0 {
+		s.Dur = 0
 	}
-	p.Tracer.Record(Span{Request: req, Name: stage, Cat: cat, TID: tid,
-		Start: start, Dur: dur, Args: args, Trace: trace, ID: id, Parent: parent})
-	p.stage.With(stage).Observe(dur)
-	p.stageQ.With(stage).Observe(start+dur, dur)
+	p.Tracer.Record(s)
+	p.stage.With(s.Name).Observe(s.Dur)
+	p.stageQ.With(s.Name).Observe(s.Start+s.Dur, s.Dur)
 }
 
 // RequestOutcome counts one terminal request outcome ("ok", "error",

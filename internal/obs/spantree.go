@@ -94,13 +94,8 @@ func RenderSpanTree(w io.Writer, spans []Span, trace uint64) error {
 func spanArgs(s Span) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  worker %d", s.TID)
-	keys := make([]string, 0, len(s.Args))
-	for k := range s.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%s", k, strconv.FormatFloat(s.Args[k], 'g', 4, 64))
+	for _, kv := range s.Args.sorted() {
+		fmt.Fprintf(&b, " %s=%s", kv.Key, strconv.FormatFloat(kv.Val, 'g', 4, 64))
 	}
 	return b.String()
 }

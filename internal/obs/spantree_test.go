@@ -12,7 +12,7 @@ func TestRenderSpanTree(t *testing.T) {
 	root := SpanID(trace, "request", 0)
 	spans := []Span{
 		{Request: req, Name: "request", Cat: "core", TID: 1, Start: 2.0, Dur: 1.0,
-			Trace: trace, ID: root, Args: map[string]float64{"mask_ratio": 0.25}},
+			Trace: trace, ID: root, Args: Arg("mask_ratio", 0.25)},
 		{Request: req, Name: "queue", Cat: "core", TID: 1, Start: 2.0, Dur: 0.05,
 			Trace: trace, ID: SpanID(trace, "queue", 0), Parent: root},
 		{Request: req, Name: "inference", Cat: "core", TID: 1, Start: 2.05, Dur: 0.8,

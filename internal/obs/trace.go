@@ -26,19 +26,129 @@ import (
 // under (0 for the request root). All three are zero on legacy non-causal
 // spans, which export exactly as before.
 type Span struct {
-	Request uint64  `json:"request"`
-	Name    string  `json:"name"`
-	Cat     string  `json:"cat"`
-	TID     int     `json:"tid"`
-	Start   float64 `json:"start"` // clock seconds
-	Dur     float64 `json:"dur"`   // seconds
+	Request uint64
+	Name    string
+	Cat     string
+	TID     int
+	Start   float64 // clock seconds
+	Dur     float64 // seconds
 	// Args carries small numeric annotations (step index, batch size,
 	// mask ratio) into the trace viewer.
-	Args map[string]float64 `json:"args,omitempty"`
+	Args SpanArgs
 
-	Trace  uint64 `json:"trace,omitempty"`
-	ID     uint64 `json:"span,omitempty"`
-	Parent uint64 `json:"parent,omitempty"`
+	Trace  uint64
+	ID     uint64
+	Parent uint64
+}
+
+// SpanArg is one numeric annotation of a span; an empty Key is no
+// annotation.
+type SpanArg struct {
+	Key string
+	Val float64
+}
+
+// SpanArgs is a span's annotations, held inline: a span is recorded on
+// every denoising step of every request and retained by the trace ring, and
+// a map per span was both the hot path's allocation and, 65 536 spans deep,
+// as many bytes as the ring itself. No stage annotates more than two values.
+// Build one with Arg(k, v) and Arg(k, v).And(k2, v2); the zero value is no
+// annotations.
+type SpanArgs [2]SpanArg
+
+// Arg returns the annotations {key: val}.
+func Arg(key string, val float64) SpanArgs { return SpanArgs{{key, val}} }
+
+// And returns a with a second annotation added.
+func (a SpanArgs) And(key string, val float64) SpanArgs {
+	a[1] = SpanArg{key, val}
+	return a
+}
+
+// Get returns the annotation under key.
+func (a SpanArgs) Get(key string) (float64, bool) {
+	for _, kv := range a {
+		if kv.Key == key && key != "" {
+			return kv.Val, true
+		}
+	}
+	return 0, false
+}
+
+// sorted returns the annotations present, ascending by key — the order
+// every export renders them in.
+func (a SpanArgs) sorted() []SpanArg {
+	if a[0].Key == "" {
+		a[0], a[1] = a[1], SpanArg{}
+	}
+	if a[1].Key != "" && a[1].Key < a[0].Key {
+		a[0], a[1] = a[1], a[0]
+	}
+	n := 0
+	for n < len(a) && a[n].Key != "" {
+		n++
+	}
+	return a[:n]
+}
+
+// ArgsFromMap converts the map form of annotations; of more than two it
+// keeps the two smallest keys.
+func ArgsFromMap(m map[string]float64) SpanArgs {
+	var a SpanArgs
+	for k, v := range m {
+		switch kv := (SpanArg{k, v}); {
+		case a[0].Key == "" || k < a[0].Key:
+			a[0], a[1] = kv, a[0]
+		case a[1].Key == "" || k < a[1].Key:
+			a[1] = kv
+		}
+	}
+	return a
+}
+
+// Map returns the annotations as a map, nil when there are none.
+func (a SpanArgs) Map() map[string]float64 {
+	kvs := a.sorted()
+	if len(kvs) == 0 {
+		return nil
+	}
+	m := make(map[string]float64, len(kvs))
+	for _, kv := range kvs {
+		m[kv.Key] = kv.Val
+	}
+	return m
+}
+
+// spanJSON is Span's wire form (the flight recorder's): annotations as a
+// JSON object, as they were when Span held a map.
+type spanJSON struct {
+	Request uint64             `json:"request"`
+	Name    string             `json:"name"`
+	Cat     string             `json:"cat"`
+	TID     int                `json:"tid"`
+	Start   float64            `json:"start"`
+	Dur     float64            `json:"dur"`
+	Args    map[string]float64 `json:"args,omitempty"`
+	Trace   uint64             `json:"trace,omitempty"`
+	ID      uint64             `json:"span,omitempty"`
+	Parent  uint64             `json:"parent,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s Span) MarshalJSON() ([]byte, error) {
+	return json.Marshal(spanJSON{s.Request, s.Name, s.Cat, s.TID, s.Start, s.Dur,
+		s.Args.Map(), s.Trace, s.ID, s.Parent})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (s *Span) UnmarshalJSON(b []byte) error {
+	var j spanJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*s = Span{j.Request, j.Name, j.Cat, j.TID, j.Start, j.Dur,
+		ArgsFromMap(j.Args), j.Trace, j.ID, j.Parent}
+	return nil
 }
 
 // causalMask keeps trace and span ids inside 48 bits so they survive a
@@ -154,7 +264,7 @@ func (t *Tracer) OnDrop(fn func()) {
 // Span is a convenience helper: it builds and records a span from a
 // clock-sourced start time and duration, both in seconds.
 func (t *Tracer) Span(req uint64, name, cat string, tid int, start, dur float64, args map[string]float64) {
-	t.Record(Span{Request: req, Name: name, Cat: cat, TID: tid, Start: start, Dur: dur, Args: args})
+	t.Record(Span{Request: req, Name: name, Cat: cat, TID: tid, Start: start, Dur: dur, Args: ArgsFromMap(args)})
 }
 
 // Total returns how many spans were ever recorded (including dropped).
@@ -242,8 +352,8 @@ func (t *Tracer) WriteChromeJSONTrace(w io.Writer, trace uint64) error {
 	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(spans)), DisplayTimeUnit: "ms"}
 	for _, s := range spans {
 		args := make(map[string]float64, len(s.Args)+4)
-		for k, v := range s.Args {
-			args[k] = v
+		for _, kv := range s.Args.sorted() {
+			args[kv.Key] = kv.Val
 		}
 		args["request"] = float64(s.Request)
 		if s.Trace != 0 {
@@ -321,9 +431,7 @@ func SpansFromChromeJSON(r io.Reader) ([]Span, error) {
 				args[k] = v
 			}
 		}
-		if len(args) > 0 {
-			s.Args = args
-		}
+		s.Args = ArgsFromMap(args)
 		spans = append(spans, s)
 	}
 	return spans, nil

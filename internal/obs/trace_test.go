@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -143,7 +144,7 @@ func TestChromeJSONTraceFilterRoundTrip(t *testing.T) {
 			Trace: trace, ID: root})
 		tr.Record(Span{Request: req, Name: "queue", Cat: "core", Start: float64(req), Dur: 0.1,
 			Trace: trace, ID: SpanID(trace, "queue", 0), Parent: root,
-			Args: map[string]float64{"depth": 2}})
+			Args: Arg("depth", 2)})
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeJSONTrace(&buf, TraceID(2)); err != nil {
@@ -162,7 +163,7 @@ func TestChromeJSONTraceFilterRoundTrip(t *testing.T) {
 			t.Fatalf("bad reconstructed span %+v", s)
 		}
 	}
-	if spans[1].Parent != spans[0].ID || spans[1].Args["depth"] != 2 {
+	if spans[1].Parent != spans[0].ID || spans[1].Args != Arg("depth", 2) {
 		t.Fatalf("edge or args lost: %+v", spans[1])
 	}
 	// The reconstructed spans render as a tree.
@@ -202,5 +203,72 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if got := len(tr.Snapshot()); got != 128 {
 		t.Fatalf("retained = %d", got)
+	}
+}
+
+// TestRecordSpanWithArgsZeroAllocs pins the hot path's span budget: a span
+// with two annotations, recorded through the plane (ring + stage
+// histograms) the way the serving plane records a denoise step, allocates
+// nothing — the annotations live in the span. The map form converts
+// without allocating either.
+func TestRecordSpanWithArgsZeroAllocs(t *testing.T) {
+	p := NewPlane(PlaneConfig{TraceRing: 64})
+	trace := TraceID(9)
+	step := 0.0
+	record := func() {
+		step++
+		p.RecordSpan(Span{Request: 9, Name: "denoise_step", Cat: "serve", TID: 1, Start: step, Dur: 0.002,
+			Args:  Arg("step", step).And("batch", 2),
+			Trace: trace, ID: SpanID(trace, "denoise_step", uint64(step)), Parent: SpanID(trace, "request", 0)})
+	}
+	record() // creates the stage's histogram children
+	if n := testing.AllocsPerRun(200, record); n != 0 {
+		t.Fatalf("RecordSpan with two args: %v allocs/op, want 0", n)
+	}
+	args := map[string]float64{"step": 3, "batch": 2}
+	if n := testing.AllocsPerRun(200, func() {
+		p.SpanCausal(9, "denoise_step", "serve", 1, 1.5, 0.002, trace, 1, 2, args)
+	}); n != 0 {
+		t.Fatalf("SpanCausal with a two-entry map: %v allocs/op, want 0", n)
+	}
+	last := p.Tracer.Snapshot()
+	if got := last[len(last)-1].Args; got != Arg("batch", 2).And("step", 3) {
+		t.Fatalf("map args converted to %+v, want batch then step", got)
+	}
+}
+
+// TestSpanArgsOrderAndJSON: exports render annotations by ascending key
+// whatever order they were given in, and a span's JSON form is the object
+// it was when annotations were a map.
+func TestSpanArgsOrderAndJSON(t *testing.T) {
+	a := Arg("step", 3).And("batch", 2)
+	if got := a.sorted(); len(got) != 2 || got[0].Key != "batch" || got[1].Key != "step" {
+		t.Fatalf("sorted = %+v", got)
+	}
+	if got := (SpanArgs{}).And("only", 1).sorted(); len(got) != 1 || got[0].Key != "only" {
+		t.Fatalf("sorted with a hole = %+v", got)
+	}
+	if v, ok := a.Get("batch"); !ok || v != 2 {
+		t.Fatalf("Get(batch) = %v, %v", v, ok)
+	}
+	if _, ok := a.Get(""); ok {
+		t.Fatal("the empty key is no annotation")
+	}
+	if got := ArgsFromMap(map[string]float64{"c": 3, "a": 1, "b": 2}); got != Arg("a", 1).And("b", 2) {
+		t.Fatalf("three-entry map kept %+v, want the two smallest keys", got)
+	}
+	b, err := json.Marshal(Span{Request: 1, Name: "n", Cat: "c", Args: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"request":1,"name":"n","cat":"c","tid":0,"start":0,"dur":0,"args":{"batch":2,"step":3}}`; string(b) != want {
+		t.Fatalf("span JSON = %s\nwant        %s", b, want)
+	}
+	if b, _ = json.Marshal(Span{Request: 1, Name: "n", Cat: "c"}); strings.Contains(string(b), "args") {
+		t.Fatalf("span without annotations still writes args: %s", b)
+	}
+	var back Span
+	if err := json.Unmarshal([]byte(`{"request":1,"name":"n","cat":"c","args":{"step":3,"batch":2}}`), &back); err != nil || back.Args != Arg("batch", 2).And("step", 3) {
+		t.Fatalf("unmarshal: %v, %+v", err, back)
 	}
 }

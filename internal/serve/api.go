@@ -117,8 +117,6 @@ type PrepareRequest struct {
 	// wire); it is resized to the engine's resolution.
 	ImagePNG []byte `json:"image_png,omitempty"`
 	Prompt   string `json:"prompt"`
-	// RecordKV additionally caches attention K/V (Fig 7 variant support).
-	RecordKV bool `json:"record_kv"`
 }
 
 // PrepareResponse reports the prepared cache. Reused is set when the
@@ -136,6 +134,10 @@ type PrepareResponse struct {
 type TemplateInfo struct {
 	TemplateID uint64 `json:"template_id"`
 	Bytes      int64  `json:"bytes"`
+	// DerivedBytes is the derived K/V held in RAM beside the template's
+	// Bytes: rebuilt on demand, first to go under memory pressure, never
+	// on disk.
+	DerivedBytes int64 `json:"derived_bytes,omitempty"`
 	// Tier is "host", "disk", or "host+disk".
 	Tier string `json:"tier"`
 	// Pinned marks templates excluded from eviction (v1.1).
@@ -172,6 +174,10 @@ type CacheTierStats struct {
 	// UsedBytes is the tier's occupancy; for the disk tier this is
 	// physical bytes after block dedup.
 	UsedBytes int64 `json:"used_bytes"`
+	// DerivedBytes is the share of the host tier's UsedBytes that is
+	// derived K/V, and Derivations counts how often it was (re)built.
+	DerivedBytes int64 `json:"derived_bytes,omitempty"`
+	Derivations  int64 `json:"derivations,omitempty"`
 	// LogicalBytes is the pre-dedup sum of template sizes (disk tier).
 	LogicalBytes int64 `json:"logical_bytes,omitempty"`
 	Entries      int   `json:"entries"`

@@ -186,11 +186,11 @@ func tierValues(store *cache.TieredStore, f func(cache.TierStats) float64) []obs
 // name (plus the step index for repeated stages) — so every span of a
 // request hangs under its root and the ids match what the clock-driven
 // replay drivers would derive for the same request.
-func (o *serveObs) span(req uint64, stage string, worker int, start time.Time, dur time.Duration, args map[string]float64) {
+func (o *serveObs) span(req uint64, stage string, worker int, start time.Time, dur time.Duration, args obs.SpanArgs) {
 	trace := obs.TraceID(req)
 	root := obs.SpanID(trace, stageRequest, 0)
 	var idx uint64
-	if step, ok := args["step"]; ok && step > 0 {
+	if step, ok := args.Get("step"); ok && step > 0 {
 		idx = uint64(step)
 	}
 	parent := root
@@ -198,8 +198,9 @@ func (o *serveObs) span(req uint64, stage string, worker int, start time.Time, d
 		// Nested inside preprocessing: hang under that span, not the root.
 		parent = obs.SpanID(trace, stagePreprocess, 0)
 	}
-	o.plane.SpanCausal(req, stage, traceCat, worker, o.wall.Seconds(start),
-		dur.Seconds(), trace, obs.SpanID(trace, stage, idx), parent, args)
+	o.plane.RecordSpan(obs.Span{Request: req, Name: stage, Cat: traceCat, TID: worker,
+		Start: o.wall.Seconds(start), Dur: dur.Seconds(), Args: args,
+		Trace: trace, ID: obs.SpanID(trace, stage, idx), Parent: parent})
 }
 
 // cost records one structured cost sample into the plane's profile

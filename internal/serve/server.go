@@ -486,23 +486,25 @@ func (s *Server) Obs() *obs.Plane { return s.obs.plane }
 // against this same profile for the features to line up.
 func (s *Server) EngineProfile() perfmodel.ModelProfile { return s.engProfile }
 
-// blockFLOPs is the mask-aware FLOP feature for one transformer-block
-// forward pass of one session, from the engine profile: cached modes
-// compute masked rows, full and teacache compute every row. Multiplied by
-// the session's computed-block count it yields the step's actual FLOPs —
-// reused blocks and TeaCache-skipped steps contribute zero, so the cost
-// samples stay honest for calibration. The digital twin computes the
-// identical per-block feature at prediction time.
-func (s *Server) blockFLOPs(j *job) float64 {
+// stepFLOPs is the FLOPs the session's last step actually executed, from
+// the engine profile and the session's own count of what ran: cached modes
+// compute masked rows — and project K/V over all rows only in the blocks
+// that did not take them derived (or recorded) — full and teacache compute
+// every row, reused blocks and TeaCache-skipped steps contribute zero. So
+// the cost samples are honest work for calibration to fit a law to.
+func (s *Server) stepFLOPs(j *job) float64 {
+	computed, _ := j.session.LastStepBlocks()
+	kv := j.session.LastStepBlocksKV()
 	mode := j.mode
 	if j.degraded {
 		mode = diffusion.EditFull
 	}
 	switch mode {
 	case diffusion.EditCachedY, diffusion.EditCachedKV, diffusion.EditNaiveSkip:
-		return s.engProfile.BlockFLOPsMasked(j.ratio)
+		return s.engProfile.BlockFLOPsMasked(j.ratio)*float64(computed-kv) +
+			s.engProfile.BlockFLOPsMaskedKV(j.ratio)*float64(kv)
 	default: // EditFull, EditTeaCache
-		return s.engProfile.BlockFLOPsFull()
+		return s.engProfile.BlockFLOPsFull() * float64(computed)
 	}
 }
 
@@ -580,7 +582,7 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 		template = img.SynthTemplate(req.ImageSeed, h, w)
 	}
 	start := time.Now()
-	tc, _, err := eng.PrepareTemplate(req.TemplateID, template, req.Prompt, req.RecordKV)
+	tc, _, err := eng.PrepareTemplate(req.TemplateID, template, req.Prompt, false)
 	if err != nil {
 		return PrepareResponse{}, asAPIError(err)
 	}
@@ -603,7 +605,7 @@ func (s *Server) ListTemplates() []TemplateInfo {
 	out := make([]TemplateInfo, len(infos))
 	for i, e := range infos {
 		out[i] = TemplateInfo{
-			TemplateID: e.ID, Bytes: e.Bytes, Tier: e.Tier,
+			TemplateID: e.ID, Bytes: e.Bytes, DerivedBytes: e.DerivedBytes, Tier: e.Tier,
 			Pinned: e.Pinned, Hits: e.Hits,
 			LastUsedMS: lastUsedMS(e.LastUsed),
 		}
@@ -657,6 +659,7 @@ func (s *Server) CacheStats() CacheStatsResponse {
 		out.Tiers[i] = CacheTierStats{
 			Tier: ts.Tier, CapacityBytes: ts.CapacityBytes,
 			UsedBytes: ts.UsedBytes, LogicalBytes: ts.LogicalBytes,
+			DerivedBytes: ts.DerivedBytes, Derivations: ts.Derivations,
 			Entries: ts.Entries, Pinned: ts.Pinned,
 			Hits: ts.Hits, Misses: ts.Misses, Evictions: ts.Evictions,
 			HitRate: hitRate, Blocks: ts.Blocks, SharedBlocks: ts.SharedBlocks,
@@ -735,7 +738,7 @@ func (f timedFleet) Place(core *batching.Core, req workload.Request, item batchi
 	if ok {
 		decision := time.Since(t0)
 		f.s.obs.span(item.ID, stageSchedule, worker, t0, decision,
-			map[string]float64{"mask_ratio_hint": item.MaskRatio})
+			obs.Arg("mask_ratio_hint", item.MaskRatio))
 		f.s.obs.cost(obs.CostSample{Stage: obs.CostStageSchedule, Units: 1,
 			Seconds: decision.Seconds()})
 	}
@@ -794,14 +797,14 @@ func (o observer) RequestDone(st batching.RequestStat) {
 		}
 	case batching.Shed:
 		s.obs.span(j.id, stageEvict, st.Worker, time.Now(), 0,
-			map[string]float64{"shed": 1, "mask_ratio_hint": j.ratioHint})
+			obs.Arg("shed", 1).And("mask_ratio_hint", j.ratioHint))
 		s.obs.plane.RecordFlight("shed", j.id, st.Worker,
 			fmt.Sprintf("mask_ratio=%.2f", j.ratioHint))
 		res.err = apiErrorf(CodeOverloaded, true,
 			"shed under overload for smaller-mask work (mask ratio %.2f)", j.ratioHint)
 	case batching.Evicted:
 		s.obs.span(j.id, stageEvict, st.Worker, time.Now(), 0,
-			map[string]float64{"deadline_ms": float64(j.api.DeadlineMS)})
+			obs.Arg("deadline_ms", float64(j.api.DeadlineMS)))
 		if st.Reason == batching.ReasonDeadline {
 			s.obs.deadlineExceeded.Inc()
 			s.obs.plane.RecordFlight("deadline_miss", j.id, st.Worker,
@@ -907,7 +910,7 @@ func (s *Server) preprocess(j *job) error {
 		hit = 0
 	}
 	s.obs.span(j.id, stageCacheLoad, j.worker.id, t0, elapsed,
-		map[string]float64{"template": float64(j.api.TemplateID), "hit": hit})
+		obs.Arg("template", float64(j.api.TemplateID)).And("hit", hit))
 	if tc != nil {
 		// Feed the serving mask ratio into the store's cost-aware score,
 		// and record the load with the tier that actually served it so
@@ -952,7 +955,7 @@ func (s *Server) preprocess(j *job) error {
 			d := time.Since(t1)
 			s.obs.stagings.Inc()
 			s.obs.span(j.id, stageReplicaStage, j.worker.id, t1, d,
-				map[string]float64{"template": float64(j.api.TemplateID), "bytes": float64(bytes)})
+				obs.Arg("template", float64(j.api.TemplateID)).And("bytes", float64(bytes)))
 			s.obs.cost(obs.CostSample{Stage: obs.CostStageReplicaStage, Units: 1,
 				Bytes: float64(bytes), Seconds: d.Seconds()})
 		}

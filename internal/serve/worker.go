@@ -127,7 +127,7 @@ func (e wallExecutor) Prepare(worker int, req workload.Request, ready func(ok bo
 		err := s.preprocess(j)
 		pre := time.Since(t0)
 		s.obs.span(j.id, stagePreprocess, j.worker.id, t0, pre,
-			map[string]float64{"mask_ratio": j.ratio})
+			obs.Arg("mask_ratio", j.ratio))
 		if err != nil {
 			j.err = err
 		} else {
@@ -231,7 +231,7 @@ func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) 
 			_, err := j.session.Step()
 			stepDur := time.Since(ts)
 			s.obs.span(j.id, stageDenoiseStep, w.id, ts, stepDur,
-				map[string]float64{"step": float64(stepIdx), "batch": size})
+				obs.Arg("step", float64(stepIdx)).And("batch", size))
 			if err != nil {
 				j.err = asAPIError(err)
 				failed = append(failed, i)
@@ -245,7 +245,7 @@ func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) 
 			computed, reused := j.session.LastStepBlocks()
 			s.obs.cost(obs.CostSample{Stage: obs.CostStageDenoiseStep,
 				Units: 1, Batch: len(batch), MaskSum: j.ratio,
-				FLOPs:          s.blockFLOPs(j) * float64(computed),
+				FLOPs:          s.stepFLOPs(j),
 				BlocksComputed: computed, BlocksReused: reused,
 				Seconds: stepDur.Seconds()})
 		}
@@ -266,7 +266,7 @@ func (e wallExecutor) deliver(w *worker, j *job, complete func(ok bool)) {
 	ts := time.Now()
 	j.latentBytes = serializeLatent(j.session.Latent())
 	serialize := time.Since(ts)
-	s.obs.span(j.id, stageSerialize, w.id, ts, serialize, nil)
+	s.obs.span(j.id, stageSerialize, w.id, ts, serialize, obs.SpanArgs{})
 	s.obs.cost(obs.CostSample{Stage: obs.CostStageSerialize,
 		Units: 1, Bytes: float64(len(j.latentBytes)),
 		Seconds: serialize.Seconds()})
@@ -293,7 +293,7 @@ func (e wallExecutor) postprocess(j *job) bool {
 	}
 	post := time.Now()
 	handoff := post.Sub(j.handoff)
-	s.obs.span(j.id, stageHandoff, j.worker.id, j.handoff, handoff, nil)
+	s.obs.span(j.id, stageHandoff, j.worker.id, j.handoff, handoff, obs.SpanArgs{})
 	s.obs.cost(obs.CostSample{Stage: obs.CostStageHandoff, Units: 1,
 		Seconds: handoff.Seconds()})
 	res, err := j.session.Result()

@@ -3,12 +3,15 @@ package tensor
 import "fmt"
 
 // Arena is a bump-allocating workspace for kernel intermediates: one
-// float32 slab for matrix storage and one Matrix slab for headers. Get
-// hands out matrices carved from the slabs; Reset invalidates everything
-// handed out and recycles the storage. The slabs grow to the previous
-// cycle's peak demand on Reset, so once a compute cycle's shape mix is
-// stable — e.g. the steady-state denoising step — every Get is served from
-// the slabs and the cycle performs zero heap allocations.
+// float32 slab for matrix storage and one Matrix slab for headers. Get and
+// GetRaw hand out matrices carved from the slabs; Reset invalidates
+// everything handed out and recycles the storage, and Mark/Release do the
+// same for a nested scope (one block's intermediates inside a step), so the
+// slabs hold the deepest scope's working set rather than the cycle's total.
+// The slabs grow to the previous cycle's peak demand on Reset, so once a
+// compute cycle's shape mix is stable — e.g. the steady-state denoising
+// step — every Get is served from the slabs and the cycle performs zero
+// heap allocations.
 //
 // All methods are nil-receiver-safe: a nil *Arena degrades to fresh heap
 // allocations, so code can thread an optional workspace without branching.
@@ -20,55 +23,60 @@ import "fmt"
 // with Matrix.Clone first. An Arena is not safe for concurrent use.
 type Arena struct {
 	slab  []float32
-	off   int // floats handed out from slab this cycle
-	want  int // total floats demanded this cycle (incl. overflow)
+	off   int // floats live this cycle (incl. heap overflow past len(slab))
+	peak  int // highest off this cycle
 	hdrs  []Matrix
-	hoff  int // headers handed out from hdrs this cycle
-	hwant int // total headers demanded this cycle
+	hoff  int // headers live this cycle (incl. overflow)
+	hpeak int // highest hoff this cycle
 }
+
+// ArenaMark is a position in an arena's cycle, taken by Mark.
+type ArenaMark struct{ off, hoff int }
 
 // NewArena returns an empty arena; its slabs are sized by the first Reset
 // after a warm-up cycle.
 func NewArena() *Arena { return &Arena{} }
 
-// Get returns a zeroed r×c matrix backed by the arena, falling back to a
-// fresh heap allocation when the slab is exhausted (or the receiver nil).
+// Get returns a zeroed r×c matrix backed by the arena, for destinations a
+// kernel accumulates into. It falls back to a fresh heap allocation when
+// the slab is exhausted (or the receiver nil).
 func (a *Arena) Get(r, c int) *Matrix {
+	m := a.GetRaw(r, c)
+	if a != nil {
+		clear(m.Data)
+	}
+	return m
+}
+
+// GetRaw is Get with arbitrary contents, for destinations the caller
+// overwrites in full (MatMulInto, LayerNormRowsInto, GatherRowsInto,
+// FusedAttentionWS, a copy): clearing them first was 7% of a serving
+// replica's CPU.
+func (a *Arena) GetRaw(r, c int) *Matrix {
 	if a == nil {
 		return New(r, c)
 	}
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %d×%d", r, c))
 	}
-	data, fresh := a.alloc(r * c)
-	if !fresh {
-		clear(data)
-	}
 	m := a.header()
-	*m = Matrix{R: r, C: c, Data: data}
+	*m = Matrix{R: r, C: c, Data: a.floats(r * c)}
 	return m
 }
 
-// floats returns n floats of scratch with arbitrary contents, for buffers
-// the caller overwrites in full.
+// floats returns n floats of scratch with arbitrary contents, carved out of
+// the slab or, when it is exhausted, from the heap.
 func (a *Arena) floats(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	data, _ := a.alloc(n)
-	return data
-}
-
-// alloc carves n floats out of the slab, or from the heap (fresh, hence
-// zeroed) when the slab is exhausted.
-func (a *Arena) alloc(n int) (data []float32, fresh bool) {
-	a.want += n
-	if a.off+n > len(a.slab) {
-		return make([]float32, n), true
-	}
-	data = a.slab[a.off : a.off+n : a.off+n]
+	lo := a.off
 	a.off += n
-	return data, false
+	a.peak = max(a.peak, a.off)
+	if a.off > len(a.slab) {
+		return make([]float32, n)
+	}
+	return a.slab[lo:a.off:a.off]
 }
 
 // Wrap returns an r×c matrix header over data without copying, using an
@@ -87,7 +95,7 @@ func (a *Arena) Wrap(r, c int, data []float32) *Matrix {
 
 // Clone returns an arena-backed deep copy of m.
 func (a *Arena) Clone(m *Matrix) *Matrix {
-	out := a.Get(m.R, m.C)
+	out := a.GetRaw(m.R, m.C)
 	copy(out.Data, m.Data)
 	return out
 }
@@ -95,13 +103,30 @@ func (a *Arena) Clone(m *Matrix) *Matrix {
 // header returns the next header slot, falling back to the heap when the
 // header slab is exhausted.
 func (a *Arena) header() *Matrix {
-	a.hwant++
-	if a.hoff < len(a.hdrs) {
-		m := &a.hdrs[a.hoff]
-		a.hoff++
-		return m
+	i := a.hoff
+	a.hoff++
+	a.hpeak = max(a.hpeak, a.hoff)
+	if i < len(a.hdrs) {
+		return &a.hdrs[i]
 	}
 	return new(Matrix)
+}
+
+// Mark returns the arena's current position. Release(mark) invalidates
+// every matrix handed out since and recycles its storage within the cycle;
+// what was handed out before the mark stays valid.
+func (a *Arena) Mark() ArenaMark {
+	if a == nil {
+		return ArenaMark{}
+	}
+	return ArenaMark{a.off, a.hoff}
+}
+
+// Release rewinds the arena to m. See Mark.
+func (a *Arena) Release(m ArenaMark) {
+	if a != nil {
+		a.off, a.hoff = m.off, m.hoff
+	}
 }
 
 // Reset starts a new cycle: it invalidates every matrix handed out since
@@ -111,11 +136,11 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	if a.want > len(a.slab) {
-		a.slab = make([]float32, a.want)
+	if a.peak > len(a.slab) {
+		a.slab = make([]float32, a.peak)
 	}
-	if a.hwant > len(a.hdrs) {
-		a.hdrs = make([]Matrix, a.hwant)
+	if a.hpeak > len(a.hdrs) {
+		a.hdrs = make([]Matrix, a.hpeak)
 	}
-	a.off, a.hoff, a.want, a.hwant = 0, 0, 0, 0
+	a.off, a.hoff, a.peak, a.hpeak = 0, 0, 0, 0
 }
