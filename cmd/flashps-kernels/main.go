@@ -5,11 +5,13 @@
 // with `make bench-kernels`.
 //
 // The report has three parts: before/after entries per kernel and shape; a
-// per-op budget of one transformer block (full, and mask-aware at
-// m = 0.11) — FLOPs, computed bytes, ns and share of the block — which is
-// the roofline ROADMAP item 2 asks for; and every "after" kernel again at
-// parallelism 1 and 2, where 2 must not lose (the command exits 1 if it
-// does).
+// per-op budget of one transformer block (full, and mask-aware at 2, 7 and
+// 22 of 64 tokens with K/V computed over all tokens and with K/V derived
+// from the template) — FLOPs, computed bytes, ns and share of the block —
+// which is the roofline ROADMAP item 2 asks for, with the mask size at
+// which derived K/V stops paying and what deriving a template costs; and
+// every "after" kernel again at parallelism 1 and 2, where 2 must not lose
+// (the command exits 1 if it does).
 //
 // Everything that is compared is timed in interleaved rounds and reported
 // as a median (timeRounds): on a shared host a vCPU changes speed every few
@@ -103,13 +105,33 @@ type ParRow struct {
 // the same serial code on this class of host.
 const parSlack = 1.10
 
+// CrossoverRow is the masked block at one mask size with the unmasked
+// tokens' K/V computed (LN1 and two L-row projections per block) and
+// derived (two L×H copies and a scatter), timed in the same rounds.
+type CrossoverRow struct {
+	MaskedTokens int     `json:"masked_tokens"`
+	ComputedNs   int64   `json:"computed_ns"`
+	DerivedNs    int64   `json:"derived_ns"`
+	Ratio        float64 `json:"derived_over_computed"`
+}
+
+// Derivation is what building one template's derived K/V costs: every
+// cached step and guidance pass of the model, blocks 1…B−1.
+type Derivation struct {
+	Model string `json:"model"`
+	Bytes int64  `json:"bytes"`
+	Ns    int64  `json:"ns"`
+}
+
 // Report is the top-level BENCH_kernels.json document.
 type Report struct {
-	Meta        benchfmt.Meta `json:"meta"`
-	Parallelism int           `json:"parallelism"`
-	Entries     []Entry       `json:"entries"`
-	Budgets     []Budget      `json:"block_budgets"`
-	ParCheck    []ParRow      `json:"par_check,omitempty"`
+	Meta        benchfmt.Meta  `json:"meta"`
+	Parallelism int            `json:"parallelism"`
+	Entries     []Entry        `json:"entries"`
+	Budgets     []Budget       `json:"block_budgets"`
+	Crossover   []CrossoverRow `json:"masked_block_crossover"`
+	Derivation  Derivation     `json:"derivation_per_template"`
+	ParCheck    []ParRow       `json:"par_check,omitempty"`
 }
 
 // rounds is how many interleaved rounds timeRounds takes (-rounds).
@@ -327,12 +349,18 @@ func gemmCases(rng *tensor.RNG, cfg model.Config) []benchCase {
 // blockBudget times the whole block and every op of it on its own, at the
 // shapes the block runs them with (M = len(idx) masked rows of L tokens;
 // idx nil means the full-token block), in the same interleaved rounds, so
-// that the ops' medians add up to the block's.
-func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
+// that the ops' medians add up to the block's. derived selects the masked
+// block that is given the unmasked tokens' K/V (Block.ForwardMaskedKVWS):
+// LN1 and the K/V projections shrink to the masked rows, and a copy of the
+// given K/V plus a scatter takes the place of the two L-row projections.
+func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) Budget {
 	L, H, F := cfg.Tokens(), cfg.Hidden, cfg.Hidden*cfg.FFNMult
 	M, name := L, "full"
 	if idx != nil {
 		M, name = len(idx), "masked"
+	}
+	if derived {
+		name = "masked-derived"
 	}
 	blk := model.NewBlock(H, cfg.FFNMult, rng)
 	blk.Heads = cfg.Heads
@@ -379,21 +407,43 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 		return op{name, fmt.Sprintf("%dx%dx%d", a.R, a.C, b.C), 2 * int64(a.R) * int64(a.C) * int64(b.C),
 			f4(a.R*a.C, b.R*b.C, dst.R*dst.C), fn}
 	}
-	ops := []op{
-		{"layernorm1", fmt.Sprintf("%dx%d", L, H), 0, f4(2*L*H, 2*H), func() {
-			tensor.LayerNormRowsInto(ln1, x, blk.LN1Gamma, blk.LN1Beta, 1e-5)
-		}},
-	}
-	if idx != nil {
-		ops = append(ops, op{"gather_ln_x", fmt.Sprintf("2x%dx%d", M, H), 0, f4(4 * M * H), func() {
-			tensor.GatherRowsInto(lnM, ln1, idx)
-			tensor.GatherRowsInto(xM, x, idx)
-		}})
+	var ops []op
+	if derived {
+		cachedK, cachedV, kM, vM := k.Clone(), v.Clone(), tensor.New(M, H), tensor.New(M, H)
+		ops = []op{
+			{"gather_x", fmt.Sprintf("%dx%d", M, H), 0, f4(2 * M * H), func() { tensor.GatherRowsInto(xM, x, idx) }},
+			{"layernorm1", fmt.Sprintf("%dx%d", M, H), 0, f4(2*M*H, 2*H), func() {
+				tensor.LayerNormRowsInto(lnM, xM, blk.LN1Gamma, blk.LN1Beta, 1e-5)
+			}},
+			gemm("q_proj", q, lnM, blk.WQ, func() { tensor.MatMulInto(q, lnM, blk.WQ) }),
+			gemm("k_proj", kM, lnM, blk.WK, func() { tensor.MatMulInto(kM, lnM, blk.WK) }),
+			gemm("v_proj", vM, lnM, blk.WV, func() { tensor.MatMulInto(vM, lnM, blk.WV) }),
+			{"kv_copy+scatter", fmt.Sprintf("2x%dx%d", L, H), 0, f4(4*L*H, 4*M*H), func() {
+				copy(k.Data, cachedK.Data)
+				copy(v.Data, cachedV.Data)
+				tensor.ScatterRows(k, kM, idx)
+				tensor.ScatterRows(v, vM, idx)
+			}},
+		}
+	} else {
+		ops = []op{
+			{"layernorm1", fmt.Sprintf("%dx%d", L, H), 0, f4(2*L*H, 2*H), func() {
+				tensor.LayerNormRowsInto(ln1, x, blk.LN1Gamma, blk.LN1Beta, 1e-5)
+			}},
+		}
+		if idx != nil {
+			ops = append(ops, op{"gather_ln_x", fmt.Sprintf("2x%dx%d", M, H), 0, f4(4 * M * H), func() {
+				tensor.GatherRowsInto(lnM, ln1, idx)
+				tensor.GatherRowsInto(xM, x, idx)
+			}})
+		}
+		ops = append(ops,
+			gemm("q_proj", q, qIn, blk.WQ, func() { tensor.MatMulInto(q, qIn, blk.WQ) }),
+			gemm("k_proj", k, ln1, blk.WK, func() { tensor.MatMulInto(k, ln1, blk.WK) }),
+			gemm("v_proj", v, ln1, blk.WV, func() { tensor.MatMulInto(v, ln1, blk.WV) }),
+		)
 	}
 	ops = append(ops,
-		gemm("q_proj", q, qIn, blk.WQ, func() { tensor.MatMulInto(q, qIn, blk.WQ) }),
-		gemm("k_proj", k, ln1, blk.WK, func() { tensor.MatMulInto(k, ln1, blk.WK) }),
-		gemm("v_proj", v, ln1, blk.WV, func() { tensor.MatMulInto(v, ln1, blk.WV) }),
 		op{"attention", fmt.Sprintf("Lq%d_Lk%d_H%d_h%d", M, L, H, cfg.Heads), 4 * int64(M) * int64(L) * int64(H),
 			f4(2*M*H, 2*L*H), func() {
 				attnWS.Reset()
@@ -420,11 +470,15 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 	}
 
 	ws := tensor.NewArena()
+	givenK, givenV := k.Clone(), v.Clone()
 	run := func() {
 		ws.Reset()
-		if idx != nil {
+		switch {
+		case derived:
+			blk.ForwardMaskedKVWS(ws, x, cachedY, givenK, givenV, nil, idx)
+		case idx != nil:
 			blk.ForwardMaskedWS(ws, x, cachedY, nil, idx)
-		} else {
+		default:
 			blk.ForwardWS(ws, x, nil, nil)
 		}
 	}
@@ -447,10 +501,48 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int) Budget {
 		}
 		bud.Rows = append(bud.Rows, row)
 	}
-	// Arena Get/clear, headers and call overhead — or, if negative, ops that
+	// Arena headers and call overhead — or, if negative, ops that
 	// run faster back to back on a warm cache than inside the block.
 	bud.Rows = append(bud.Rows, BudgetRow{Op: "(unattributed)", Ns: int64(rest), Pct: 100 * rest / whole})
 	return bud
+}
+
+// crossover times the masked block with K/V computed and with K/V derived
+// at a sweep of mask sizes, in the same rounds: derived K/V removes work
+// proportional to the unmasked tokens and adds two L×H copies, so it stops
+// paying where almost every token is masked.
+func crossover(rng *tensor.RNG, cfg model.Config) []CrossoverRow {
+	L, H := cfg.Tokens(), cfg.Hidden
+	blk := model.NewBlock(H, cfg.FFNMult, rng)
+	blk.Heads = cfg.Heads
+	x, cachedY, k, v := tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1)
+	var rows []CrossoverRow
+	for _, m := range []int{1, 2, 4, 7, 13, 22, 32, 48, 56, 60, 63} {
+		idx := mask.Blob(tensor.NewRNG(uint64(m)), cfg.LatentH, cfg.LatentW, m).MaskedIndices()
+		ws := tensor.NewArena()
+		ns := medianRounds(
+			func() { ws.Reset(); blk.ForwardMaskedWS(ws, x, cachedY, nil, idx) },
+			func() { ws.Reset(); blk.ForwardMaskedKVWS(ws, x, cachedY, k, v, nil, idx) })
+		rows = append(rows, CrossoverRow{len(idx), int64(ns[0] + 0.5), int64(ns[1] + 0.5), ns[1] / ns[0]})
+	}
+	return rows
+}
+
+// derivation times model.Model.DeriveKV over one cached step and scales it
+// to a template: every step, both guidance passes when the model has them.
+func derivation(rng *tensor.RNG, cfg model.Config) Derivation {
+	m := model.MustNew(cfg, 42)
+	cached := &model.StepActivations{Blocks: make([]model.BlockActivations, cfg.NumBlocks)}
+	for i := range cached.Blocks {
+		cached.Blocks[i].Y = tensor.Randn(rng, cfg.Tokens(), cfg.Hidden, 1)
+	}
+	passes := int64(cfg.Steps)
+	if cfg.GuidanceScale > 0 {
+		passes *= 2
+	}
+	ws := tensor.NewArena()
+	ns := medianRounds(func() { ws.Reset(); m.DeriveKV(ws, cached) })
+	return Derivation{cfg.Name, passes * model.DerivedKVBytes(cached), passes * int64(ns[0]+0.5)}
 }
 
 func main() {
@@ -539,10 +631,17 @@ func main() {
 		rep.Entries = append(rep.Entries, c.entry())
 	}
 
-	// Where one block's time goes: full, and mask-aware with 7 of 64
-	// tokens (m = 0.11) in a contiguous blob, as production masks are.
-	idx := mask.Blob(tensor.NewRNG(7), cfg.LatentH, cfg.LatentW, 7).MaskedIndices()
-	rep.Budgets = []Budget{blockBudget(rng, cfg, idx), blockBudget(rng, cfg, nil)}
+	// Where one block's time goes: mask-aware with 2, 7 and 22 of 64 tokens
+	// (m = 0.03, 0.11, 0.34) in a contiguous blob, as production masks are,
+	// with the unmasked tokens' K/V computed (block 0, or a template without
+	// derived state) and derived (every other block); and full.
+	for _, m := range []int{2, 7, 22} {
+		idx := mask.Blob(tensor.NewRNG(7), cfg.LatentH, cfg.LatentW, m).MaskedIndices()
+		rep.Budgets = append(rep.Budgets, blockBudget(rng, cfg, idx, false), blockBudget(rng, cfg, idx, true))
+	}
+	rep.Budgets = append(rep.Budgets, blockBudget(rng, cfg, nil, false))
+	rep.Crossover = crossover(rng, cfg)
+	rep.Derivation = derivation(rng, cfg)
 
 	// ROADMAP 2e: splitting a call across workers must never lose to
 	// running it on the caller.

@@ -683,7 +683,10 @@ func (s *TieredStore) writer() {
 		s.queue = s.queue[1:]
 		tc, ok := s.pending[id]
 		if !ok {
-			continue // deleted or already written
+			// Deleted or already written; a Flush may be waiting on the
+			// queue this just emptied.
+			s.work.Broadcast()
+			continue
 		}
 		s.writing++
 		s.writingID = id

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"flashps/internal/diffusion"
@@ -45,12 +46,18 @@ func guidanceAblation(opts Options) ([]*Table, error) {
 		m := mask.WithRatio(tensor.NewRNG(opts.Seed^0xCF7), cfg.LatentH, cfg.LatentW, 0.2)
 		req := diffusion.EditRequest{Template: tc, Mask: m, Prompt: "a red dress", Seed: 5}
 
-		timed := func(mode diffusion.EditMode) (*diffusion.EditResult, float64, error) {
+		// The faster of two runs: the first mask-aware edit of a template
+		// also derives its K/V, a once-per-template cost, not the edit's.
+		timed := func(mode diffusion.EditMode) (res *diffusion.EditResult, ms float64, err error) {
 			r := req
 			r.Mode = mode
-			start := time.Now()
-			res, err := eng.Edit(r)
-			return res, time.Since(start).Seconds() * 1e3, err
+			ms = math.Inf(1)
+			for i := 0; i < 2 && err == nil; i++ {
+				start := time.Now()
+				res, err = eng.Edit(r)
+				ms = math.Min(ms, time.Since(start).Seconds()*1e3)
+			}
+			return res, ms, err
 		}
 		full, tFull, err := timed(diffusion.EditFull)
 		if err != nil {

@@ -214,10 +214,14 @@ func (s Span) End() float64 { return s.Start + s.Dur }
 
 // Tracer records spans into a bounded ring buffer. Record is cheap — one
 // short critical section copying a struct — so it can sit on the serving
-// hot path; when the ring wraps, the oldest spans are dropped.
+// hot path; when the ring wraps, the oldest spans are dropped. The ring's
+// storage doubles up to its bound as spans arrive: a replica that has
+// recorded a few thousand spans does not carry (and the collector does not
+// pace the heap by) the 9 MB the full ring takes.
 type Tracer struct {
 	mu      sync.Mutex
 	ring    []Span
+	size    int    // the bound on len(ring)
 	next    uint64 // total spans ever recorded
 	dropped uint64
 	onDrop  func()
@@ -232,17 +236,23 @@ func NewTracer(size int) *Tracer {
 	if size <= 0 {
 		size = DefaultTraceRing
 	}
-	return &Tracer{ring: make([]Span, 0, size)}
+	return &Tracer{ring: make([]Span, 0, min(size, minTraceRing)), size: size}
 }
+
+// minTraceRing is the ring's initial capacity in spans.
+const minTraceRing = 1024
 
 // Record appends a span, evicting the oldest when the ring is full.
 func (t *Tracer) Record(s Span) {
 	t.mu.Lock()
 	var dropped func()
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.size {
+		if len(t.ring) == cap(t.ring) {
+			t.ring = append(make([]Span, 0, min(t.size, 2*cap(t.ring))), t.ring...)
+		}
 		t.ring = append(t.ring, s)
 	} else {
-		t.ring[t.next%uint64(cap(t.ring))] = s
+		t.ring[t.next%uint64(t.size)] = s
 		t.dropped++
 		dropped = t.onDrop
 	}
@@ -286,10 +296,10 @@ func (t *Tracer) Snapshot() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Span, 0, len(t.ring))
-	if len(t.ring) < cap(t.ring) || t.next == 0 {
+	if len(t.ring) < t.size || t.next == 0 {
 		return append(out, t.ring...)
 	}
-	head := int(t.next % uint64(cap(t.ring))) // oldest retained span
+	head := int(t.next % uint64(t.size)) // oldest retained span
 	out = append(out, t.ring[head:]...)
 	return append(out, t.ring[:head]...)
 }
