@@ -59,11 +59,13 @@ faults:
 conservation:
 	$(GO) test -count=1 ./internal/cluster/ -run TestConservationUnderFaults
 
-# Tiered template-store stress drill: concurrent put/get/observe/pin/
-# delete/evict/spill traffic under the race detector, asserting the RAM
-# budget invariant throughout.
+# Tiered template-store drills under the race detector: concurrent put/
+# get/observe/pin/delete/evict/spill traffic asserting the RAM budget
+# invariant throughout, and the derived-K/V budget property (random
+# sequences: templates + derived bytes within budget, derived stripped
+# before any demotion, overlapping first edits derive once).
 cache-stress:
-	$(GO) test -race -count=1 ./internal/cache/ -run TestCacheStress
+	$(GO) test -race -count=1 ./internal/cache/ -run 'TestCacheStress|TestDerived'
 
 # The unification proof under the race detector: the discrete-event
 # simulator and the real-engine driver must emit identical decision

@@ -401,20 +401,16 @@ func (s *TieredStore) stripLocked(e *ramEntry) {
 // those holding derived K/V, pinned or not (a pin protects the template,
 // which stripping leaves resident), or nil when none holds any.
 func (s *TieredStore) coldestDerivedLocked() *ramEntry {
-	var metas []entryMeta
+	var cands []*entryMeta
 	for _, e := range s.entries {
 		if e.derived > 0 {
 			m := e.meta
 			m.pinned = false
-			metas = append(metas, m)
+			cands = append(cands, &m)
 		}
 	}
-	cands := make([]*entryMeta, len(metas))
-	for i := range metas {
-		cands[i] = &metas[i]
-	}
 	if v := s.policy.victim(cands, s.seq); v >= 0 {
-		return s.entries[metas[v].id]
+		return s.entries[cands[v].id]
 	}
 	return nil
 }
@@ -725,11 +721,11 @@ func (s *TieredStore) writer() {
 // spilledLocked reports whether id has a readable copy on the spill tier:
 // one a Delete has overtaken while it was being written does not count.
 func (s *TieredStore) spilledLocked(id uint64) bool {
-	if s.spill == nil || (s.stale && s.writingID == id) {
-		return false
-	}
-	return s.spill.Has(id)
+	return s.spill != nil && !s.fencedLocked(id) && s.spill.Has(id)
 }
+
+// fencedLocked reports whether the write-back in flight is of id and stale.
+func (s *TieredStore) fencedLocked(id uint64) bool { return s.stale && s.writingID == id }
 
 // Flush blocks until every queued write-back has reached the spill tier.
 func (s *TieredStore) Flush() {
@@ -788,7 +784,7 @@ func (s *TieredStore) List() []Info {
 				continue
 			}
 			s.mu.Lock()
-			a, fenced := s.archived[id], s.stale && s.writingID == id
+			a, fenced := s.archived[id], s.fencedLocked(id)
 			s.mu.Unlock()
 			if fenced {
 				continue

@@ -227,7 +227,7 @@ type EditResult struct {
 // recording activations for every step and block (the cache-population
 // pass), and returns the cache together with the regenerated template
 // image, which is the reference for "untouched" unmasked content.
-// recordKV additionally records attention K/V (doubling cache size) to
+// recordKV additionally records attention K/V (tripling cache size) to
 // enable the EditCachedKV mode.
 func (e *Engine) PrepareTemplate(templateID uint64, im *img.Image, prompt string, recordKV bool) (*TemplateCache, *img.Image, error) {
 	cfg := e.Model.Config()

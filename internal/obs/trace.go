@@ -106,8 +106,8 @@ func ArgsFromMap(m map[string]float64) SpanArgs {
 	return a
 }
 
-// Map returns the annotations as a map, nil when there are none.
-func (a SpanArgs) Map() map[string]float64 {
+// asMap returns the annotations as a map, nil when there are none.
+func (a SpanArgs) asMap() map[string]float64 {
 	kvs := a.sorted()
 	if len(kvs) == 0 {
 		return nil
@@ -137,7 +137,7 @@ type spanJSON struct {
 // MarshalJSON implements json.Marshaler.
 func (s Span) MarshalJSON() ([]byte, error) {
 	return json.Marshal(spanJSON{s.Request, s.Name, s.Cat, s.TID, s.Start, s.Dur,
-		s.Args.Map(), s.Trace, s.ID, s.Parent})
+		s.Args.asMap(), s.Trace, s.ID, s.Parent})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

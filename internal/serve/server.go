@@ -486,14 +486,14 @@ func (s *Server) Obs() *obs.Plane { return s.obs.plane }
 // against this same profile for the features to line up.
 func (s *Server) EngineProfile() perfmodel.ModelProfile { return s.engProfile }
 
-// stepFLOPs is the FLOPs the session's last step actually executed, from
-// the engine profile and the session's own count of what ran: cached modes
+// stepFLOPs is the FLOPs the session's last step actually executed in its
+// computed blocks, from the engine profile and the session's own count of
+// what ran: cached modes
 // compute masked rows — and project K/V over all rows only in the blocks
 // that did not take them derived (or recorded) — full and teacache compute
 // every row, reused blocks and TeaCache-skipped steps contribute zero. So
 // the cost samples are honest work for calibration to fit a law to.
-func (s *Server) stepFLOPs(j *job) float64 {
-	computed, _ := j.session.LastStepBlocks()
+func (s *Server) stepFLOPs(j *job, computed int) float64 {
 	kv := j.session.LastStepBlocksKV()
 	mode := j.mode
 	if j.degraded {

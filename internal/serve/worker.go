@@ -245,7 +245,7 @@ func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) 
 			computed, reused := j.session.LastStepBlocks()
 			s.obs.cost(obs.CostSample{Stage: obs.CostStageDenoiseStep,
 				Units: 1, Batch: len(batch), MaskSum: j.ratio,
-				FLOPs:          s.stepFLOPs(j),
+				FLOPs:          s.stepFLOPs(j, computed),
 				BlocksComputed: computed, BlocksReused: reused,
 				Seconds: stepDur.Seconds()})
 		}
