@@ -346,14 +346,28 @@ func gemmCases(rng *tensor.RNG, cfg model.Config) []benchCase {
 	return out
 }
 
-// blockBudget times the whole block and every op of it on its own, at the
-// shapes the block runs them with (M = len(idx) masked rows of L tokens;
-// idx nil means the full-token block), in the same interleaved rounds, so
-// that the ops' medians add up to the block's. derived selects the masked
-// block that is given the unmasked tokens' K/V (Block.ForwardMaskedKVWS):
-// LN1 and the K/V projections shrink to the masked rows, and a copy of the
-// given K/V plus a scatter takes the place of the two L-row projections.
-func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) Budget {
+// op is one operation of a block, timed on its own.
+type op struct {
+	name, shape string
+	flop, bytes int64
+	fn          func()
+}
+
+// blockPlan is one block variant to budget: the whole block and every op of
+// it on its own, at the shapes the block runs them with.
+type blockPlan struct {
+	name string
+	m    int
+	run  func()
+	ops  []op
+}
+
+// planBlock sets up one block variant: M = len(idx) masked rows of L tokens
+// (idx nil means the full-token block). derived selects the masked block
+// that is given the unmasked tokens' K/V (Block.ForwardMaskedKVWS): LN1 and
+// the K/V projections shrink to the masked rows, and a copy of the given
+// K/V plus a scatter takes the place of the two L-row projections.
+func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) blockPlan {
 	L, H, F := cfg.Tokens(), cfg.Hidden, cfg.Hidden*cfg.FFNMult
 	M, name := L, "full"
 	if idx != nil {
@@ -391,11 +405,6 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) Bud
 	tensor.LayerNormRowsInto(ln2, h, blk.LN2Gamma, blk.LN2Beta, 1e-5)
 	tensor.MatMulGeLUInto(ff, ln2, blk.W1)
 
-	type op struct {
-		name, shape string
-		flop, bytes int64
-		fn          func()
-	}
 	f4 := func(floats ...int) int64 { // bytes of float32 operands
 		var n int64
 		for _, f := range floats {
@@ -482,29 +491,44 @@ func blockBudget(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) Bud
 			blk.ForwardWS(ws, x, nil, nil)
 		}
 	}
-	fns := []func(){run}
-	var blockFLOP int64
-	for _, o := range ops {
-		fns = append(fns, o.fn)
-		blockFLOP += o.flop
+	return blockPlan{name, M, run, ops}
+}
+
+// blockBudgets times every plan's block and ops in the same interleaved
+// rounds, so that the ops' medians add up to their block's and the variants
+// of one mask size — K/V computed and K/V derived — are comparable with
+// each other whatever the host did between two calls.
+func blockBudgets(plans ...blockPlan) []Budget {
+	var fns []func()
+	for _, p := range plans {
+		fns = append(fns, p.run)
+		for _, o := range p.ops {
+			fns = append(fns, o.fn)
+		}
 	}
 	ns := medianRounds(fns...)
-	whole, rest := ns[0], ns[0]
-	bud := Budget{Block: name, MaskedTokens: M, BlockNs: int64(whole + 0.5), BlockGFLOPs: float64(blockFLOP) / whole}
-	for i, o := range ops {
-		t := ns[i+1]
-		rest -= t
-		row := BudgetRow{Op: o.name, Shape: o.shape, FLOP: o.flop, Bytes: o.bytes,
-			Ns: int64(t + 0.5), GBps: float64(o.bytes) / t, Pct: 100 * t / whole}
-		if o.flop > 0 {
-			row.GFLOPs = float64(o.flop) / t
+	var buds []Budget
+	for _, p := range plans {
+		whole, rest := ns[0], ns[0]
+		bud := Budget{Block: p.name, MaskedTokens: p.m, BlockNs: int64(whole + 0.5)}
+		for i, o := range p.ops {
+			t := ns[i+1]
+			rest -= t
+			row := BudgetRow{Op: o.name, Shape: o.shape, FLOP: o.flop, Bytes: o.bytes,
+				Ns: int64(t + 0.5), GBps: float64(o.bytes) / t, Pct: 100 * t / whole}
+			if o.flop > 0 {
+				row.GFLOPs = float64(o.flop) / t
+			}
+			bud.BlockGFLOPs += float64(o.flop) / whole
+			bud.Rows = append(bud.Rows, row)
 		}
-		bud.Rows = append(bud.Rows, row)
+		// Arena headers and call overhead — or, if negative, ops that
+		// run faster back to back on a warm cache than inside the block.
+		bud.Rows = append(bud.Rows, BudgetRow{Op: "(unattributed)", Ns: int64(rest), Pct: 100 * rest / whole})
+		buds = append(buds, bud)
+		ns = ns[1+len(p.ops):]
 	}
-	// Arena headers and call overhead — or, if negative, ops that
-	// run faster back to back on a warm cache than inside the block.
-	bud.Rows = append(bud.Rows, BudgetRow{Op: "(unattributed)", Ns: int64(rest), Pct: 100 * rest / whole})
-	return bud
+	return buds
 }
 
 // crossover times the masked block with K/V computed and with K/V derived
@@ -637,9 +661,9 @@ func main() {
 	// derived state) and derived (every other block); and full.
 	for _, m := range []int{2, 7, 22} {
 		idx := mask.Blob(tensor.NewRNG(7), cfg.LatentH, cfg.LatentW, m).MaskedIndices()
-		rep.Budgets = append(rep.Budgets, blockBudget(rng, cfg, idx, false), blockBudget(rng, cfg, idx, true))
+		rep.Budgets = append(rep.Budgets, blockBudgets(planBlock(rng, cfg, idx, false), planBlock(rng, cfg, idx, true))...)
 	}
-	rep.Budgets = append(rep.Budgets, blockBudget(rng, cfg, nil, false))
+	rep.Budgets = append(rep.Budgets, blockBudgets(planBlock(rng, cfg, nil, false))...)
 	rep.Crossover = crossover(rng, cfg)
 	rep.Derivation = derivation(rng, cfg)
 
