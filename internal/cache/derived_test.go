@@ -276,3 +276,30 @@ func TestDerivedConcurrentFirstEditsDeriveOnce(t *testing.T) {
 		t.Fatalf("after delete the tier holds %d bytes and the template %d derived", got, tc.DerivedBytes())
 	}
 }
+
+// TestDerivedRefusedForNonResident: a template too large for the RAM tier
+// is served as a loaded copy the budget does not cover, so it must not
+// carry derived K/V either.
+func TestDerivedRefusedForNonResident(t *testing.T) {
+	f := newDerivedFixture(t)
+	tc := f.template(1)
+	s, err := NewTieredStore(TieredConfig{RAMBudget: tc.SizeBytes() / 2, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put(1, tc); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2; i++ { // from the write-back buffer, then from disk
+		got := s.Get(1)
+		if got == nil {
+			t.Fatal("oversize template lost")
+		}
+		f.edit(1, got, 5+i)
+		if got.DerivedBytes() != 0 || s.Stats()[0].Derivations != 0 || s.UsedBytes() != 0 {
+			t.Fatalf("non-resident template derived: %d bytes, stats %+v", got.DerivedBytes(), s.Stats()[0])
+		}
+		s.Flush()
+	}
+}

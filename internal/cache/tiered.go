@@ -212,11 +212,11 @@ func (s *TieredStore) PutCost(id uint64, tc *diffusion.TemplateCache, recomputeS
 		return fmt.Errorf("cache: template %d needs %d bytes, RAM budget is %d: %w", id, b, s.budget, ErrCacheFull)
 	}
 	evs := []obsEvent{{"host", "store", 1, float64(b)}}
+	s.gateLocked(id, tc)
 	if e, ok := s.entries[id]; ok {
 		s.stripLocked(e)
 		s.used += b - e.meta.bytes
 		e.tc = tc
-		s.gateLocked(id, tc)
 		e.meta.bytes = b
 		if recomputeSeconds > 0 {
 			e.meta.cost = recomputeSeconds
@@ -251,7 +251,6 @@ func (s *TieredStore) PutCost(id uint64, tc *diffusion.TemplateCache, recomputeS
 	}
 	s.entries[id] = e
 	s.used += b
-	s.gateLocked(id, tc)
 	s.enqueueLocked(id, tc)
 	evs2, err := s.evictOverLocked(id)
 	s.mu.Unlock()
@@ -341,6 +340,7 @@ func (s *TieredStore) GetTracked(id uint64) (*diffusion.TemplateCache, GetResult
 // restoring any archived policy metadata. hit stamps a use on the entry.
 func (s *TieredStore) promoteLocked(id uint64, tc *diffusion.TemplateCache, hit bool) []obsEvent {
 	b := tc.SizeBytes()
+	s.gateLocked(id, tc)
 	if b > s.budget {
 		return nil // can never be resident; callers serve the loaded copy
 	}
@@ -358,14 +358,14 @@ func (s *TieredStore) promoteLocked(id uint64, tc *diffusion.TemplateCache, hit 
 	}
 	s.entries[id] = e
 	s.used += b
-	s.gateLocked(id, tc)
 	s.promotions++
 	evs, _ := s.evictOverLocked(id)
 	return evs
 }
 
-// gateLocked makes the store the judge of tc's derived K/V (dropping any
-// it did not grant) for as long as tc is the resident copy of id.
+// gateLocked makes the store the judge of tc's derived K/V, dropping any it
+// did not grant: grantDerived refuses unless tc is the resident copy of id,
+// so a copy too large for the tier, demoted or deleted derives nothing.
 func (s *TieredStore) gateLocked(id uint64, tc *diffusion.TemplateCache) {
 	tc.SetDeriveGate(func(bytes int64) bool { return s.grantDerived(id, tc, bytes) })
 }

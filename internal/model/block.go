@@ -307,23 +307,28 @@ func (b *Block) forwardMaskedKV(ws *tensor.Arena, dst, x, cachedY, cachedK, cach
 	if len(maskedIdx) == 0 {
 		return copyInto(ws, dst, cachedY)
 	}
-	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
-
-	q := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(q, lnM, b.WQ)
-	kM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(kM, lnM, b.WK)
-	vM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(vM, lnM, b.WV)
+	xM, q, kM, vM := b.maskedQKV(ws, x, maskedIdx)
 	k := ws.Clone(cachedK)
 	v := ws.Clone(cachedV)
 	tensor.ScatterRows(k, kM, maskedIdx)
 	tensor.ScatterRows(v, vM, maskedIdx)
 
 	return b.finishMasked(ws, dst, xM, cachedY, ctx, maskedIdx, q, k, v)
+}
+
+// maskedQKV gathers the masked rows xM of x and projects Q, K and V from
+// their LN1: m×H each.
+func (b *Block) maskedQKV(ws *tensor.Arena, x *tensor.Matrix, maskedIdx []int) (xM, q, k, v *tensor.Matrix) {
+	m := len(maskedIdx)
+	xM = ws.GetRaw(m, b.Hidden)
+	tensor.GatherRowsInto(xM, x, maskedIdx)
+	lnM := ws.GetRaw(m, b.Hidden)
+	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
+	q, k, v = ws.GetRaw(m, b.Hidden), ws.GetRaw(m, b.Hidden), ws.GetRaw(m, b.Hidden)
+	tensor.MatMulInto(q, lnM, b.WQ)
+	tensor.MatMulInto(k, lnM, b.WK)
+	tensor.MatMulInto(v, lnM, b.WV)
+	return xM, q, k, v
 }
 
 // projectKV writes K and V of the full-token input x into k and v.
@@ -378,17 +383,7 @@ func (b *Block) forwardNaiveSkip(ws *tensor.Arena, dst, x, ctx *tensor.Matrix, m
 	if len(maskedIdx) == 0 {
 		return copyInto(ws, dst, x)
 	}
-	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
-
-	q := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(q, lnM, b.WQ)
-	k := ws.GetRaw(len(maskedIdx), b.Hidden) // masked tokens only: no global context
-	tensor.MatMulInto(k, lnM, b.WK)
-	v := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(v, lnM, b.WV)
-
+	// K and V of the masked tokens only: no global context.
+	xM, q, k, v := b.maskedQKV(ws, x, maskedIdx)
 	return b.finishMasked(ws, dst, xM, x, ctx, maskedIdx, q, k, v)
 }
