@@ -33,6 +33,11 @@ bench-build:
 vet:
 	$(GO) vet ./...
 
+# Includes the step path's two guards: TestOneRunLoopLint (no package
+# outside internal/diffusion steps a batch session by session) and
+# TestPropertyStackedEqualsSequential (a stacked batch step has the bits
+# of its members stepped alone), which test-noavx runs again on the
+# portable kernels.
 test:
 	$(GO) test ./...
 
@@ -43,6 +48,8 @@ test:
 test-noavx:
 	FLASHPS_NO_AVX2=1 $(GO) test -count=1 ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
 
+# internal/replay's TestCalibrationGate runs here too, without its
+# wall-clock budget (calib-gate asserts that, without the detector).
 race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/cluster/... ./internal/cache/... ./internal/batching/... ./internal/replay/...
 

@@ -38,9 +38,12 @@ import (
 	"time"
 
 	"flashps/internal/benchfmt"
+	"flashps/internal/diffusion"
+	"flashps/internal/img"
 	"flashps/internal/mask"
 	"flashps/internal/model"
 	"flashps/internal/tensor"
+	"flashps/internal/workload"
 )
 
 // Side reports one implementation's measurement.
@@ -123,6 +126,42 @@ type Derivation struct {
 	Ns    int64  `json:"ns"`
 }
 
+// ScalingRow is the engine's denoising step at one batch shape: Members
+// cached-Y sessions of MaskedTokens masked tokens each (0: every member's
+// mask drawn from workload.ProductionTrace), on one template with derived
+// K/V, different prompts and mask positions. Stacked runs each step as one
+// Engine.StepBatch over the members; sequential steps the same sessions one
+// by one — each still one stacked step of its own two guidance passes, so
+// the ratio prices stacking across members alone. Both run whole edits in
+// the same interleaved rounds; a member-step is one session's one step, and
+// Ratio is the median over rounds of the two adjacent samples' ratio, which
+// the host's speed changes move less than they move either median.
+type ScalingRow struct {
+	Members        int     `json:"members"`
+	MaskedTokens   int     `json:"masked_tokens"`
+	MeanTokens     float64 `json:"mean_masked_tokens"`
+	StackedUs      float64 `json:"stacked_us_per_member_step"`
+	SequentialUs   float64 `json:"sequential_us_per_member_step"`
+	StackedPerS    float64 `json:"stacked_member_steps_per_s"`
+	SequentialPerS float64 `json:"sequential_member_steps_per_s"`
+	Ratio          float64 `json:"stacked_over_sequential"`
+}
+
+// LeftoverRow says how much of a masked block's token-wise GEMM time (four
+// H×H projections, FFN up and down) goes to the 1–3-row remainder tile of
+// its operand, over batches of Members requests with production masks:
+// PerLane with one operand per guidance pass of one request, as the engine
+// ran before the stacked step; Stacked with all of the batch's lanes in one
+// operand. Computed from this report's own matmul rows at M = 1, 2, 3
+// (remainder tiles) and M = 8 (two full tiles).
+type LeftoverRow struct {
+	Members      int     `json:"members"`
+	MeanRows     float64 `json:"mean_stacked_rows"`
+	PerLaneShare float64 `json:"per_lane_remainder_share"`
+	StackedShare float64 `json:"stacked_remainder_share"`
+	StackedOver  float64 `json:"stacked_over_per_lane_gemm_time"`
+}
+
 // Report is the top-level BENCH_kernels.json document.
 type Report struct {
 	Meta        benchfmt.Meta  `json:"meta"`
@@ -131,6 +170,8 @@ type Report struct {
 	Budgets     []Budget       `json:"block_budgets"`
 	Crossover   []CrossoverRow `json:"masked_block_crossover"`
 	Derivation  Derivation     `json:"derivation_per_template"`
+	Scaling     []ScalingRow   `json:"batch_scaling"`
+	Leftover    []LeftoverRow  `json:"leftover_tiles"`
 	ParCheck    []ParRow       `json:"par_check,omitempty"`
 }
 
@@ -569,6 +610,158 @@ func derivation(rng *tensor.RNG, cfg model.Config) Derivation {
 	return Derivation{cfg.Name, passes * model.DerivedKVBytes(cached), passes * int64(ns[0]+0.5)}
 }
 
+// scalingCell is one batch shape of batchScaling.
+type scalingCell struct {
+	row  ScalingRow
+	reqs []diffusion.EditRequest
+	reps int          // edits per timed sample
+	ns   [2][]float64 // per member-step, per round: stacked, sequential
+}
+
+// batchScaling times the engine's step at 1/2/4/8 members × 2/7/22 masked
+// tokens and a production mix, stacked and sequential, every cell and both
+// variants in each of the interleaved rounds. Sessions are opened outside
+// the timed region; a sample is whole edits, all their steps.
+func batchScaling(cfg model.Config) ([]ScalingRow, error) {
+	e, err := diffusion.NewEngine(cfg, 42)
+	if err != nil {
+		return nil, err
+	}
+	h, w := e.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
+	tpl, _, err := e.PrepareTemplate(7, img.SynthTemplate(7, h, w), "template", false)
+	if err != nil {
+		return nil, err
+	}
+	rng := tensor.NewRNG(14)
+	var cells []*scalingCell
+	for _, tokens := range []int{2, 7, 22, 0} {
+		for _, members := range []int{1, 2, 4, 8} {
+			c := &scalingCell{row: ScalingRow{Members: members, MaskedTokens: tokens}}
+			for k := 0; k < members; k++ {
+				m := mask.Blob(rng, cfg.LatentH, cfg.LatentW, tokens)
+				if tokens == 0 { // WithRatio masks at least one token
+					m = mask.WithRatio(rng, cfg.LatentH, cfg.LatentW, workload.ProductionTrace.Sample(rng))
+				}
+				c.row.MeanTokens += float64(m.MaskedCount()) / float64(members)
+				c.reqs = append(c.reqs, diffusion.EditRequest{Template: tpl, Mask: m,
+					Prompt: fmt.Sprintf("edit %d", k), Seed: rng.Uint64(), Mode: diffusion.EditCachedY})
+			}
+			cells = append(cells, c)
+		}
+	}
+	// run times reps edits of c's batch and returns ns per member-step.
+	run := func(c *scalingCell, stacked bool) (float64, error) {
+		var total time.Duration
+		for r := 0; r < c.reps; r++ {
+			var sessions []*diffusion.EditSession
+			for _, req := range c.reqs {
+				s, err := e.BeginEdit(req)
+				if err != nil {
+					return 0, err
+				}
+				sessions = append(sessions, s)
+			}
+			start := time.Now()
+			for !sessions[0].Done() {
+				if stacked {
+					if errs := e.StepBatch(sessions); errs != nil {
+						return 0, fmt.Errorf("batch step: %v", errs)
+					}
+					continue
+				}
+				for _, s := range sessions {
+					if _, err := s.Step(); err != nil {
+						return 0, err
+					}
+				}
+			}
+			total += time.Since(start)
+		}
+		return float64(total.Nanoseconds()) / float64(c.reps*len(c.reqs)*cfg.Steps), nil
+	}
+	for _, c := range cells {
+		c.reps = 1
+		ns, err := run(c, true) // warms the template's derived K/V and the arenas
+		if err != nil {
+			return nil, err
+		}
+		c.reps = max(1, int(float64(2*time.Millisecond)/(ns*float64(len(c.reqs)*cfg.Steps))))
+	}
+	for r := 0; r < rounds; r++ {
+		for _, c := range cells {
+			for v, stacked := range []bool{true, false} {
+				ns, err := run(c, stacked)
+				if err != nil {
+					return nil, err
+				}
+				c.ns[v] = append(c.ns[v], ns)
+			}
+		}
+	}
+	var rows []ScalingRow
+	for _, c := range cells {
+		st, seq := median(c.ns[0]), median(c.ns[1])
+		c.row.StackedUs, c.row.SequentialUs = st/1e3, seq/1e3
+		c.row.StackedPerS, c.row.SequentialPerS = 1e9/st, 1e9/seq
+		ratios := make([]float64, len(c.ns[0]))
+		for r := range ratios {
+			ratios[r] = c.ns[0][r] / c.ns[1][r]
+		}
+		c.row.Ratio = median(ratios)
+		rows = append(rows, c.row)
+	}
+	return rows, nil
+}
+
+// leftoverTiles prices the remainder tiles of the token-wise GEMMs from the
+// report's matmul rows: an M-row operand costs ⌊M/4⌋ full tiles (half the
+// M = 8 row each) and, when M mod 4 ≠ 0, the M mod 4 row of the same shape.
+func leftoverTiles(entries []Entry, cfg model.Config) []LeftoverRow {
+	H, F := cfg.Hidden, cfg.Hidden*cfg.FFNMult
+	at := func(m, k, n int) float64 {
+		shape := fmt.Sprintf("%dx%dx%d", m, k, n)
+		for _, e := range entries {
+			if e.Op == "matmul" && e.Shape == shape {
+				return float64(e.After.NsPerOp)
+			}
+		}
+		panic("flashps-kernels: no matmul row " + shape)
+	}
+	var tile float64   // one full 4-row tile of all six GEMMs
+	var rem [4]float64 // their remainder tiles of 1, 2, 3 rows
+	for _, g := range []struct{ k, n, count int }{{H, H, 4}, {H, F, 1}, {F, H, 1}} {
+		tile += float64(g.count) * at(8, g.k, g.n) / 2
+		for r := 1; r <= 3; r++ {
+			rem[r] += float64(g.count) * at(r, g.k, g.n)
+		}
+	}
+	passes := 1
+	if cfg.GuidanceScale > 0 {
+		passes = 2
+	}
+	rng := tensor.NewRNG(15)
+	var rows []LeftoverRow
+	for _, members := range []int{1, 2, 4, 8} {
+		var laneAll, laneRem, stackAll, stackRem, sumRows float64
+		const batches = 4000
+		for b := 0; b < batches; b++ {
+			total := 0
+			for k := 0; k < members; k++ {
+				m := mask.WithRatio(rng, cfg.LatentH, cfg.LatentW, workload.ProductionTrace.Sample(rng)).MaskedCount()
+				laneAll += float64(passes) * (float64(m/4)*tile + rem[m%4])
+				laneRem += float64(passes) * rem[m%4]
+				total += passes * m
+			}
+			stackAll += float64(total/4)*tile + rem[total%4]
+			stackRem += rem[total%4]
+			sumRows += float64(total)
+		}
+		rows = append(rows, LeftoverRow{Members: members, MeanRows: sumRows / batches,
+			PerLaneShare: laneRem / laneAll, StackedShare: stackRem / stackAll, StackedOver: stackAll / laneAll})
+	}
+	return rows
+}
+
 func main() {
 	var (
 		out = flag.String("o", "", "output file (default stdout)")
@@ -666,6 +859,12 @@ func main() {
 	rep.Budgets = append(rep.Budgets, blockBudgets(planBlock(rng, cfg, nil, false))...)
 	rep.Crossover = crossover(rng, cfg)
 	rep.Derivation = derivation(rng, cfg)
+	var err error
+	if rep.Scaling, err = batchScaling(cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "flashps-kernels: batch scaling: %v\n", err)
+		os.Exit(1)
+	}
+	rep.Leftover = leftoverTiles(rep.Entries, cfg)
 
 	// ROADMAP 2e: splitting a call across workers must never lose to
 	// running it on the caller.

@@ -11,14 +11,18 @@ import (
 	"testing"
 )
 
-// TestOneRunLoopLint keeps the run loop from forking again. It walks every
-// non-test Go file of the module outside this package and fails if one
+// TestOneRunLoopLint keeps the run loop, and the step path under it, from
+// forking again. It walks every non-test Go file of the module outside this
+// package and fails if one
 //
 //   - asks the Core for an admission (Core.AdmitBudget, or Core.Admit's
 //     three-argument call): forming a running batch is the Runner's job;
-//   - ranges over a batch calling EditSession.Step anywhere but in a method
-//     of an Executor (a type that declares RunTurn): stepping a batch is
-//     what the Runner hands to its Executor.
+//   - ranges over a batch calling EditSession.Step: a batch advances by one
+//     diffusion.Engine.StepBatch per step, of which Step is the one-session
+//     case — Executors included (serve, replay), and experiments and
+//     examples too. internal/diffusion itself is exempt, and so is
+//     cmd/flashps-kernels, whose batch_scaling table times exactly that
+//     loop as the "sequential" side.
 //
 // benchmark/ is a module of its own (it times Core.Admit as an operation)
 // and is not walked.
@@ -31,6 +35,10 @@ func TestOneRunLoopLint(t *testing.T) {
 		t.Fatalf("module root not at %s: %v", root, err)
 	}
 	self := filepath.Join(root, "internal", "batching")
+	stepOK := map[string]bool{
+		filepath.Join(root, "internal", "diffusion"):  true,
+		filepath.Join(root, "cmd", "flashps-kernels"): true,
+	}
 
 	fset := token.NewFileSet()
 	files := 0
@@ -45,7 +53,7 @@ func TestOneRunLoopLint(t *testing.T) {
 				path == self || path == filepath.Join(root, "benchmark")) {
 				return filepath.SkipDir
 			}
-			return lintDir(fset, path, &files, &findings)
+			return lintDir(fset, path, stepOK[path], &files, &findings)
 		}
 		return nil
 	})
@@ -60,12 +68,9 @@ func TestOneRunLoopLint(t *testing.T) {
 	}
 }
 
-// The lint finds Executors by this method's name; a rename must come here
-// too.
-var _ = Executor.RunTurn
-
-// lintDir checks one package directory's non-test files.
-func lintDir(fset *token.FileSet, dir string, files *int, findings *[]string) error {
+// lintDir checks one package directory's non-test files; stepOK lets it
+// range over sessions calling Step.
+func lintDir(fset *token.FileSet, dir string, stepOK bool, files *int, findings *[]string) error {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
@@ -73,52 +78,25 @@ func lintDir(fset *token.FileSet, dir string, files *int, findings *[]string) er
 		return err
 	}
 	for _, pkg := range pkgs {
-		// The package's Executor types: receivers that declare RunTurn.
-		executors := map[string]bool{}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "RunTurn" {
-					executors[receiver(fn)] = true
-				}
-			}
-		}
 		for _, f := range pkg.Files {
 			*files++
 			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+					lintBody(fset, fn.Body, false, stepOK, findings)
 				}
-				inExecutor := executors[receiver(fn)] && receiver(fn) != ""
-				lintBody(fset, fn.Body, false, inExecutor, findings)
 			}
 		}
 	}
 	return nil
 }
 
-// receiver returns a method's receiver type name ("" for a function).
-func receiver(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return ""
-	}
-	typ := fn.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // lintBody walks a function body, tracking whether it is inside a range
 // statement.
-func lintBody(fset *token.FileSet, n ast.Node, inRange, inExecutor bool, findings *[]string) {
+func lintBody(fset *token.FileSet, n ast.Node, inRange, stepOK bool, findings *[]string) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			lintBody(fset, n.Body, true, inExecutor, findings)
+			lintBody(fset, n.Body, true, stepOK, findings)
 			return false
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -131,9 +109,9 @@ func lintBody(fset *token.FileSet, n ast.Node, inRange, inExecutor bool, finding
 				sel.Sel.Name == "Admit" && len(n.Args) == 3:
 				*findings = append(*findings, pos+
 					": admission decided outside internal/batching — the Runner forms running batches")
-			case sel.Sel.Name == "Step" && len(n.Args) == 0 && inRange && !inExecutor:
+			case sel.Sel.Name == "Step" && len(n.Args) == 0 && inRange && !stepOK:
 				*findings = append(*findings, pos+
-					": a batch is stepped outside a batching.Executor — the Runner hands turns to its Executor")
+					": a batch is stepped session by session — one diffusion.Engine.StepBatch advances it")
 			}
 		}
 		return true

@@ -9,12 +9,11 @@ import (
 	"flashps/internal/model"
 )
 
-// steadyStateStep builds the per-step closure the Edit loop runs: reset the
-// workspace, evaluate the denoiser, apply the DDIM update into the ping-pong
-// buffer — the first step of a session over maskedIdx, again and again. A
-// nil tpl prepares one; derive says whether a cached-Y session may use
-// derived K/V.
-func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []int, tpl *TemplateCache, derive bool) func() {
+// steadyStateStep builds the per-step closure the serving plane runs: one
+// StepBatch over a session per entry of masks (a nil entry is an unmasked
+// session) — the first step of every session, again and again. A nil tpl
+// prepares one; derive says whether a cached-Y session may use derived K/V.
+func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, masks [][]int, tpl *TemplateCache, derive bool) func() {
 	t.Helper()
 	e, err := NewEngine(cfg, 42)
 	if err != nil {
@@ -29,29 +28,31 @@ func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []
 		}
 	}
 	tpl.SetDeriveGate(func(int64) bool { return derive })
-	var m *mask.Mask
-	if maskedIdx != nil {
-		m = mask.New(cfg.LatentH, cfg.LatentW)
-		for _, i := range maskedIdx {
-			m.Bits[i] = true
+	var sessions []*EditSession
+	for k, maskedIdx := range masks {
+		var m *mask.Mask
+		if maskedIdx != nil {
+			m = mask.New(cfg.LatentH, cfg.LatentW)
+			for _, i := range maskedIdx {
+				m.Bits[i] = true
+			}
 		}
-	}
-	s, err := e.BeginEdit(EditRequest{Template: tpl, Mask: m, Prompt: "edit prompt", Seed: 99, Mode: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (s.derived != nil) != (derive && mode == EditCachedY) {
-		t.Fatalf("mode %v, derive %v: session has derived K/V: %v", mode, derive, s.derived != nil)
-	}
-	ws := e.acquireWS()
-	return func() {
-		ws.Reset()
-		eps, err := s.stepEps(ws, s.t)
+		s, err := e.BeginEdit(EditRequest{Template: tpl, Mask: m, Prompt: "edit prompt", Seed: 99 + uint64(k), Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.updateInto(s.xNext, s.x, eps, s.t, mode, s.maskedIdx)
-		s.x, s.xNext = s.xNext, s.x
+		if (s.derived != nil) != (derive && mode == EditCachedY) {
+			t.Fatalf("mode %v, derive %v: session has derived K/V: %v", mode, derive, s.derived != nil)
+		}
+		sessions = append(sessions, s)
+	}
+	return func() {
+		if errs := e.StepBatch(sessions); errs != nil {
+			t.Fatal(errs)
+		}
+		for _, s := range sessions {
+			s.t++
+		}
 	}
 }
 
@@ -59,7 +60,7 @@ func steadyStateStep(t *testing.T, cfg model.Config, mode EditMode, maskedIdx []
 // acceptance test: once the arena has grown to the step's working set, a
 // full-computation denoising step performs zero heap allocations.
 func TestSteadyStateDenoiseStepZeroAllocs(t *testing.T) {
-	step := steadyStateStep(t, testCfg, EditFull, nil, nil, false)
+	step := steadyStateStep(t, testCfg, EditFull, [][]int{nil}, nil, false)
 	// Two warm cycles: the first records the arena demand, the second runs
 	// fully slab-backed.
 	step()
@@ -75,7 +76,7 @@ func TestSteadyStateGuidedStepZeroAllocs(t *testing.T) {
 	cfg := testCfg
 	cfg.Name = "difftest-guided"
 	cfg.GuidanceScale = 1.5
-	step := steadyStateStep(t, cfg, EditFull, nil, nil, false)
+	step := steadyStateStep(t, cfg, EditFull, [][]int{nil}, nil, false)
 	step()
 	step()
 	if n := testing.AllocsPerRun(10, step); n != 0 {
@@ -88,20 +89,24 @@ func TestSteadyStateGuidedStepZeroAllocs(t *testing.T) {
 // cached path is exercised, so they too must be allocation-free once warm
 // — at every masked-row count class the GEMM distinguishes: remainder
 // rows only (1, 3), full 4-row tiles only (4), and both (7) — with K/V
-// computed, derived, and recorded.
+// computed, derived, and recorded, and as one StepBatch of 1, 2 and 4
+// members with different masks.
 func TestSteadyStateMaskedStepZeroAllocs(t *testing.T) {
 	e := newTestEngine(t)
 	tpl, _ := testTemplate(t, e, true)
+	masks := [][]int{{8}, {1, 7, 8}, {1, 7, 8, 14}, {1, 2, 7, 8, 13, 14, 20}}
 	for _, c := range []struct {
 		mode   EditMode
 		derive bool
 	}{{EditCachedY, false}, {EditCachedY, true}, {EditCachedKV, false}} {
-		for _, maskedIdx := range [][]int{{8}, {1, 7, 8}, {1, 7, 8, 14}, {1, 2, 7, 8, 13, 14, 20}} {
-			step := steadyStateStep(t, testCfg, c.mode, maskedIdx, tpl, c.derive)
-			step()
-			step()
-			if n := testing.AllocsPerRun(10, step); n != 0 {
-				t.Fatalf("steady-state %v denoise step (derived %v), %d masked rows: %v allocs/op, want 0", c.mode, c.derive, len(maskedIdx), n)
+		for _, members := range []int{1, 2, 4} {
+			for first := 0; first < len(masks); first += members {
+				step := steadyStateStep(t, testCfg, c.mode, masks[first:first+members], tpl, c.derive)
+				step()
+				step()
+				if n := testing.AllocsPerRun(10, step); n != 0 {
+					t.Fatalf("steady-state %v batch step (derived %v), %d members from mask %d: %v allocs/op, want 0", c.mode, c.derive, members, first, n)
+				}
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (e *Engine) derivedFor(tc *TemplateCache) *derivedKV {
 	derive := func(steps []*model.StepActivations) []*model.StepActivations {
 		out := make([]*model.StepActivations, len(steps))
 		for t, st := range steps {
-			out[t] = m.DeriveKV(ws, st)
+			out[t] = m.DeriveKV(ws.arena, st)
 		}
 		return out
 	}

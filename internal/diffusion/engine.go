@@ -37,11 +37,18 @@ type Engine struct {
 	Sched *Schedule
 
 	wsMu   sync.Mutex
-	wsFree []*tensor.Arena
+	wsFree []*stepWS
+}
+
+// stepWS is a kernel workspace: the arena the kernels' intermediates come
+// from, and the lanes of the batch step that borrowed it.
+type stepWS struct {
+	arena *tensor.Arena
+	lanes []model.Lane
 }
 
 // acquireWS borrows an empty workspace.
-func (e *Engine) acquireWS() *tensor.Arena {
+func (e *Engine) acquireWS() *stepWS {
 	e.wsMu.Lock()
 	defer e.wsMu.Unlock()
 	if n := len(e.wsFree); n > 0 {
@@ -49,13 +56,15 @@ func (e *Engine) acquireWS() *tensor.Arena {
 		e.wsFree = e.wsFree[:n-1]
 		return ws
 	}
-	return tensor.NewArena()
+	return &stepWS{arena: tensor.NewArena()}
 }
 
 // releaseWS returns a workspace to the free list. The arena is reset first
-// so no caller observes a peer's intermediates.
-func (e *Engine) releaseWS(ws *tensor.Arena) {
-	ws.Reset()
+// so no caller observes a peer's intermediates, and the lanes are cleared
+// so an idle workspace pins no session's template.
+func (e *Engine) releaseWS(ws *stepWS) {
+	ws.arena.Reset()
+	clear(ws.lanes)
 	e.wsMu.Lock()
 	e.wsFree = append(e.wsFree, ws)
 	e.wsMu.Unlock()
@@ -251,8 +260,9 @@ func (e *Engine) PrepareTemplate(templateID uint64, im *img.Image, prompt string
 		tc.UncondSteps = make([]*model.StepActivations, e.Sched.Steps)
 	}
 
-	ws := e.acquireWS()
-	defer e.releaseWS(ws)
+	sws := e.acquireWS()
+	defer e.releaseWS(sws)
+	ws := sws.arena
 	x := e.noisyInit(z0, noise, nil, nil)
 	xNext := x.Clone()
 	for t := e.Sched.Steps - 1; t >= 0; t-- {

@@ -43,6 +43,7 @@ type EditSession struct {
 
 	stepsComputed int
 	passes        int // model forward passes per computed step (1, or 2 under guidance)
+	lane0, nLanes int // the current step's lanes within its batch step's
 
 	lastBlocksComputed  int
 	lastBlocksReused    int
@@ -193,77 +194,181 @@ func (s *EditSession) ReusedBlockRatio() float64 {
 	return float64(s.totalBlocksReused) / float64(total)
 }
 
+// LastStepLanes returns how many denoiser passes the most recent step ran:
+// one per guidance pass, none when TeaCache reused its last prediction.
+func (s *EditSession) LastStepLanes() int { return s.nLanes }
+
 // Step executes one denoising step and reports whether the session is done.
-// Calling Step on a finished session is an error.
+// Calling Step on a finished session is an error. It is StepBatch with one
+// session.
+func (s *EditSession) Step() (done bool, err error) {
+	one := [1]*EditSession{s}
+	if errs := s.engine.StepBatch(one[:]); errs != nil {
+		return false, errs[0]
+	}
+	return s.Done(), nil
+}
+
+// laneForwarder is the backbone capability behind the stacked step: forward
+// several lanes at once, sharing one masked-row operand where they can
+// (model.Model). A backbone without it (the UNet) has its lanes forwarded
+// one by one.
+type laneForwarder interface {
+	ForwardLanes(ws *tensor.Arena, lanes []model.Lane)
+}
+
+// StepBatch executes one denoising step of every session, all of which must
+// be distinct, unfinished sessions of this engine: every guidance pass of
+// every member becomes one lane of a single stacked forward
+// (model.Model.ForwardLanes), so batch members and guidance passes share
+// their token-wise GEMMs. Members need nothing in common — timestep,
+// template, mask, mode and policy are each lane's own — and every member's
+// latent is bit-identical to what stepping it alone produces. It returns
+// nil when every member stepped; otherwise one entry per session, nil for
+// those that did. A member whose step failed is left where it was.
 //
 // The kernel workspace is borrowed for the step only — everything a session
 // keeps between steps lives in its own buffers — so a queued, preempted or
 // abandoned session holds none, and an engine needs as many workspaces as
 // it has steps running at once, not as it has sessions open.
-func (s *EditSession) Step() (done bool, err error) {
-	if s.Done() {
-		return true, fmt.Errorf("diffusion: Step on finished session")
-	}
-	e := s.engine
+func (e *Engine) StepBatch(sessions []*EditSession) []error {
 	ws := e.acquireWS()
 	defer e.releaseWS(ws)
-	t := s.t
-	blocksPerStep := e.Model.Config().NumBlocks * s.passes
-	switch s.req.Mode {
-	case EditTeaCache:
-		recompute := s.teaLastEps == nil
-		if !recompute {
-			s.teaAccum += embeddingDrift(s.teaLastT, t, e.Model.Config().Hidden)
-			recompute = s.teaAccum >= s.teaThreshold
+	var errs []error
+	lanes := ws.lanes[:0]
+	for i, s := range sessions {
+		s.lane0, s.nLanes = len(lanes), 0
+		switch {
+		case s.engine != e:
+			errs = setErr(errs, len(sessions), i, fmt.Errorf("diffusion: StepBatch on another engine's session"))
+		case s.Done():
+			errs = setErr(errs, len(sessions), i, fmt.Errorf("diffusion: Step on finished session"))
+		default:
+			lanes = s.beginStep(lanes)
 		}
-		s.lastBlocksComputed, s.lastBlocksReused, s.lastBlocksKV = 0, 0, 0
-		if recompute {
-			eps, err := s.stepEps(ws, t)
-			if err != nil {
-				return false, err
-			}
-			// eps is arena-backed; copy it to persistent storage since it
-			// must outlive this step's workspace.
-			if s.teaLastEps == nil {
-				s.teaLastEps = eps.Clone()
-			} else {
-				copy(s.teaLastEps.Data, eps.Data)
-			}
-			s.teaLastT, s.teaAccum = t, 0
-			s.stepsComputed++
-			s.lastBlocksComputed = blocksPerStep
-			s.totalBlocksComputed += blocksPerStep
+	}
+	ws.lanes = lanes
+	if m, ok := e.Model.(laneForwarder); ok {
+		m.ForwardLanes(ws.arena, lanes)
+	} else {
+		for i := range lanes {
+			l := &lanes[i]
+			l.WS = ws.arena
+			l.Out, l.Err = e.Model.ForwardStep(l.Latent, l.T, l.Cond, l.StepOptions)
 		}
-		e.updateInto(s.xNext, s.x, s.teaLastEps, t, s.req.Mode, s.maskedIdx)
-		s.x, s.xNext = s.xNext, s.x
-	default:
-		if s.policy != nil {
-			// stepIdx is the 0-based execution index (step 0 denoises from
-			// pure noise); policies reason in execution order, not timestep.
-			s.policy.PlanStep(s.reusePlan, e.Sched.Steps-1-t)
-			s.rcCond.BeginStep()
-			if s.rcUncond != nil {
-				s.rcUncond.BeginStep()
+	}
+	for i, s := range sessions {
+		if errs != nil && errs[i] != nil {
+			continue
+		}
+		if err := s.finishStep(lanes[s.lane0 : s.lane0+s.nLanes]); err != nil {
+			errs = setErr(errs, len(sessions), i, err)
+		}
+	}
+	return errs
+}
+
+// setErr records member i's error, allocating the n-entry result on the
+// first failure.
+func setErr(errs []error, n, i int, err error) []error {
+	if errs == nil {
+		errs = make([]error, n)
+	}
+	errs[i] = err
+	return errs
+}
+
+// beginStep plans the session's next step and appends the lanes it needs
+// the denoiser for: one per guidance pass, or none when TeaCache reuses its
+// last prediction. For cached modes each pass uses its own activation cache
+// (and its own derived K/V), so unmasked rows reproduce the template
+// trajectory exactly under guidance too. The adaptive step policy's
+// per-block reuse plan and per-pass residual caches ride along (all nil
+// when no policy is active); each guidance pass keeps its own residuals
+// because the two trajectories drift differently.
+func (s *EditSession) beginStep(lanes []model.Lane) []model.Lane {
+	e, t, tpl := s.engine, s.t, s.req.Template
+	if s.req.Mode == EditTeaCache && s.teaLastEps != nil {
+		s.teaAccum += embeddingDrift(s.teaLastT, t, e.Model.Config().Hidden)
+		if s.teaAccum < s.teaThreshold {
+			return lanes
+		}
+	}
+	if s.policy != nil {
+		// stepIdx is the 0-based execution index (step 0 denoises from
+		// pure noise); policies reason in execution order, not timestep.
+		s.policy.PlanStep(s.reusePlan, e.Sched.Steps-1-t)
+		s.rcCond.BeginStep()
+		if s.rcUncond != nil {
+			s.rcUncond.BeginStep()
+		}
+	}
+	cached := s.req.Mode == EditCachedY || s.req.Mode == EditCachedKV
+	opts := model.StepOptions{MaskedIdx: s.maskedIdx, Modes: s.modes, Reuse: s.reusePlan, ReuseCache: s.rcCond}
+	if cached {
+		opts.Cached = tpl.Steps[t]
+		if s.derived != nil {
+			opts.Derived = s.derived.cond[t]
+		}
+	}
+	lanes = append(lanes, model.Lane{Latent: s.x, T: t, Cond: s.cond, StepOptions: opts})
+	if s.passes == 2 {
+		opts.ReuseCache = s.rcUncond
+		if cached {
+			opts.Cached = tpl.UncondSteps[t]
+			if s.derived != nil {
+				opts.Derived = s.derived.uncond[t]
 			}
 		}
-		eps, err := s.stepEps(ws, t)
-		if err != nil {
-			return false, err
+		lanes = append(lanes, model.Lane{Latent: s.x, T: t, StepOptions: opts})
+	}
+	s.nLanes = len(lanes) - s.lane0
+	return lanes
+}
+
+// finishStep completes the step beginStep planned, given its forwarded
+// lanes: combine the guidance passes, account for what ran, and apply the
+// DDIM update.
+func (s *EditSession) finishStep(lanes []model.Lane) error {
+	e, t := s.engine, s.t
+	for i := range lanes {
+		if lanes[i].Err != nil {
+			return lanes[i].Err
+		}
+	}
+	eps := s.teaLastEps
+	if len(lanes) > 0 {
+		eps = lanes[0].Out
+		if len(lanes) == 2 {
+			guideInto(eps, lanes[1].Out, eps, e.Model.Config().GuidanceScale)
 		}
 		s.stepsComputed++
-		reused := 0
+	}
+	blocksPerStep := e.Model.Config().NumBlocks * s.passes
+	s.lastBlocksComputed, s.lastBlocksReused, s.lastBlocksKV = 0, 0, 0
+	switch {
+	case len(lanes) == 0: // TeaCache reuses its last prediction
+	case s.req.Mode == EditTeaCache:
+		// eps is arena-backed; copy it to persistent storage since it must
+		// outlive this step's workspace.
+		if s.teaLastEps == nil {
+			s.teaLastEps = eps.Clone()
+		} else {
+			copy(s.teaLastEps.Data, eps.Data)
+		}
+		s.teaLastT, s.teaAccum = t, 0
+		s.lastBlocksComputed = blocksPerStep
+	default:
 		if s.policy != nil {
-			reused = s.rcCond.StepReusedCount()
+			s.lastBlocksReused = s.rcCond.StepReusedCount()
 			if s.rcUncond != nil {
-				reused += s.rcUncond.StepReusedCount()
+				s.lastBlocksReused += s.rcUncond.StepReusedCount()
 			}
 			// The conditional pass drives the drift feedback: it is the
 			// pass whose output dominates the guided prediction.
 			s.policy.Observe(s.rcCond.Rates(), s.rcCond.StepReused())
 		}
-		s.lastBlocksComputed = blocksPerStep - reused
-		s.lastBlocksReused = reused
-		s.lastBlocksKV = 0
+		s.lastBlocksComputed = blocksPerStep - s.lastBlocksReused
 		rcs := [...]*model.ReuseCache{s.rcCond, s.rcUncond}
 		for i, kv := range s.kvBlocks {
 			for _, rc := range rcs[:s.passes] {
@@ -272,55 +377,13 @@ func (s *EditSession) Step() (done bool, err error) {
 				}
 			}
 		}
-		s.totalBlocksComputed += blocksPerStep - reused
-		s.totalBlocksReused += reused
-		e.updateInto(s.xNext, s.x, eps, t, s.req.Mode, s.maskedIdx)
-		s.x, s.xNext = s.xNext, s.x
 	}
+	s.totalBlocksComputed += s.lastBlocksComputed
+	s.totalBlocksReused += s.lastBlocksReused
+	e.updateInto(s.xNext, s.x, eps, t, s.req.Mode, s.maskedIdx)
+	s.x, s.xNext = s.xNext, s.x
 	s.t--
-	return s.Done(), nil
-}
-
-// stepEps evaluates the denoiser for step t of the session under its mode,
-// running the classifier-free-guidance dual pass when the model config
-// enables it. For cached modes each pass uses its own activation cache (and
-// its own derived K/V), so unmasked rows reproduce the template trajectory
-// exactly under guidance too. The adaptive step policy's per-block reuse
-// plan and per-pass residual caches ride along (all nil when no policy is
-// active); each guidance pass keeps its own residuals because the two
-// trajectories drift differently.
-func (s *EditSession) stepEps(ws *tensor.Arena, t int) (*tensor.Matrix, error) {
-	e, tpl := s.engine, s.req.Template
-	cached := s.req.Mode == EditCachedY || s.req.Mode == EditCachedKV
-	opts := model.StepOptions{MaskedIdx: s.maskedIdx, Modes: s.modes, WS: ws, Reuse: s.reusePlan, ReuseCache: s.rcCond}
-	if cached {
-		opts.Cached = tpl.Steps[t]
-		if s.derived != nil {
-			opts.Derived = s.derived.cond[t]
-		}
-	}
-	eps, err := e.Model.ForwardStep(s.x, t, s.cond, opts)
-	if err != nil {
-		return nil, err
-	}
-	guidance := e.Model.Config().GuidanceScale
-	if guidance <= 0 {
-		return eps, nil
-	}
-	opts.ReuseCache = s.rcUncond
-	if cached {
-		opts.Cached = tpl.UncondSteps[t]
-		if s.derived != nil {
-			opts.Derived = s.derived.uncond[t]
-		}
-	}
-	epsU, err := e.Model.ForwardStep(s.x, t, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	g := ws.GetRaw(eps.R, eps.C)
-	guideInto(g, epsU, eps, guidance)
-	return g, nil
+	return nil
 }
 
 // Latent returns the current latent (aliased; callers must not mutate).

@@ -71,7 +71,8 @@ func (b *Block) crossAttend(ws *tensor.Arena, h, ctx *tensor.Matrix) *tensor.Mat
 	tensor.MatMulInto(k, ctx, b.WKc)
 	v := ws.GetRaw(ctx.R, b.Hidden)
 	tensor.MatMulInto(v, ctx, b.WVc)
-	attn := b.attention(ws, q, k, v)
+	attn := ws.GetRaw(h.R, b.Hidden)
+	b.attention(ws, attn, q, k, v)
 	proj := ws.GetRaw(h.R, b.Hidden)
 	tensor.MatMulInto(proj, attn, b.WOc)
 	tensor.AddInPlace(h, proj)
@@ -90,15 +91,13 @@ func (b *Block) heads() int {
 func (b *Block) headDim() int { return b.Hidden / b.heads() }
 
 // attention computes multi-head scaled dot-product attention for query
-// rows q over keys/values k, v (all …×H) and returns the q.R×H
-// concatenated head outputs. Heads are strided views into q/k/v (zero
-// copy) and the kernel runs an online softmax over K/V tiles, so the
-// q.R×k.R score matrix is never materialized; its packed kᵀ comes from ws.
-func (b *Block) attention(ws *tensor.Arena, q, k, v *tensor.Matrix) *tensor.Matrix {
-	out := ws.GetRaw(q.R, b.Hidden)
+// rows q over keys/values k, v (all …×H) and writes the q.R×H concatenated
+// head outputs into dst. Heads are strided views into q/k/v (zero copy) and
+// the kernel runs an online softmax over K/V tiles, so the q.R×k.R score
+// matrix is never materialized; its packed kᵀ comes from ws.
+func (b *Block) attention(ws *tensor.Arena, dst, q, k, v *tensor.Matrix) {
 	scale := float32(1 / math.Sqrt(float64(b.headDim())))
-	tensor.FusedAttentionWS(ws, out, q, k, v, b.heads(), scale)
-	return out
+	tensor.FusedAttentionWS(ws, dst, q, k, v, b.heads(), scale)
 }
 
 // sliceCols copies columns [start, start+n) of m into a new matrix.
@@ -165,10 +164,10 @@ func (b *Block) ForwardWS(ws *tensor.Arena, x, ctx *tensor.Matrix, rec *BlockAct
 }
 
 // outBuf returns the r×c buffer a forward variant writes its result into:
-// dst when the caller supplied one (Model.ForwardStep ping-pongs two block
-// outputs so that everything else a block takes from ws can be released at
-// the block boundary), arena scratch otherwise. dst must not alias the
-// block's input.
+// dst when the caller supplied one (Model.ForwardLanes ping-pongs two
+// buffers per lane so that everything else a block takes from ws can be
+// released at the block boundary), arena scratch otherwise. dst must not
+// alias the block's input.
 func outBuf(ws *tensor.Arena, dst *tensor.Matrix, r, c int) *tensor.Matrix {
 	if dst != nil {
 		return dst
@@ -191,7 +190,8 @@ func (b *Block) forward(ws *tensor.Arena, dst, x, ctx *tensor.Matrix, rec *Block
 	v := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(v, ln1, b.WV)
 
-	attn := b.attention(ws, q, k, v)
+	attn := ws.GetRaw(x.R, b.Hidden)
+	b.attention(ws, attn, q, k, v)
 	h := ws.GetRaw(x.R, b.Hidden)
 	tensor.MatMulInto(h, attn, b.WO)
 	tensor.AddInPlace(h, x)
@@ -260,28 +260,7 @@ func (b *Block) ForwardMasked(x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *
 
 // ForwardMaskedWS is ForwardMasked with intermediates served from ws.
 func (b *Block) ForwardMaskedWS(ws *tensor.Arena, x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	return b.forwardMasked(ws, nil, x, cachedY, ctx, maskedIdx)
-}
-
-func (b *Block) forwardMasked(ws *tensor.Arena, dst, x, cachedY, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return copyInto(ws, dst, cachedY)
-	}
-	ln1 := ws.GetRaw(x.R, x.C)
-	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
-
-	lnM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(lnM, ln1, maskedIdx)
-	q := ws.GetRaw(len(maskedIdx), b.Hidden) // m·L × H
-	tensor.MatMulInto(q, lnM, b.WQ)
-	k := ws.GetRaw(x.R, b.Hidden) // L × H (all tokens)
-	tensor.MatMulInto(k, ln1, b.WK)
-	v := ws.GetRaw(x.R, b.Hidden)
-	tensor.MatMulInto(v, ln1, b.WV)
-
-	xM := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	return b.finishMasked(ws, dst, xM, cachedY, ctx, maskedIdx, q, k, v)
+	return b.forwardLane(ws, nil, x, cachedY, &[1]Lane{{StepOptions: StepOptions{MaskedIdx: maskedIdx}, ctx: ctx, kvX: x}})
 }
 
 // ForwardMaskedKV runs the mask-aware pass with the unmasked tokens' K and
@@ -300,35 +279,110 @@ func (b *Block) ForwardMaskedKV(x, cachedY, cachedK, cachedV, ctx *tensor.Matrix
 
 // ForwardMaskedKVWS is ForwardMaskedKV with intermediates served from ws.
 func (b *Block) ForwardMaskedKVWS(ws *tensor.Arena, x, cachedY, cachedK, cachedV, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	return b.forwardMaskedKV(ws, nil, x, cachedY, cachedK, cachedV, ctx, maskedIdx)
+	return b.forwardLane(ws, nil, x, cachedY, &[1]Lane{{StepOptions: StepOptions{MaskedIdx: maskedIdx}, ctx: ctx, k: cachedK, v: cachedV}})
 }
 
-func (b *Block) forwardMaskedKV(ws *tensor.Arena, dst, x, cachedY, cachedK, cachedV, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return copyInto(ws, dst, cachedY)
+// forwardLane is the stacked masked computation for one lane on its own:
+// gather the lane's masked rows of x, run forwardRows on them, and splice
+// the result into a copy of base — the block's cached output, or for the
+// naive baseline its input — written into dst (see outBuf).
+func (b *Block) forwardLane(ws *tensor.Arena, dst, x, base *tensor.Matrix, lane *[1]Lane) *tensor.Matrix {
+	l := &lane[0]
+	m := len(l.MaskedIdx)
+	if m == 0 {
+		return copyInto(ws, dst, base)
 	}
-	xM, q, kM, vM := b.maskedQKV(ws, x, maskedIdx)
-	k := ws.Clone(cachedK)
-	v := ws.Clone(cachedV)
-	tensor.ScatterRows(k, kM, maskedIdx)
-	tensor.ScatterRows(v, vM, maskedIdx)
-
-	return b.finishMasked(ws, dst, xM, cachedY, ctx, maskedIdx, q, k, v)
+	xM, yM := ws.GetRaw(m, b.Hidden), ws.GetRaw(m, b.Hidden)
+	tensor.GatherRowsInto(xM, x, l.MaskedIdx)
+	l.lo, l.hi, l.active = 0, m, true
+	b.forwardRows(ws, yM, xM, lane[:])
+	y := copyInto(ws, dst, base)
+	tensor.ScatterRows(y, yM, l.MaskedIdx)
+	return y
 }
 
-// maskedQKV gathers the masked rows xM of x and projects Q, K and V from
-// their LN1: m×H each.
-func (b *Block) maskedQKV(ws *tensor.Arena, x *tensor.Matrix, maskedIdx []int) (xM, q, k, v *tensor.Matrix) {
-	m := len(maskedIdx)
-	xM = ws.GetRaw(m, b.Hidden)
-	tensor.GatherRowsInto(xM, x, maskedIdx)
-	lnM := ws.GetRaw(m, b.Hidden)
-	tensor.LayerNormRowsInto(lnM, xM, b.LN1Gamma, b.LN1Beta, 1e-5)
-	q, k, v = ws.GetRaw(m, b.Hidden), ws.GetRaw(m, b.Hidden), ws.GetRaw(m, b.Hidden)
-	tensor.MatMulInto(q, lnM, b.WQ)
-	tensor.MatMulInto(k, lnM, b.WK)
-	tensor.MatMulInto(v, lnM, b.WV)
-	return xM, q, k, v
+// forwardRows runs the mask-aware computation (Fig 5-Bottom) on the stacked
+// masked rows of a run of lanes: xS holds lane l's input at its masked
+// tokens, in MaskedIdx order, at rows [l.lo, l.hi), and yS receives the
+// block's output for the same rows. Every lane of the run is active or has
+// no rows, so the run's rows are contiguous.
+//
+// The token-wise operations — LN1, the Q/K/V projections of the masked rows,
+// the output projection and residual, LN2 and the FFN — run once over all
+// the run's rows, whichever lane they belong to: the weights are shared and
+// GEMM and LayerNorm rows are independent (tensor's determinism contract),
+// so a row has the bits it would have in an operand of its own, and a 4-row
+// GEMM tile is filled by whoever's rows come next. What mixes tokens stays
+// per lane: each lane's masked rows attend over that lane's K and V of all
+// tokens — projected from all rows of its input (kvX), or the given K/V of
+// its unmasked tokens (k, v: recorded beside Y, the paper's Fig 7, or
+// derived once per template, Model.DeriveKV) with the masked rows' fresh
+// K/V scattered into a copy, or, for the naive baseline, the masked rows'
+// own K/V and nothing else.
+func (b *Block) forwardRows(ws *tensor.Arena, yS, xS *tensor.Matrix, lanes []Lane) {
+	lo, hi := lanes[0].lo, lanes[len(lanes)-1].hi
+	n := hi - lo
+	x := rowsOf(ws, xS, lo, hi)
+	ln := ws.GetRaw(n, b.Hidden)
+	tensor.LayerNormRowsInto(ln, x, b.LN1Gamma, b.LN1Beta, 1e-5)
+	q := ws.GetRaw(n, b.Hidden)
+	tensor.MatMulInto(q, ln, b.WQ)
+	// K and V of the masked rows, over each stretch of lanes that do not
+	// project theirs with all the other rows of their input.
+	kM, vM := ws.GetRaw(n, b.Hidden), ws.GetRaw(n, b.Hidden)
+	for i := 0; i < len(lanes); {
+		if !lanes[i].active || lanes[i].kvX != nil {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(lanes) && lanes[j].kvX == nil {
+			j++
+		}
+		rlo, rhi := lanes[i].lo-lo, lanes[j-1].hi-lo
+		lnR := rowsOf(ws, ln, rlo, rhi)
+		tensor.MatMulInto(rowsOf(ws, kM, rlo, rhi), lnR, b.WK)
+		tensor.MatMulInto(rowsOf(ws, vM, rlo, rhi), lnR, b.WV)
+		i = j
+	}
+
+	attn := ws.GetRaw(n, b.Hidden)
+	for i := range lanes {
+		l := &lanes[i]
+		if !l.active {
+			continue
+		}
+		llo, lhi := l.lo-lo, l.hi-lo
+		mark := ws.Mark()
+		k, v := rowsOf(ws, kM, llo, lhi), rowsOf(ws, vM, llo, lhi)
+		switch {
+		case l.kvX != nil:
+			k, v = ws.GetRaw(l.kvX.R, b.Hidden), ws.GetRaw(l.kvX.R, b.Hidden)
+			b.projectKV(ws, l.kvX, k, v)
+		case l.k != nil:
+			kL, vL := ws.Clone(l.k), ws.Clone(l.v)
+			tensor.ScatterRows(kL, k, l.MaskedIdx)
+			tensor.ScatterRows(vL, v, l.MaskedIdx)
+			k, v = kL, vL
+		}
+		b.attention(ws, rowsOf(ws, attn, llo, lhi), rowsOf(ws, q, llo, lhi), k, v)
+		ws.Release(mark)
+	}
+
+	h := ws.GetRaw(n, b.Hidden)
+	tensor.MatMulInto(h, attn, b.WO)
+	tensor.AddInPlace(h, x)
+	for i := range lanes {
+		if l := &lanes[i]; l.active {
+			b.crossAttend(ws, rowsOf(ws, h, l.lo-lo, l.hi-lo), l.ctx)
+		}
+	}
+	b.ffn(ws, rowsOf(ws, yS, lo, hi), h)
+}
+
+// rowsOf returns rows [lo, hi) of m as a matrix over the same storage.
+func rowsOf(ws *tensor.Arena, m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	return ws.Wrap(hi-lo, m.C, m.Data[lo*m.C:hi*m.C])
 }
 
 // projectKV writes K and V of the full-token input x into k and v.
@@ -343,25 +397,6 @@ func (b *Block) projectKV(ws *tensor.Arena, x, k, v *tensor.Matrix) {
 func copyInto(ws *tensor.Arena, dst, m *tensor.Matrix) *tensor.Matrix {
 	y := outBuf(ws, dst, m.R, m.C)
 	copy(y.Data, m.Data)
-	return y
-}
-
-// finishMasked completes a mask-aware pass given the masked rows xM of the
-// input, their queries q and full-token k, v: masked rows attend over all
-// tokens, then the output projection, residual, LN2 and FFN run on masked
-// rows only, and the result is spliced into a copy of base — the block's
-// cached output, or for the naive baseline its input.
-func (b *Block) finishMasked(ws *tensor.Arena, dst, xM, base, ctx *tensor.Matrix, maskedIdx []int, q, k, v *tensor.Matrix) *tensor.Matrix {
-	attn := b.attention(ws, q, k, v) // m·L × H
-	h := ws.GetRaw(len(maskedIdx), b.Hidden)
-	tensor.MatMulInto(h, attn, b.WO)
-	tensor.AddInPlace(h, xM)
-	h = b.crossAttend(ws, h, ctx)
-
-	yM := b.ffn(ws, nil, h)
-
-	y := copyInto(ws, dst, base)
-	tensor.ScatterRows(y, yM, maskedIdx)
 	return y
 }
 
@@ -380,10 +415,6 @@ func (b *Block) ForwardNaiveSkipWS(ws *tensor.Arena, x, ctx *tensor.Matrix, mask
 }
 
 func (b *Block) forwardNaiveSkip(ws *tensor.Arena, dst, x, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
-	if len(maskedIdx) == 0 {
-		return copyInto(ws, dst, x)
-	}
 	// K and V of the masked tokens only: no global context.
-	xM, q, k, v := b.maskedQKV(ws, x, maskedIdx)
-	return b.finishMasked(ws, dst, xM, x, ctx, maskedIdx, q, k, v)
+	return b.forwardLane(ws, dst, x, x, &[1]Lane{{StepOptions: StepOptions{MaskedIdx: maskedIdx}, ctx: ctx}})
 }

@@ -172,110 +172,252 @@ func UniformModes(n int, mode ExecMode) []ExecMode {
 	return ms
 }
 
+// Lane is one (request, guidance pass) of a stacked denoising step: its own
+// latent, timestep, prompt and options — mask, block modes, cached and
+// derived activations, recording, step-policy reuse. ForwardLanes fills Out
+// or Err; everything below them is the step's own state.
+type Lane struct {
+	Latent *tensor.Matrix
+	T      int
+	Cond   []float32
+	// StepOptions.WS is ignored: one arena serves every lane of the step.
+	StepOptions
+
+	// Out is the lane's L×C noise prediction, served from the step's arena.
+	Out *tensor.Matrix
+	Err error
+
+	modes []ExecMode
+	ctx   *tensor.Matrix    // cross-attention context rows (nil without)
+	bufs  [2]*tensor.Matrix // full L×H activations: block i's output goes to bufs[(i+1)%2]
+	// The lane's current activations live in x (all tokens) when full, and
+	// in the stack's rows [lo, hi) (the masked tokens, in MaskedIdx order)
+	// when resident; at least one holds at every block boundary. A lane
+	// that runs no cached-mode block has no rows.
+	x              *tensor.Matrix
+	full, resident bool
+	lo, hi         int
+
+	// This block: whether the lane takes part in the stacked computation,
+	// and where its K/V come from — projected from all rows of kvX, or given
+	// for the unmasked tokens (k, v), or neither: the masked rows' own alone.
+	active bool
+	kvX    *tensor.Matrix
+	k, v   *tensor.Matrix
+}
+
 // ForwardStep runs one denoising step: project the L×C latent into hidden
 // space, add timestep and prompt conditioning, execute every block under
-// its mode, and project back to an L×C noise prediction.
+// its mode, and project back to an L×C noise prediction. It is ForwardLanes
+// with one lane.
 func (m *Model) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts StepOptions) (*tensor.Matrix, error) {
-	L := m.Cfg.Tokens()
-	if latent.R != L || latent.C != m.Cfg.LatentChannels {
-		return nil, fmt.Errorf("model: latent shape %v, want %d×%d", latent, L, m.Cfg.LatentChannels)
-	}
-	if len(cond) != 0 && len(cond) != m.Cfg.Hidden {
-		return nil, fmt.Errorf("model: cond length %d, want 0 or %d", len(cond), m.Cfg.Hidden)
-	}
-	modes := opts.Modes
-	if len(modes) < len(m.Blocks) {
-		padded := make([]ExecMode, len(m.Blocks))
-		copy(padded, modes)
-		modes = padded
-	}
-	for i, mode := range modes[:len(m.Blocks)] {
-		switch mode {
-		case ExecCachedY, ExecCachedKV:
-			if opts.Cached == nil || len(opts.Cached.Blocks) <= i || opts.Cached.Blocks[i].Y == nil {
-				return nil, fmt.Errorf("model: block %d mode %v requires cached activations", i, mode)
-			}
-			if len(opts.MaskedIdx) == 0 {
-				return nil, fmt.Errorf("model: block %d mode %v requires masked indices", i, mode)
-			}
-			if mode == ExecCachedKV && (opts.Cached.Blocks[i].K == nil || opts.Cached.Blocks[i].V == nil) {
-				return nil, fmt.Errorf("model: block %d mode cached-kv requires cached K/V", i)
-			}
-		case ExecNaiveSkip:
-			if len(opts.MaskedIdx) == 0 {
-				return nil, fmt.Errorf("model: block %d mode naive-skip requires masked indices", i)
-			}
-		}
-	}
+	lane := [1]Lane{{Latent: latent, T: t, Cond: cond, StepOptions: opts}}
+	m.ForwardLanes(opts.WS, lane[:])
+	return lane[0].Out, lane[0].Err
+}
 
-	ws := opts.WS
-	x := m.embed(ws, latent, t, cond)
-	ctx := m.buildContext(ws, cond)
-
-	if opts.Record != nil {
-		opts.Record.Blocks = make([]BlockActivations, len(m.Blocks))
-	}
-	// Block outputs ping-pong between two buffers, so everything else a
-	// block takes from ws is released at its boundary and the arena holds
-	// one block's working set, not the step's. Without an arena each block
-	// allocates its own output.
-	var bufs [2]*tensor.Matrix
-	if ws != nil {
-		bufs = [2]*tensor.Matrix{ws.GetRaw(x.R, x.C), ws.GetRaw(x.R, x.C)}
-	}
-	mark := ws.Mark()
-	rc := opts.ReuseCache
-	for i, blk := range m.Blocks {
-		xin, dst := x, bufs[i%2] // x is the embedding or bufs[(i-1)%2]
-		if rc != nil && i < len(opts.Reuse) && opts.Reuse[i] && rc.Has(i) &&
-			modes[i] != ExecNaiveSkip {
-			x = rc.Apply(ws, dst, i, x, modes[i], opts.Cached, opts.MaskedIdx)
-			if opts.Record != nil {
-				opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
-			}
+// ForwardLanes runs one denoising step of every lane, with every
+// intermediate and every lane's Out served from ws (nil allocates). The
+// lanes share the weights and nothing else: they may sit at different
+// timesteps, on different templates, under different masks and modes.
+//
+// Per block, the lanes that compute their masked rows under a cached mode
+// are stacked: their masked rows form one ΣM×H operand for LN1, the Q/K/V
+// projections, the output projection and residual, LN2 and the FFN
+// (Block.forwardRows), while K/V assembly and attention stay per lane. The
+// stacked rows stay resident from block to block; a lane's full L×H
+// activations are put together (the cached output of the previous block
+// with the lane's rows spliced in — what a mask-aware block returns) only
+// where something reads unmasked rows: a block that projects K/V from its
+// whole input, a full-token or policy-reused block, Record, and the output
+// projection. Blocks that cannot stack (ExecFull, ExecNaiveSkip, a reused
+// residual) run per lane in the same loop.
+//
+// GEMM, LayerNorm, GeLU and attention rows are independent (tensor's
+// determinism contract), so every lane's Out is bit-identical to that of
+// the lane forwarded alone.
+func (m *Model) ForwardLanes(ws *tensor.Arena, lanes []Lane) {
+	L, H := m.Cfg.Tokens(), m.Cfg.Hidden
+	rows := 0
+	for j := range lanes {
+		l := &lanes[j]
+		l.Out, l.active, l.lo, l.hi = nil, false, rows, rows
+		if l.Err = m.checkLane(l); l.Err != nil {
 			continue
 		}
-		switch modes[i] {
+		l.bufs = [2]*tensor.Matrix{ws.GetRaw(L, H), ws.GetRaw(L, H)}
+		l.x, l.full, l.resident = m.embed(ws, l.bufs[0], l.Latent, l.T, l.Cond), true, false
+		l.ctx = m.buildContext(ws, l.Cond)
+		if l.Record != nil {
+			l.Record.Blocks = make([]BlockActivations, len(m.Blocks))
+		}
+		for _, mode := range l.modes[:len(m.Blocks)] {
+			if mode == ExecCachedY || mode == ExecCachedKV {
+				rows += len(l.MaskedIdx)
+				break
+			}
+		}
+		l.hi = rows
+	}
+	// The stack: block input rows in xS, output rows in yS, swapped at
+	// every block boundary.
+	var xS, yS *tensor.Matrix
+	if rows > 0 {
+		xS, yS = ws.GetRaw(rows, H), ws.GetRaw(rows, H)
+	}
+	// Everything else a block takes from ws is released at its boundary, so
+	// the arena holds one block's working set, not the step's.
+	mark := ws.Mark()
+	for i, blk := range m.Blocks {
+		stacked := false
+		for j := range lanes {
+			if l := &lanes[j]; l.Err == nil {
+				m.laneBlock(ws, l, i, blk, xS)
+				stacked = stacked || l.active
+				ws.Release(mark)
+			}
+		}
+		if !stacked {
+			continue
+		}
+		// Maximal runs of lanes whose rows are contiguous in the stack: a
+		// lane that sat this block out with rows of its own ends a run.
+		for lo := 0; lo < len(lanes); {
+			if !lanes[lo].active {
+				lo++
+				continue
+			}
+			hi := lo + 1
+			for hi < len(lanes) && (lanes[hi].active || lanes[hi].lo == lanes[hi].hi) {
+				hi++
+			}
+			blk.forwardRows(ws, yS, xS, lanes[lo:hi])
+			ws.Release(mark)
+			lo = hi
+		}
+		xS, yS = yS, xS
+		for j := range lanes {
+			l := &lanes[j]
+			if !l.active {
+				continue
+			}
+			l.active, l.resident, l.full = false, true, false
+			if l.ReuseCache != nil {
+				l.ReuseCache.Update(i, rowsOf(ws, yS, l.lo, l.hi), rowsOf(ws, xS, l.lo, l.hi), l.MaskedIdx, l.T)
+			}
+			if l.Record != nil {
+				m.fill(ws, l, i+1, xS)
+				l.Record.Blocks[i] = BlockActivations{Y: l.x.Clone()}
+			}
+			ws.Release(mark)
+		}
+	}
+	for j := range lanes {
+		if l := &lanes[j]; l.Err == nil {
+			m.fill(ws, l, len(m.Blocks), xS)
+			l.Out = ws.GetRaw(L, m.Cfg.LatentChannels)
+			tensor.MatMulInto(l.Out, l.x, m.outProj)
+		}
+	}
+}
+
+// checkLane validates a lane's shapes and that its modes have the inputs
+// they need, and resolves its full-length mode slice.
+func (m *Model) checkLane(l *Lane) error {
+	if l.Latent.R != m.Cfg.Tokens() || l.Latent.C != m.Cfg.LatentChannels {
+		return fmt.Errorf("model: latent shape %v, want %d×%d", l.Latent, m.Cfg.Tokens(), m.Cfg.LatentChannels)
+	}
+	if len(l.Cond) != 0 && len(l.Cond) != m.Cfg.Hidden {
+		return fmt.Errorf("model: cond length %d, want 0 or %d", len(l.Cond), m.Cfg.Hidden)
+	}
+	l.modes = l.Modes
+	if len(l.modes) < len(m.Blocks) {
+		l.modes = make([]ExecMode, len(m.Blocks))
+		copy(l.modes, l.Modes)
+	}
+	for i, mode := range l.modes[:len(m.Blocks)] {
+		switch mode {
 		case ExecFull:
-			var rec *BlockActivations
-			if opts.Record != nil {
-				rec = &opts.Record.Blocks[i]
-			}
-			x = blk.forward(ws, dst, x, ctx, rec, opts.RecordKV)
 		case ExecCachedY, ExecCachedKV:
-			ca := opts.Cached.Blocks[i]
-			k, v := ca.K, ca.V
-			if modes[i] == ExecCachedY {
-				k, v = derivedKV(opts.Derived, modes, i)
+			if l.Cached == nil || len(l.Cached.Blocks) <= i || l.Cached.Blocks[i].Y == nil {
+				return fmt.Errorf("model: block %d mode %v requires cached activations", i, mode)
 			}
-			if k != nil {
-				x = blk.forwardMaskedKV(ws, dst, x, ca.Y, k, v, ctx, opts.MaskedIdx)
-			} else {
-				x = blk.forwardMasked(ws, dst, x, ca.Y, ctx, opts.MaskedIdx)
+			if len(l.MaskedIdx) == 0 {
+				return fmt.Errorf("model: block %d mode %v requires masked indices", i, mode)
+			}
+			if mode == ExecCachedKV && (l.Cached.Blocks[i].K == nil || l.Cached.Blocks[i].V == nil) {
+				return fmt.Errorf("model: block %d mode cached-kv requires cached K/V", i)
 			}
 		case ExecNaiveSkip:
-			x = blk.forwardNaiveSkip(ws, dst, x, ctx, opts.MaskedIdx)
-		default:
-			return nil, fmt.Errorf("model: block %d: unknown exec mode %v", i, modes[i])
-		}
-		if opts.Record != nil && modes[i] != ExecFull {
-			opts.Record.Blocks[i] = BlockActivations{Y: x.Clone()}
-		}
-		if rc != nil {
-			// The residual rows that matter are the ones Apply would touch:
-			// all rows under full execution, masked rows under the cached
-			// modes (unmasked rows replenish from the template either way).
-			rows := opts.MaskedIdx
-			if modes[i] == ExecFull {
-				rows = nil
+			if len(l.MaskedIdx) == 0 {
+				return fmt.Errorf("model: block %d mode naive-skip requires masked indices", i)
 			}
-			rc.Update(i, xin, x, rows, t)
+		default:
+			return fmt.Errorf("model: block %d: unknown exec mode %v", i, mode)
 		}
-		ws.Release(mark)
 	}
-	out := ws.GetRaw(x.R, m.Cfg.LatentChannels)
-	tensor.MatMulInto(out, x, m.outProj)
-	return out, nil
+	return nil
+}
+
+// laneBlock is lane l's share of block i ahead of the stacked computation:
+// a block that cannot stack runs here, on the lane's full activations; a
+// cached-mode block is marked active, with its K/V source chosen and its
+// masked rows put into the stack xS.
+func (m *Model) laneBlock(ws *tensor.Arena, l *Lane, i int, blk *Block, xS *tensor.Matrix) {
+	mode, rc := l.modes[i], l.ReuseCache
+	reuse := rc != nil && i < len(l.Reuse) && l.Reuse[i] && rc.Has(i) && mode != ExecNaiveSkip
+	l.kvX, l.k, l.v = nil, nil, nil
+	if !reuse && (mode == ExecCachedY || mode == ExecCachedKV) {
+		ca := l.Cached.Blocks[i]
+		l.k, l.v = ca.K, ca.V
+		if mode == ExecCachedY {
+			l.k, l.v = derivedKV(l.Derived, l.modes, i)
+		}
+		if l.k == nil {
+			m.fill(ws, l, i, xS)
+			l.kvX = l.x
+		}
+		if !l.resident {
+			tensor.GatherRowsInto(rowsOf(ws, xS, l.lo, l.hi), l.x, l.MaskedIdx)
+		}
+		l.active = true
+		return
+	}
+	m.fill(ws, l, i, xS)
+	xin, out := l.x, l.bufs[(i+1)%2]
+	l.resident = false
+	switch {
+	case reuse:
+		l.x = rc.Apply(ws, out, i, xin, mode, l.Cached, l.MaskedIdx)
+	case mode == ExecNaiveSkip:
+		// No residual is kept: a naive-skip block is never reused.
+		l.x = blk.forwardNaiveSkip(ws, out, xin, l.ctx, l.MaskedIdx)
+	default: // ExecFull
+		var rec *BlockActivations
+		if l.Record != nil {
+			rec = &l.Record.Blocks[i]
+		}
+		l.x = blk.forward(ws, out, xin, l.ctx, rec, l.RecordKV)
+		if rc != nil {
+			rc.Update(i, xin, l.x, nil, l.T)
+		}
+		return
+	}
+	if l.Record != nil {
+		l.Record.Blocks[i] = BlockActivations{Y: l.x.Clone()}
+	}
+}
+
+// fill makes l.x the lane's full input of block i (the output of block
+// i−1): when only the masked rows are current, in the stack xS, it is the
+// previous block's cached output with those rows spliced in.
+func (m *Model) fill(ws *tensor.Arena, l *Lane, i int, xS *tensor.Matrix) {
+	if l.full {
+		return
+	}
+	l.x = copyInto(nil, l.bufs[i%2], l.Cached.Blocks[i-1].Y)
+	tensor.ScatterRows(l.x, rowsOf(ws, xS, l.lo, l.hi), l.MaskedIdx)
+	l.full = true
 }
 
 // derivedKV returns block i's derived K and V, or nil when there are none
@@ -300,8 +442,8 @@ func Replenished(modes []ExecMode, i int) bool {
 
 // DeriveKV computes the derived K/V of one cached step: for every block
 // after the first, K = LN1(Y')·WK and V = LN1(Y')·WV of the previous
-// block's cached output Y'. A mask-aware step splices its computed rows
-// into a copy of Y' (Block.finishMasked), so the next block's unmasked
+// block's cached output Y'. A mask-aware block's output is Y' with the
+// computed rows spliced in (Model.fill), so the next block's unmasked
 // input rows are rows of Y' whatever the request, and their K/V are a
 // function of the template alone; LN1 and GEMM rows being independent, the
 // derived rows have the bits the block would compute. Intermediates come
@@ -347,10 +489,9 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 	return ctx
 }
 
-// embed maps the latent into hidden space and adds timestep and prompt
-// conditioning (all token-wise).
-func (m *Model) embed(ws *tensor.Arena, latent *tensor.Matrix, t int, cond []float32) *tensor.Matrix {
-	x := ws.GetRaw(latent.R, m.Cfg.Hidden)
+// embed maps the latent into hidden space, writing x, and adds timestep,
+// position and prompt conditioning (all token-wise): (x + (temb + pos)) + cond.
+func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, t int, cond []float32) *tensor.Matrix {
 	tensor.MatMulInto(x, latent, m.inProj)
 	var temb []float32
 	if t >= 0 && t < m.timeEmb.R {
@@ -358,14 +499,13 @@ func (m *Model) embed(ws *tensor.Arena, latent *tensor.Matrix, t int, cond []flo
 	} else {
 		temb = m.timestepRows(t, t+1).Data
 	}
+	tp := ws.GetRaw(1, x.C).Data
 	for i := 0; i < x.R; i++ {
 		row := x.Row(i)
-		pos := m.posEmb.Row(i)
-		for j := range row {
-			row[j] += temb[j] + pos[j]
-			if cond != nil {
-				row[j] += cond[j]
-			}
+		tensor.AddVec(tp, temb, m.posEmb.Row(i))
+		tensor.AddVec(row, row, tp)
+		if len(cond) != 0 {
+			tensor.AddVec(row, row, cond)
 		}
 	}
 	return x

@@ -595,7 +595,7 @@ func TestEmbedTimestepTableMatchesPerCall(t *testing.T) {
 				row[j] += cond[j]
 			}
 		}
-		if got := m.embed(nil, x, step, cond); !tensor.Equal(got, want) {
+		if got := m.embed(nil, tensor.New(x.R, testCfg.Hidden), x, step, cond); !tensor.Equal(got, want) {
 			t.Fatalf("step %d: embed differs from the per-call formula (maxdiff %g)", step, tensor.MaxAbsDiff(got, want))
 		}
 	}

@@ -111,9 +111,10 @@ func (rc *ReuseCache) Apply(ws *tensor.Arena, dst *tensor.Matrix, i int, x *tens
 
 // Update stores block i's fresh residual y−x and measures its relative L1
 // change against the previous residual, normalized by the timestep gap
-// (the per-step drift rate policies threshold on). rows selects the rows
-// that carry the residual (nil = all rows; the masked modes pass the
-// masked rows, whose residual is the only part Apply ever reads).
+// (the per-step drift rate policies threshold on). With rows nil, x and y
+// are the block's input and output over all tokens; the masked modes pass
+// the masked rows alone — x and y hold token rows[k] at row k — whose
+// residual is the only part Apply ever reads.
 func (rc *ReuseCache) Update(i int, x, y *tensor.Matrix, rows []int, t int) {
 	d := rc.delta[i]
 	measure := rc.has[i]
@@ -135,8 +136,8 @@ func (rc *ReuseCache) Update(i int, x, y *tensor.Matrix, rows []int, t int) {
 	if rows == nil {
 		accum(x.Data, y.Data, d.Data)
 	} else {
-		for _, r := range rows {
-			accum(x.Row(r), y.Row(r), d.Row(r))
+		for k, r := range rows {
+			accum(x.Row(k), y.Row(k), d.Row(r))
 		}
 	}
 	if measure {

@@ -240,11 +240,11 @@ func (e *realExecutor) session(worker int, req workload.Request) (*diffusion.Edi
 func (e *realExecutor) TotalSteps(workload.Request) int { return e.cfg.Model.Steps }
 
 // RunTurn does the turn's work for real — decode every retired session's
-// image, step every session of the batch — and lets the cost model say
-// how long that took. Virtual time advances by the decision-visible
-// pricing, never by the sessions' measured reuse, so the drivers stay
-// byte-identical even though the real sessions' dynamic block reuse
-// differs step to step.
+// image, step the batch as one stacked engine step per aligned step — and
+// lets the cost model say how long that took. Virtual time advances by the
+// decision-visible pricing, never by the sessions' measured reuse, so the
+// drivers stay byte-identical even though the real sessions' dynamic block
+// reuse differs step to step.
 func (e *realExecutor) RunTurn(t batching.Turn) []float64 {
 	for _, v := range t.Retired {
 		s := e.sessions[v.Req.ID]
@@ -262,18 +262,31 @@ func (e *realExecutor) RunTurn(t batching.Turn) []float64 {
 			}
 		}
 	}
+	sessions := make([]*diffusion.EditSession, 0, len(t.Batch))
 	for _, v := range t.Batch {
 		s, err := e.session(t.Worker, v.Req)
 		if err != nil {
 			e.fail(err)
 			continue
 		}
-		for k := 0; k < t.Aligned && !s.Done(); k++ {
-			if _, err := s.Step(); err != nil {
-				e.fail(err)
-				break
+		sessions = append(sessions, s)
+	}
+	for k := 0; k < t.Aligned; k++ {
+		live := sessions[:0]
+		for _, s := range sessions {
+			if !s.Done() {
+				live = append(live, s)
 			}
-			e.steps++
+		}
+		if sessions = live; len(live) == 0 {
+			break
+		}
+		e.steps += len(live)
+		for _, err := range e.engines[t.Worker].StepBatch(live) {
+			if err != nil {
+				e.fail(err)
+				e.steps--
+			}
 		}
 	}
 	return e.Executor.RunTurn(t)

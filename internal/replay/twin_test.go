@@ -46,7 +46,11 @@ func captureForTest(t *testing.T) *Capture {
 // capture an instrumented live run, fit a coefficient set from its cost
 // samples, replay the identical trace through the calibrated simulator,
 // and require the end-to-end latency prediction to land inside the
-// documented budget.
+// documented budget. Under the race detector (`make race`) the whole loop
+// still runs — capture, fit, predict, compare — but the budget, a
+// wall-clock P99 of a server slowed several-fold and unevenly, is reported
+// and not asserted: it missed there one to three runs in eight at every
+// commit, whatever the change.
 func TestCalibrationGate(t *testing.T) {
 	cap := captureForTest(t)
 	coeffs, err := cap.Fit()
@@ -82,7 +86,10 @@ func TestCalibrationGate(t *testing.T) {
 		t.Logf("matched %d of %d requests", rep.Matched, len(cap.Trace))
 	}
 	if err := rep.Check(CalibrationBudget); err != nil {
-		t.Fatal(err)
+		if !raceDetector {
+			t.Fatal(err)
+		}
+		t.Logf("not asserted under the race detector: %v", err)
 	}
 }
 

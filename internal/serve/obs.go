@@ -183,16 +183,17 @@ func tierValues(store *cache.TieredStore, f func(cache.TierStats) float64) []obs
 // clock axis, and mirrors it into the stage histogram and quantile window,
 // so the breakdown metrics and the trace never disagree. Causal identity
 // is derived here — trace id from the request id, span id from the stage
-// name (plus the step index for repeated stages) — so every span of a
-// request hangs under its root and the ids match what the clock-driven
-// replay drivers would derive for the same request.
+// name — so every span of a request hangs under its root and the ids match
+// what the clock-driven replay drivers would derive for the same request.
 func (o *serveObs) span(req uint64, stage string, worker int, start time.Time, dur time.Duration, args obs.SpanArgs) {
+	o.spanAt(req, stage, 0, worker, start, dur, args)
+}
+
+// spanAt is span for a stage a request runs more than once (its denoising
+// steps): idx tells the repetitions' span ids apart.
+func (o *serveObs) spanAt(req uint64, stage string, idx uint64, worker int, start time.Time, dur time.Duration, args obs.SpanArgs) {
 	trace := obs.TraceID(req)
 	root := obs.SpanID(trace, stageRequest, 0)
-	var idx uint64
-	if step, ok := args.Get("step"); ok && step > 0 {
-		idx = uint64(step)
-	}
 	parent := root
 	if stage == stageCacheLoad || stage == stageReplicaStage {
 		// Nested inside preprocessing: hang under that span, not the root.

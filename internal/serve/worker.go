@@ -208,17 +208,20 @@ func (e wallExecutor) jobs(views []batching.StepView) []*job {
 	return out
 }
 
-// step runs aligned denoising steps for every session of the batch and
-// returns the members whose step failed. Abandoned jobs (expired deadline,
-// canceled client, shed) stop burning steps at once; the Runner drops them
-// at the boundary.
+// step runs aligned denoising steps of the batch, each one stacked step of
+// the engine over every member still running (diffusion.Engine.StepBatch),
+// and returns the members whose step failed. Abandoned jobs (expired
+// deadline, canceled client, shed) stop burning steps at once; the Runner
+// drops them at the boundary.
 func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) {
 	s := e.s
 	if s.faults.Fire(faults.WorkerCrash(w.id)) {
 		panic("faults: injected worker crash")
 	}
-	size := float64(len(batch))
+	members := make([]int, 0, len(batch))
+	sessions := make([]*diffusion.EditSession, 0, len(batch))
 	for k := 0; k < aligned; k++ {
+		members, sessions = members[:0], sessions[:0]
 		for i, j := range batch {
 			if j.err != nil || j.aborted() || j.session.Done() {
 				continue
@@ -226,29 +229,53 @@ func (e wallExecutor) step(w *worker, batch []*job, aligned int) (failed []int) 
 			if d := s.faults.Delay(faults.StepStage); d > 0 {
 				time.Sleep(d)
 			}
-			stepIdx := j.session.StepsComputed()
-			ts := time.Now()
-			_, err := j.session.Step()
-			stepDur := time.Since(ts)
-			s.obs.span(j.id, stageDenoiseStep, w.id, ts, stepDur,
-				obs.Arg("step", float64(stepIdx)).And("batch", size))
-			if err != nil {
-				j.err = asAPIError(err)
+			members, sessions = append(members, i), append(sessions, j.session)
+		}
+		if len(members) == 0 {
+			break
+		}
+		ts := time.Now()
+		errs := w.eng.StepBatch(sessions)
+		stepDur := time.Since(ts)
+		lanes := 0
+		for _, sess := range sessions {
+			lanes += sess.LastStepLanes()
+		}
+		// One cost sample per batch step, its features summed over the
+		// members. Each session reports what its step actually executed:
+		// computed blocks carry real FLOPs, policy-reused blocks and
+		// TeaCache-skipped steps carry none. The split rides on the sample
+		// so calibration can exclude (or featureize) approximated steps
+		// instead of fitting an inflated law.
+		sample := obs.CostSample{Stage: obs.CostStageDenoiseStep,
+			Units: len(members), Batch: len(members), Seconds: stepDur.Seconds()}
+		args := obs.Arg("batch", float64(len(members))).And("lanes", float64(lanes))
+		for n, i := range members {
+			j := batch[i]
+			// The members ran as one computation: each one's span is the
+			// batch step's interval. A step that failed left its session
+			// where it was; one that ran moved it on by one.
+			var stepErr error
+			if errs != nil {
+				stepErr = errs[n]
+			}
+			stepIdx := s.cfg.Model.Steps - j.session.RemainingSteps()
+			if stepErr == nil {
+				stepIdx--
+			}
+			s.obs.spanAt(j.id, stageDenoiseStep, uint64(stepIdx), w.id, ts, stepDur, args)
+			if stepErr != nil {
+				j.err = asAPIError(stepErr)
 				failed = append(failed, i)
 				continue
 			}
-			// The session reports what the step actually executed:
-			// computed blocks carry real FLOPs, policy-reused blocks and
-			// TeaCache-skipped steps carry none. The split rides on the
-			// sample so calibration can exclude (or featureize)
-			// approximated steps instead of fitting an inflated law.
 			computed, reused := j.session.LastStepBlocks()
-			s.obs.cost(obs.CostSample{Stage: obs.CostStageDenoiseStep,
-				Units: 1, Batch: len(batch), MaskSum: j.ratio,
-				FLOPs:          s.stepFLOPs(j, computed),
-				BlocksComputed: computed, BlocksReused: reused,
-				Seconds: stepDur.Seconds()})
+			sample.MaskSum += j.ratio
+			sample.FLOPs += s.stepFLOPs(j, computed)
+			sample.BlocksComputed += computed
+			sample.BlocksReused += reused
 		}
+		s.obs.cost(sample)
 	}
 	return failed
 }

@@ -84,4 +84,7 @@ func maxAVX8(x *float32, n int) float32
 func geluAVX8(x *float32, n int)
 
 //go:noescape
+func addAVX8(dst, a, b *float32, n int)
+
+//go:noescape
 func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32)

@@ -508,6 +508,28 @@ geluloop:
 	VZEROUPPER
 	RET
 
+// func addAVX8(dst, a, b *float32, n int)
+//
+// dst[i] = a[i] + b[i] for i in [0, n), n a positive multiple of 8. dst may
+// be a or b.
+TEXT ·addAVX8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+
+addloop:
+	VMOVUPS (SI), Y0
+	VADDPS (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  addloop
+	VZEROUPPER
+	RET
+
 // func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32)
 //
 // One LayerNorm row of n floats, n a positive multiple of 8: layerNormRow's

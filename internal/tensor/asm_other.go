@@ -30,6 +30,8 @@ func maxAVX8(x *float32, n int) float32 { panic("tensor: maxAVX8 without AVX2") 
 
 func geluAVX8(x *float32, n int) { panic("tensor: geluAVX8 without AVX2") }
 
+func addAVX8(dst, a, b *float32, n int) { panic("tensor: addAVX8 without AVX2") }
+
 func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32) {
 	panic("tensor: layerNormAVX8 without AVX2")
 }

@@ -142,9 +142,7 @@ func AddInto(dst, a, b *Matrix) {
 	if a.R != b.R || a.C != b.C || dst.R != a.R || dst.C != a.C {
 		panic("tensor: AddInto shape mismatch")
 	}
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
+	AddVec(dst.Data, a.Data, b.Data)
 }
 
 // AddInPlace adds b into a element-wise.
@@ -152,9 +150,7 @@ func AddInPlace(a, b *Matrix) {
 	if a.R != b.R || a.C != b.C {
 		panic("tensor: AddInPlace shape mismatch")
 	}
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
+	AddVec(a.Data, a.Data, b.Data)
 }
 
 // Sub returns a - b element-wise.

@@ -3,7 +3,7 @@ package tensor
 import "math"
 
 // Float32 element-wise math for the step's token-wise passes: exp, the
-// softmax weight pass built on it, GeLU and LayerNorm.
+// softmax weight pass built on it, GeLU, LayerNorm and the residual add.
 //
 // The Go functions in this file are the specification. The AVX2 kernels
 // (asm_amd64.s) execute the same IEEE single-precision operations in the
@@ -160,6 +160,22 @@ func geluSlice(x []float32) {
 	}
 	for i := n8; i < len(x); i++ {
 		x[i] = geluf(x[i])
+	}
+}
+
+// AddVec writes a[i] + b[i] into dst[i]; a and b must be at least as long as
+// dst, which may be either of them. One correctly rounded add per element:
+// the same bits from a vector lane, the scalar tail and the portable build.
+func AddVec(dst, a, b []float32) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	n8 := 0
+	if useAVX2 && n >= 8 {
+		n8 = n &^ 7
+		addAVX8(&dst[0], &a[0], &b[0], n8)
+	}
+	for i := n8; i < n; i++ {
+		dst[i] = a[i] + b[i]
 	}
 }
 

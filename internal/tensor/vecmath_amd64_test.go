@@ -56,6 +56,14 @@ func TestVectorKernelsMatchReference(t *testing.T) {
 			t.Fatalf("n=%d: geluSlice[%d] = %g, reference %g (x = %g)", n, i, got[i], want[i], x[i])
 		}
 
+		a, b := Randn(rng, 1, n, 3).Data, Randn(rng, 1, n, 3).Data
+		got, want = append([]float32(nil), a...), append([]float32(nil), a...)
+		AddVec(got, got, b)
+		portable(func() { AddVec(want, want, b) })
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("n=%d: AddVec[%d] = %g, reference %g", n, i, got[i], want[i])
+		}
+
 		x = Randn(rng, 1, n, 2).Data
 		gamma, beta := Randn(rng, 1, n, 1).Data, Randn(rng, 1, n, 1).Data
 		got, want = make([]float32, n), make([]float32, n)
