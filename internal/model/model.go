@@ -192,10 +192,11 @@ type Lane struct {
 	bufs  [2]*tensor.Matrix // full L×H activations: block i's output goes to bufs[(i+1)%2]
 	// The lane's current activations live in x (all tokens) when full, and
 	// in the stack's rows [lo, hi) (the masked tokens, in MaskedIdx order)
-	// when resident; at least one holds at every block boundary. A lane
-	// that runs no cached-mode block has no rows.
+	// when resident; at least one holds at every block boundary. Only a
+	// lane that stacks — runs some cached-mode block — has rows.
 	x              *tensor.Matrix
 	full, resident bool
+	stacks         bool
 	lo, hi         int
 
 	// This block: whether the lane takes part in the stacked computation,
@@ -251,11 +252,8 @@ func (m *Model) ForwardLanes(ws *tensor.Arena, lanes []Lane) {
 		if l.Record != nil {
 			l.Record.Blocks = make([]BlockActivations, len(m.Blocks))
 		}
-		for _, mode := range l.modes[:len(m.Blocks)] {
-			if mode == ExecCachedY || mode == ExecCachedKV {
-				rows += len(l.MaskedIdx)
-				break
-			}
+		if l.stacks {
+			rows += len(l.MaskedIdx)
 		}
 		l.hi = rows
 	}
@@ -322,7 +320,7 @@ func (m *Model) ForwardLanes(ws *tensor.Arena, lanes []Lane) {
 }
 
 // checkLane validates a lane's shapes and that its modes have the inputs
-// they need, and resolves its full-length mode slice.
+// they need, and resolves its full-length mode slice and whether it stacks.
 func (m *Model) checkLane(l *Lane) error {
 	if l.Latent.R != m.Cfg.Tokens() || l.Latent.C != m.Cfg.LatentChannels {
 		return fmt.Errorf("model: latent shape %v, want %d×%d", l.Latent, m.Cfg.Tokens(), m.Cfg.LatentChannels)
@@ -330,7 +328,7 @@ func (m *Model) checkLane(l *Lane) error {
 	if len(l.Cond) != 0 && len(l.Cond) != m.Cfg.Hidden {
 		return fmt.Errorf("model: cond length %d, want 0 or %d", len(l.Cond), m.Cfg.Hidden)
 	}
-	l.modes = l.Modes
+	l.modes, l.stacks = l.Modes, false
 	if len(l.modes) < len(m.Blocks) {
 		l.modes = make([]ExecMode, len(m.Blocks))
 		copy(l.modes, l.Modes)
@@ -339,6 +337,7 @@ func (m *Model) checkLane(l *Lane) error {
 		switch mode {
 		case ExecFull:
 		case ExecCachedY, ExecCachedKV:
+			l.stacks = true
 			if l.Cached == nil || len(l.Cached.Blocks) <= i || l.Cached.Blocks[i].Y == nil {
 				return fmt.Errorf("model: block %d mode %v requires cached activations", i, mode)
 			}
@@ -415,7 +414,8 @@ func (m *Model) fill(ws *tensor.Arena, l *Lane, i int, xS *tensor.Matrix) {
 	if l.full {
 		return
 	}
-	l.x = copyInto(nil, l.bufs[i%2], l.Cached.Blocks[i-1].Y)
+	l.x = l.bufs[i%2]
+	copy(l.x.Data, l.Cached.Blocks[i-1].Y.Data)
 	tensor.ScatterRows(l.x, rowsOf(ws, xS, l.lo, l.hi), l.MaskedIdx)
 	l.full = true
 }
