@@ -132,7 +132,10 @@ bench-diffusion-smoke:
 # Kernel before/after evidence: naive vs blocked/fused kernels, with
 # GFLOP/s and allocs/op, plus the per-op budget of one block, written as
 # machine-readable JSON. Serial kernels (-par 1), as the serving plane runs
-# them and so that the budget's ops add up to the block.
+# them and so that the budget's ops add up to the block. The report being
+# overwritten is read first: its one-member batch_scaling rows are the
+# parent column of lane_fixed_work, so regenerate from a clean tree whose
+# BENCH_kernels.json is the parent's, taken on the same host.
 bench-kernels:
 	$(GO) run ./cmd/flashps-kernels -par 1 -o BENCH_kernels.json
 

@@ -110,7 +110,8 @@ const parSlack = 1.10
 
 // CrossoverRow is the masked block at one mask size with the unmasked
 // tokens' K/V computed (LN1 and two L-row projections per block) and
-// derived (two L×H copies and a scatter), timed in the same rounds.
+// derived (a copy of V and of the packed K, the masked rows written into
+// each), timed in the same rounds.
 type CrossoverRow struct {
 	MaskedTokens int     `json:"masked_tokens"`
 	ComputedNs   int64   `json:"computed_ns"`
@@ -119,7 +120,8 @@ type CrossoverRow struct {
 }
 
 // Derivation is what building one template's derived K/V costs: every
-// cached step and guidance pass of the model, blocks 1…B−1.
+// cached step and guidance pass of the model, blocks 1…B−1, and block 0 of
+// the unconditional pass.
 type Derivation struct {
 	Model string `json:"model"`
 	Bytes int64  `json:"bytes"`
@@ -147,6 +149,30 @@ type ScalingRow struct {
 	Ratio          float64 `json:"stacked_over_sequential"`
 }
 
+// FixedWorkRow is the lone session's step at one mask size, per lane-step
+// (a guided member-step is two), at the parent revision and at this one.
+type FixedWorkRow struct {
+	MaskedTokens int     `json:"masked_tokens"`
+	ParentUs     float64 `json:"parent_us_per_lane_step,omitempty"`
+	Us           float64 `json:"us_per_lane_step"`
+}
+
+// FixedWork is the per-lane cost law of the engine's step, µs per lane-step
+// = intercept + slope · masked tokens, least squares over batch_scaling's
+// one-member rows: the intercept is what a lane pays whatever its mask — all
+// rows' K/V where they are still projected, the copies of derived K/V,
+// attention's per-call set-up — and the slope what a masked token costs.
+// The parent's law is fitted to the same rows of the report this run
+// overwrites (its revision in ParentRev), when there was one.
+type FixedWork struct {
+	ParentRev       string         `json:"parent_rev,omitempty"`
+	ParentIntercept float64        `json:"parent_intercept_us,omitempty"`
+	ParentSlope     float64        `json:"parent_slope_us_per_token,omitempty"`
+	Intercept       float64        `json:"intercept_us"`
+	Slope           float64        `json:"slope_us_per_token"`
+	Rows            []FixedWorkRow `json:"rows"`
+}
+
 // LeftoverRow says how much of a masked block's token-wise GEMM time (four
 // H×H projections, FFN up and down) goes to the 1–3-row remainder tile of
 // its operand, over batches of Members requests with production masks:
@@ -171,6 +197,7 @@ type Report struct {
 	Crossover   []CrossoverRow `json:"masked_block_crossover"`
 	Derivation  Derivation     `json:"derivation_per_template"`
 	Scaling     []ScalingRow   `json:"batch_scaling"`
+	FixedWork   FixedWork      `json:"lane_fixed_work"`
 	Leftover    []LeftoverRow  `json:"leftover_tiles"`
 	ParCheck    []ParRow       `json:"par_check,omitempty"`
 }
@@ -405,9 +432,11 @@ type blockPlan struct {
 
 // planBlock sets up one block variant: M = len(idx) masked rows of L tokens
 // (idx nil means the full-token block). derived selects the masked block
-// that is given the unmasked tokens' K/V (Block.ForwardMaskedKVWS): LN1 and
-// the K/V projections shrink to the masked rows, and a copy of the given
-// K/V plus a scatter takes the place of the two L-row projections.
+// that is given the unmasked tokens' K/V derived from the template
+// (Block.ForwardMaskedDerivedWS): LN1 and the K/V projections shrink to the
+// masked rows, a copy of V and of the packed K with the masked rows written
+// in takes the place of the two L-row projections, and attention skips its
+// pack.
 func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) blockPlan {
 	L, H, F := cfg.Tokens(), cfg.Hidden, cfg.Hidden*cfg.FFNMult
 	M, name := L, "full"
@@ -458,8 +487,10 @@ func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) block
 			f4(a.R*a.C, b.R*b.C, dst.R*dst.C), fn}
 	}
 	var ops []op
+	given := blk.DeriveKV(nil, x, nil)
+	keys := given.K
 	if derived {
-		cachedK, cachedV, kM, vM := k.Clone(), v.Clone(), tensor.New(M, H), tensor.New(M, H)
+		kM, vM := tensor.New(M, H), tensor.New(M, H)
 		ops = []op{
 			{"gather_x", fmt.Sprintf("%dx%d", M, H), 0, f4(2 * M * H), func() { tensor.GatherRowsInto(xM, x, idx) }},
 			{"layernorm1", fmt.Sprintf("%dx%d", M, H), 0, f4(2*M*H, 2*H), func() {
@@ -468,10 +499,10 @@ func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) block
 			gemm("q_proj", q, lnM, blk.WQ, func() { tensor.MatMulInto(q, lnM, blk.WQ) }),
 			gemm("k_proj", kM, lnM, blk.WK, func() { tensor.MatMulInto(kM, lnM, blk.WK) }),
 			gemm("v_proj", vM, lnM, blk.WV, func() { tensor.MatMulInto(vM, lnM, blk.WV) }),
-			{"kv_copy+scatter", fmt.Sprintf("2x%dx%d", L, H), 0, f4(4*L*H, 4*M*H), func() {
-				copy(k.Data, cachedK.Data)
-				copy(v.Data, cachedV.Data)
-				tensor.ScatterRows(k, kM, idx)
+			{"kv_copy+rows", fmt.Sprintf("2x%dx%d", L, H), 0, f4(4*L*H, 4*M*H), func() {
+				attnWS.Reset()
+				keys = given.K.WithRows(attnWS, kM, idx)
+				copy(v.Data, given.V.Data)
 				tensor.ScatterRows(v, vM, idx)
 			}},
 		}
@@ -496,6 +527,10 @@ func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) block
 	ops = append(ops,
 		op{"attention", fmt.Sprintf("Lq%d_Lk%d_H%d_h%d", M, L, H, cfg.Heads), 4 * int64(M) * int64(L) * int64(H),
 			f4(2*M*H, 2*L*H), func() {
+				if derived {
+					tensor.FusedAttentionPacked(attn, q, keys, v, cfg.Heads)
+					return
+				}
 				attnWS.Reset()
 				tensor.FusedAttentionWS(attnWS, attn, q, k, v, cfg.Heads, scale)
 			}},
@@ -520,12 +555,11 @@ func planBlock(rng *tensor.RNG, cfg model.Config, idx []int, derived bool) block
 	}
 
 	ws := tensor.NewArena()
-	givenK, givenV := k.Clone(), v.Clone()
 	run := func() {
 		ws.Reset()
 		switch {
 		case derived:
-			blk.ForwardMaskedKVWS(ws, x, cachedY, givenK, givenV, nil, idx)
+			blk.ForwardMaskedDerivedWS(ws, x, cachedY, &given, nil, idx)
 		case idx != nil:
 			blk.ForwardMaskedWS(ws, x, cachedY, nil, idx)
 		default:
@@ -580,34 +614,41 @@ func crossover(rng *tensor.RNG, cfg model.Config) []CrossoverRow {
 	L, H := cfg.Tokens(), cfg.Hidden
 	blk := model.NewBlock(H, cfg.FFNMult, rng)
 	blk.Heads = cfg.Heads
-	x, cachedY, k, v := tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1)
+	x, cachedY := tensor.Randn(rng, L, H, 1), tensor.Randn(rng, L, H, 1)
+	given := blk.DeriveKV(nil, x, nil)
 	var rows []CrossoverRow
 	for _, m := range []int{1, 2, 4, 7, 13, 22, 32, 48, 56, 60, 63} {
 		idx := mask.Blob(tensor.NewRNG(uint64(m)), cfg.LatentH, cfg.LatentW, m).MaskedIndices()
 		ws := tensor.NewArena()
 		ns := medianRounds(
 			func() { ws.Reset(); blk.ForwardMaskedWS(ws, x, cachedY, nil, idx) },
-			func() { ws.Reset(); blk.ForwardMaskedKVWS(ws, x, cachedY, k, v, nil, idx) })
+			func() { ws.Reset(); blk.ForwardMaskedDerivedWS(ws, x, cachedY, &given, nil, idx) })
 		rows = append(rows, CrossoverRow{len(idx), int64(ns[0] + 0.5), int64(ns[1] + 0.5), ns[1] / ns[0]})
 	}
 	return rows
 }
 
 // derivation times model.Model.DeriveKV over one cached step and scales it
-// to a template: every step, both guidance passes when the model has them.
+// to a template: every step, and when the model has them both guidance
+// passes, the unconditional one with its first block.
 func derivation(rng *tensor.RNG, cfg model.Config) Derivation {
 	m := model.MustNew(cfg, 42)
 	cached := &model.StepActivations{Blocks: make([]model.BlockActivations, cfg.NumBlocks)}
 	for i := range cached.Blocks {
 		cached.Blocks[i].Y = tensor.Randn(rng, cfg.Tokens(), cfg.Hidden, 1)
 	}
-	passes := int64(cfg.Steps)
-	if cfg.GuidanceScale > 0 {
-		passes *= 2
-	}
+	latent := tensor.Randn(rng, cfg.Tokens(), cfg.LatentChannels, 1)
 	ws := tensor.NewArena()
-	ns := medianRounds(func() { ws.Reset(); m.DeriveKV(ws, cached) })
-	return Derivation{cfg.Name, passes * model.DerivedKVBytes(cached), passes * int64(ns[0]+0.5)}
+	ns := medianRounds(
+		func() { ws.Reset(); m.DeriveKV(ws, cached, nil, 0) },
+		func() { ws.Reset(); m.DeriveKV(ws, cached, latent, 0) })
+	steps := int64(cfg.Steps)
+	d := Derivation{cfg.Name, steps * model.DerivedKVBytes(cached, false), steps * int64(ns[0]+0.5)}
+	if cfg.GuidanceScale > 0 {
+		d.Bytes += steps * model.DerivedKVBytes(cached, true)
+		d.Ns += steps * int64(ns[1]+0.5)
+	}
+	return d
 }
 
 // scalingCell is one batch shape of batchScaling.
@@ -711,6 +752,53 @@ func batchScaling(cfg model.Config) ([]ScalingRow, error) {
 		rows = append(rows, c.row)
 	}
 	return rows, nil
+}
+
+// fixedWork fits the per-lane cost law to the one-member rows of scaling
+// and, when prior holds an earlier report with such rows, to its as the
+// parent's.
+func fixedWork(scaling []ScalingRow, prior []byte, cfg model.Config) FixedWork {
+	lanes := 1.0
+	if cfg.GuidanceScale > 0 {
+		lanes = 2
+	}
+	// fit returns the least-squares line through the one-member rows of
+	// rows at fixed mask sizes, and those points.
+	fit := func(rows []ScalingRow) (intercept, slope float64, pts map[int]float64) {
+		pts = make(map[int]float64)
+		var n, sx, sy, sxx, sxy float64
+		for _, r := range rows {
+			if r.Members != 1 || r.MaskedTokens == 0 {
+				continue
+			}
+			x, y := float64(r.MaskedTokens), r.StackedUs/lanes
+			pts[r.MaskedTokens] = y
+			n, sx, sy, sxx, sxy = n+1, sx+x, sy+y, sxx+x*x, sxy+x*y
+		}
+		if den := n*sxx - sx*sx; den != 0 {
+			slope = (n*sxy - sx*sy) / den
+			intercept = (sy - slope*sx) / n
+		}
+		return intercept, slope, pts
+	}
+	var fw FixedWork
+	var parent struct {
+		Meta    benchfmt.Meta `json:"meta"`
+		Scaling []ScalingRow  `json:"batch_scaling"`
+	}
+	var parentPts map[int]float64
+	if json.Unmarshal(prior, &parent) == nil && len(parent.Scaling) > 0 {
+		fw.ParentRev = parent.Meta.GitRevision
+		fw.ParentIntercept, fw.ParentSlope, parentPts = fit(parent.Scaling)
+	}
+	var pts map[int]float64
+	fw.Intercept, fw.Slope, pts = fit(scaling)
+	for _, r := range scaling {
+		if us, ok := pts[r.MaskedTokens]; ok && r.Members == 1 {
+			fw.Rows = append(fw.Rows, FixedWorkRow{r.MaskedTokens, parentPts[r.MaskedTokens], us})
+		}
+	}
+	return fw
 }
 
 // leftoverTiles prices the remainder tiles of the token-wise GEMMs from the
@@ -864,6 +952,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flashps-kernels: batch scaling: %v\n", err)
 		os.Exit(1)
 	}
+	// The report this run overwrites is the parent's when the tree is clean.
+	prior, _ := os.ReadFile(*out) // none, or unreadable: no parent column
+	rep.FixedWork = fixedWork(rep.Scaling, prior, cfg)
 	rep.Leftover = leftoverTiles(rep.Entries, cfg)
 
 	// ROADMAP 2e: splitting a call across workers must never lose to

@@ -459,7 +459,9 @@ type ReqView struct {
 // pattern — the linear features the telemetry-fitted step law consumes, so
 // they count what the live engine executes: FlashPS projects K/V over all
 // tokens in the first block only and takes them derived from the template
-// in the rest (the serving plane's stepFLOPs, RAM permitting).
+// in the rest (the serving plane's stepFLOPs, RAM permitting; a guided
+// model's unprompted pass is given its first block's too, which a profile
+// without guidance passes does not distinguish).
 func BatchStepFLOPs(sys System, p perfmodel.ModelProfile, batch []batching.StepView) (flops, maskSum float64) {
 	blocks := float64(p.Blocks)
 	for _, s := range batch {

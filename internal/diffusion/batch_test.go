@@ -7,50 +7,53 @@ import (
 
 	"flashps/internal/img"
 	"flashps/internal/mask"
-	"flashps/internal/model"
 	"flashps/internal/tensor"
 )
 
-// batchTemplate is one template of the stacked-step property test and the
-// image its unmasked pixels must reproduce.
+// batchTemplate is one template of the stacked-step property test, the image
+// its unmasked pixels must reproduce and the trajectory its unmasked latent
+// rows must follow.
 type batchTemplate struct {
-	tc  *TemplateCache
-	out *img.Image
-	kv  bool // recorded with K/V: EditCachedKV can run on it
+	tc   *TemplateCache
+	out  *img.Image
+	traj []*tensor.Matrix
+	kv   bool // recorded with K/V: EditCachedKV can run on it
 }
 
 // TestPropertyStackedEqualsSequential is the determinism contract used as a
 // generator: random batches of 1–8 sessions — random masks (one token to all
 // but one, blob and scattered), each member at its own timestep, on one of
-// two templates (one with recorded and derived K/V, one with neither) under
-// its own prompt, step policy and mode, with bubble-free holes, and one member
-// aborted mid-run — stepped together by StepBatch produce, member by member
-// and step by step, the bits of the same sessions stepped one at a time:
-// the latent after every step, the per-step block counts, the final PNG.
-// Unmasked pixels of every mask-aware member are the template's. `make
-// test-noavx` runs it on the portable kernels.
+// two templates (one with recorded and derived K/V, one whose gate refuses)
+// under its own prompt, step policy and mode (randomRequest: bubble-free
+// holes, recorded K/V, naive skip, TeaCache, full), one member aborted
+// mid-run, the derived state dropped and the gates swapped at random turns —
+// stepped together by StepBatch produce, member by member and step by step,
+// the bits of the same sessions stepped one at a time: the latent after
+// every step, the per-step block counts, the final PNG. After every step the
+// unmasked latent rows of every mask-aware member are the template
+// trajectory's, and at the end its unmasked pixels the template's. On the
+// three stand-in models and the UNet, whose lanes are forwarded one by one
+// over all rows. `make test-noavx` runs it on the portable kernels.
 func TestPropertyStackedEqualsSequential(t *testing.T) {
-	prompts := []string{"", "red dress", "a very long prompt with many words"}
-	policies := []string{"off", "block", "combined"}
-	for _, cfg := range model.AllSimConfigs() {
-		t.Run(cfg.Name, func(t *testing.T) {
-			e, err := NewEngine(cfg, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for name, e := range testBackbones(t) {
+		t.Run(name, func(t *testing.T) {
+			cfg := e.Model.Config()
+			_, lanes := e.Model.(laneBackbone)
 			h, w := e.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
 			var tpls []batchTemplate
-			for id, kv := range []bool{true, false} {
-				tc, out, err := e.PrepareTemplate(uint64(20+id), img.SynthTemplate(uint64(20+id), h, w), fmt.Sprintf("template %d", id), kv)
+			for id, kv := range []bool{lanes, false} { // the UNet has no recorded-K/V mode
+				prompt := fmt.Sprintf("template %d", id)
+				tc, out, err := e.PrepareTemplate(uint64(20+id), img.SynthTemplate(uint64(20+id), h, w), prompt, kv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tpls = append(tpls, batchTemplate{tc, out, kv})
+				tpls = append(tpls, batchTemplate{tc, out, referenceTrajectory(t, e, tc, prompt), kv})
 			}
-			tpls[1].tc.SetDeriveGate(func(int64) bool { return false }) // its cached-Y lanes compute K/V
+			refuse := func(int64) bool { return false }
+			tpls[1].tc.SetDeriveGate(refuse) // its cached-Y lanes compute K/V
 
 			rng := tensor.NewRNG(uint64(len(cfg.Name)) * 104729)
-			// Four batches on the 64-token model, the first of them of eight;
+			// Four batches on the 64-token models, the first of them of eight;
 			// one of three on the 256-token one, whose steps cost 30× as much
 			// on the portable kernels.
 			for c := 0; c < max(1, 4*64/cfg.Tokens()); c++ {
@@ -62,26 +65,7 @@ func TestPropertyStackedEqualsSequential(t *testing.T) {
 				var tplOf []batchTemplate
 				for k := 0; k < members; k++ {
 					tpl := tpls[rng.Intn(len(tpls))]
-					req := EditRequest{
-						Template: tpl.tc, Mask: randomMask(rng, cfg), Prompt: prompts[rng.Intn(len(prompts))],
-						Seed: rng.Uint64(), Mode: EditCachedY, Policy: policies[rng.Intn(len(policies))],
-					}
-					switch r := rng.Intn(12); {
-					case r == 0:
-						req.Mode, req.Policy = EditNaiveSkip, ""
-					case r == 1:
-						req.Mode, req.Policy = EditTeaCache, ""
-					case r == 2:
-						req.Mode = EditFull
-					case r <= 4 && tpl.kv:
-						req.Mode = EditCachedKV
-					case r <= 6:
-						req.UseCacheBlocks = make([]bool, cfg.NumBlocks)
-						for i := range req.UseCacheBlocks {
-							req.UseCacheBlocks[i] = rng.Float64() < 0.6
-						}
-					}
-					reqs, tplOf = append(reqs, req), append(tplOf, tpl)
+					reqs, tplOf = append(reqs, randomRequest(rng, cfg, tpl.tc, tpl.kv)), append(tplOf, tpl)
 				}
 				name := fmt.Sprintf("case %d (%d members)", c, members)
 				stacked, alone := beginAll(t, e, reqs), beginAll(t, e, reqs)
@@ -97,6 +81,14 @@ func TestPropertyStackedEqualsSequential(t *testing.T) {
 				}
 				abort, abortAt := rng.Intn(members), 1+rng.Intn(cfg.Steps)
 				for turn := 0; ; turn++ {
+					// Sessions in flight keep the derived state they began with.
+					switch rng.Intn(6) {
+					case 0:
+						tpls[0].tc.DropDerived()
+					case 1:
+						tpls[0].tc.SetDeriveGate(refuse)
+						tpls[1].tc.SetDeriveGate(nil)
+					}
 					var batch []*EditSession
 					var idx []int
 					for k, s := range stacked {
@@ -124,8 +116,16 @@ func TestPropertyStackedEqualsSequential(t *testing.T) {
 						if ac != bc || ar != br || a.LastStepBlocksKV() != b.LastStepBlocksKV() || a.LastStepLanes() != b.LastStepLanes() {
 							t.Fatalf("%s: computed/reused/kv blocks %d/%d/%d, alone %d/%d/%d", who, ac, ar, a.LastStepBlocksKV(), bc, br, b.LastStepBlocksKV())
 						}
+						if m := reqs[k].Mode; m != EditCachedY && m != EditCachedKV {
+							continue
+						}
+						if r, off := offTrajectory(a, tplOf[k].traj); off {
+							t.Fatalf("%s: unmasked row %d has left the template trajectory", who, r)
+						}
 					}
 				}
+				tpls[0].tc.SetDeriveGate(nil)
+				tpls[1].tc.SetDeriveGate(refuse)
 				for k, a := range stacked {
 					if !a.Done() {
 						continue // the aborted member

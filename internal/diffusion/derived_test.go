@@ -54,85 +54,233 @@ func randomMask(rng *tensor.RNG, cfg model.Config) *mask.Mask {
 	return m
 }
 
-// TestPropertyDerivedEqualsComputed is the determinism contract used as a
-// generator: for random masks (one token to all but one), seeds, prompts
-// and step policies on all three stand-in models, a cached-Y edit on a
-// template with derived K/V produces the bits of the same edit on a fresh
-// template that never derives — final latent and PNG — and leaves the
-// unmasked pixels the template's. `make test-noavx` runs it on the
-// portable kernels.
-func TestPropertyDerivedEqualsComputed(t *testing.T) {
+// referenceTrajectory regenerates tc's template with full computation — no
+// mask, the template's own prompt — and returns its latents: entry t+1 is
+// the one step t starts from, entry 0 the final one. It is what
+// trajectoryFor replays from the cache, obtained without reading it.
+func referenceTrajectory(t *testing.T, e *Engine, tc *TemplateCache, prompt string) []*tensor.Matrix {
+	t.Helper()
+	s, err := e.BeginEdit(EditRequest{Template: tc, Prompt: prompt, Mode: EditFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj := make([]*tensor.Matrix, e.Sched.Steps+1)
+	for {
+		traj[s.RemainingSteps()] = s.Latent().Clone()
+		if s.Done() {
+			return traj
+		}
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// offTrajectory returns the first unmasked row of s's latent that is not the
+// row of the template trajectory's latent at s's position.
+func offTrajectory(s *EditSession, traj []*tensor.Matrix) (row int, off bool) {
+	masked := make(map[int]bool, len(s.maskedIdx))
+	for _, r := range s.maskedIdx {
+		masked[r] = true
+	}
+	x, want := s.Latent(), traj[s.RemainingSteps()]
+	for r := 0; r < x.R; r++ {
+		if masked[r] {
+			continue
+		}
+		for j, v := range x.Row(r) {
+			if math.Float32bits(v) != math.Float32bits(want.Row(r)[j]) {
+				return r, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// testBackbones returns an engine over each of the three stand-in models and
+// over a UNet, which has no lanes, no trajectory and no derived state and
+// keeps the all-row step.
+func testBackbones(t *testing.T) map[string]*Engine {
+	t.Helper()
+	engines := map[string]*Engine{"unet": newUNetEngine(t)}
+	for _, cfg := range model.AllSimConfigs() {
+		e, err := NewEngine(cfg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[cfg.Name] = e
+	}
+	return engines
+}
+
+// randomRequest draws an edit of tpl: mostly cached-Y, under a random mask
+// (one token to all but one), prompt and step policy, now and then with
+// bubble-free holes, the recorded-K/V mode when tpl has them (kv), or one of
+// the baselines (naive skip, TeaCache, full).
+func randomRequest(rng *tensor.RNG, cfg model.Config, tpl *TemplateCache, kv bool) EditRequest {
 	prompts := []string{"", "red dress", "a very long prompt with many words"}
 	policies := []string{"off", "block", "combined"}
-	for _, cfg := range model.AllSimConfigs() {
-		t.Run(cfg.Name, func(t *testing.T) {
-			e, err := NewEngine(cfg, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+	req := EditRequest{
+		Template: tpl, Mask: randomMask(rng, cfg), Prompt: prompts[rng.Intn(len(prompts))],
+		Seed: rng.Uint64(), Mode: EditCachedY, Policy: policies[rng.Intn(len(policies))],
+	}
+	switch r := rng.Intn(12); {
+	case r == 0:
+		req.Mode, req.Policy = EditNaiveSkip, ""
+	case r == 1:
+		req.Mode, req.Policy = EditTeaCache, ""
+	case r == 2:
+		req.Mode = EditFull
+	case r <= 4 && kv:
+		req.Mode = EditCachedKV
+	case r <= 6:
+		req.UseCacheBlocks = make([]bool, cfg.NumBlocks)
+		for i := range req.UseCacheBlocks {
+			req.UseCacheBlocks[i] = rng.Float64() < 0.6
+		}
+	}
+	return req
+}
+
+// TestPropertyDerivedEqualsComputed is the determinism contract used as a
+// generator: random edits (randomRequest) on all three stand-in models and
+// the UNet produce, step by step, the same bits on a template free to derive
+// its state — every later block's K/V and, in the unconditional pass, the
+// first block's — as on a fresh copy of it, loaded from the on-disk format,
+// that never derives. The gate turns refusing, or the state is dropped, in
+// the middle of some edits; they keep the copy they began with. After every
+// step of a mask-aware edit the latent's unmasked rows are the template
+// trajectory's — replayed from the cache (trajectoryFor) and regenerated
+// with full computation (referenceTrajectory), which agree bit for bit — and
+// at the end the PNGs are equal and the unmasked pixels the template's.
+// `make test-noavx` runs it on the portable kernels.
+func TestPropertyDerivedEqualsComputed(t *testing.T) {
+	for name, e := range testBackbones(t) {
+		t.Run(name, func(t *testing.T) {
+			cfg := e.Model.Config()
 			withKV, without, tplOut := twoTemplates(t, e)
-			rng := tensor.NewRNG(uint64(len(cfg.Name)) * 7919)
-			// Nine cases on the 64-token model, three (one per policy) on
-			// the 256-token one, whose edits cost 30× as much on the
-			// portable kernels.
-			for i := 0; i < max(3, 9*64/cfg.Tokens()); i++ {
-				req := EditRequest{
-					Mask: randomMask(rng, cfg), Prompt: prompts[rng.Intn(len(prompts))],
-					Seed: rng.Uint64(), Mode: EditCachedY, Policy: policies[i%len(policies)],
+			ref := referenceTrajectory(t, e, without, "studio photo")
+			_, lanes := e.Model.(laneBackbone)
+			for _, tc := range []*TemplateCache{withKV, without} {
+				traj := e.trajectoryFor(tc)
+				if (traj != nil) != lanes {
+					t.Fatalf("template has a trajectory: %v, backbone has lanes: %v", traj != nil, lanes)
 				}
-				name := fmt.Sprintf("case %d (%d of %d tokens, policy %s)", i, req.Mask.MaskedCount(), cfg.Tokens(), req.Policy)
+				for i := range traj {
+					if !tensor.Equal(traj[i], ref[i]) {
+						t.Fatalf("replayed trajectory entry %d differs from the regenerated one (max |Δ| %g)", i, tensor.MaxAbsDiff(traj[i], ref[i]))
+					}
+				}
+			}
+			rng := tensor.NewRNG(uint64(len(cfg.Name)) * 7919)
+			// Twelve cases on the 64-token models, four on the 256-token one,
+			// whose edits cost 30× as much on the portable kernels.
+			for i := 0; i < max(4, 12*64/cfg.Tokens()); i++ {
+				req := randomRequest(rng, cfg, nil, false)
+				if i == 0 { // every model runs the plain production edit
+					req.Mode, req.Policy, req.UseCacheBlocks = EditCachedY, "off", nil
+				}
+				desc := fmt.Sprintf("case %d (%v, %d of %d tokens, policy %s, holes %v)", i, req.Mode, req.Mask.MaskedCount(), cfg.Tokens(), req.Policy, req.UseCacheBlocks)
+				maskAware := req.Mode == EditCachedY || req.Mode == EditCachedKV
+				dropAt, refuseAt := -1, -1
+				switch rng.Intn(4) {
+				case 0:
+					dropAt = rng.Intn(cfg.Steps)
+				case 1:
+					refuseAt = rng.Intn(cfg.Steps)
+				}
+				withKV.SetDeriveGate(nil)
 				req.Template = withKV
-				got, err := e.Edit(req)
+				a, err := e.BeginEdit(req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				req.Template = without
-				want, err := e.Edit(req)
+				b, err := e.BeginEdit(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !tensor.Equal(got.FinalLatent, want.FinalLatent) {
-					t.Fatalf("%s: final latent differs from the computed path (max |Δ| %g)", name, tensor.MaxAbsDiff(got.FinalLatent, want.FinalLatent))
+				if want := lanes && req.Mode == EditCachedY; (a.derived != nil) != want || b.derived != nil {
+					t.Fatalf("%s: sessions derived %v / %v, want %v / false", desc, a.derived != nil, b.derived != nil, want)
 				}
-				gotPNG, err := img.EncodePNG(got.Image)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantPNG, err := img.EncodePNG(want.Image)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotPNG, wantPNG) {
-					t.Fatalf("%s: PNG bytes differ", name)
-				}
-				if got.BlocksReused != want.BlocksReused {
-					t.Fatalf("%s: reused %d blocks, the computed path %d", name, got.BlocksReused, want.BlocksReused)
-				}
-				patch := e.Codec.Patch
-				for ly := 0; ly < cfg.LatentH; ly++ {
-					for lx := 0; lx < cfg.LatentW; lx++ {
-						if req.Mask.At(ly, lx) {
-							continue
+				for step := 0; !a.Done(); step++ {
+					switch step {
+					case dropAt:
+						withKV.DropDerived()
+					case refuseAt:
+						withKV.SetDeriveGate(func(int64) bool { return false })
+					}
+					if _, err := a.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := b.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if !tensor.Equal(a.Latent(), b.Latent()) {
+						t.Fatalf("%s step %d: latent differs from the computed path (max |Δ| %g)", desc, step, tensor.MaxAbsDiff(a.Latent(), b.Latent()))
+					}
+					if r, off := offTrajectory(a, ref); off && maskAware {
+						t.Fatalf("%s step %d: unmasked row %d has left the template trajectory", desc, step, r)
+					}
+					if i == 0 && lanes {
+						// All blocks cached, nothing reused: every block after
+						// the first is given its K/V in every pass, the first in
+						// the unconditional pass alone.
+						wantKV := (cfg.NumBlocks - 1) * a.passes
+						if cfg.GuidanceScale > 0 {
+							wantKV++
 						}
-						for p := 0; p < patch; p += 3 {
-							r0, g0, b0 := tplOut.At(ly*patch+p, lx*patch+p)
-							r1, g1, b1 := got.Image.At(ly*patch+p, lx*patch+p)
-							if r0 != r1 || g0 != g1 || b0 != b1 {
-								t.Fatalf("%s: unmasked cell (%d,%d) is not the template's", name, ly, lx)
-							}
+						if a.LastStepBlocksKV() != wantKV || b.LastStepBlocksKV() != 0 {
+							t.Fatalf("%s: %d blocks given K/V (the computed path %d), want %d (0)", desc, a.LastStepBlocksKV(), b.LastStepBlocksKV(), wantKV)
 						}
 					}
 				}
+				got, want := mustResult(t, a), mustResult(t, b)
+				if !bytes.Equal(mustPNG(t, got.Image), mustPNG(t, want.Image)) {
+					t.Fatalf("%s: PNG bytes differ", desc)
+				}
+				if got.BlocksReused != want.BlocksReused || got.StepsComputed != want.StepsComputed {
+					t.Fatalf("%s: reused %d blocks over %d steps, the computed path %d over %d", desc, got.BlocksReused, got.StepsComputed, want.BlocksReused, want.StepsComputed)
+				}
+				if ly, lx, ok := unmaskedDiffers(e, req.Mask, got.Image, tplOut); ok && maskAware {
+					t.Fatalf("%s: unmasked cell (%d,%d) is not the template's", desc, ly, lx)
+				}
 			}
-			if withKV.DerivedBytes() == 0 || without.DerivedBytes() != 0 {
-				t.Fatalf("derived bytes: %d on the free template, %d on the withheld one", withKV.DerivedBytes(), without.DerivedBytes())
-			}
-			// 2·(B−1)/B of the Y bytes, and not counted among them.
-			if want := withKV.SizeBytes() * 2 * int64(cfg.NumBlocks-1) / int64(cfg.NumBlocks); withKV.DerivedBytes() != want {
-				t.Fatalf("derived K/V is %d bytes, want %d", withKV.DerivedBytes(), want)
+			if without.DerivedBytes() != 0 {
+				t.Fatalf("the withheld template holds %d derived bytes", without.DerivedBytes())
 			}
 			if withKV.SizeBytes() != without.SizeBytes() {
 				t.Fatalf("SizeBytes moved with derivation: %d vs %d", withKV.SizeBytes(), without.SizeBytes())
+			}
+			withKV.SetDeriveGate(nil)
+			s, err := e.BeginEdit(EditRequest{Template: withKV, Mask: randomMask(rng, cfg), Seed: 1, Mode: EditCachedY})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !lanes {
+				if withKV.DerivedBytes() != 0 {
+					t.Fatalf("a backbone without lanes derived %d bytes", withKV.DerivedBytes())
+				}
+				return
+			}
+			// 2·(B−1)/B of the Y bytes, 2/B more of the unconditional pass's
+			// for its first block, and not counted among them.
+			want := withKV.SizeBytes() * 2 * int64(cfg.NumBlocks-1) / int64(cfg.NumBlocks)
+			if cfg.GuidanceScale > 0 {
+				want += withKV.SizeBytes() / 2 * 2 / int64(cfg.NumBlocks)
+			}
+			if withKV.DerivedBytes() != want {
+				t.Fatalf("derived K/V is %d bytes, want %d", withKV.DerivedBytes(), want)
+			}
+			for _, st := range s.derived.cond {
+				if st.Blocks[0].V != nil {
+					t.Fatal("the prompted pass has a derived first block")
+				}
+			}
+			for _, st := range s.derived.uncond {
+				if st.Blocks[0].V == nil {
+					t.Fatal("the unprompted pass has no derived first block")
+				}
 			}
 		})
 	}
@@ -171,16 +319,17 @@ func TestDerivedNotReadAfterComputeAllBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		read := 0
-		for _, steps := range [][]*model.StepActivations{s.derived.cond, s.derived.uncond} {
+		for p, steps := range [][]*model.DerivedStep{s.derived.cond, s.derived.uncond} {
 			for _, st := range steps {
-				for i := 1; i < cfg.NumBlocks; i++ {
-					if s.kvBlocks[i] {
+				for i, blk := range st.Blocks {
+					switch {
+					case s.kvBlocks[p][i]:
 						read++
-						continue
-					}
-					for _, kv := range []*tensor.Matrix{st.Blocks[i].K, st.Blocks[i].V} {
-						for j := range kv.Data {
-							kv.Data[j] = float32(math.NaN())
+					case blk.V != nil:
+						// V alone: the keys are packed away, and a block that
+						// read one would read the other.
+						for j := range blk.V.Data {
+							blk.V.Data[j] = float32(math.NaN())
 						}
 					}
 				}
@@ -195,14 +344,17 @@ func TestDerivedNotReadAfterComputeAllBlock(t *testing.T) {
 			t.Fatalf("UseCacheBlocks %v: differs from the computed path (%d derived blocks read)", use, read)
 		}
 		// The final block always replenishes, so block i reads derived K/V
-		// exactly when block i−1 is a cached one.
-		for i := 1; i < cfg.NumBlocks; i++ {
-			if prev, cur := use[i-1] || i-1 == cfg.NumBlocks-1, use[i] || i == cfg.NumBlocks-1; s.kvBlocks[i] != (prev && cur) {
-				t.Fatalf("UseCacheBlocks %v: block %d takes derived K/V: %v", use, i, s.kvBlocks[i])
+		// exactly when it and block i−1 are cached ones; the first block
+		// when it is one, in the pass that adds no prompt.
+		for p := range s.kvBlocks {
+			for i := 1; i < cfg.NumBlocks; i++ {
+				if prev, cur := use[i-1] || i-1 == cfg.NumBlocks-1, use[i] || i == cfg.NumBlocks-1; s.kvBlocks[p][i] != (prev && cur) {
+					t.Fatalf("UseCacheBlocks %v: pass %d block %d takes derived K/V: %v", use, p, i, s.kvBlocks[p][i])
+				}
 			}
 		}
-		if s.kvBlocks[0] {
-			t.Fatalf("UseCacheBlocks %v: the first block takes derived K/V", use)
+		if s.kvBlocks[0][0] || s.kvBlocks[1][0] != use[0] {
+			t.Fatalf("UseCacheBlocks %v: the first block takes derived K/V: prompted pass %v, unprompted %v", use, s.kvBlocks[0][0], s.kvBlocks[1][0])
 		}
 	}
 }

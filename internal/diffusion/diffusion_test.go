@@ -469,12 +469,18 @@ func TestDDIMUpdateIntoMatchesDDIMStep(t *testing.T) {
 	eps := tensor.Randn(rng, x.R, x.C, 1)
 	for tt := 0; tt < s.Steps; tt++ {
 		for _, rows := range [][]int{nil, {0, 5, 17}} {
-			dst := tensor.New(x.R, x.C)
-			e.ddimUpdateInto(dst, x, eps, tt, rows)
+			// With rows, eps holds their predictions alone and the rest of
+			// dst is left as it was.
+			dst, epsIn := tensor.New(x.R, x.C), eps
 			updated := make(map[int]bool)
+			if rows != nil {
+				copy(dst.Data, x.Data)
+				epsIn = tensor.GatherRows(eps, rows)
+			}
 			for _, r := range rows {
 				updated[r] = true
 			}
+			e.ddimUpdateInto(dst, x, epsIn, tt, rows)
 			for i, got := range dst.Data {
 				want := float32(perElement(float64(x.Data[i]), float64(eps.Data[i]), tt))
 				if rows != nil && !updated[i/x.C] {

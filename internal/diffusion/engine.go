@@ -108,9 +108,11 @@ type TemplateCache struct {
 	UncondSteps []*model.StepActivations
 	Cond        []float32 // conditioning used for the template pass
 
-	// Derived K/V (derived.go). deriveMu serializes derivations; dmu guards
-	// the three fields below it and is never held across a call out.
+	// Derived state (derived.go). deriveMu serializes derivations and guards
+	// traj, the replayed latent trajectory; dmu guards the three fields below
+	// it and is never held across a call out.
 	deriveMu sync.Mutex
+	traj     []*tensor.Matrix
 	dmu      sync.Mutex
 	derived  *derivedKV
 	epoch    uint64 // bumped by every drop
@@ -358,40 +360,21 @@ func (e *Engine) blockModes(req EditRequest) []model.ExecMode {
 	}
 }
 
-// updateInto applies the DDIM step, writing the next latent into dst. For
-// EditNaiveSkip the unmasked latent rows are frozen (the naive baseline
-// never touches them); every other mode updates all rows (cached modes
-// reproduce the template trajectory on unmasked rows because their eps rows
-// come from the cache).
-func (e *Engine) updateInto(dst, x, eps *tensor.Matrix, t int, mode EditMode, maskedIdx []int) {
-	if mode == EditNaiveSkip {
-		e.ddimUpdateInto(dst, x, eps, t, maskedIdx)
-		return
-	}
-	e.ddimUpdateInto(dst, x, eps, t, nil)
-}
-
 // ddimUpdateInto applies the deterministic DDIM update element-wise,
-// writing the result into dst (which must not alias x). When onlyRows is
-// non-nil, the remaining rows are copied from x unchanged.
-func (e *Engine) ddimUpdateInto(dst, x, eps *tensor.Matrix, t int, onlyRows []int) {
-	if onlyRows != nil {
-		copy(dst.Data, x.Data)
-	}
+// writing the result into dst (which must not alias x). With rows nil every
+// row is updated from eps's row of the same index; otherwise eps holds the
+// predictions of rows alone — row k that of token rows[k] — and the other
+// rows of dst are left as they are.
+func (e *Engine) ddimUpdateInto(dst, x, eps *tensor.Matrix, t int, rows []int) {
 	c := e.Sched.ddimCoeffs(t)
-	apply := func(row int) {
-		xr, er, or := x.Row(row), eps.Row(row), dst.Row(row)
+	for k := 0; k < eps.R; k++ {
+		row := k
+		if rows != nil {
+			row = rows[k]
+		}
+		xr, er, or := x.Row(row), eps.Row(k), dst.Row(row)
 		for j := range xr {
 			or[j] = float32(c.apply(float64(xr[j]), float64(er[j])))
-		}
-	}
-	if onlyRows != nil {
-		for _, r := range onlyRows {
-			apply(r)
-		}
-	} else {
-		for r := 0; r < x.R; r++ {
-			apply(r)
 		}
 	}
 }

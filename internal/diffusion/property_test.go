@@ -127,12 +127,21 @@ func TestPropertyCacheSerializationIdempotent(t *testing.T) {
 		if err := tc.Serialize(&buf); err != nil {
 			return false
 		}
+		disk := append([]byte(nil), buf.Bytes()...)
 		back, err := ReadTemplateCache(&buf)
 		if err != nil {
 			return false
 		}
+		// Every matrix came back bit for bit: writing the copy out again
+		// gives the same bytes on disk.
+		var again bytes.Buffer
+		if err := back.Serialize(&again); err != nil || !bytes.Equal(again.Bytes(), disk) {
+			return false
+		}
+		last := tc.Steps[0].Blocks[len(tc.Steps[0].Blocks)-1].Y
 		return back.SizeBytes() == tc.SizeBytes() &&
-			tensor.Equal(back.Z0, tc.Z0) && tensor.Equal(back.Noise, tc.Noise)
+			tensor.Equal(back.Z0, tc.Z0) && tensor.Equal(back.Noise, tc.Noise) &&
+			tensor.Equal(back.Steps[0].Blocks[len(back.Steps[0].Blocks)-1].Y, last)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
 		t.Fatal(err)

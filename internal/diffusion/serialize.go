@@ -258,7 +258,9 @@ func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	return nil
 }
 
-// readMatrix decodes one matrix, staging its payload through scratch.
+// readMatrix decodes one matrix: straight into its storage where that is
+// the payload's byte order already (tensor.LEBytes), staged through scratch
+// and converted float by float elsewhere.
 func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 	rows, err := readU32(r)
 	if err != nil {
@@ -273,6 +275,12 @@ func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("diffusion: implausible matrix %d×%d", rows, cols)
 	}
 	m := tensor.New(int(rows), int(cols))
+	if payload := tensor.LEBytes(m.Data); payload != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
 	for data := m.Data; len(data) > 0; {
 		n := min(len(data), len(scratch)/4)
 		if _, err := io.ReadFull(r, scratch[:4*n]); err != nil {

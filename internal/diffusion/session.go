@@ -22,8 +22,13 @@ type EditSession struct {
 	cond      []float32
 	maskedIdx []int
 	modes     []model.ExecMode
+	// maskedOut: the step predicts and updates the masked rows alone. The
+	// other rows of the next latent are the template trajectory's (traj, for
+	// the cached modes) or stay as they are (the naive baseline).
+	maskedOut bool
+	traj      []*tensor.Matrix
 	derived   *derivedKV // the template's, as of BeginEdit; nil = compute K/V
-	kvBlocks  []bool     // blocks that are given their unmasked K/V (derived or recorded)
+	kvBlocks  [2][]bool  // per guidance pass: blocks given their unmasked K/V (derived or recorded)
 
 	// TeaCache state.
 	teaThreshold float64
@@ -116,16 +121,24 @@ func (e *Engine) BeginEdit(req EditRequest) (*EditSession, error) {
 		s.passes = 2
 	}
 	s.xNext = s.x.Clone()
+	// Template state is replayed and derived here, not in the first step:
+	// callers run BeginEdit off the goroutine that steps their batch.
+	if req.Mode == EditCachedY || req.Mode == EditCachedKV {
+		s.traj = e.trajectoryFor(req.Template)
+	}
+	s.maskedOut = s.traj != nil || req.Mode == EditNaiveSkip
 	if req.Mode == EditCachedY {
 		// EditCachedKV has K/V recorded for every block and needs none
-		// derived. BeginEdit is the place: callers run it off the
-		// goroutine that steps their batch.
-		s.derived = e.derivedFor(req.Template)
+		// derived.
+		s.derived = e.derivedFor(req.Template, s.traj)
 	}
-	s.kvBlocks = make([]bool, len(s.modes))
-	for i, m := range s.modes {
-		s.kvBlocks[i] = m == model.ExecCachedKV ||
-			(m == model.ExecCachedY && s.derived != nil && model.Replenished(s.modes, i))
+	for p := 0; p < s.passes; p++ {
+		s.kvBlocks[p] = make([]bool, len(s.modes))
+		for i, m := range s.modes {
+			// Pass 0 adds the request's prompt to every row, pass 1 none.
+			s.kvBlocks[p][i] = m == model.ExecCachedKV ||
+				(m == model.ExecCachedY && s.derived != nil && model.Derivable(s.modes, i, p == 0))
+		}
 	}
 	if req.Mode == EditTeaCache {
 		s.teaThreshold = req.TeaCacheThreshold
@@ -209,14 +222,6 @@ func (s *EditSession) Step() (done bool, err error) {
 	return s.Done(), nil
 }
 
-// laneForwarder is the backbone capability behind the stacked step: forward
-// several lanes at once, sharing one masked-row operand where they can
-// (model.Model). A backbone without it (the UNet) has its lanes forwarded
-// one by one.
-type laneForwarder interface {
-	ForwardLanes(ws *tensor.Arena, lanes []model.Lane)
-}
-
 // StepBatch executes one denoising step of every session, all of which must
 // be distinct, unfinished sessions of this engine: every guidance pass of
 // every member becomes one lane of a single stacked forward
@@ -248,13 +253,18 @@ func (e *Engine) StepBatch(sessions []*EditSession) []error {
 		}
 	}
 	ws.lanes = lanes
-	if m, ok := e.Model.(laneForwarder); ok {
+	if m, ok := e.Model.(laneBackbone); ok {
 		m.ForwardLanes(ws.arena, lanes)
 	} else {
 		for i := range lanes {
 			l := &lanes[i]
 			l.WS = ws.arena
 			l.Out, l.Err = e.Model.ForwardStep(l.Latent, l.T, l.Cond, l.StepOptions)
+			if l.Err == nil && l.MaskedOut {
+				all := l.Out
+				l.Out = ws.arena.GetRaw(len(l.MaskedIdx), all.C)
+				tensor.GatherRowsInto(l.Out, all, l.MaskedIdx)
+			}
 		}
 	}
 	for i, s := range sessions {
@@ -311,7 +321,7 @@ func (s *EditSession) beginStep(lanes []model.Lane) []model.Lane {
 			opts.Derived = s.derived.cond[t]
 		}
 	}
-	lanes = append(lanes, model.Lane{Latent: s.x, T: t, Cond: s.cond, StepOptions: opts})
+	lanes = append(lanes, model.Lane{Latent: s.x, T: t, Cond: s.cond, StepOptions: opts, MaskedOut: s.maskedOut})
 	if s.passes == 2 {
 		opts.ReuseCache = s.rcUncond
 		if cached {
@@ -320,7 +330,7 @@ func (s *EditSession) beginStep(lanes []model.Lane) []model.Lane {
 				opts.Derived = s.derived.uncond[t]
 			}
 		}
-		lanes = append(lanes, model.Lane{Latent: s.x, T: t, StepOptions: opts})
+		lanes = append(lanes, model.Lane{Latent: s.x, T: t, StepOptions: opts, MaskedOut: s.maskedOut})
 	}
 	s.nLanes = len(lanes) - s.lane0
 	return lanes
@@ -370,8 +380,8 @@ func (s *EditSession) finishStep(lanes []model.Lane) error {
 		}
 		s.lastBlocksComputed = blocksPerStep - s.lastBlocksReused
 		rcs := [...]*model.ReuseCache{s.rcCond, s.rcUncond}
-		for i, kv := range s.kvBlocks {
-			for _, rc := range rcs[:s.passes] {
+		for p, rc := range rcs[:s.passes] {
+			for i, kv := range s.kvBlocks[p] {
 				if kv && (rc == nil || !rc.StepReused()[i]) {
 					s.lastBlocksKV++
 				}
@@ -380,7 +390,16 @@ func (s *EditSession) finishStep(lanes []model.Lane) error {
 	}
 	s.totalBlocksComputed += s.lastBlocksComputed
 	s.totalBlocksReused += s.lastBlocksReused
-	e.updateInto(s.xNext, s.x, eps, t, s.req.Mode, s.maskedIdx)
+	var rows []int
+	if s.maskedOut {
+		rows = s.maskedIdx
+		rest := s.x // the naive baseline never touches the unmasked rows
+		if s.traj != nil {
+			rest = s.traj[t]
+		}
+		copy(s.xNext.Data, rest.Data)
+	}
+	e.ddimUpdateInto(s.xNext, s.x, eps, t, rows)
 	s.x, s.xNext = s.xNext, s.x
 	s.t--
 	return nil

@@ -96,9 +96,11 @@ func (b *Block) headDim() int { return b.Hidden / b.heads() }
 // the kernel runs an online softmax over K/V tiles, so the q.R×k.R score
 // matrix is never materialized; its packed kᵀ comes from ws.
 func (b *Block) attention(ws *tensor.Arena, dst, q, k, v *tensor.Matrix) {
-	scale := float32(1 / math.Sqrt(float64(b.headDim())))
-	tensor.FusedAttentionWS(ws, dst, q, k, v, b.heads(), scale)
+	tensor.FusedAttentionWS(ws, dst, q, k, v, b.heads(), b.attnScale())
 }
+
+// attnScale is the 1/√d every attention score is scaled by.
+func (b *Block) attnScale() float32 { return float32(1 / math.Sqrt(float64(b.headDim()))) }
 
 // sliceCols copies columns [start, start+n) of m into a new matrix.
 // The hot attention path no longer slices heads; this remains for the
@@ -314,11 +316,15 @@ func (b *Block) forwardLane(ws *tensor.Arena, dst, x, base *tensor.Matrix, lane 
 // so a row has the bits it would have in an operand of its own, and a 4-row
 // GEMM tile is filled by whoever's rows come next. What mixes tokens stays
 // per lane: each lane's masked rows attend over that lane's K and V of all
-// tokens — projected from all rows of its input (kvX), or the given K/V of
-// its unmasked tokens (k, v: recorded beside Y, the paper's Fig 7, or
-// derived once per template, Model.DeriveKV) with the masked rows' fresh
-// K/V scattered into a copy, or, for the naive baseline, the masked rows'
-// own K/V and nothing else.
+// tokens — projected from all rows of its input (kvX); or the given K/V of
+// its unmasked tokens with the masked rows' fresh ones in their place; or,
+// for the naive baseline, the masked rows' own K/V and nothing else. Given
+// K/V are copied and the fresh rows written into the copy. K derived once
+// per template (Model.DeriveKV) is already the pack attention consumes, so
+// the copy is attended over as it stands (tensor.PackedKeys.WithRows); K
+// recorded beside Y (the paper's Fig 7) is a plain matrix, packed per call
+// after the scatter — the same bits, and the reference the packed path is
+// tested against.
 func (b *Block) forwardRows(ws *tensor.Arena, yS, xS *tensor.Matrix, lanes []Lane) {
 	lo, hi := lanes[0].lo, lanes[len(lanes)-1].hi
 	n := hi - lo
@@ -359,13 +365,21 @@ func (b *Block) forwardRows(ws *tensor.Arena, yS, xS *tensor.Matrix, lanes []Lan
 		case l.kvX != nil:
 			k, v = ws.GetRaw(l.kvX.R, b.Hidden), ws.GetRaw(l.kvX.R, b.Hidden)
 			b.projectKV(ws, l.kvX, k, v)
-		case l.k != nil:
-			kL, vL := ws.Clone(l.k), ws.Clone(l.v)
-			tensor.ScatterRows(kL, k, l.MaskedIdx)
+		case l.v != nil:
+			vL := ws.Clone(l.v)
 			tensor.ScatterRows(vL, v, l.MaskedIdx)
-			k, v = kL, vL
+			v = vL
+			if l.kp == nil {
+				kL := ws.Clone(l.k)
+				tensor.ScatterRows(kL, k, l.MaskedIdx)
+				k = kL
+			}
 		}
-		b.attention(ws, rowsOf(ws, attn, llo, lhi), rowsOf(ws, q, llo, lhi), k, v)
+		if dst, qL := rowsOf(ws, attn, llo, lhi), rowsOf(ws, q, llo, lhi); l.kp != nil {
+			tensor.FusedAttentionPacked(dst, qL, l.kp.WithRows(ws, k, l.MaskedIdx), v, b.heads())
+		} else {
+			b.attention(ws, dst, qL, k, v)
+		}
 		ws.Release(mark)
 	}
 
@@ -391,6 +405,28 @@ func (b *Block) projectKV(ws *tensor.Arena, x, k, v *tensor.Matrix) {
 	tensor.LayerNormRowsInto(ln1, x, b.LN1Gamma, b.LN1Beta, 1e-5)
 	tensor.MatMulInto(k, ln1, b.WK)
 	tensor.MatMulInto(v, ln1, b.WV)
+}
+
+// DeriveKV returns K, packed as attention consumes it, and V of the block's
+// input x, in buf (2·len(x.Data) floats, which the result keeps; nil
+// allocates them). With every row of x at its template value the result
+// stands in for projectKV over all rows in every edit of the template
+// (Model.DeriveKV).
+func (b *Block) DeriveKV(ws *tensor.Arena, x *tensor.Matrix, buf []float32) DerivedBlock {
+	n := len(x.Data)
+	if buf == nil {
+		buf = make([]float32, 2*n)
+	}
+	k, v := ws.GetRaw(x.R, x.C), tensor.FromSlice(x.R, x.C, buf[n:2*n:2*n])
+	b.projectKV(ws, x, k, v)
+	return DerivedBlock{K: tensor.PackKeysInto(buf[:n:n], k, b.attnScale()), V: v}
+}
+
+// ForwardMaskedDerivedWS is ForwardMaskedKVWS with the unmasked tokens' K/V
+// derived (DeriveKV): the keys arrive packed and are not packed again. Same
+// bits.
+func (b *Block) ForwardMaskedDerivedWS(ws *tensor.Arena, x, cachedY *tensor.Matrix, d *DerivedBlock, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {
+	return b.forwardLane(ws, nil, x, cachedY, &[1]Lane{{StepOptions: StepOptions{MaskedIdx: maskedIdx}, ctx: ctx, kp: &d.K, v: d.V}})
 }
 
 // copyInto copies m into dst (see outBuf).

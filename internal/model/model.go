@@ -118,6 +118,20 @@ type StepActivations struct {
 	Blocks []BlockActivations
 }
 
+// DerivedStep holds the derived K/V of one cached step (Model.DeriveKV).
+type DerivedStep struct {
+	Blocks []DerivedBlock
+}
+
+// DerivedBlock is the K and V of one block's input with every row at its
+// template value: K as the packed scale·Kᵀ attention consumes, V as an L×H
+// matrix; an edit writes its masked rows into a copy of each. A nil V means
+// the block has none.
+type DerivedBlock struct {
+	K tensor.PackedKeys
+	V *tensor.Matrix
+}
+
 // StepOptions controls one ForwardStep invocation.
 type StepOptions struct {
 	// MaskedIdx lists the masked-token rows. Required for any mode other
@@ -128,11 +142,13 @@ type StepOptions struct {
 	// ExecCachedY or ExecCachedKV.
 	Cached *StepActivations
 	// Derived holds this step's derived K/V (Model.DeriveKV over Cached).
-	// An ExecCachedY block whose predecessor replenished from the cache
-	// takes its unmasked tokens' K and V from here instead of projecting
-	// all tokens again; nil, or a nil entry, computes them as before. The
-	// output is the same bits either way.
-	Derived *StepActivations
+	// An ExecCachedY block whose unmasked input rows are the template's
+	// (Derivable) takes its unmasked tokens' K and V from here instead of
+	// projecting all tokens again; nil, or an entry without V, computes them
+	// as before. The output is the same bits either way. An entry for the
+	// first block asserts that Latent's unmasked rows are those DeriveKV was
+	// given, at the same timestep.
+	Derived *DerivedStep
 	// Modes gives the per-block execution mode. nil means ExecFull for
 	// every block. A short slice is padded with ExecFull.
 	Modes []ExecMode
@@ -182,18 +198,31 @@ type Lane struct {
 	Cond   []float32
 	// StepOptions.WS is ignored: one arena serves every lane of the step.
 	StepOptions
+	// MaskedOut asks for the noise prediction of the MaskedIdx rows alone —
+	// all a caller that updates only those rows of the latent reads. A lane
+	// whose last block left its masked rows in the stack projects them from
+	// there and never puts its full activations together.
+	MaskedOut bool
 
-	// Out is the lane's L×C noise prediction, served from the step's arena.
+	// Out is the lane's noise prediction, served from the step's arena: L×C,
+	// or with MaskedOut M×C, row k that of token MaskedIdx[k].
 	Out *tensor.Matrix
 	Err error
 
 	modes []ExecMode
-	ctx   *tensor.Matrix    // cross-attention context rows (nil without)
-	bufs  [2]*tensor.Matrix // full L×H activations: block i's output goes to bufs[(i+1)%2]
+	ctx   *tensor.Matrix // cross-attention context rows (nil without)
+	// Full L×H activations, as many as the lane can come to fill (checkLane):
+	// none when every block it runs reads its masked rows alone, one when
+	// full inputs are only put together (fill), two when some block computes
+	// a full output from a full input — block i's input is bufs[i%nbuf].
+	bufs [2]*tensor.Matrix
+	nbuf int
 	// The lane's current activations live in x (all tokens) when full, and
 	// in the stack's rows [lo, hi) (the masked tokens, in MaskedIdx order)
-	// when resident; at least one holds at every block boundary. Only a
-	// lane that stacks — runs some cached-mode block — has rows.
+	// when resident; before the first block neither holds — nothing is
+	// embedded until a block says which rows it reads — and from then on at
+	// least one does. Only a lane that stacks — runs some cached-mode block
+	// — has rows.
 	x              *tensor.Matrix
 	full, resident bool
 	stacks         bool
@@ -201,9 +230,11 @@ type Lane struct {
 
 	// This block: whether the lane takes part in the stacked computation,
 	// and where its K/V come from — projected from all rows of kvX, or given
-	// for the unmasked tokens (k, v), or neither: the masked rows' own alone.
+	// for the unmasked tokens (v, with the keys packed in kp or plain in k),
+	// or neither: the masked rows' own alone.
 	active bool
 	kvX    *tensor.Matrix
+	kp     *tensor.PackedKeys
 	k, v   *tensor.Matrix
 }
 
@@ -227,12 +258,15 @@ func (m *Model) ForwardStep(latent *tensor.Matrix, t int, cond []float32, opts S
 // projections, the output projection and residual, LN2 and the FFN
 // (Block.forwardRows), while K/V assembly and attention stay per lane. The
 // stacked rows stay resident from block to block; a lane's full L×H
-// activations are put together (the cached output of the previous block
-// with the lane's rows spliced in — what a mask-aware block returns) only
-// where something reads unmasked rows: a block that projects K/V from its
-// whole input, a full-token or policy-reused block, Record, and the output
-// projection. Blocks that cannot stack (ExecFull, ExecNaiveSkip, a reused
-// residual) run per lane in the same loop.
+// activations are put together (the embedding of all tokens, or the cached
+// output of the previous block with the lane's rows spliced in — what a
+// mask-aware block returns) only where something reads unmasked rows: a
+// block that projects K/V from its whole input, a full-token or
+// policy-reused block, Record, and an output projection of all rows. A lane
+// whose every block is given its K/V and whose caller reads the masked rows
+// of Out alone embeds, computes and projects M rows and nothing else. Blocks
+// that cannot stack (ExecFull, ExecNaiveSkip, a reused residual) run per
+// lane in the same loop.
 //
 // GEMM, LayerNorm, GeLU and attention rows are independent (tensor's
 // determinism contract), so every lane's Out is bit-identical to that of
@@ -246,8 +280,11 @@ func (m *Model) ForwardLanes(ws *tensor.Arena, lanes []Lane) {
 		if l.Err = m.checkLane(l); l.Err != nil {
 			continue
 		}
-		l.bufs = [2]*tensor.Matrix{ws.GetRaw(L, H), ws.GetRaw(L, H)}
-		l.x, l.full, l.resident = m.embed(ws, l.bufs[0], l.Latent, l.T, l.Cond), true, false
+		l.bufs = [2]*tensor.Matrix{}
+		for b := 0; b < l.nbuf; b++ {
+			l.bufs[b] = ws.GetRaw(L, H)
+		}
+		l.x, l.full, l.resident = nil, false, false
 		l.ctx = m.buildContext(ws, l.Cond)
 		if l.Record != nil {
 			l.Record.Blocks = make([]BlockActivations, len(m.Blocks))
@@ -311,16 +348,34 @@ func (m *Model) ForwardLanes(ws *tensor.Arena, lanes []Lane) {
 		}
 	}
 	for j := range lanes {
-		if l := &lanes[j]; l.Err == nil {
-			m.fill(ws, l, len(m.Blocks), xS)
-			l.Out = ws.GetRaw(L, m.Cfg.LatentChannels)
-			tensor.MatMulInto(l.Out, l.x, m.outProj)
+		l := &lanes[j]
+		if l.Err != nil {
+			continue
 		}
+		var y *tensor.Matrix
+		switch {
+		case !l.MaskedOut:
+			m.fill(ws, l, len(m.Blocks), xS)
+			y = l.x
+		case l.resident:
+			y = rowsOf(ws, xS, l.lo, l.hi)
+		default:
+			y = ws.GetRaw(len(l.MaskedIdx), H)
+			tensor.GatherRowsInto(y, l.x, l.MaskedIdx)
+		}
+		l.Out = ws.GetRaw(y.R, m.Cfg.LatentChannels)
+		m.NoiseOf(l.Out, y)
 	}
 }
 
+// NoiseOf projects rows of the last block's output y (n×H) to their noise
+// predictions in dst (n×C). It is token-wise: a row's prediction has the
+// same bits alone, among the masked rows, or among all L.
+func (m *Model) NoiseOf(dst, y *tensor.Matrix) { tensor.MatMulInto(dst, y, m.outProj) }
+
 // checkLane validates a lane's shapes and that its modes have the inputs
-// they need, and resolves its full-length mode slice and whether it stacks.
+// they need, and resolves its full-length mode slice, whether it stacks and
+// how many full L×H buffers it can come to fill.
 func (m *Model) checkLane(l *Lane) error {
 	if l.Latent.R != m.Cfg.Tokens() || l.Latent.C != m.Cfg.LatentChannels {
 		return fmt.Errorf("model: latent shape %v, want %d×%d", l.Latent, m.Cfg.Tokens(), m.Cfg.LatentChannels)
@@ -328,14 +383,18 @@ func (m *Model) checkLane(l *Lane) error {
 	if len(l.Cond) != 0 && len(l.Cond) != m.Cfg.Hidden {
 		return fmt.Errorf("model: cond length %d, want 0 or %d", len(l.Cond), m.Cfg.Hidden)
 	}
-	l.modes, l.stacks = l.Modes, false
+	l.modes, l.stacks, l.nbuf = l.Modes, false, 0
 	if len(l.modes) < len(m.Blocks) {
 		l.modes = make([]ExecMode, len(m.Blocks))
 		copy(l.modes, l.Modes)
 	}
+	if l.Record != nil || !l.MaskedOut {
+		l.nbuf = 1
+	}
 	for i, mode := range l.modes[:len(m.Blocks)] {
 		switch mode {
 		case ExecFull:
+			l.nbuf = 2
 		case ExecCachedY, ExecCachedKV:
 			l.stacks = true
 			if l.Cached == nil || len(l.Cached.Blocks) <= i || l.Cached.Blocks[i].Y == nil {
@@ -347,7 +406,18 @@ func (m *Model) checkLane(l *Lane) error {
 			if mode == ExecCachedKV && (l.Cached.Blocks[i].K == nil || l.Cached.Blocks[i].V == nil) {
 				return fmt.Errorf("model: block %d mode cached-kv requires cached K/V", i)
 			}
+			switch {
+			case l.ReuseCache != nil:
+				// A reused residual is applied to the full input, on the
+				// steps the policy plans it: the same buffers on all of them.
+				l.nbuf = 2
+			case l.nbuf == 0:
+				if _, _, v := l.givenKV(i); v == nil {
+					l.nbuf = 1
+				}
+			}
 		case ExecNaiveSkip:
+			l.nbuf = 2
 			if len(l.MaskedIdx) == 0 {
 				return fmt.Errorf("model: block %d mode naive-skip requires masked indices", i)
 			}
@@ -365,19 +435,20 @@ func (m *Model) checkLane(l *Lane) error {
 func (m *Model) laneBlock(ws *tensor.Arena, l *Lane, i int, blk *Block, xS *tensor.Matrix) {
 	mode, rc := l.modes[i], l.ReuseCache
 	reuse := rc != nil && i < len(l.Reuse) && l.Reuse[i] && rc.Has(i) && mode != ExecNaiveSkip
-	l.kvX, l.k, l.v = nil, nil, nil
+	l.kvX, l.kp, l.k, l.v = nil, nil, nil, nil
 	if !reuse && (mode == ExecCachedY || mode == ExecCachedKV) {
-		ca := l.Cached.Blocks[i]
-		l.k, l.v = ca.K, ca.V
-		if mode == ExecCachedY {
-			l.k, l.v = derivedKV(l.Derived, l.modes, i)
-		}
-		if l.k == nil {
+		if l.kp, l.k, l.v = l.givenKV(i); l.v == nil {
 			m.fill(ws, l, i, xS)
 			l.kvX = l.x
 		}
-		if !l.resident {
-			tensor.GatherRowsInto(rowsOf(ws, xS, l.lo, l.hi), l.x, l.MaskedIdx)
+		switch rows := rowsOf(ws, xS, l.lo, l.hi); {
+		case l.resident:
+		case l.full:
+			tensor.GatherRowsInto(rows, l.x, l.MaskedIdx)
+		default:
+			// The first block, its K/V given: the masked rows are all of
+			// the embedding anything reads.
+			m.embed(ws, rows, l.Latent, l.MaskedIdx, l.T, l.Cond)
 		}
 		l.active = true
 		return
@@ -407,68 +478,96 @@ func (m *Model) laneBlock(ws *tensor.Arena, l *Lane, i int, blk *Block, xS *tens
 	}
 }
 
-// fill makes l.x the lane's full input of block i (the output of block
-// i−1): when only the masked rows are current, in the stack xS, it is the
+// fill makes l.x the lane's full input of block i: the embedding of all
+// tokens when nothing has been computed yet, and the output of block i−1
+// otherwise — when only the masked rows are current, in the stack xS, the
 // previous block's cached output with those rows spliced in.
 func (m *Model) fill(ws *tensor.Arena, l *Lane, i int, xS *tensor.Matrix) {
 	if l.full {
 		return
 	}
-	l.x = l.bufs[i%2]
-	copy(l.x.Data, l.Cached.Blocks[i-1].Y.Data)
-	tensor.ScatterRows(l.x, rowsOf(ws, xS, l.lo, l.hi), l.MaskedIdx)
+	l.x = l.bufs[i%l.nbuf]
+	if l.resident {
+		copy(l.x.Data, l.Cached.Blocks[i-1].Y.Data)
+		tensor.ScatterRows(l.x, rowsOf(ws, xS, l.lo, l.hi), l.MaskedIdx)
+	} else {
+		m.embed(ws, l.x, l.Latent, nil, l.T, l.Cond)
+	}
 	l.full = true
 }
 
-// derivedKV returns block i's derived K and V, or nil when there are none
-// or the block's input does not carry the previous block's cached output in
-// its unmasked rows: the first block's input is the embedding (which adds
-// the request's own prompt), and a predecessor that computed all tokens
-// (a bubble-free pipeline hole) or passed its input through (naive skip)
-// hands on rows the cache has never seen.
-func derivedKV(d *StepActivations, modes []ExecMode, i int) (k, v *tensor.Matrix) {
-	if d == nil || i >= len(d.Blocks) || !Replenished(modes, i) {
-		return nil, nil
+// givenKV returns the K and V of block i's unmasked tokens when the lane is
+// given them instead of projecting its whole input: recorded beside Y for
+// ExecCachedKV (plain k), derived from the template for an ExecCachedY block
+// whose unmasked input rows are the template's (packed kp). A nil v: none.
+func (l *Lane) givenKV(i int) (kp *tensor.PackedKeys, k, v *tensor.Matrix) {
+	switch d := l.Derived; {
+	case l.modes[i] == ExecCachedKV:
+		return nil, l.Cached.Blocks[i].K, l.Cached.Blocks[i].V
+	case l.modes[i] == ExecCachedY && d != nil && i < len(d.Blocks) && d.Blocks[i].V != nil && Derivable(l.modes, i, len(l.Cond) != 0):
+		return &d.Blocks[i].K, nil, d.Blocks[i].V
 	}
-	return d.Blocks[i].K, d.Blocks[i].V
+	return nil, nil, nil
 }
 
-// Replenished reports whether block i's input carries the previous block's
-// cached output in its unmasked rows under modes — the condition for
-// derived K/V to stand in for block i's own projections.
-func Replenished(modes []ExecMode, i int) bool {
-	return i > 0 && (modes[i-1] == ExecCachedY || modes[i-1] == ExecCachedKV)
+// Derivable reports whether block i's input carries template values in its
+// unmasked rows under modes — the condition for derived K/V to stand in for
+// the block's own projections. A later block's does when its predecessor
+// replenished from the cache: one that computed all tokens (a bubble-free
+// pipeline hole) or passed its input through (naive skip) hands on rows the
+// cache has never seen. The first block's input is the embedding,
+// inProj(x_t) + temb + pos plus the lane's prompt on every row: a prompted
+// lane's is the request's own, an unprompted one's (the unconditional
+// guidance pass) is a function of the template's latent trajectory.
+func Derivable(modes []ExecMode, i int, prompted bool) bool {
+	if i == 0 {
+		return !prompted
+	}
+	return modes[i-1] == ExecCachedY || modes[i-1] == ExecCachedKV
 }
 
-// DeriveKV computes the derived K/V of one cached step: for every block
-// after the first, K = LN1(Y')·WK and V = LN1(Y')·WV of the previous
-// block's cached output Y'. A mask-aware block's output is Y' with the
-// computed rows spliced in (Model.fill), so the next block's unmasked
-// input rows are rows of Y' whatever the request, and their K/V are a
-// function of the template alone; LN1 and GEMM rows being independent, the
-// derived rows have the bits the block would compute. Intermediates come
-// from ws; the result is heap-allocated in one piece (DerivedKVBytes).
-func (m *Model) DeriveKV(ws *tensor.Arena, cached *StepActivations) *StepActivations {
-	out := &StepActivations{Blocks: make([]BlockActivations, len(m.Blocks))}
-	slab := make([]float32, DerivedKVBytes(cached)/4)
+// DeriveKV computes the derived K/V of one cached step: K = LN1(x)·WK,
+// packed as attention consumes it, and V = LN1(x)·WV of each block's input x
+// with every row at its template value. For every block after the first that
+// is the previous block's cached output Y': a mask-aware block's output is
+// Y' with the computed rows spliced in (Model.fill), so the next block's
+// unmasked input rows are rows of Y' whatever the request. For the first
+// block it is the promptless embedding of latent, the template's own x_t at
+// timestep t — given only for a pass that adds no prompt (nil: the block has
+// none derived). LN1, GEMM and the embedding being token-wise, the derived
+// rows have the bits the block would compute. Intermediates come from ws;
+// the result is heap-allocated in one piece (DerivedKVBytes).
+func (m *Model) DeriveKV(ws *tensor.Arena, cached *StepActivations, latent *tensor.Matrix, t int) *DerivedStep {
+	out := &DerivedStep{Blocks: make([]DerivedBlock, len(m.Blocks))}
+	slab := make([]float32, DerivedKVBytes(cached, latent != nil)/4)
 	mark := ws.Mark()
-	for i := 1; i < len(m.Blocks); i++ {
-		y := cached.Blocks[i-1].Y
-		n := len(y.Data)
-		k, v := tensor.FromSlice(y.R, y.C, slab[:n:n]), tensor.FromSlice(y.R, y.C, slab[n:2*n:2*n])
-		slab = slab[2*n:]
-		m.Blocks[i].projectKV(ws, y, k, v)
+	for i, blk := range m.Blocks {
+		var x *tensor.Matrix
+		switch {
+		case i > 0:
+			x = cached.Blocks[i-1].Y
+		case latent != nil:
+			x = m.embed(ws, ws.GetRaw(m.Cfg.Tokens(), m.Cfg.Hidden), latent, nil, t, nil)
+		default:
+			continue
+		}
+		n := 2 * len(x.Data)
+		out.Blocks[i] = blk.DeriveKV(ws, x, slab[:n:n])
+		slab = slab[n:]
 		ws.Release(mark)
-		out.Blocks[i] = BlockActivations{K: k, V: v}
 	}
 	return out
 }
 
-// DerivedKVBytes returns the size of DeriveKV's result for cached.
-func DerivedKVBytes(cached *StepActivations) int64 {
+// DerivedKVBytes returns the size of DeriveKV's result for cached, with or
+// without the first block's.
+func DerivedKVBytes(cached *StepActivations, first bool) int64 {
 	var n int64
 	for _, b := range cached.Blocks[:max(len(cached.Blocks)-1, 0)] {
 		n += 2 * 4 * int64(len(b.Y.Data))
+	}
+	if first && len(cached.Blocks) > 0 {
+		n += 2 * 4 * int64(len(cached.Blocks[0].Y.Data))
 	}
 	return n
 }
@@ -491,7 +590,13 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 
 // embed maps the latent into hidden space, writing x, and adds timestep,
 // position and prompt conditioning (all token-wise): (x + (temb + pos)) + cond.
-func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, t int, cond []float32) *tensor.Matrix {
+// With rows nil x holds every token; otherwise row k is token rows[k].
+func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, rows []int, t int, cond []float32) *tensor.Matrix {
+	if rows != nil {
+		all := latent
+		latent = ws.GetRaw(len(rows), all.C)
+		tensor.GatherRowsInto(latent, all, rows)
+	}
 	tensor.MatMulInto(x, latent, m.inProj)
 	var temb []float32
 	if t >= 0 && t < m.timeEmb.R {
@@ -501,8 +606,11 @@ func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, t int, cond []
 	}
 	tp := ws.GetRaw(1, x.C).Data
 	for i := 0; i < x.R; i++ {
-		row := x.Row(i)
-		tensor.AddVec(tp, temb, m.posEmb.Row(i))
+		row, tok := x.Row(i), i
+		if rows != nil {
+			tok = rows[i]
+		}
+		tensor.AddVec(tp, temb, m.posEmb.Row(tok))
 		tensor.AddVec(row, row, tp)
 		if len(cond) != 0 {
 			tensor.AddVec(row, row, cond)

@@ -595,8 +595,13 @@ func TestEmbedTimestepTableMatchesPerCall(t *testing.T) {
 				row[j] += cond[j]
 			}
 		}
-		if got := m.embed(nil, tensor.New(x.R, testCfg.Hidden), x, step, cond); !tensor.Equal(got, want) {
+		if got := m.embed(nil, tensor.New(x.R, testCfg.Hidden), x, nil, step, cond); !tensor.Equal(got, want) {
 			t.Fatalf("step %d: embed differs from the per-call formula (maxdiff %g)", step, tensor.MaxAbsDiff(got, want))
+		}
+		// A subset of rows embedded alone has the bits of those rows of the whole.
+		rows := []int{0, 3, x.R - 1}
+		if got := m.embed(nil, tensor.New(len(rows), testCfg.Hidden), x, rows, step, cond); !tensor.Equal(got, tensor.GatherRows(want, rows)) {
+			t.Fatalf("step %d: rows %v embedded alone differ from the same rows of the whole", step, rows)
 		}
 	}
 }

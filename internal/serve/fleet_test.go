@@ -2,13 +2,19 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"flashps/internal/diffusion"
 	"flashps/internal/faults"
 	"flashps/internal/fleet"
+	"flashps/internal/img"
+	"flashps/internal/model"
 )
 
 // TestFleetAffinityRoutingAndEndpoint drives the affinity router with
@@ -208,5 +214,45 @@ func TestFleetAutoscaleWallClock(t *testing.T) {
 	}
 	if ups == 0 || downs == 0 {
 		t.Fatalf("scale events: %d up, %d down; want both > 0", ups, downs)
+	}
+}
+
+// TestStagePassChecksum: the staging pass sums the tensors' bytes where they
+// lie; the checksum and byte count are those of the traversal encoded float
+// by float — Z0, Noise, every step's Y/K/V in both passes, Cond.
+func TestStagePassChecksum(t *testing.T) {
+	eng, err := diffusion.NewEngine(testModel, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, w := eng.Codec.ImageSize(testModel.LatentH, testModel.LatentW)
+	tc, _, err := eng.PrepareTemplate(3, img.SynthTemplate(3, h, w), "p", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc := crc32.NewIEEE()
+	var want int64
+	add := func(data []float32) {
+		var b []byte
+		for _, v := range data {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		crc.Write(b)
+		want += int64(len(b))
+	}
+	add(tc.Z0.Data)
+	add(tc.Noise.Data)
+	for _, steps := range [][]*model.StepActivations{tc.Steps, tc.UncondSteps} {
+		for _, st := range steps {
+			for _, b := range st.Blocks {
+				add(b.Y.Data)
+				add(b.K.Data)
+				add(b.V.Data)
+			}
+		}
+	}
+	add(tc.Cond)
+	if n, sum := stagePass(tc); n != want || sum != crc.Sum32() {
+		t.Fatalf("stagePass = %d bytes, checksum %08x; float by float %d bytes, %08x", n, sum, want, crc.Sum32())
 	}
 }

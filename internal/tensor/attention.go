@@ -39,31 +39,72 @@ const attnKTile = 256
 // — alone, in any subset of rows, or in the full call it has the same bits
 // (TestAttentionRowIndependent).
 func FusedAttentionWS(ws *Arena, dst, q, k, v *Matrix, heads int, scale float32) {
-	if heads < 1 {
-		panic(fmt.Sprintf("tensor: FusedAttentionWS invalid head count %d", heads))
-	}
-	if q.C != k.C || k.C != v.C || dst.C != q.C || dst.R != q.R || k.R != v.R {
-		panic(fmt.Sprintf("tensor: FusedAttentionWS shape mismatch dst=%v q=%v k=%v v=%v", dst, q, k, v))
-	}
-	if k.R == 0 || q.C/heads == 0 || q.R == 0 {
-		clear(dst.Data)
-		return
-	}
-	kt := ws.floats(k.R * k.C)
-	packKT(kt, k, scale)
-	flops := 4 * k.R * k.C // per query row: the score and the PV GEMM
-	if !shouldParallelize(q.R, flops) {
-		attentionRange(dst, q, kt, v, heads, 0, q.R)
-		return
-	}
-	parallelRows(q.R, flops, func(lo, hi int) {
-		attentionRange(dst, q, kt, v, heads, lo, hi)
-	})
+	FusedAttentionPacked(dst, q, PackKeysInto(ws.floats(k.R*k.C), k, scale), v, heads)
 }
 
 // FusedAttentionInto is FusedAttentionWS with a heap-allocated pack.
 func FusedAttentionInto(dst, q, k, v *Matrix, heads int, scale float32) {
 	FusedAttentionWS(nil, dst, q, k, v, heads, scale)
+}
+
+// PackedKeys is an Lk×H key matrix in the form the attention kernel
+// consumes: scale·kᵀ (packKT). Keys that many calls attend over — the K a
+// template derives for its unmasked tokens — are packed once.
+type PackedKeys struct {
+	Lk, H int
+	Scale float32
+	kt    []float32
+}
+
+// PackKeysInto packs scale·kᵀ into buf (k.R·k.C floats), which the result
+// keeps.
+func PackKeysInto(buf []float32, k *Matrix, scale float32) PackedKeys {
+	buf = buf[:k.R*k.C]
+	packKT(buf, k, scale)
+	return PackedKeys{Lk: k.R, H: k.C, Scale: scale, kt: buf}
+}
+
+// WithRows returns a copy of p, served from ws, in which key idx[r] is row r
+// of kM: the pack of the key matrix with kM scattered into it (ScatterRows),
+// element for element — an entry is its key's feature times the scale,
+// wherever it was written from — without the transpose of the rows that stay.
+func (p PackedKeys) WithRows(ws *Arena, kM *Matrix, idx []int) PackedKeys {
+	if kM.C != p.H || kM.R != len(idx) {
+		panic(fmt.Sprintf("tensor: PackedKeys.WithRows shape mismatch keys=%d×%d rows=%v idx=%d", p.Lk, p.H, kM, len(idx)))
+	}
+	kt := ws.floats(len(p.kt))
+	copy(kt, p.kt)
+	for r, j := range idx {
+		for c, x := range kM.Row(r) {
+			kt[c*p.Lk+j] = x * p.Scale
+		}
+	}
+	p.kt = kt
+	return p
+}
+
+// FusedAttentionPacked is FusedAttentionWS over keys packed ahead of time:
+// the same kernel without its pack step, and the same bits as over the
+// matrix keys was packed from.
+func FusedAttentionPacked(dst, q *Matrix, keys PackedKeys, v *Matrix, heads int) {
+	if heads < 1 {
+		panic(fmt.Sprintf("tensor: FusedAttention invalid head count %d", heads))
+	}
+	if q.C != keys.H || keys.H != v.C || dst.C != q.C || dst.R != q.R || keys.Lk != v.R {
+		panic(fmt.Sprintf("tensor: FusedAttention shape mismatch dst=%v q=%v k=%d×%d v=%v", dst, q, keys.Lk, keys.H, v))
+	}
+	if keys.Lk == 0 || q.C/heads == 0 || q.R == 0 {
+		clear(dst.Data)
+		return
+	}
+	flops := 4 * keys.Lk * keys.H // per query row: the score and the PV GEMM
+	if !shouldParallelize(q.R, flops) {
+		attentionRange(dst, q, keys.kt, v, heads, 0, q.R)
+		return
+	}
+	parallelRows(q.R, flops, func(lo, hi int) {
+		attentionRange(dst, q, keys.kt, v, heads, lo, hi)
+	})
 }
 
 // packKT writes scale·kᵀ into kt (k.C rows of k.R): row c holds feature c

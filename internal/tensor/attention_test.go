@@ -166,3 +166,69 @@ func TestAttentionZeroAllocsWarmArena(t *testing.T) {
 		}
 	}
 }
+
+func TestAttentionPackedEqualsScattered(t *testing.T) {
+	// Attention over keys packed once, a random set of them replaced by fresh
+	// rows written into a copy of the pack (WithRows), has the bits of
+	// attention over the key matrix with those rows scattered in and packed
+	// per call — on every grid shape (one key tile and two, every row-group
+	// remainder), for one replaced key, a random set in random order and all
+	// of them, serial and split across workers, from a warm arena into a
+	// pre-filled dst. The pack is left as it was: the next call reads it
+	// again.
+	rng := NewRNG(36)
+	ws := NewArena()
+	withParallelism(t, 1)
+	for _, c := range attnGrid() {
+		q, k, v, scale := attnInputs(rng, c)
+		keys := PackKeysInto(make([]float32, c.lk*k.C), k, scale)
+		pack := append([]float32(nil), keys.kt...)
+		sets := [][]int{{rng.Intn(c.lk)}, nil, nil}
+		for j := 0; j < c.lk; j++ {
+			if rng.Intn(3) == 0 {
+				sets[1] = append(sets[1], j)
+			}
+			sets[2] = append(sets[2], j)
+		}
+		for i := len(sets[1]) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			sets[1][i], sets[1][j] = sets[1][j], sets[1][i]
+		}
+		for _, idx := range sets {
+			kM := Randn(rng, len(idx), k.C, 1)
+			scattered := k.Clone()
+			ScatterRows(scattered, kM, idx)
+			want, got := New(c.lq, q.C), Randn(rng, c.lq, q.C, 1)
+			FusedAttentionInto(want, q, scattered, v, c.heads, scale)
+			for _, p := range []int{1, 2} {
+				SetParallelism(p)
+				ws.Reset()
+				FusedAttentionPacked(got, q, keys.WithRows(ws, kM, idx), v, c.heads)
+				if j, ok := sameBits(got.Data, want.Data); !ok {
+					t.Fatalf("%v, %d keys replaced, parallelism %d: differs from scatter-then-pack at element %d", c, len(idx), p, j)
+				}
+			}
+			SetParallelism(1)
+		}
+		if j, ok := sameBits(keys.kt, pack); !ok {
+			t.Fatalf("%v: the pack was written at element %d", c, j)
+		}
+	}
+}
+
+func TestAttentionPackedZeroAllocsWarmArena(t *testing.T) {
+	rng := NewRNG(37)
+	c := attnCase{7, 64, 16, 4}
+	q, k, v, scale := attnInputs(rng, c)
+	keys := PackKeysInto(make([]float32, c.lk*k.C), k, scale)
+	idx := []int{3, 9, 10, 40, 41, 42, 63}
+	kM, dst, ws := Randn(rng, len(idx), k.C, 1), New(c.lq, q.C), NewArena()
+	run := func() {
+		ws.Reset()
+		FusedAttentionPacked(dst, q, keys.WithRows(ws, kM, idx), v, c.heads)
+	}
+	run() // sizes the arena
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Errorf("%v allocs/op with a warm arena, want 0", n)
+	}
+}
