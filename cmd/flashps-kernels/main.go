@@ -762,40 +762,42 @@ func fixedWork(scaling []ScalingRow, prior []byte, cfg model.Config) FixedWork {
 	if cfg.GuidanceScale > 0 {
 		lanes = 2
 	}
-	// fit returns the least-squares line through the one-member rows of
-	// rows at fixed mask sizes, and those points.
-	fit := func(rows []ScalingRow) (intercept, slope float64, pts map[int]float64) {
-		pts = make(map[int]float64)
+	// fit returns the one-member rows of rows at fixed mask sizes, per
+	// lane-step, and the least-squares line through them.
+	fit := func(rows []ScalingRow) (pts []FixedWorkRow, intercept, slope float64) {
 		var n, sx, sy, sxx, sxy float64
 		for _, r := range rows {
 			if r.Members != 1 || r.MaskedTokens == 0 {
 				continue
 			}
 			x, y := float64(r.MaskedTokens), r.StackedUs/lanes
-			pts[r.MaskedTokens] = y
+			pts = append(pts, FixedWorkRow{MaskedTokens: r.MaskedTokens, Us: y})
 			n, sx, sy, sxx, sxy = n+1, sx+x, sy+y, sxx+x*x, sxy+x*y
 		}
 		if den := n*sxx - sx*sx; den != 0 {
 			slope = (n*sxy - sx*sy) / den
 			intercept = (sy - slope*sx) / n
 		}
-		return intercept, slope, pts
+		return pts, intercept, slope
 	}
 	var fw FixedWork
+	fw.Rows, fw.Intercept, fw.Slope = fit(scaling)
 	var parent struct {
 		Meta    benchfmt.Meta `json:"meta"`
 		Scaling []ScalingRow  `json:"batch_scaling"`
 	}
-	var parentPts map[int]float64
-	if json.Unmarshal(prior, &parent) == nil && len(parent.Scaling) > 0 {
-		fw.ParentRev = parent.Meta.GitRevision
-		fw.ParentIntercept, fw.ParentSlope, parentPts = fit(parent.Scaling)
+	if json.Unmarshal(prior, &parent) != nil {
+		return fw
 	}
-	var pts map[int]float64
-	fw.Intercept, fw.Slope, pts = fit(scaling)
-	for _, r := range scaling {
-		if us, ok := pts[r.MaskedTokens]; ok && r.Members == 1 {
-			fw.Rows = append(fw.Rows, FixedWorkRow{r.MaskedTokens, parentPts[r.MaskedTokens], us})
+	var pts []FixedWorkRow
+	if pts, fw.ParentIntercept, fw.ParentSlope = fit(parent.Scaling); len(pts) > 0 {
+		fw.ParentRev = parent.Meta.GitRevision
+	}
+	for i := range fw.Rows {
+		for _, p := range pts {
+			if p.MaskedTokens == fw.Rows[i].MaskedTokens {
+				fw.Rows[i].ParentUs = p.Us
+			}
 		}
 	}
 	return fw

@@ -52,12 +52,6 @@ func (e *Engine) trajectoryFor(tc *TemplateCache) []*tensor.Matrix {
 		return tc.traj
 	}
 	guidance := e.Model.Config().GuidanceScale
-	lastY := func(steps []*model.StepActivations, t int) *tensor.Matrix {
-		if t >= len(steps) || steps[t] == nil || len(steps[t].Blocks) == 0 {
-			return nil
-		}
-		return steps[t].Blocks[len(steps[t].Blocks)-1].Y
-	}
 	traj := make([]*tensor.Matrix, e.Sched.Steps+1)
 	traj[e.Sched.Steps] = e.noisyInit(tc.Z0, tc.Noise, nil, nil)
 	eps, epsU := tensor.New(tc.Z0.R, tc.Z0.C), tensor.New(tc.Z0.R, tc.Z0.C)
@@ -76,6 +70,15 @@ func (e *Engine) trajectoryFor(tc *TemplateCache) []*tensor.Matrix {
 	}
 	tc.traj = traj
 	return traj
+}
+
+// lastY returns the last block's cached output at step t, nil when the
+// cache has none.
+func lastY(steps []*model.StepActivations, t int) *tensor.Matrix {
+	if t >= len(steps) || steps[t] == nil || len(steps[t].Blocks) == 0 {
+		return nil
+	}
+	return steps[t].Blocks[len(steps[t].Blocks)-1].Y
 }
 
 // DerivedBytes returns the bytes of derived K/V the template holds now.

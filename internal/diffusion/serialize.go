@@ -137,17 +137,13 @@ func ReadTemplateCache(r io.Reader) (*TemplateCache, error) {
 	if condLen > maxCacheDim {
 		return nil, fmt.Errorf("diffusion: implausible cond length %d", condLen)
 	}
-	tc.Cond = make([]float32, condLen)
-	for i := range tc.Cond {
-		bits, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		tc.Cond[i] = math.Float32frombits(bits)
-	}
 	// One staging buffer serves every matrix of the cache (hundreds of
 	// them), so decoding allocates little beyond the matrices themselves.
 	scratch := make([]byte, 1<<14)
+	tc.Cond = make([]float32, condLen)
+	if err := readFloats(r, tc.Cond, scratch); err != nil {
+		return nil, err
+	}
 	if tc.Z0, err = readMatrix(r, scratch); err != nil {
 		return nil, err
 	}
@@ -258,9 +254,8 @@ func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	return nil
 }
 
-// readMatrix decodes one matrix: straight into its storage where that is
-// the payload's byte order already (tensor.LEBytes), staged through scratch
-// and converted float by float elsewhere.
+// readMatrix decodes one matrix, staging its payload through scratch where
+// it has to be converted.
 func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 	rows, err := readU32(r)
 	if err != nil {
@@ -275,21 +270,29 @@ func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("diffusion: implausible matrix %d×%d", rows, cols)
 	}
 	m := tensor.New(int(rows), int(cols))
-	if payload := tensor.LEBytes(m.Data); payload != nil {
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, err
-		}
-		return m, nil
+	if err := readFloats(r, m.Data, scratch); err != nil {
+		return nil, err
 	}
-	for data := m.Data; len(data) > 0; {
+	return m, nil
+}
+
+// readFloats fills data from its encoding: with one read straight into its
+// storage where that is the payload's byte order already (tensor.LEBytes),
+// staged through scratch and converted float by float elsewhere.
+func readFloats(r io.Reader, data []float32, scratch []byte) error {
+	if payload := tensor.LEBytes(data); payload != nil {
+		_, err := io.ReadFull(r, payload)
+		return err
+	}
+	for len(data) > 0 {
 		n := min(len(data), len(scratch)/4)
 		if _, err := io.ReadFull(r, scratch[:4*n]); err != nil {
-			return nil, err
+			return err
 		}
 		for i := range data[:n] {
 			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(scratch[4*i:]))
 		}
 		data = data[n:]
 	}
-	return m, nil
+	return nil
 }

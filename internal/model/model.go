@@ -406,15 +406,12 @@ func (m *Model) checkLane(l *Lane) error {
 			if mode == ExecCachedKV && (l.Cached.Blocks[i].K == nil || l.Cached.Blocks[i].V == nil) {
 				return fmt.Errorf("model: block %d mode cached-kv requires cached K/V", i)
 			}
-			switch {
-			case l.ReuseCache != nil:
+			if l.ReuseCache != nil {
 				// A reused residual is applied to the full input, on the
 				// steps the policy plans it: the same buffers on all of them.
 				l.nbuf = 2
-			case l.nbuf == 0:
-				if _, _, v := l.givenKV(i); v == nil {
-					l.nbuf = 1
-				}
+			} else if _, _, v := l.givenKV(i); v == nil {
+				l.nbuf = max(l.nbuf, 1)
 			}
 		case ExecNaiveSkip:
 			l.nbuf = 2

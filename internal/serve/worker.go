@@ -403,28 +403,24 @@ func (w *worker) stagedTemplates() []uint64 {
 // byte count and a CRC32 (IEEE) checksum over the traversal.
 func stagePass(tc *diffusion.TemplateCache) (int64, uint32) {
 	crc := crc32.NewIEEE()
+	var total int64
 	// Staging for a host whose float storage is not the checksum's byte
 	// order; elsewhere the tensors' own bytes are summed where they lie.
 	var buf []byte
-	var total int64
-	flush := func() {
-		crc.Write(buf)
-		buf = buf[:0]
-	}
 	addFloats := func(data []float32) {
 		total += int64(4 * len(data))
 		if b := tensor.LEBytes(data); b != nil {
 			crc.Write(b)
 			return
 		}
-		if buf == nil {
-			buf = make([]byte, 0, 1<<16)
-		}
-		for _, v := range data {
-			if len(buf)+4 > cap(buf) {
-				flush()
+		for len(data) > 0 {
+			n := min(len(data), 1<<14)
+			buf = buf[:0]
+			for _, v := range data[:n] {
+				buf = binary.LittleEndian.AppendUint32(buf, mathFloat32bits(v))
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, mathFloat32bits(v))
+			crc.Write(buf)
+			data = data[n:]
 		}
 	}
 	addMatrix := func(m *tensor.Matrix) {
@@ -447,7 +443,6 @@ func stagePass(tc *diffusion.TemplateCache) (int64, uint32) {
 		}
 	}
 	addFloats(tc.Cond)
-	flush()
 	return total, crc.Sum32()
 }
 

@@ -15,8 +15,8 @@ var littleEndian = func() bool {
 // other host it returns nil and the caller converts element by element. The
 // bytes alias data.
 func LEBytes(data []float32) []byte {
-	if !littleEndian || len(data) == 0 {
+	if !littleEndian {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 4*len(data))
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
 }
