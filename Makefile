@@ -2,7 +2,7 @@ GO ?= go
 PARENT ?= HEAD~1
 RUNS ?= 0
 
-.PHONY: all check build bench-build test test-noavx vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-pair bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
+.PHONY: all check build bench-build test test-levels vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-pair bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
 
 all: check
 
@@ -14,9 +14,9 @@ all: check
 # observability lint/golden gate, the alerting/flight-recorder drill, the
 # calibration accuracy gate, and one-iteration benchmark smoke passes
 # (including a fleet router sweep) so the benchmarks themselves can't rot.
-# bench-build and test-noavx cover what the plain build and test do not:
-# the nested benchmark module and the portable (non-AVX2) kernels.
-check: build bench-build vet test test-noavx race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
+# bench-build and test-levels cover what the plain build and test do not:
+# the nested benchmark module and the kernel levels below the host's own.
+check: build bench-build vet test test-levels race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -36,17 +36,28 @@ vet:
 # Includes the step path's two guards: TestOneRunLoopLint (no package
 # outside internal/diffusion steps a batch session by session) and
 # TestPropertyStackedEqualsSequential (a stacked batch step has the bits
-# of its members stepped alone), which test-noavx runs again on the
-# portable kernels.
+# of its members stepped alone), which test-levels runs again at every
+# kernel level.
 test:
 	$(GO) test ./...
 
-# The numeric packages again on the portable scalar kernels, which on an
-# AVX2 host no other target runs. -count=1: the switch is read at package
-# initialisation, which the test cache does not see, so a cached AVX2 run
-# would answer for this one.
-test-noavx:
-	FLASHPS_NO_AVX2=1 $(GO) test -count=1 ./internal/tensor/... ./internal/model/... ./internal/diffusion/...
+# The numeric packages at every kernel level this host has (DESIGN §7):
+# portable and avx2 under the FLASHPS_KERNELS cap, then the host's own when
+# it is above those — the property tests (stacked ≡ sequential, derived ≡
+# computed), the zero-alloc pins and the whole-edit bits included. Each pass
+# names the level it ran at and the last line lists them, so a runner that
+# never executed ZMM code shows in the log. -count=1: the level is resolved
+# at package initialisation, which the test cache does not see, so a cached
+# run at one level would answer for another.
+test-levels:
+	@covered=""; for cap in portable avx2 ""; do \
+		l=$$(FLASHPS_KERNELS=$$cap $(GO) test -count=1 -v -run TestKernelLevelNamesTheLevel ./internal/tensor/ | sed -n 's/.*kernel level \([a-z0-9]*\) .*/\1/p'); \
+		[ -n "$$l" ] || { echo "test-levels: no kernel level reported under FLASHPS_KERNELS=$$cap"; exit 1; }; \
+		case " $$covered " in *" $$l "*) continue ;; esac; \
+		echo "== numeric suites at kernel level $$l (FLASHPS_KERNELS=$${cap:-unset})"; \
+		FLASHPS_KERNELS=$$cap $(GO) test -count=1 ./internal/tensor/... ./internal/model/... ./internal/diffusion/... || exit 1; \
+		covered="$$covered $$l"; \
+	done; echo "kernel levels covered on this host:$$covered"
 
 # internal/replay's TestCalibrationGate runs here too, without its
 # wall-clock budget (calib-gate asserts that, without the detector).

@@ -11,7 +11,10 @@
 // which is the roofline ROADMAP item 2 asks for, with the mask size at
 // which derived K/V stops paying and what deriving a template costs; and
 // every "after" kernel again at parallelism 1 and 2, where 2 must not lose
-// (the command exits 1 if it does).
+// (the command exits 1 if it does). On a host whose kernel level is above
+// avx2 the command runs itself once more under the avx2 cap and keeps that
+// report beside its own, with every "after" kernel at the two levels, where
+// the host's own must not lose either.
 //
 // Everything that is compared is timed in interleaved rounds and reported
 // as a median (timeRounds): on a shared host a vCPU changes speed every few
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"testing"
@@ -107,6 +111,21 @@ type ParRow struct {
 // parallelism 2 before it counts as a loss: the spread of two medians of
 // the same serial code on this class of host.
 const parSlack = 1.10
+
+// LevelRow is one kernel at the host's own kernel level and at the avx2 cap,
+// from two processes of the same run. Shapes narrower than a ZMM tile run
+// the same code at both and Ratio is 1 within noise.
+type LevelRow struct {
+	Op       string  `json:"op"`
+	Shape    string  `json:"shape"`
+	NsAVX2   int64   `json:"ns_avx2"`
+	NsNative int64   `json:"ns_native"`
+	Ratio    float64 `json:"native_over_avx2"`
+}
+
+// levelSlack is parSlack for level_check; wider, because the two sides are
+// medians taken minutes apart, not in interleaved rounds.
+const levelSlack = 1.20
 
 // CrossoverRow is the masked block at one mask size with the unmasked
 // tokens' K/V computed (LN1 and two L-row projections per block) and
@@ -200,6 +219,11 @@ type Report struct {
 	FixedWork   FixedWork      `json:"lane_fixed_work"`
 	Leftover    []LeftoverRow  `json:"leftover_tiles"`
 	ParCheck    []ParRow       `json:"par_check,omitempty"`
+	// LevelCheck and AVX2Capped are present when Meta.Kernels is above avx2:
+	// the whole report again from a child process capped at avx2, and this
+	// report's entries against that one's.
+	LevelCheck []LevelRow `json:"level_check,omitempty"`
+	AVX2Capped *Report    `json:"avx2_capped,omitempty"`
 }
 
 // rounds is how many interleaved rounds timeRounds takes (-rounds).
@@ -852,6 +876,38 @@ func leftoverTiles(entries []Entry, cfg model.Config) []LeftoverRow {
 	return rows
 }
 
+// cappedRun runs this command again with the kernel level capped at avx2 —
+// the level is fixed at process start — and returns its report. A child that
+// wrote its report and then exited 1 (a par_check loss, printed on stderr)
+// is reported as lost, with the report.
+func cappedRun(par int) (rep *Report, lost bool, err error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, false, err
+	}
+	cmd := exec.Command(exe, "-par", fmt.Sprint(par), "-rounds", fmt.Sprint(rounds))
+	cmd.Env = append(os.Environ(), "FLASHPS_KERNELS=avx2")
+	cmd.Stderr = os.Stderr
+	out, runErr := cmd.Output()
+	rep = new(Report)
+	if err := json.Unmarshal(out, rep); err != nil {
+		return nil, false, fmt.Errorf("avx2-capped run: %v (%v)", err, runErr)
+	}
+	return rep, runErr != nil, nil
+}
+
+// levelCheck pairs the entries of the report at the host's level with the
+// capped report's.
+func levelCheck(native, capped []Entry) []LevelRow {
+	var rows []LevelRow
+	for i, e := range native {
+		c := capped[i]
+		rows = append(rows, LevelRow{Op: e.Op, Shape: e.Shape, NsAVX2: c.After.NsPerOp, NsNative: e.After.NsPerOp,
+			Ratio: float64(e.After.NsPerOp) / float64(c.After.NsPerOp)})
+	}
+	return rows
+}
+
 func main() {
 	var (
 		out = flag.String("o", "", "output file (default stdout)")
@@ -977,6 +1033,26 @@ func main() {
 		}
 	}
 
+	// A level above avx2 is compared with avx2, which it must equal in bits
+	// and not lose to in time.
+	var lostLevel []string
+	if tensor.HasAVX2() && rep.Meta.Kernels != "avx2" {
+		capped, cappedLost, err := cappedRun(*par)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "flashps-kernels: %v\n", err)
+			os.Exit(1)
+		}
+		rep.AVX2Capped, rep.LevelCheck = capped, levelCheck(rep.Entries, capped.Entries)
+		for _, row := range rep.LevelCheck {
+			if row.Ratio > levelSlack {
+				lostLevel = append(lostLevel, fmt.Sprintf("%s %s: %d ns at %s, %d ns at avx2", row.Op, row.Shape, row.NsNative, rep.Meta.Kernels, row.NsAVX2))
+			}
+		}
+		if cappedLost {
+			lostLevel = append(lostLevel, "the avx2-capped run reported a loss of its own (above)")
+		}
+	}
+
 	if err := write(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "flashps-kernels: %v\n", err)
 		os.Exit(1)
@@ -986,6 +1062,14 @@ func main() {
 		for _, l := range lost {
 			fmt.Fprintln(os.Stderr, "  "+l)
 		}
+	}
+	if len(lostLevel) > 0 {
+		fmt.Fprintf(os.Stderr, "flashps-kernels: slower at the host's kernel level than capped at avx2 by more than %.0f%%:\n", 100*(levelSlack-1))
+		for _, l := range lostLevel {
+			fmt.Fprintln(os.Stderr, "  "+l)
+		}
+	}
+	if len(lost)+len(lostLevel) > 0 {
 		os.Exit(1)
 	}
 }

@@ -87,6 +87,7 @@ type Scheduler struct {
 	maxBatch int
 	rr       int
 	rng      *tensor.RNG
+	ratios   []float64 // Cost's scratch: the worker's ratios and the request's
 }
 
 // New constructs a scheduler. est is required only for MaskAware; maxBatch
@@ -170,9 +171,8 @@ func (s *Scheduler) Cost(w WorkerView, req Item) float64 {
 		}
 		return tokens + req.MaskRatio
 	}
-	ratios := make([]float64, 0, len(w.Ratios)+1)
-	ratios = append(ratios, w.Ratios...)
-	ratios = append(ratios, req.MaskRatio)
+	ratios := append(append(s.ratios[:0], w.Ratios...), req.MaskRatio)
+	s.ratios = ratios
 
 	n := len(ratios)
 	cost := pipeline.BlockCost{
@@ -180,7 +180,7 @@ func (s *Scheduler) Cost(w WorkerView, req Item) float64 {
 		CompFull:   s.est.CompFullLatency(n),
 		Load:       s.est.LoadLatency(ratios),
 	}
-	sched := pipeline.Optimize(pipeline.Uniform(cost, s.est.Profile.Blocks))
+	stepLatency := pipeline.UniformLatency(cost, s.est.Profile.Blocks)
 
 	totalSteps := req.Steps
 	if totalSteps <= 0 {
@@ -190,5 +190,5 @@ func (s *Scheduler) Cost(w WorkerView, req Item) float64 {
 		totalSteps += st
 	}
 	batches := (n + s.maxBatch - 1) / s.maxBatch
-	return sched.Latency * float64(totalSteps) / float64(n) * float64(batches)
+	return stepLatency * float64(totalSteps) / float64(n) * float64(batches)
 }

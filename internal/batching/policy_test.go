@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flashps/internal/perfmodel"
+	"flashps/internal/pipeline"
 	"flashps/internal/tensor"
 )
 
@@ -148,6 +149,45 @@ func TestMaskAwarePicksMinCost(t *testing.T) {
 	// efficiency).
 	if got := s.Pick(workers, Item{MaskRatio: 0.2, Steps: 28}); got == 0 {
 		t.Fatalf("MaskAware picked the heaviest worker %d", got)
+	}
+}
+
+func TestMaskAwareCostIsThePipelineDP(t *testing.T) {
+	// Cost is the bubble-free DP's step latency over the estimator's block
+	// costs, scaled by steps and engine batches — the float64 the allocating
+	// Optimize(Uniform(...)) formulation gives, so placements (and the
+	// decision logs the differential replays compare) cannot move — and
+	// scoring a candidate allocates nothing once the scratch has grown.
+	est := testEstimator(t)
+	s := New(MaskAware, est, 4, 1)
+	rng := tensor.NewRNG(9)
+	for trial := 0; trial < 200; trial++ {
+		var w WorkerView
+		for k := rng.Intn(7); k > 0; k-- {
+			w.Ratios = append(w.Ratios, rng.Float64())
+			w.RemSteps = append(w.RemSteps, 1+rng.Intn(28))
+		}
+		req := Item{MaskRatio: rng.Float64(), Steps: rng.Intn(30)}
+		ratios := append(append([]float64(nil), w.Ratios...), req.MaskRatio)
+		n := len(ratios)
+		sched := pipeline.Optimize(pipeline.Uniform(pipeline.BlockCost{
+			CompCached: est.CompLatency(ratios), CompFull: est.CompFullLatency(n), Load: est.LoadLatency(ratios),
+		}, est.Profile.Blocks))
+		steps := req.Steps
+		if steps <= 0 {
+			steps = est.Profile.Steps
+		}
+		for _, st := range w.RemSteps {
+			steps += st
+		}
+		want := sched.Latency * float64(steps) / float64(n) * float64((n+3)/4)
+		if got := s.Cost(w, req); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Cost(%+v, %+v) = %v, want %v", w, req, got, want)
+		}
+	}
+	w := WorkerView{Ratios: []float64{0.4, 0.1, 0.2}, RemSteps: []int{25, 3, 9}}
+	if n := testing.AllocsPerRun(10, func() { s.Cost(w, Item{MaskRatio: 0.2, Steps: 28}) }); n != 0 {
+		t.Fatalf("Cost allocates %v/op, want 0", n)
 	}
 }
 

@@ -2,7 +2,7 @@
 // FlashPS benchmark CLIs emit (BENCH_serve.json, BENCH_kernels.json, and
 // flashps-whatif's predictions), plus the run metadata block that makes a
 // number comparable across machines and commits: git revision, Go
-// runtime shape, CPU model, and whether the AVX2 kernels were active.
+// runtime shape, CPU model, and the kernel level the numbers were produced at.
 package benchfmt
 
 import (
@@ -23,7 +23,10 @@ type Meta struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`
 	CPUModel    string `json:"cpu_model,omitempty"`
-	AVX2        bool   `json:"avx2"`
+	// AVX2 says the level was avx2 or above; Kernels names it
+	// (tensor.KernelLevel: "portable", "avx2", "avx512").
+	AVX2    bool   `json:"avx2"`
+	Kernels string `json:"kernels"`
 	// Replicas records the fleet size a serving benchmark ran with (0 for
 	// single-replica runs predating the fleet plane) — a 4-replica P99 is
 	// not comparable to a 1-replica P99.
@@ -43,6 +46,7 @@ func CollectMeta() Meta {
 		NumCPU:      runtime.NumCPU(),
 		CPUModel:    cpuModel(),
 		AVX2:        tensor.HasAVX2(),
+		Kernels:     tensor.KernelLevel(),
 	}
 }
 

@@ -33,7 +33,7 @@ type batchTemplate struct {
 // unmasked latent rows of every mask-aware member are the template
 // trajectory's, and at the end its unmasked pixels the template's. On the
 // three stand-in models and the UNet, whose lanes are forwarded one by one
-// over all rows. `make test-noavx` runs it on the portable kernels.
+// over all rows. `make test-levels` runs it at every kernel level.
 func TestPropertyStackedEqualsSequential(t *testing.T) {
 	for name, e := range testBackbones(t) {
 		t.Run(name, func(t *testing.T) {

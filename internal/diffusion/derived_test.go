@@ -153,7 +153,7 @@ func randomRequest(rng *tensor.RNG, cfg model.Config, tpl *TemplateCache, kv boo
 // trajectory's — replayed from the cache (trajectoryFor) and regenerated
 // with full computation (referenceTrajectory), which agree bit for bit — and
 // at the end the PNGs are equal and the unmasked pixels the template's.
-// `make test-noavx` runs it on the portable kernels.
+// `make test-levels` runs it at every kernel level.
 func TestPropertyDerivedEqualsComputed(t *testing.T) {
 	for name, e := range testBackbones(t) {
 		t.Run(name, func(t *testing.T) {

@@ -161,6 +161,10 @@ func Optimize(costs []BlockCost) Schedule {
 	return Schedule{UseCache: useCache, Latency: bestLatency}
 }
 
+// frontierEps is the loadSum difference below which paretoPrune takes two
+// states for one.
+const frontierEps = 1e-12
+
 // paretoPrune removes dominated states: after sorting by slack ascending,
 // only states with strictly decreasing loadSum survive. States with
 // near-identical coordinates are merged to bound the frontier.
@@ -171,16 +175,66 @@ func paretoPrune(states []state) []state {
 		}
 		return states[a].loadSum < states[b].loadSum
 	})
-	const eps = 1e-12
 	out := states[:0]
 	bestLoad := math.Inf(1)
 	for _, st := range states {
-		if st.loadSum < bestLoad-eps {
+		if st.loadSum < bestLoad-frontierEps {
 			out = append(out, st)
 			bestLoad = st.loadSum
 		}
 	}
 	return out
+}
+
+// UniformLatency is Optimize(Uniform(c, n)).Latency — the same frontier,
+// the same arithmetic in the same order, the same float64 — without the
+// schedule behind it and without allocating: what the mask-aware
+// scheduler's cost scoring (Algo 2) asks per candidate worker.
+func UniformLatency(c BlockCost, n int) float64 {
+	// With equal blocks a state's loadSum is Load added once per cached
+	// block, and the frontier keeps one state per distinct loadSum: at most
+	// one more than the blocks so far.
+	const maxStates = 64
+	if n >= maxStates {
+		return Optimize(Uniform(c, n)).Latency
+	}
+	type point struct{ slack, loadSum float64 }
+	var (
+		cur  [maxStates]point
+		next [2 * maxStates]point
+	)
+	m := 1 // cur[0] is the empty prefix
+	for i := 0; i < n; i++ {
+		k := 0
+		for _, st := range cur[:m] {
+			next[k] = point{math.Max(st.slack-c.Load, 0) + c.CompCached, st.loadSum + c.Load}
+			next[k+1] = point{st.slack + c.CompFull, st.loadSum}
+			k += 2
+		}
+		// paretoPrune: order by (slack, loadSum), keep strictly falling loadSum.
+		for a := 1; a < k; a++ {
+			p, b := next[a], a
+			for ; b > 0 && (p.slack < next[b-1].slack || p.slack == next[b-1].slack && p.loadSum < next[b-1].loadSum); b-- {
+				next[b] = next[b-1]
+			}
+			next[b] = p
+		}
+		m = 0
+		bestLoad := math.Inf(1)
+		for _, p := range next[:k] {
+			if p.loadSum < bestLoad-frontierEps {
+				cur[m], bestLoad = p, p.loadSum
+				m++
+			}
+		}
+	}
+	best := cur[0].slack + cur[0].loadSum
+	for _, p := range cur[1:m] {
+		if lat := p.slack + p.loadSum; lat < best {
+			best = lat
+		}
+	}
+	return best
 }
 
 // CacheBlockCount returns how many blocks of a schedule use the cache.

@@ -213,6 +213,51 @@ func TestUniform(t *testing.T) {
 	}
 }
 
+func TestUniformLatencyIsOptimizeLatency(t *testing.T) {
+	// The same float64 as the DP it stands in for, at every block count up
+	// to past its fixed frontier, for costs at second and at microsecond
+	// scale, with a zero or a vanishing term (loads within paretoPrune's
+	// epsilon of each other), cached dearer than full, and equal terms.
+	rng := tensor.NewRNG(5)
+	draw := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return rng.Float64() * 1e-13
+		case 2:
+			return rng.Float64() * 1e-4
+		default:
+			return rng.Float64() * 5
+		}
+	}
+	for trial := 0; trial < 4000; trial++ {
+		c := BlockCost{CompCached: draw(), CompFull: draw(), Load: draw()}
+		if rng.Intn(8) == 0 {
+			c.CompFull = c.CompCached
+		}
+		n := rng.Intn(70)
+		if trial < 70 {
+			n = trial
+		}
+		got, want := UniformLatency(c, n), Optimize(Uniform(c, n)).Latency
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("UniformLatency(%+v, %d) = %v, Optimize %v", c, n, got, want)
+		}
+	}
+	c := BlockCost{CompCached: 0.0003, CompFull: 0.0008, Load: 0.0004}
+	if n := testing.AllocsPerRun(10, func() { UniformLatency(c, 57) }); n != 0 {
+		t.Fatalf("UniformLatency allocates %v/op, want 0", n)
+	}
+}
+
+func BenchmarkUniformLatency56Blocks(b *testing.B) {
+	c := BlockCost{CompCached: 0.0003, CompFull: 0.0008, Load: 0.0004}
+	for i := 0; i < b.N; i++ {
+		UniformLatency(c, 56)
+	}
+}
+
 func BenchmarkOptimize56Blocks(b *testing.B) {
 	costs := Uniform(BlockCost{CompCached: 0.0003, CompFull: 0.0008, Load: 0.0004}, 56)
 	b.ResetTimer()

@@ -2,37 +2,20 @@
 
 package tensor
 
-import (
-	"math"
-	"os"
-)
+import "math"
 
-// useAVX2 gates the AVX2+FMA assembly kernels. It is resolved once at
-// process start: the decision must not change mid-run, or mixed
-// scalar/vector rounding would break reproducibility between calls.
-// Set FLASHPS_NO_AVX2=1 to force the portable scalar kernels.
-var useAVX2 = supportsAVX2() && os.Getenv("FLASHPS_NO_AVX2") == ""
-
-// supportsAVX2 reports whether the CPU and OS support the AVX2+FMA kernels
-// (FMA and AVX2 feature bits, plus OS-enabled YMM state via XGETBV).
-func supportsAVX2() bool {
-	maxID, _, _, _ := cpuidAsm(0, 0)
-	if maxID < 7 {
-		return false
+// nativeLevel reads the CPUID and XCR0 words level detection goes by.
+func nativeLevel() kernelLevel {
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuidAsm(0, 0)
+	_, _, w.ecx1, _ = cpuidAsm(1, 0)
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuidAsm(7, 0)
 	}
-	_, _, c1, _ := cpuidAsm(1, 0)
-	const fmaBit = 1 << 12
-	const osxsaveBit = 1 << 27
-	if c1&fmaBit == 0 || c1&osxsaveBit == 0 {
-		return false
+	if w.ecx1&(1<<27) != 0 { // OSXSAVE: XGETBV is executable
+		w.xcr0, _ = xgetbvAsm()
 	}
-	xcr0, _ := xgetbvAsm()
-	if xcr0&6 != 6 { // XMM and YMM state enabled by the OS
-		return false
-	}
-	_, b7, _, _ := cpuidAsm(7, 0)
-	const avx2Bit = 1 << 5
-	return b7&avx2Bit != 0
+	return detectLevel(w)
 }
 
 func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -66,6 +49,12 @@ var edgeMask = [32]int32{
 func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
 
 //go:noescape
+func gemm4x32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
+
+//go:noescape
+func gemmEdge32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool)
+
+//go:noescape
 func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool)
 
 //go:noescape
@@ -76,6 +65,12 @@ func transposeScaleAVX8(src *float32, lds int, dst *float32, ldd int, n int, sca
 
 //go:noescape
 func expShiftSumAVX8(x *float32, n int, shift float32) float32
+
+//go:noescape
+func expShiftSumAVX16(x *float32, n int, shift float32) float32
+
+//go:noescape
+func geluAVX16(x *float32, n int)
 
 //go:noescape
 func maxAVX8(x *float32, n int) float32

@@ -102,6 +102,80 @@ gemmstore:
 	VZEROUPPER
 	RET
 
+// func gemm4x32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
+//
+// gemm4x16 at twice the width (AVX-512F): the 4×32 C tile lives in eight
+// ZMM accumulators, and a reduction step is two B loads, four A broadcasts
+// and eight FMAs. A C element's chain is the one gemm4x16 runs — ascending
+// p from +0, one fused multiply-add per step — so the two kernels give it
+// the same bits.
+TEXT ·gemm4x32(SB), NOSPLIT, $0-57
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	SHLQ $2, R8               // A row stride in bytes
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R10
+	SHLQ $2, R10              // B row stride in bytes
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R11
+	SHLQ $2, R11              // C row stride in bytes
+	LEAQ (SI)(R8*2), R9       // &A[2][p0]
+	VXORPS Y0, Y0, Y0         // a VEX write clears the whole ZMM register
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+gemm32loop:
+	VMOVUPS (DI), Z12         // B[p][0:16]
+	VMOVUPS 64(DI), Z13       // B[p][16:32]
+	VBROADCASTSS (SI), Z14    // A[0][p]
+	VFMADD231PS Z12, Z14, Z0
+	VFMADD231PS Z13, Z14, Z1
+	VBROADCASTSS (SI)(R8*1), Z15
+	VFMADD231PS Z12, Z15, Z2
+	VFMADD231PS Z13, Z15, Z3
+	VBROADCASTSS (R9), Z14    // A[2][p]
+	VFMADD231PS Z12, Z14, Z4
+	VFMADD231PS Z13, Z14, Z5
+	VBROADCASTSS (R9)(R8*1), Z15
+	VFMADD231PS Z12, Z15, Z6
+	VFMADD231PS Z13, Z15, Z7
+	ADDQ $4, SI
+	ADDQ $4, R9
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  gemm32loop
+
+	MOVBLZX first+56(FP), AX
+	LEAQ    (DX)(R11*2), BX   // &C[2][0]
+	TESTL   AX, AX
+	JNZ     gemm32store
+	VADDPS  (DX), Z0, Z0
+	VADDPS  64(DX), Z1, Z1
+	VADDPS  (DX)(R11*1), Z2, Z2
+	VADDPS  64(DX)(R11*1), Z3, Z3
+	VADDPS  (BX), Z4, Z4
+	VADDPS  64(BX), Z5, Z5
+	VADDPS  (BX)(R11*1), Z6, Z6
+	VADDPS  64(BX)(R11*1), Z7, Z7
+
+gemm32store:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, (DX)(R11*1)
+	VMOVUPS Z3, 64(DX)(R11*1)
+	VMOVUPS Z4, (BX)
+	VMOVUPS Z5, 64(BX)
+	VMOVUPS Z6, (BX)(R11*1)
+	VMOVUPS Z7, 64(BX)(R11*1)
+	VZEROUPPER
+	RET
+
 // func dotAVX8(x, y *float32, n int) float32
 //
 // Dot product over n floats, n a positive multiple of 8 (the Go wrapper
@@ -366,6 +440,134 @@ edgedone:
 	VZEROUPPER
 	RET
 
+// func gemmEdge32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool)
+//
+// The remainder micro-kernel of the AVX-512 level: gemm4x32 for a tile of
+// rows ∈ [1, 4] rows and cols ∈ [17, 32] columns (gemmTile gives narrower
+// tiles to the YMM kernels). Columns 0–15 are whole vectors; columns 16–31
+// are loaded from B and stored to C under an opmask of cols − 16 bits (a
+// masked-off element is neither read nor written, and cannot fault), so
+// nothing outside the tile is touched. Every live C element runs the chain
+// of gemm4x32 — and of gemm4x16 and gemmEdge.
+#define EDGE32_LOADB \
+	VMOVUPS (DI), Z12; \
+	VMOVUPS.Z 64(DI), K1, Z13
+
+#define EDGE32_ROW(aptr, lo, hi) \
+	VBROADCASTSS aptr, Z14; \
+	VFMADD231PS Z12, Z14, lo; \
+	VFMADD231PS Z13, Z14, hi
+
+// EDGE32_ADDC(ptr, lo, hi): add the live elements of the C row at ptr.
+#define EDGE32_ADDC(ptr, lo, hi) \
+	VMOVUPS.Z 64(ptr), K1, Z13; \
+	VADDPS (ptr), lo, lo; \
+	VADDPS Z13, hi, hi
+
+#define EDGE32_STORE(ptr, lo, hi) \
+	VMOVUPS lo, (ptr); \
+	VMOVUPS hi, K1, 64(ptr)
+
+TEXT ·gemmEdge32(SB), NOSPLIT, $0-73
+	MOVQ cols+64(FP), CX
+	SUBQ $16, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1              // cols − 16 low bits: columns 16 … cols − 1
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	SHLQ $2, R8               // A row stride in bytes
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R10
+	SHLQ $2, R10              // B row stride in bytes
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R11
+	SHLQ $2, R11              // C row stride in bytes
+	MOVQ rows+56(FP), R12
+	LEAQ (SI)(R8*2), R9       // &A[2][p0]
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	CMPQ R12, $2
+	JLT  edge32r1
+	JEQ  edge32r2
+	CMPQ R12, $3
+	JEQ  edge32r3
+
+edge32r4:
+	EDGE32_LOADB
+	EDGE32_ROW((SI), Z0, Z1)
+	EDGE32_ROW((SI)(R8*1), Z2, Z3)
+	EDGE32_ROW((R9), Z4, Z5)
+	EDGE32_ROW((R9)(R8*1), Z6, Z7)
+	ADDQ $4, R9
+	EDGE_NEXT(edge32r4)
+	JMP edge32out
+
+edge32r3:
+	EDGE32_LOADB
+	EDGE32_ROW((SI), Z0, Z1)
+	EDGE32_ROW((SI)(R8*1), Z2, Z3)
+	EDGE32_ROW((R9), Z4, Z5)
+	ADDQ $4, R9
+	EDGE_NEXT(edge32r3)
+	JMP edge32out
+
+edge32r2:
+	EDGE32_LOADB
+	EDGE32_ROW((SI), Z0, Z1)
+	EDGE32_ROW((SI)(R8*1), Z2, Z3)
+	EDGE_NEXT(edge32r2)
+	JMP edge32out
+
+edge32r1:
+	EDGE32_LOADB
+	EDGE32_ROW((SI), Z0, Z1)
+	EDGE_NEXT(edge32r1)
+
+edge32out:
+	MOVBLZX first+72(FP), AX
+	LEAQ    (DX)(R11*1), BX   // &C[1][0]
+	LEAQ    (BX)(R11*1), SI   // &C[2][0]
+	LEAQ    (SI)(R11*1), DI   // &C[3][0]
+	TESTL   AX, AX
+	JNZ     edge32store
+	// Rows past the tile hold zero accumulators and are never stored, so
+	// only the live rows' C is read back.
+	EDGE32_ADDC(DX, Z0, Z1)
+	CMPQ R12, $2
+	JLT  edge32store
+	EDGE32_ADDC(BX, Z2, Z3)
+	CMPQ R12, $3
+	JLT  edge32store
+	EDGE32_ADDC(SI, Z4, Z5)
+	CMPQ R12, $4
+	JLT  edge32store
+	EDGE32_ADDC(DI, Z6, Z7)
+
+edge32store:
+	EDGE32_STORE(DX, Z0, Z1)
+	CMPQ R12, $2
+	JLT  edge32done
+	EDGE32_STORE(BX, Z2, Z3)
+	CMPQ R12, $3
+	JLT  edge32done
+	EDGE32_STORE(SI, Z4, Z5)
+	CMPQ R12, $4
+	JLT  edge32done
+	EDGE32_STORE(DI, Z6, Z7)
+
+edge32done:
+	VZEROUPPER
+	RET
+
 // The float32 vector math below executes, lane for lane, the arithmetic of
 // the Go reference functions in vecmath.go: separately rounded VMULPS and
 // VADDPS, never FMA, so lanes, scalar tails and the portable build agree
@@ -456,6 +658,99 @@ expsumloop:
 	VMOVSS X8, ret+24(FP)
 	RET
 
+// The 16-lane forms of exp and GeLU (AVX-512F) keep their constants in
+// registers for the whole pass: Z16–Z28 in the order of the VC_* rows up to
+// VC_ONE.
+#define VC16_LOAD \
+	VBROADCASTSS VC_EXPLO, Z16; \
+	VBROADCASTSS VC_EXPHI, Z17; \
+	VBROADCASTSS VC_LOG2E, Z18; \
+	VBROADCASTSS VC_MAGIC, Z19; \
+	VBROADCASTSS VC_LN2HI, Z20; \
+	VBROADCASTSS VC_LN2LO, Z21; \
+	VBROADCASTSS VC_P0, Z22; \
+	VBROADCASTSS VC_P1, Z23; \
+	VBROADCASTSS VC_P2, Z24; \
+	VBROADCASTSS VC_P3, Z25; \
+	VBROADCASTSS VC_P4, Z26; \
+	VBROADCASTSS VC_P5, Z27; \
+	VBROADCASTSS VC_ONE, Z28
+
+// EXP16: Z0 = expf(Z0), lane-wise; clobbers Z1, Z2, Z4 and K1. EXP8
+// instruction for instruction, same operand order, except that the flush
+// below expLo is a zeroing mask on the last multiply: K1 is "not x < expLo"
+// (VCMPPS NLT_US: set for NaN, which is not flushed).
+#define EXP16 \
+	VCMPPS $5, Z16, Z0, K1; \
+	VMINPS Z0, Z17, Z0; \
+	VMULPS Z18, Z0, Z1; \
+	VADDPS Z19, Z1, Z1; \
+	VSUBPS Z19, Z1, Z2; \
+	VMULPS Z20, Z2, Z4; \
+	VSUBPS Z4, Z0, Z0; \
+	VMULPS Z21, Z2, Z4; \
+	VSUBPS Z4, Z0, Z0; \
+	VMULPS Z22, Z0, Z2; \
+	VADDPS Z23, Z2, Z2; \
+	VMULPS Z0, Z2, Z2; \
+	VADDPS Z24, Z2, Z2; \
+	VMULPS Z0, Z2, Z2; \
+	VADDPS Z25, Z2, Z2; \
+	VMULPS Z0, Z2, Z2; \
+	VADDPS Z26, Z2, Z2; \
+	VMULPS Z0, Z2, Z2; \
+	VADDPS Z27, Z2, Z2; \
+	VMULPS Z0, Z0, Z4; \
+	VMULPS Z4, Z2, Z2; \
+	VADDPS Z0, Z2, Z2; \
+	VADDPS Z28, Z2, Z2; \
+	VPSLLD $23, Z1, Z1; \
+	VPADDD Z28, Z1, Z1; \
+	VMULPS.Z Z1, Z2, K1, Z0
+
+// func expShiftSumAVX16(x *float32, n int, shift float32) float32
+//
+// expShiftSumAVX8 on 16 lanes: x[i] = expf(x[i] − shift) for i in [0, n), n
+// a positive multiple of 8, and the same sum — the eight lane accumulators
+// take a vector's low half, then its high half, which is the order in which
+// two 8-lane passes would have added them. A last group of 8 is loaded into
+// the low half (the high half computes on zeros and is dropped).
+TEXT ·expShiftSumAVX16(SB), NOSPLIT, $0-28
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VC16_LOAD
+	VBROADCASTSS shift+16(FP), Z9
+	VXORPS Y8, Y8, Y8
+	SUBQ $16, CX
+	JLT  expsum16tail
+
+expsum16loop:
+	VMOVUPS (SI), Z0
+	VSUBPS Z9, Z0, Z0
+	EXP16
+	VMOVUPS Z0, (SI)
+	VADDPS Y0, Y8, Y8
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPS Y1, Y8, Y8
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JGE  expsum16loop
+
+expsum16tail:
+	CMPQ CX, $-16
+	JEQ  expsum16reduce
+	VMOVUPS (SI), Y0
+	VSUBPS Z9, Z0, Z0
+	EXP16
+	VMOVUPS Y0, (SI)
+	VADDPS Y0, Y8, Y8
+
+expsum16reduce:
+	REDUCE8(Y8, X8, X1)
+	VZEROUPPER
+	VMOVSS X8, ret+24(FP)
+	RET
+
 // func maxAVX8(x *float32, n int) float32
 //
 // Largest of x[0:n], n a positive multiple of 8, ignoring NaNs (VMAXPS
@@ -505,6 +800,55 @@ geluloop:
 	ADDQ $32, SI
 	SUBQ $8, CX
 	JNZ  geluloop
+	VZEROUPPER
+	RET
+
+// GELU16: Z0 = geluf(Z6), lane-wise; clobbers Z1, Z2, Z4, Z5, K1 and K2.
+// geluAVX8's loop body, the |x| < geluTiny lanes zeroed through K2.
+#define GELU16 \
+	VPANDD Z29, Z6, Z0; \
+	VCMPPS $5, Z30, Z0, K2; \
+	VMOVAPS.Z Z6, K2, Z5; \
+	VMULPS Z5, Z5, Z0; \
+	VMULPS Z5, Z0, Z0; \
+	VMULPS Z31, Z0, Z0; \
+	VADDPS Z0, Z5, Z0; \
+	VMULPS Z15, Z0, Z0; \
+	EXP16; \
+	VADDPS Z28, Z0, Z0; \
+	VDIVPS Z0, Z6, Z0
+
+// func geluAVX16(x *float32, n int)
+//
+// geluAVX8 on 16 lanes: x[i] = geluf(x[i]) for i in [0, n), n a positive
+// multiple of 8; a last group of 8 goes through the low half.
+TEXT ·geluAVX16(SB), NOSPLIT, $0-16
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VC16_LOAD
+	VBROADCASTSS VC_ABS, Z29
+	VBROADCASTSS VC_TINY, Z30
+	VBROADCASTSS VC_GELUC, Z31
+	VBROADCASTSS VC_GELUK, Z15
+	SUBQ $16, CX
+	JLT  gelu16tail
+
+gelu16loop:
+	VMOVUPS (SI), Z6
+	GELU16
+	VMOVUPS Z0, (SI)
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JGE  gelu16loop
+
+gelu16tail:
+	CMPQ CX, $-16
+	JEQ  gelu16done
+	VMOVUPS (SI), Y6
+	GELU16
+	VMOVUPS Y0, (SI)
+
+gelu16done:
 	VZEROUPPER
 	RET
 

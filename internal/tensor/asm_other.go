@@ -2,14 +2,21 @@
 
 package tensor
 
-// Non-amd64 builds always use the portable scalar kernels; the constant
-// lets the compiler eliminate the assembly call sites entirely.
-const useAVX2 = false
+// Non-amd64 builds always use the portable scalar kernels.
+func nativeLevel() kernelLevel { return levelPortable }
 
 var edgeMask [32]int32
 
 func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool) {
 	panic("tensor: gemm4x16 without AVX2")
+}
+
+func gemm4x32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool) {
+	panic("tensor: gemm4x32 without AVX-512")
+}
+
+func gemmEdge32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool) {
+	panic("tensor: gemmEdge32 without AVX-512")
 }
 
 func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool) {
@@ -25,6 +32,12 @@ func transposeScaleAVX8(src *float32, lds int, dst *float32, ldd int, n int, sca
 func expShiftSumAVX8(x *float32, n int, shift float32) float32 {
 	panic("tensor: expShiftSumAVX8 without AVX2")
 }
+
+func expShiftSumAVX16(x *float32, n int, shift float32) float32 {
+	panic("tensor: expShiftSumAVX16 without AVX-512")
+}
+
+func geluAVX16(x *float32, n int) { panic("tensor: geluAVX16 without AVX-512") }
 
 func maxAVX8(x *float32, n int) float32 { panic("tensor: maxAVX8 without AVX2") }
 

@@ -114,7 +114,7 @@ func FusedAttentionPacked(dst, q *Matrix, keys PackedKeys, v *Matrix, heads int)
 func packKT(kt []float32, k *Matrix, scale float32) {
 	lk, h := k.R, k.C
 	j8, c8 := 0, 0
-	if useAVX2 && h >= 8 {
+	if level >= levelAVX2 && h >= 8 {
 		j8, c8 = lk&^7, h&^7
 		for j := 0; j < j8; j += 8 {
 			transposeScaleAVX8(&k.Data[j*h], h, &kt[j], lk, c8, scale)

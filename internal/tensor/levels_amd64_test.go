@@ -1,0 +1,204 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// The cross-level contract: the avx512 level produces, bit for bit (NaN
+// payloads included), what the avx2 level produces — GEMM because every C
+// element keeps its one FMA chain whatever the tile width, vector math
+// because a lane of either width executes the scalar specification. The
+// tests here run both levels in one process; `make test-levels` runs the
+// whole numeric suites under each.
+
+// needLevel skips the test on a host (or under a cap) below l.
+func needLevel(t *testing.T, l kernelLevel) {
+	t.Helper()
+	if level < l {
+		t.Skipf("needs kernel level %v; this process runs %v (host %v)", l, level, nativeLevel())
+	}
+}
+
+// exactBits is sameBits without its NaN allowance.
+func exactBits(a, b []float32) (int, bool) {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+func TestGemmLevelsBitIdentical(t *testing.T) {
+	// Every row-group height × every column count up to two ZMM tiles and a
+	// remainder × reduction lengths of one step, under, at and over a
+	// kcBlock panel, on operands that are strided views of wider buffers,
+	// storing the first panel and adding to what C held: the ZMM kernels
+	// against the YMM ones, and nothing outside the tile written by either.
+	needLevel(t, levelAVX512)
+	rng := NewRNG(41)
+	const pad = 3
+	const guard = float32(-12345.5)
+	for _, k := range []int{1, 16, 64, 256, 300} {
+		for rows := 1; rows <= 9; rows++ {
+			for cols := 1; cols <= 70; cols++ {
+				lda, ldb, ldc := k+pad, cols+pad, cols+2*pad
+				a, b := Randn(rng, rows, lda, 1).Data, Randn(rng, k, ldb, 1).Data
+				c0 := Randn(rng, rows, ldc, 1).Data
+				for r := 0; r < rows; r++ {
+					for j := cols; j < ldc; j++ {
+						c0[r*ldc+j] = guard
+					}
+				}
+				for _, first := range []bool{true, false} {
+					// mul is matMulRange's loop nest over the views.
+					mul := func(l kernelLevel) []float32 {
+						c := append([]float32(nil), c0...)
+						atLevel(l, func() {
+							for p0 := 0; p0 < k; p0 += kcBlock {
+								kc := min(kcBlock, k-p0)
+								for i := 0; i < rows; i += mcRows {
+									gemmTile(kc, a[i*lda+p0:], lda, b[p0*ldb:], ldb, c[i*ldc:], ldc,
+										min(mcRows, rows-i), cols, first && p0 == 0)
+								}
+							}
+						})
+						return c
+					}
+					want, got := mul(levelAVX2), mul(levelAVX512)
+					if i, ok := exactBits(got, want); !ok {
+						t.Fatalf("%d×%d×%d first=%v: avx512 C[%d][%d] = %x, avx2 %x", rows, k, cols, first,
+							i/ldc, i%ldc, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+					for r := 0; r < rows; r++ {
+						for j := cols; j < ldc; j++ {
+							if got[r*ldc+j] != guard {
+								t.Fatalf("%d×%d×%d first=%v: avx512 wrote C[%d][%d], outside the tile", rows, k, cols, first, r, j)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// vecSpecials are the arguments where exp and GeLU change behaviour: the
+// flush and saturation bounds and geluTiny with their neighbours on both
+// sides, denormals, zeros, infinities, NaN.
+func vecSpecials() []float32 {
+	inf := float32(math.Inf(1))
+	s := []float32{float32(math.NaN()), inf, -inf, 0, float32(math.Copysign(0, -1)),
+		1e-40, -1e-40, math.SmallestNonzeroFloat32, 1.1754944e-38, -1.1754944e-38, math.MaxFloat32, -math.MaxFloat32}
+	for _, x := range []float32{expLo, expHi, geluTiny, -geluTiny} {
+		s = append(s, math.Nextafter32(x, -inf), x, math.Nextafter32(x, inf))
+	}
+	return s
+}
+
+func TestVectorMathLevelsBitIdentical(t *testing.T) {
+	// exp, the softmax weight pass and GeLU at every length from 1 to 40 —
+	// no vector, one YMM group, one ZMM vector, a ZMM vector and a YMM
+	// group, with every tail — with every special value in every position:
+	// 16 lanes ≡ 8 lanes ≡ the portable level ≡ expf/geluf per element, and
+	// the returned sum alike.
+	needLevel(t, levelAVX2)
+	levels := []kernelLevel{levelPortable, levelAVX2}
+	if level >= levelAVX512 {
+		levels = append(levels, levelAVX512)
+	} else {
+		t.Logf("16-lane kernels not compared: this process runs %v (host %v)", level, nativeLevel())
+	}
+	rng := NewRNG(42)
+	specials := vecSpecials()
+	check := func(x []float32, shift float32) {
+		t.Helper()
+		wantExp, wantGelu := make([]float32, len(x)), make([]float32, len(x))
+		for i, v := range x {
+			wantExp[i], wantGelu[i] = expf(v-shift), geluf(v)
+		}
+		var sum0 float32
+		for _, l := range levels {
+			e, g := append([]float32(nil), x...), append([]float32(nil), x...)
+			var sum float32
+			atLevel(l, func() { sum = expShiftSum(e, shift); geluSlice(g) })
+			if i, ok := exactBits(e, wantExp); !ok {
+				t.Fatalf("n=%d %v: expShiftSum[%d] of %g − %g = %x, expf %x", len(x), l, i, x[i], shift,
+					math.Float32bits(e[i]), math.Float32bits(wantExp[i]))
+			}
+			if i, ok := exactBits(g, wantGelu); !ok {
+				t.Fatalf("n=%d %v: geluSlice[%d] of %g = %x, geluf %x", len(x), l, i, x[i],
+					math.Float32bits(g[i]), math.Float32bits(wantGelu[i]))
+			}
+			if l == levelPortable {
+				sum0 = sum
+			} else if math.Float32bits(sum) != math.Float32bits(sum0) {
+				t.Fatalf("n=%d %v: expShiftSum returned %x, portable %x", len(x), l, math.Float32bits(sum), math.Float32bits(sum0))
+			}
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		// Scores a few units apart: every weight counts in the sum, so the
+		// order the lanes are added in shows.
+		near := Randn(rng, 1, n, 2).Data
+		check(near, maxOf(near)) // the softmax weight pass
+		check(near, 0)
+		base := Randn(rng, 1, n, 30).Data
+		check(base, 0)
+		check(base, maxOf(base))
+		for _, sp := range specials {
+			for pos := 0; pos < n; pos++ {
+				x := append([]float32(nil), base...)
+				x[pos] = sp
+				check(x, 0)
+			}
+			x := append([]float32(nil), base...)
+			x[rng.Intn(n)] = sp
+			check(x, float32(rng.NormFloat64()))
+		}
+		all := make([]float32, n) // nothing but specials
+		for i := range all {
+			all[i] = specials[rng.Intn(len(specials))]
+		}
+		check(all, 0)
+	}
+}
+
+func TestAttentionLevelsBitIdentical(t *testing.T) {
+	// Attention is gemmTile, maxOf and expShiftSum: on every grid shape —
+	// score tiles of 4 to 256 keys, P·V tiles of 8, 16, 24 and 32 columns,
+	// every row-group remainder — over keys packed per call and over a pack
+	// with rows written in, the two vector levels agree.
+	needLevel(t, levelAVX512)
+	rng := NewRNG(43)
+	ws := NewArena()
+	for _, c := range attnGrid() {
+		q, k, v, scale := attnInputs(rng, c)
+		var idx []int
+		for j := 0; j < c.lk; j++ {
+			if rng.Intn(3) == 0 {
+				idx = append(idx, j)
+			}
+		}
+		kM := Randn(rng, len(idx), k.C, 1)
+		run := func(l kernelLevel) (fused, packed *Matrix) {
+			fused, packed = Randn(rng, c.lq, q.C, 1), Randn(rng, c.lq, q.C, 1)
+			atLevel(l, func() {
+				ws.Reset()
+				FusedAttentionWS(ws, fused, q, k, v, c.heads, scale)
+				keys := PackKeysInto(ws.floats(c.lk*k.C), k, scale)
+				FusedAttentionPacked(packed, q, keys.WithRows(ws, kM, idx), v, c.heads)
+			})
+			return fused, packed
+		}
+		wantF, wantP := run(levelAVX2)
+		gotF, gotP := run(levelAVX512)
+		if j, ok := exactBits(gotF.Data, wantF.Data); !ok {
+			t.Fatalf("%v: FusedAttentionWS differs between avx512 and avx2 at element %d", c, j)
+		}
+		if j, ok := exactBits(gotP.Data, wantP.Data); !ok {
+			t.Fatalf("%v: FusedAttentionPacked differs between avx512 and avx2 at element %d", c, j)
+		}
+	}
+}

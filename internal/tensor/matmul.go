@@ -16,9 +16,11 @@ package tensor
 // on b: computing a row alone, in any subset of rows, or in the full matrix
 // gives the same bits (TestMatMulRowIndependent). The mask-aware block
 // relies on this — a masked token's projections cannot change with how many
-// other tokens are masked. The AVX2 kernels fuse each step (FMA) and the
-// portable kernels round the product first, so the two builds differ from
-// each other in the last bits; within a build the contract holds.
+// other tokens are masked. The AVX2 and AVX-512 kernels run that chain with
+// one fused multiply-add per step, on 8 and 16 elements at a time, so the
+// two vector levels agree bit for bit (TestGemmLevelsBitIdentical); the
+// portable kernels round the product first and differ from both in the last
+// bits. Within a level the contract holds.
 
 const (
 	// mcRows is the micro-kernel height: rows of a/dst accumulated per
@@ -26,6 +28,8 @@ const (
 	mcRows = 4
 	// ncCols is the AVX2 micro-kernel width (two YMM registers).
 	ncCols = 16
+	// ncCols512 is the AVX-512 micro-kernel width (two ZMM registers).
+	ncCols512 = 32
 	// kcBlock is the reduction panel width; kcBlock rows of b (kcBlock×C
 	// floats) are swept per row group to stay cache-resident.
 	kcBlock = 256
@@ -63,17 +67,30 @@ func matMulRange(dst, a, b *Matrix, lo, hi int, gelu bool) {
 // and ldc, so the operands may be strided views (attention's per-head
 // column slices). It is the only caller of the micro-kernels.
 //
-// On AVX2 hardware everything runs in assembly: full 4-row × 16-column
-// tiles in gemm4x16, the 1–3 remainder rows and the < 16 remainder columns
-// in gemmEdge, both with the same per-element FMA chain. The scalar loop is
-// the only GEMM of non-AVX2 builds (and of FLASHPS_NO_AVX2=1); it
-// accumulates in place, rounding each product before the add.
+// At the vector levels everything runs in assembly, each kernel with the
+// same per-element FMA chain: at avx2, full 4-row × 16-column tiles in
+// gemm4x16 and the 1–3 remainder rows and < 16 remainder columns in
+// gemmEdge; at avx512, while more than 16 columns are left, full 4 × 32
+// tiles in gemm4x32 and every other tile of up to 32 columns in gemmEdge32,
+// and a last tile of ≤ 16 columns on the narrower kernels — the choice goes
+// by the tile's geometry alone. The scalar loop is the only GEMM of the
+// portable level; it accumulates in place, rounding each product before the
+// add.
 func gemmTile(kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, rows, cols int, first bool) {
 	if cols == 0 {
 		return
 	}
-	if useAVX2 {
+	if level >= levelAVX2 {
 		j := 0
+		if level >= levelAVX512 {
+			for ; cols-j > ncCols; j += ncCols512 {
+				if w := min(ncCols512, cols-j); rows == mcRows && w == ncCols512 {
+					gemm4x32(kc, &a[0], lda, &b[j], ldb, &c[j], ldc, first)
+				} else {
+					gemmEdge32(kc, &a[0], lda, &b[j], ldb, &c[j], ldc, rows, w, first)
+				}
+			}
+		}
 		if rows == mcRows {
 			for ; j+ncCols <= cols; j += ncCols {
 				gemm4x16(kc, &a[0], lda, &b[j], ldb, &c[j], ldc, first)
@@ -114,7 +131,7 @@ func matMulTRange(dst, a, b *Matrix, lo, hi int) {
 // caller's partitioning, so results are reproducible.
 func dot(x, y []float32) float32 {
 	y = y[:len(x)]
-	if useAVX2 && len(x) >= 16 {
+	if level >= levelAVX2 && len(x) >= 16 {
 		n8 := len(x) &^ 7
 		s := dotAVX8(&x[0], &y[0], n8)
 		for p := n8; p < len(x); p++ {

@@ -5,18 +5,20 @@ import "math"
 // Float32 element-wise math for the step's token-wise passes: exp, the
 // softmax weight pass built on it, GeLU, LayerNorm and the residual add.
 //
-// The Go functions in this file are the specification. The AVX2 kernels
-// (asm_amd64.s) execute the same IEEE single-precision operations in the
-// same order — separately rounded multiplies and adds, never FMA — so a
-// vector lane and the scalar tail produce the same bits, and so do the
-// AVX2 and portable builds. Consequences the tests pin:
+// The Go functions in this file are the specification. The assembly
+// kernels (asm_amd64.s: 8 lanes at the avx2 level; exp and GeLU on 16 at
+// avx512) execute the same IEEE single-precision operations in the same
+// order — separately rounded multiplies and adds, never FMA — so a vector
+// lane of either width and the scalar tail produce the same bits, and so
+// do all three kernel levels. Consequences the tests pin:
 //
 //   - exp and GeLU are position-independent: a value's result does not
 //     depend on its index in the slice, the slice length, or the
 //     parallelism setting;
 //   - reductions (softmax denominator, LayerNorm mean/variance) use a
 //     fixed order that depends only on the row length: eight lane
-//     accumulators over the length's multiple-of-8 prefix, the lane tree
+//     accumulators over the length's multiple-of-8 prefix (a 16-lane
+//     pass adds its low half to them, then its high half), the lane tree
 //     of reduce8, then the tail in ascending order.
 //
 // Every explicit float32(...) conversion below forbids the compiler from
@@ -114,9 +116,12 @@ func Exp(x []float32) { expShiftSum(x, 0) }
 func expShiftSum(x []float32, shift float32) float32 {
 	n8 := len(x) &^ 7
 	var sum float32
-	if useAVX2 && n8 > 0 {
+	switch {
+	case n8 >= 16 && level >= levelAVX512:
+		sum = expShiftSumAVX16(&x[0], n8, shift)
+	case n8 > 0 && level >= levelAVX2:
 		sum = expShiftSumAVX8(&x[0], n8, shift)
-	} else {
+	default:
 		var acc [8]float32
 		for i := 0; i < n8; i += 8 {
 			v := x[i : i+8 : i+8]
@@ -139,7 +144,7 @@ func expShiftSum(x []float32, shift float32) float32 {
 func maxOf(x []float32) float32 {
 	m := float32(math.Inf(-1))
 	n8 := 0
-	if useAVX2 && len(x) >= 8 {
+	if level >= levelAVX2 && len(x) >= 8 {
 		n8 = len(x) &^ 7
 		m = maxAVX8(&x[0], n8)
 	}
@@ -154,8 +159,13 @@ func maxOf(x []float32) float32 {
 // geluSlice applies geluf to every element of x in place.
 func geluSlice(x []float32) {
 	n8 := 0
-	if useAVX2 && len(x) >= 8 {
+	if level >= levelAVX2 {
 		n8 = len(x) &^ 7
+	}
+	switch {
+	case n8 >= 16 && level >= levelAVX512:
+		geluAVX16(&x[0], n8)
+	case n8 > 0:
 		geluAVX8(&x[0], n8)
 	}
 	for i := n8; i < len(x); i++ {
@@ -170,7 +180,7 @@ func AddVec(dst, a, b []float32) {
 	n := len(dst)
 	a, b = a[:n], b[:n]
 	n8 := 0
-	if useAVX2 && n >= 8 {
+	if level >= levelAVX2 && n >= 8 {
 		n8 = n &^ 7
 		addAVX8(&dst[0], &a[0], &b[0], n8)
 	}
@@ -184,7 +194,7 @@ func AddVec(dst, a, b []float32) {
 // described at the top of this file.
 func layerNormRow(dst, src, gamma, beta []float32, eps float32) {
 	n := len(src)
-	if useAVX2 && n >= 8 && n%8 == 0 {
+	if level >= levelAVX2 && n >= 8 && n%8 == 0 {
 		layerNormAVX8(&dst[0], &src[0], &gamma[0], &beta[0], n, eps)
 		return
 	}

@@ -5,22 +5,25 @@ import (
 	"testing"
 )
 
-// portable runs fn with the AVX2 kernels switched off, i.e. on the Go
-// reference arithmetic the portable build uses.
-func portable(fn func()) {
-	old := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = old }()
+// atLevel runs fn with the process's kernel level set to l, which must not
+// be above what the host supports.
+func atLevel(l kernelLevel, fn func()) {
+	old := level
+	level = l
+	defer func() { level = old }()
 	fn()
 }
+
+// portable runs fn on the Go reference arithmetic of the portable level.
+func portable(fn func()) { atLevel(levelPortable, fn) }
 
 // TestVectorKernelsMatchReference pins the float32 vector math's contract:
 // the AVX2 kernels produce, bit for bit, what the Go reference functions
 // produce — element-wise results and reductions alike — so lanes, scalar
 // tails and the portable build cannot drift apart.
 func TestVectorKernelsMatchReference(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("AVX2 kernels not active")
+	if level < levelAVX2 {
+		t.Skip("no vector kernels active at level " + level.String())
 	}
 	rng := NewRNG(31)
 	for _, n := range []int{1, 7, 8, 9, 16, 63, 64, 65, 256, 301} {
