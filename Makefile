@@ -146,7 +146,9 @@ bench-diffusion-smoke:
 # them and so that the budget's ops add up to the block. The report being
 # overwritten is read first: its one-member batch_scaling rows are the
 # parent column of lane_fixed_work, so regenerate from a clean tree whose
-# BENCH_kernels.json is the parent's, taken on the same host.
+# BENCH_kernels.json is the parent's, taken on the same host. On a host
+# above the avx2 kernel level the command runs itself a second time capped
+# at avx2 (avx2_capped, level_check) and exits 1 if its own level loses.
 bench-kernels:
 	$(GO) run ./cmd/flashps-kernels -par 1 -o BENCH_kernels.json
 
