@@ -148,7 +148,8 @@ bench-diffusion-smoke:
 # parent column of lane_fixed_work, so regenerate from a clean tree whose
 # BENCH_kernels.json is the parent's, taken on the same host. On a host
 # above the avx2 kernel level the command runs itself a second time capped
-# at avx2 (avx2_capped, level_check) and exits 1 if its own level loses.
+# at avx2, keeps those times beside its own (level_check, block_ns_avx2,
+# avx2_us_per_lane_step) and exits 1 if its own level loses.
 bench-kernels:
 	$(GO) run ./cmd/flashps-kernels -par 1 -o BENCH_kernels.json
 

@@ -13,8 +13,10 @@
 // every "after" kernel again at parallelism 1 and 2, where 2 must not lose
 // (the command exits 1 if it does). On a host whose kernel level is above
 // avx2 the command runs itself once more under the avx2 cap and keeps that
-// report beside its own, with every "after" kernel at the two levels, where
-// the host's own must not lose either.
+// run's figures beside its own — every "after" kernel (level_check), each
+// block's and op's time in block_budgets, the lone session's step and its
+// cost law in lane_fixed_work — where the host's own level must not lose
+// either.
 //
 // Everything that is compared is timed in interleaved rounds and reported
 // as a median (timeRounds): on a shared host a vCPU changes speed every few
@@ -81,6 +83,7 @@ type BudgetRow struct {
 	FLOP   int64   `json:"flop"`
 	Bytes  int64   `json:"bytes"`
 	Ns     int64   `json:"ns"`
+	NsAVX2 int64   `json:"ns_avx2,omitempty"` // the same run capped at avx2 (keepCapped)
 	GFLOPs float64 `json:"gflops,omitempty"`
 	GBps   float64 `json:"gb_s"`
 	Pct    float64 `json:"pct_of_block"`
@@ -91,6 +94,7 @@ type Budget struct {
 	Block        string      `json:"block"`
 	MaskedTokens int         `json:"masked_tokens"`
 	BlockNs      int64       `json:"block_ns"`
+	BlockNsAVX2  int64       `json:"block_ns_avx2,omitempty"`
 	BlockGFLOPs  float64     `json:"block_gflops"`
 	Rows         []BudgetRow `json:"rows"`
 }
@@ -123,8 +127,10 @@ type LevelRow struct {
 	Ratio    float64 `json:"native_over_avx2"`
 }
 
-// levelSlack is parSlack for level_check; wider, because the two sides are
-// medians taken minutes apart, not in interleaved rounds.
+// levelSlack is parSlack for level_check. It is wider because the two sides
+// are medians of two processes a minute apart, not of interleaved rounds:
+// the sub-tile attention shapes, the same code at both levels, have read
+// 0.94 in one run of this host and 1.17 in the next.
 const levelSlack = 1.20
 
 // CrossoverRow is the masked block at one mask size with the unmasked
@@ -169,10 +175,12 @@ type ScalingRow struct {
 }
 
 // FixedWorkRow is the lone session's step at one mask size, per lane-step
-// (a guided member-step is two), at the parent revision and at this one.
+// (a guided member-step is two), at the parent revision, at this one capped
+// at avx2 (where the host's level is above it) and at this one.
 type FixedWorkRow struct {
 	MaskedTokens int     `json:"masked_tokens"`
 	ParentUs     float64 `json:"parent_us_per_lane_step,omitempty"`
+	AVX2Us       float64 `json:"avx2_us_per_lane_step,omitempty"`
 	Us           float64 `json:"us_per_lane_step"`
 }
 
@@ -182,11 +190,14 @@ type FixedWorkRow struct {
 // rows' K/V where they are still projected, the copies of derived K/V,
 // attention's per-call set-up — and the slope what a masked token costs.
 // The parent's law is fitted to the same rows of the report this run
-// overwrites (its revision in ParentRev), when there was one.
+// overwrites (its revision in ParentRev), when there was one; the avx2 law
+// is the same run's capped at avx2 (keepCapped).
 type FixedWork struct {
 	ParentRev       string         `json:"parent_rev,omitempty"`
 	ParentIntercept float64        `json:"parent_intercept_us,omitempty"`
 	ParentSlope     float64        `json:"parent_slope_us_per_token,omitempty"`
+	AVX2Intercept   float64        `json:"avx2_intercept_us,omitempty"`
+	AVX2Slope       float64        `json:"avx2_slope_us_per_token,omitempty"`
 	Intercept       float64        `json:"intercept_us"`
 	Slope           float64        `json:"slope_us_per_token"`
 	Rows            []FixedWorkRow `json:"rows"`
@@ -219,11 +230,7 @@ type Report struct {
 	FixedWork   FixedWork      `json:"lane_fixed_work"`
 	Leftover    []LeftoverRow  `json:"leftover_tiles"`
 	ParCheck    []ParRow       `json:"par_check,omitempty"`
-	// LevelCheck and AVX2Capped are present when Meta.Kernels is above avx2:
-	// the whole report again from a child process capped at avx2, and this
-	// report's entries against that one's.
-	LevelCheck []LevelRow `json:"level_check,omitempty"`
-	AVX2Capped *Report    `json:"avx2_capped,omitempty"`
+	LevelCheck  []LevelRow     `json:"level_check,omitempty"` // where Meta.Kernels is above avx2
 }
 
 // rounds is how many interleaved rounds timeRounds takes (-rounds).
@@ -896,16 +903,37 @@ func cappedRun(par int) (rep *Report, lost bool, err error) {
 	return rep, runErr != nil, nil
 }
 
-// levelCheck pairs the entries of the report at the host's level with the
-// capped report's.
-func levelCheck(native, capped []Entry) []LevelRow {
-	var rows []LevelRow
-	for i, e := range native {
-		c := capped[i]
-		rows = append(rows, LevelRow{Op: e.Op, Shape: e.Shape, NsAVX2: c.After.NsPerOp, NsNative: e.After.NsPerOp,
+// keepCapped puts the avx2-capped run's figures beside this run's: every
+// entry at both levels in level_check, each block's and op's time in
+// block_budgets, the lone session's step and its cost law in lane_fixed_work.
+func keepCapped(rep, capped *Report) error {
+	if len(capped.Entries) != len(rep.Entries) || len(capped.Budgets) != len(rep.Budgets) ||
+		len(capped.FixedWork.Rows) != len(rep.FixedWork.Rows) {
+		return fmt.Errorf("avx2-capped run: %d entries, %d block budgets, %d fixed-work rows; this run has %d, %d, %d",
+			len(capped.Entries), len(capped.Budgets), len(capped.FixedWork.Rows),
+			len(rep.Entries), len(rep.Budgets), len(rep.FixedWork.Rows))
+	}
+	for i, e := range rep.Entries {
+		c := capped.Entries[i]
+		rep.LevelCheck = append(rep.LevelCheck, LevelRow{Op: e.Op, Shape: e.Shape, NsAVX2: c.After.NsPerOp, NsNative: e.After.NsPerOp,
 			Ratio: float64(e.After.NsPerOp) / float64(c.After.NsPerOp)})
 	}
-	return rows
+	for i := range rep.Budgets {
+		b, c := &rep.Budgets[i], capped.Budgets[i]
+		if len(c.Rows) != len(b.Rows) {
+			return fmt.Errorf("avx2-capped run: %d ops in block budget %s, this run has %d", len(c.Rows), b.Block, len(b.Rows))
+		}
+		b.BlockNsAVX2 = c.BlockNs
+		for j := range b.Rows {
+			b.Rows[j].NsAVX2 = c.Rows[j].Ns
+		}
+	}
+	fw := &rep.FixedWork
+	fw.AVX2Intercept, fw.AVX2Slope = capped.FixedWork.Intercept, capped.FixedWork.Slope
+	for i := range fw.Rows {
+		fw.Rows[i].AVX2Us = capped.FixedWork.Rows[i].Us
+	}
+	return nil
 }
 
 func main() {
@@ -1038,11 +1066,13 @@ func main() {
 	var lostLevel []string
 	if tensor.HasAVX2() && rep.Meta.Kernels != "avx2" {
 		capped, cappedLost, err := cappedRun(*par)
+		if err == nil {
+			err = keepCapped(&rep, capped)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flashps-kernels: %v\n", err)
 			os.Exit(1)
 		}
-		rep.AVX2Capped, rep.LevelCheck = capped, levelCheck(rep.Entries, capped.Entries)
 		for _, row := range rep.LevelCheck {
 			if row.Ratio > levelSlack {
 				lostLevel = append(lostLevel, fmt.Sprintf("%s %s: %d ns at %s, %d ns at avx2", row.Op, row.Shape, row.NsNative, rep.Meta.Kernels, row.NsAVX2))

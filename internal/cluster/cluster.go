@@ -564,6 +564,6 @@ func StepLatency(sys System, p perfmodel.ModelProfile, batch []ReqView) float64 
 			CompFull:   p.BlockComputeFull(len(batch)),
 			Load:       p.BlockLoadBatch(items),
 		}
-		return pipeline.Optimize(pipeline.Uniform(cost, p.Blocks)).Latency
+		return pipeline.UniformLatency(cost, p.Blocks)
 	}
 }

@@ -71,7 +71,7 @@ func fig1(opts Options) ([]*Table, error) {
 		CompFull:   p.BlockComputeFull(1),
 		Load:       p.BlockLoadBatch([]perfmodel.LoadItem{{Template: 1, Step: 0, Ratio: m.Ratio()}}),
 	}
-	simCached := pipeline.Optimize(pipeline.Uniform(cost, p.Blocks)).Latency * float64(p.Steps)
+	simCached := pipeline.UniformLatency(cost, p.Blocks) * float64(p.Steps)
 
 	t := &Table{
 		Title:  "Fig 1 — headline example: SDXL virtual try-on edit, mask ratio 0.2",
@@ -111,7 +111,7 @@ func fig4Left(Options) ([]*Table, error) {
 		steps := float64(p.Steps)
 		naive := pipeline.NaiveLatency(costs) * steps
 		straw := pipeline.StrawmanLatency(costs) * steps
-		opt := pipeline.Optimize(costs).Latency * steps
+		opt := pipeline.UniformLatency(cost, p.Blocks) * steps
 		ideal := pipeline.IdealLatency(costs) * steps
 		t.AddRow(f2(m), f2(naive), f2(straw), f2(opt), f2(ideal),
 			f1((naive/opt-1)*100)+"%")
@@ -219,7 +219,7 @@ func fig15(opts Options) ([]*Table, error) {
 				CompFull:   p.BlockComputeFull(1),
 				Load:       p.BlockLoadBatch([]perfmodel.LoadItem{{Template: 1, Step: 0, Ratio: m}}),
 			}
-			lat := pipeline.Optimize(pipeline.Uniform(cost, p.Blocks)).Latency * float64(p.Steps)
+			lat := pipeline.UniformLatency(cost, p.Blocks) * float64(p.Steps)
 			if m == 0.2 {
 				at02 = lat
 			}

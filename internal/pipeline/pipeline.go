@@ -13,7 +13,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // BlockCost gives one block's latencies (seconds) for the current batch:
@@ -107,135 +106,114 @@ type state struct {
 	cached  bool
 }
 
+// frontierEps is the loadSum difference below which frontierStep takes two
+// states for one.
+const frontierEps = 1e-12
+
+// frontierStep extends every state of cur — a frontier: slack strictly
+// rising, loadSum strictly falling — by one block of cost c, either way,
+// and appends the Pareto frontier of the results to next[:0]: taken in
+// order of slack, and among equal slacks the least loadSum, a state stays
+// when its loadSum is below the last kept one's by more than frontierEps
+// (another has both ≤ otherwise, or is taken for the same). Both
+// transitions are monotone in slack, so the cached and the computed
+// children each come out ordered and merging them stands in for a sort;
+// where two children agree in slack and loadSum the first merged stays,
+// the cached one at equal slack. It is the one forward pass of Optimize
+// and UniformLatency and does not allocate while next has room.
+func frontierStep(next, cur []state, c BlockCost) []state {
+	// Use cached activations: the load stream extends by Load; the compute
+	// stream waits for whichever of (previous compute, this load) finishes
+	// last, then computes masked tokens.
+	cached := func(i int) state {
+		return state{math.Max(cur[i].slack-c.Load, 0) + c.CompCached, cur[i].loadSum + c.Load, i, true}
+	}
+	// Compute all tokens: no load, the compute stream extends.
+	full := func(i int) state {
+		return state{cur[i].slack + c.CompFull, cur[i].loadSum, i, false}
+	}
+	next = next[:0]
+	keep := func(p state) {
+		n := len(next)
+		switch {
+		case n > 0 && p.slack == next[n-1].slack:
+			if p.loadSum < next[n-1].loadSum {
+				next[n-1] = p
+			}
+		case n == 0 || p.loadSum < next[n-1].loadSum-frontierEps:
+			next = append(next, p)
+		}
+	}
+	i, j := 0, 0
+	for i < len(cur) && j < len(cur) {
+		if a, b := cached(i), full(j); a.slack <= b.slack {
+			keep(a)
+			i++
+		} else {
+			keep(b)
+			j++
+		}
+	}
+	for ; i < len(cur); i++ {
+		keep(cached(i))
+	}
+	for ; j < len(cur); j++ {
+		keep(full(j))
+	}
+	return next
+}
+
+// bestLatency is the least makespan among a final frontier's states.
+func bestLatency(final []state) (best int, latency float64) {
+	latency = final[0].slack + final[0].loadSum
+	for i, st := range final[1:] {
+		if lat := st.slack + st.loadSum; lat < latency {
+			best, latency = i+1, lat
+		}
+	}
+	return best, latency
+}
+
 // Optimize runs the DP over all 2^N cache decisions using a Pareto frontier
 // on (slack, loadSum) — a state is dominated when another has both ≤ — and
-// returns a latency-minimal schedule. For the homogeneous per-block costs
-// of a real batch the frontier stays tiny, giving the paper's O(N)
+// returns a latency-minimal schedule; which one, where several share the
+// latency, is frontierStep's merge order. For the homogeneous per-block
+// costs of a real batch the frontier stays tiny, giving the paper's O(N)
 // behavior; the frontier is exact for heterogeneous costs too.
 func Optimize(costs []BlockCost) Schedule {
-	if len(costs) == 0 {
-		return Schedule{UseCache: []bool{}, Latency: 0}
-	}
 	layers := make([][]state, len(costs)+1)
-	layers[0] = []state{{slack: 0, loadSum: 0, parent: -1}}
+	layers[0] = []state{{parent: -1}}
 	for i, c := range costs {
-		next := make([]state, 0, 2*len(layers[i]))
-		for pi, st := range layers[i] {
-			// Use cached activations: the load stream extends by Load; the
-			// compute stream waits for whichever of (previous compute,
-			// this load) finishes last, then computes masked tokens.
-			next = append(next, state{
-				slack:   math.Max(st.slack-c.Load, 0) + c.CompCached,
-				loadSum: st.loadSum + c.Load,
-				parent:  pi,
-				cached:  true,
-			})
-			// Compute all tokens: no load, compute stream extends.
-			next = append(next, state{
-				slack:   st.slack + c.CompFull,
-				loadSum: st.loadSum,
-				parent:  pi,
-				cached:  false,
-			})
-		}
-		layers[i+1] = paretoPrune(next)
+		layers[i+1] = frontierStep(make([]state, 0, 2*len(layers[i])), layers[i], c)
 	}
-
-	final := layers[len(costs)]
-	best := 0
-	bestLatency := final[0].slack + final[0].loadSum
-	for i, st := range final[1:] {
-		if lat := st.slack + st.loadSum; lat < bestLatency {
-			bestLatency = lat
-			best = i + 1
-		}
-	}
-
+	idx, latency := bestLatency(layers[len(costs)])
 	useCache := make([]bool, len(costs))
-	idx := best
 	for i := len(costs) - 1; i >= 0; i-- {
 		st := layers[i+1][idx]
 		useCache[i] = st.cached
 		idx = st.parent
 	}
-	return Schedule{UseCache: useCache, Latency: bestLatency}
+	return Schedule{UseCache: useCache, Latency: latency}
 }
 
-// frontierEps is the loadSum difference below which paretoPrune takes two
-// states for one.
-const frontierEps = 1e-12
-
-// paretoPrune removes dominated states: after sorting by slack ascending,
-// only states with strictly decreasing loadSum survive. States with
-// near-identical coordinates are merged to bound the frontier.
-func paretoPrune(states []state) []state {
-	sort.Slice(states, func(a, b int) bool {
-		if states[a].slack != states[b].slack {
-			return states[a].slack < states[b].slack
-		}
-		return states[a].loadSum < states[b].loadSum
-	})
-	out := states[:0]
-	bestLoad := math.Inf(1)
-	for _, st := range states {
-		if st.loadSum < bestLoad-frontierEps {
-			out = append(out, st)
-			bestLoad = st.loadSum
-		}
-	}
-	return out
-}
-
-// UniformLatency is Optimize(Uniform(c, n)).Latency — the same frontier,
-// the same arithmetic in the same order, the same float64 — without the
-// schedule behind it and without allocating: what the mask-aware
-// scheduler's cost scoring (Algo 2) asks per candidate worker.
+// UniformLatency is Optimize(Uniform(c, n)).Latency — the same forward pass,
+// so the same float64 — without the schedule behind it: what the mask-aware
+// scheduler's cost scoring (Algo 2) asks per candidate worker. With equal
+// blocks a frontier holds at most one state per count of cached blocks so
+// far, and below uniformBlocks blocks the call does not allocate.
 func UniformLatency(c BlockCost, n int) float64 {
-	// With equal blocks a state's loadSum is Load added once per cached
-	// block, and the frontier keeps one state per distinct loadSum: at most
-	// one more than the blocks so far.
-	const maxStates = 64
-	if n >= maxStates {
-		return Optimize(Uniform(c, n)).Latency
-	}
-	type point struct{ slack, loadSum float64 }
-	var (
-		cur  [maxStates]point
-		next [2 * maxStates]point
-	)
-	m := 1 // cur[0] is the empty prefix
+	var a, b [uniformBlocks]state
+	cur, next := append(a[:0], state{parent: -1}), b[:0]
 	for i := 0; i < n; i++ {
-		k := 0
-		for _, st := range cur[:m] {
-			next[k] = point{math.Max(st.slack-c.Load, 0) + c.CompCached, st.loadSum + c.Load}
-			next[k+1] = point{st.slack + c.CompFull, st.loadSum}
-			k += 2
-		}
-		// paretoPrune: order by (slack, loadSum), keep strictly falling loadSum.
-		for a := 1; a < k; a++ {
-			p, b := next[a], a
-			for ; b > 0 && (p.slack < next[b-1].slack || p.slack == next[b-1].slack && p.loadSum < next[b-1].loadSum); b-- {
-				next[b] = next[b-1]
-			}
-			next[b] = p
-		}
-		m = 0
-		bestLoad := math.Inf(1)
-		for _, p := range next[:k] {
-			if p.loadSum < bestLoad-frontierEps {
-				cur[m], bestLoad = p, p.loadSum
-				m++
-			}
-		}
+		cur, next = frontierStep(next, cur, c), cur
 	}
-	best := cur[0].slack + cur[0].loadSum
-	for _, p := range cur[1:m] {
-		if lat := p.slack + p.loadSum; lat < best {
-			best = lat
-		}
-	}
-	return best
+	_, latency := bestLatency(cur)
+	return latency
 }
+
+// uniformBlocks sizes the two frontiers UniformLatency keeps on its stack;
+// every model profile has fewer blocks.
+const uniformBlocks = 64
 
 // CacheBlockCount returns how many blocks of a schedule use the cache.
 func (s Schedule) CacheBlockCount() int {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,29 +214,87 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestUniformLatencyIsOptimizeLatency(t *testing.T) {
-	// The same float64 as the DP it stands in for, at every block count up
-	// to past its fixed frontier, for costs at second and at microsecond
-	// scale, with a zero or a vanishing term (loads within paretoPrune's
-	// epsilon of each other), cached dearer than full, and equal terms.
-	rng := tensor.NewRNG(5)
+// degenerateCosts draws block costs at second and at microsecond scale, with
+// zero and vanishing terms (loads within frontierEps of each other), small
+// integers (sums that tie exactly), cached dearer than full, and equal terms.
+func degenerateCosts(rng *tensor.RNG) BlockCost {
 	draw := func() float64 {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			return 0
 		case 1:
 			return rng.Float64() * 1e-13
 		case 2:
 			return rng.Float64() * 1e-4
+		case 3:
+			return float64(rng.Intn(4))
 		default:
 			return rng.Float64() * 5
 		}
 	}
-	for trial := 0; trial < 4000; trial++ {
-		c := BlockCost{CompCached: draw(), CompFull: draw(), Load: draw()}
-		if rng.Intn(8) == 0 {
-			c.CompFull = c.CompCached
+	c := BlockCost{CompCached: draw(), CompFull: draw(), Load: draw()}
+	if rng.Intn(8) == 0 {
+		c.CompFull = c.CompCached
+	}
+	return c
+}
+
+// TestFrontierStepIsSortAndPrune holds the merge to what it stands in for:
+// every child of every state, sorted by (slack, loadSum), kept while
+// loadSum falls by more than frontierEps. The frontiers agree in every
+// coordinate at every block, so the latency does in its bits.
+func TestFrontierStepIsSortAndPrune(t *testing.T) {
+	sortAndPrune := func(cur []state, c BlockCost) []state {
+		var all []state
+		for _, st := range cur {
+			all = append(all,
+				state{slack: math.Max(st.slack-c.Load, 0) + c.CompCached, loadSum: st.loadSum + c.Load},
+				state{slack: st.slack + c.CompFull, loadSum: st.loadSum})
 		}
+		sort.Slice(all, func(a, b int) bool {
+			if all[a].slack != all[b].slack {
+				return all[a].slack < all[b].slack
+			}
+			return all[a].loadSum < all[b].loadSum
+		})
+		var out []state
+		bestLoad := math.Inf(1)
+		for _, st := range all {
+			if st.loadSum < bestLoad-frontierEps {
+				out, bestLoad = append(out, st), st.loadSum
+			}
+		}
+		return out
+	}
+	rng := tensor.NewRNG(11)
+	for trial := 0; trial < 20000; trial++ {
+		uniform := rng.Intn(2) == 0
+		c := degenerateCosts(rng)
+		got, want := []state{{}}, []state{{}}
+		for block, n := 0, rng.Intn(24); block < n; block++ {
+			if !uniform {
+				c = degenerateCosts(rng)
+			}
+			got, want = frontierStep(nil, got, c), sortAndPrune(want, c)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d block %d: %d states, want %d", trial, block, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].slack != want[i].slack || got[i].loadSum != want[i].loadSum {
+					t.Fatalf("trial %d block %d state %d: (%v, %v), want (%v, %v)", trial, block, i,
+						got[i].slack, got[i].loadSum, want[i].slack, want[i].loadSum)
+				}
+			}
+		}
+	}
+}
+
+func TestUniformLatencyIsOptimizeLatency(t *testing.T) {
+	// The same float64 as the DP behind a schedule, at every block count up
+	// to past the frontiers it keeps on its stack.
+	rng := tensor.NewRNG(5)
+	for trial := 0; trial < 4000; trial++ {
+		c := degenerateCosts(rng)
 		n := rng.Intn(70)
 		if trial < 70 {
 			n = trial

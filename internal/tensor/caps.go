@@ -29,6 +29,11 @@ func (l kernelLevel) String() string { return levelNames[l] }
 // that changes nothing.
 const levelEnv = "FLASHPS_KERNELS"
 
+// retiredEnv is the switch levelEnv replaced (any value meant portable). A
+// process that still finds it set does not start: ignored, it would run the
+// host's own level for an operator who asked for the portable one.
+const retiredEnv = "FLASHPS_NO_AVX2"
+
 // level is the process's kernel level, resolved once at start: the decision
 // must not change mid-run, or mixed scalar/vector rounding would break
 // reproducibility between calls (the two vector levels agree bit for bit;
@@ -36,7 +41,7 @@ const levelEnv = "FLASHPS_KERNELS"
 var level = startLevel()
 
 func startLevel() kernelLevel {
-	l, err := capLevel(nativeLevel(), os.Getenv(levelEnv))
+	l, err := capLevel(nativeLevel(), os.Getenv(levelEnv), os.Getenv(retiredEnv))
 	if err != nil {
 		// No caller to return to at package initialisation, and running at
 		// a level the operator did not ask for is worse than not running.
@@ -46,8 +51,12 @@ func startLevel() kernelLevel {
 	return l
 }
 
-// capLevel applies the cap variable's value to the host's level.
-func capLevel(native kernelLevel, cap string) (kernelLevel, error) {
+// capLevel applies the cap variable's value to the host's level; retired
+// is retiredEnv's.
+func capLevel(native kernelLevel, cap, retired string) (kernelLevel, error) {
+	if retired != "" {
+		return 0, fmt.Errorf("%s is no longer read: set %s=%s instead", retiredEnv, levelEnv, levelPortable)
+	}
 	if cap == "" {
 		return native, nil
 	}

@@ -41,19 +41,27 @@ func TestDetectLevel(t *testing.T) {
 
 func TestCapLevel(t *testing.T) {
 	for _, native := range []kernelLevel{levelPortable, levelAVX2, levelAVX512} {
-		if got, err := capLevel(native, ""); err != nil || got != native {
+		if got, err := capLevel(native, "", ""); err != nil || got != native {
 			t.Errorf("no cap on %v: %v, %v", native, got, err)
 		}
 		for l, name := range levelNames {
-			got, err := capLevel(native, name)
+			got, err := capLevel(native, name, "")
 			if want := min(native, kernelLevel(l)); err != nil || got != want {
 				t.Errorf("cap %s on %v: %v, %v; want %v", name, native, got, err, want)
+			}
+		}
+		// The switch the cap replaced stops the start, whatever the cap
+		// says, and names what to set instead.
+		for _, cap := range []string{"", "portable", "avx512"} {
+			_, err := capLevel(native, cap, "1")
+			if err == nil || !strings.Contains(err.Error(), levelEnv+"=portable") {
+				t.Errorf("%s=1 with cap %q on %v: %v", retiredEnv, cap, native, err)
 			}
 		}
 		// A value that is not a level is an error naming the accepted ones,
 		// never the host's own level.
 		for _, bad := range []string{"1", "AVX2", "avx-512", "native", "none", " avx2"} {
-			_, err := capLevel(native, bad)
+			_, err := capLevel(native, bad, "")
 			if err == nil {
 				t.Errorf("cap %q on %v accepted", bad, native)
 				continue
