@@ -2,7 +2,7 @@ GO ?= go
 PARENT ?= HEAD~1
 RUNS ?= 0
 
-.PHONY: all check build bench-build test test-levels vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-pair bench-serve bench-serve-fleet-smoke whatif experiments fuzz clean
+.PHONY: all check build bench-build test test-levels vet race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench bench-smoke bench-diffusion bench-diffusion-smoke bench-kernels bench-pair deps-lint calib whatif experiments fuzz clean
 
 all: check
 
@@ -12,11 +12,12 @@ all: check
 # stress drill, the sim-vs-real differential replay (decisions, timings,
 # AND byte-identical telemetry), the fleet differential replay, the
 # observability lint/golden gate, the alerting/flight-recorder drill, the
-# calibration accuracy gate, and one-iteration benchmark smoke passes
-# (including a fleet router sweep) so the benchmarks themselves can't rot.
-# bench-build and test-levels cover what the plain build and test do not:
-# the nested benchmark module and the kernel levels below the host's own.
-check: build bench-build vet test test-levels race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke bench-serve-fleet-smoke
+# calibration accuracy gate, and one-iteration benchmark smoke passes so the
+# benchmarks themselves can't rot. bench-build and test-levels cover what
+# the plain build and test do not: the nested benchmark module and the
+# kernel levels below the host's own. deps-lint keeps every internal
+# package reachable from a binary.
+check: build bench-build vet deps-lint test test-levels race faults conservation cache-stress replay-diff fleet-diff obs-lint alerts-smoke calib-gate bench-smoke bench-diffusion-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +33,14 @@ bench-build:
 
 vet:
 	$(GO) vet ./...
+
+# Every internal package has a caller that is not a test or an example: it
+# is in the import graph of some cmd/ binary (ROADMAP item 7).
+deps-lint:
+	@deps=$$($(GO) list -deps ./cmd/...) || exit 1; \
+	pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	orphans=$$(echo "$$pkgs" | grep -vxF "$$deps"); \
+	if [ -n "$$orphans" ]; then echo "deps-lint: no binary imports:"; echo "$$orphans"; exit 1; fi
 
 # Includes the step path's two guards: TestOneRunLoopLint (no package
 # outside internal/diffusion steps a batch session by session) and
@@ -163,18 +172,11 @@ bench-kernels:
 bench-pair:
 	PARENT=$(PARENT) RUNS=$(RUNS) bash scripts/bench-pair.sh
 
-# Serving-plane benchmark: drive a fixed open-loop workload through the
-# in-process server (real engines on a reduced model) and write latency
-# percentiles, goodput, steps/s, and SLO attainment as JSON, plus the
-# coefficient set fitted from the run's telemetry. The 4-replica router
-# sweep reports least-loaded vs template-affinity side by side.
-bench-serve:
-	$(GO) run ./cmd/flashps-servebench -o BENCH_serve.json -calib BENCH_calib.json -replicas 4 -router-sweep
-
-# Fast fleet variant for make check: a small router sweep that proves the
-# fleet serving path (admission, routing, staging, /v1/fleet) can't rot.
-bench-serve-fleet-smoke:
-	$(GO) run ./cmd/flashps-servebench -smoke -replicas 3 -router-sweep -o /dev/null
+# The coefficient set make whatif reads: serve 500 requests at 1400 rps on
+# 4 in-process replicas (real engines on a small model), fit perfmodel
+# coefficients from the run's telemetry and write them.
+calib:
+	$(GO) run ./cmd/flashps-whatif -capture BENCH_calib.json -workers 4
 
 # Capacity prediction from the fitted coefficients — no server involved.
 whatif:

@@ -6,7 +6,6 @@ import (
 
 	"flashps/internal/batching"
 	"flashps/internal/cluster"
-	"flashps/internal/core"
 	"flashps/internal/diffusion"
 	"flashps/internal/experiments"
 	"flashps/internal/img"
@@ -111,19 +110,7 @@ func BenchmarkFig4RightLoadBalance(b *testing.B) { benchExperiment(b, "fig4right
 
 // --- Fig 6: key-insight analyses ------------------------------------------
 
-func BenchmarkFig6ActivationSimilarity(b *testing.B) {
-	eng, err := diffusion.NewEngine(model.SD21Sim, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := mask.WithRatio(tensor.NewRNG(5), model.SD21Sim.LatentH, model.SD21Sim.LatentW, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeActivationSimilarity(eng, 9, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig6ActivationSimilarity(b *testing.B) { benchExperiment(b, "fig6") }
 
 // --- Fig 9 / Algorithm 1: pipeline DP -------------------------------------
 

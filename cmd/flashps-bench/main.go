@@ -7,7 +7,6 @@
 //	flashps-bench -list                   # list experiment ids
 //	flashps-bench -quick                  # smaller workloads
 //	flashps-bench -out images/            # write Fig 13 PNGs there
-//	flashps-bench -experiment fig3 -obs-out obs/  # + telemetry artifacts
 //
 // Experiment ids follow the paper's artifact names: fig1, fig3, fig4left,
 // fig4mid, fig4right, fig6, fig9, fig11, fig12, fig13, fig14, fig15,
@@ -22,13 +21,8 @@ import (
 	"strings"
 	"time"
 
-	"flashps/internal/batching"
-	"flashps/internal/cluster"
 	"flashps/internal/experiments"
-	"flashps/internal/obs"
-	"flashps/internal/perfmodel"
 	"flashps/internal/tensor"
-	"flashps/internal/workload"
 )
 
 func main() {
@@ -39,7 +33,6 @@ func main() {
 		outDir     = flag.String("out", "", "directory for image artifacts (fig13)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		par        = flag.Int("par", runtime.GOMAXPROCS(0), "kernel worker parallelism (1 = serial)")
-		obsOut     = flag.String("obs-out", "", "directory for telemetry artifacts (metrics.prom, trace.json, dash.html) from an instrumented serving simulation")
 	)
 	flag.Parse()
 	tensor.SetParallelism(*par)
@@ -79,47 +72,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *obsOut != "" {
-		if err := writeObsArtifacts(*obsOut, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "flashps-bench: obs artifacts: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeObsArtifacts runs the paper's canonical serving configuration
-// (FlashPS, disaggregated continuous batching, mask-aware routing, the
-// production mask distribution) through the instrumented simulator and
-// writes the telemetry plane's three artifacts — virtual-time Prometheus
-// exposition, Chrome trace, and dashboard — alongside the benchmark tables.
-func writeObsArtifacts(dir string, quick bool, seed uint64) error {
-	n, rps := 400, 6.0
-	if quick {
-		n = 100
-	}
-	reqs, err := workload.Generate(workload.TraceConfig{
-		N: n, RPS: rps, Dist: workload.ProductionTrace, Templates: 16, ZipfS: 1.1, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	plane := obs.NewPlane(obs.PlaneConfig{})
-	if _, err := cluster.Run(cluster.Config{
-		Batching: cluster.BatchingDisaggregated,
-		Policy:   batching.MaskAware,
-		Workers:  4,
-		Profile:  perfmodel.SD21Paper,
-		Seed:     seed,
-		Obs:      plane,
-	}, reqs); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := plane.WriteArtifacts(dir); err != nil {
-		return err
-	}
-	fmt.Printf("[obs artifacts written to %s]\n", dir)
-	return nil
 }

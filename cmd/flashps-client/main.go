@@ -38,7 +38,7 @@ import (
 	"sync"
 	"time"
 
-	"flashps/internal/metrics"
+	"flashps/internal/obs"
 	"flashps/internal/serve"
 	"flashps/internal/tensor"
 	"flashps/internal/workload"
@@ -292,8 +292,8 @@ func (c *client) runLoad(templates []uint64, dist workload.MaskDist, n int, rps 
 	}
 	var (
 		mu        sync.Mutex
-		total     metrics.Recorder
-		queue     metrics.Recorder
+		total     obs.Dist
+		queue     obs.Dist
 		reusedSum float64
 		errors    int
 		wg        sync.WaitGroup

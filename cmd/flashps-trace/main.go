@@ -34,7 +34,6 @@ import (
 	"flashps/internal/cluster"
 	"flashps/internal/experiments"
 	"flashps/internal/fleet"
-	"flashps/internal/metrics"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
 	"flashps/internal/tensor"
@@ -105,7 +104,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var ratios metrics.Recorder
+		var ratios obs.Dist
 		for _, r := range reqs {
 			ratios.Add(r.MaskRatio)
 		}

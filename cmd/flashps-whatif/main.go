@@ -1,17 +1,21 @@
 // Command flashps-whatif answers capacity questions from a calibrated cost
 // model in seconds, no server required: it loads a telemetry-fitted
-// coefficient set (flashps-servebench -calib, docs/CALIBRATION.md),
-// generates the hypothetical workload, and replays it through the
-// calibrated discrete-event simulator — the same batching core and the
-// same Algorithm-2 scoring estimator the live server runs, with every
-// duration supplied by the fitted step law and overheads.
+// coefficient set (docs/CALIBRATION.md), generates the hypothetical
+// workload, and replays it through the calibrated discrete-event
+// simulator — the same batching core and the same Algorithm-2 scoring
+// estimator the live server runs, with every duration supplied by the
+// fitted step law and overheads. The output is a benchfmt.ServeResult
+// with "predicted": true:
 //
-// The output is the BENCH_serve.json schema with "predicted": true, so a
-// what-if answer diffs directly against a measured baseline:
-//
-//	flashps-servebench -calib BENCH_calib.json -o BENCH_serve.json
 //	flashps-whatif -coeffs BENCH_calib.json -rate 1400 -requests 500 -o -
 //	flashps-whatif -coeffs BENCH_calib.json -workers 8 -rate 4000
+//
+// With -capture it produces such a set instead: it serves the same
+// workload shape on an in-process server (real engines on a small model),
+// fits the coefficients from the run's cost samples and writes them
+// (`make calib`):
+//
+//	flashps-whatif -capture BENCH_calib.json -workers 4
 //
 // With -drift-base it instead acts as the recalibration gate: compare the
 // -coeffs set against a baseline fit and exit non-zero when any coefficient's
@@ -30,10 +34,21 @@ import (
 	"flashps/internal/batching"
 	"flashps/internal/benchfmt"
 	"flashps/internal/cluster"
+	"flashps/internal/model"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
+	"flashps/internal/replay"
 	"flashps/internal/workload"
 )
+
+// captureModel is the engine a -capture run serves: real denoising math,
+// small enough that 500 requests take about half a second. Its name stays
+// the one of the bench that first fitted this shape, so earlier sets remain
+// comparable under -drift-base.
+var captureModel = model.Config{
+	Name: "servebench", LatentH: 6, LatentW: 6, Hidden: 32,
+	NumBlocks: 3, FFNMult: 4, Steps: 5, LatentChannels: 4,
+}
 
 func main() {
 	var (
@@ -47,6 +62,8 @@ func main() {
 		discipline = flag.String("discipline", "disagg", "batching discipline: static|strawman|disagg")
 		policy     = flag.String("policy", "mask-aware", "routing policy: round-robin|least-requests|least-tokens|mask-aware")
 		out        = flag.String("o", "-", "output JSON file (- for stdout)")
+		capture    = flag.String("capture", "",
+			"serve the workload on an in-process server, fit a coefficient set from its telemetry and write it here instead of simulating")
 
 		driftBase = flag.String("drift-base", "",
 			"baseline coefficient set: compare -coeffs against it and exit 1 on drift instead of simulating")
@@ -64,7 +81,23 @@ func main() {
 		return
 	}
 
-	res, err := run(*coeffsPath, *n, *rps, *workers, *maxBatch, *templates, *seed, *discipline, *policy)
+	b, pol, err := parseShape(*discipline, *policy)
+	if err != nil {
+		fatal(err)
+	}
+	if *capture != "" {
+		err := runCapture(*capture, replay.CaptureConfig{
+			Model: captureModel, Scoring: perfmodel.SD21Paper,
+			Workers: *workers, MaxBatch: *maxBatch, PreWorkers: 2, PostWorkers: 2,
+			Policy: pol, Discipline: b, Seed: *seed,
+			N: *n, RPS: *rps, Dist: workload.ProductionTrace, Templates: *templates,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		return
+	}
+	res, err := run(*coeffsPath, *n, *rps, *workers, *maxBatch, *templates, *seed, b, pol)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,26 +117,46 @@ func main() {
 	}
 }
 
-func run(coeffsPath string, n int, rps float64, workers, maxBatch, templates int,
-	seed uint64, disciplineName, policyName string) (*benchfmt.ServeResult, error) {
-	coeffs, err := perfmodel.LoadCoefficients(coeffsPath)
-	if err != nil {
-		return nil, err
-	}
+// parseShape reads the -discipline and -policy flags.
+func parseShape(disciplineName, policyName string) (cluster.Batching, batching.Policy, error) {
 	disc, err := batching.ParseDiscipline(disciplineName)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	var b cluster.Batching
+	b := cluster.BatchingDisaggregated
 	switch disc {
 	case batching.Static:
 		b = cluster.BatchingStatic
 	case batching.StrawmanCB:
 		b = cluster.BatchingStrawman
-	default:
-		b = cluster.BatchingDisaggregated
 	}
 	pol, err := batching.ParsePolicy(policyName)
+	return b, pol, err
+}
+
+// runCapture is replay.CaptureServe → Capture.Fit → SaveCoefficients: the
+// coefficient set every other mode reads.
+func runCapture(path string, cfg replay.CaptureConfig) error {
+	c, err := replay.CaptureServe(cfg)
+	if err != nil {
+		return err
+	}
+	coeffs, err := c.Fit()
+	if err != nil {
+		return fmt.Errorf("calibration fit: %w", err)
+	}
+	if err := perfmodel.SaveCoefficients(path, coeffs); err != nil {
+		return err
+	}
+	fit := coeffs.Fits["denoise_step"]
+	fmt.Printf("wrote %s: %d requests (%d errors) in %.2fs, %d step samples, R² %.3f, residual %.3f\n",
+		path, len(c.Trace), c.Errors, c.ElapsedS, fit.Samples, fit.R2, fit.Residual)
+	return nil
+}
+
+func run(coeffsPath string, n int, rps float64, workers, maxBatch, templates int,
+	seed uint64, b cluster.Batching, pol batching.Policy) (*benchfmt.ServeResult, error) {
+	coeffs, err := perfmodel.LoadCoefficients(coeffsPath)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
-// Quickstart: prepare a template once, then run a mask-aware edit and
-// compare it against full-image regeneration — the paper's core loop in
-// ~40 lines of API usage.
+// Quickstart: prepare a template once, then run a mask-aware edit — the
+// edit a served /v1/edits request runs — and compare it against full-image
+// regeneration: the paper's core loop in ~40 lines of API usage.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,12 +11,10 @@ import (
 	"runtime"
 	"time"
 
-	"flashps/internal/core"
 	"flashps/internal/diffusion"
 	"flashps/internal/img"
 	"flashps/internal/mask"
 	"flashps/internal/model"
-	"flashps/internal/perfmodel"
 	"flashps/internal/quality"
 	"flashps/internal/tensor"
 )
@@ -24,9 +22,7 @@ import (
 func main() {
 	// Use every core for the tensor kernels (the library default is serial).
 	tensor.SetParallelism(runtime.GOMAXPROCS(0))
-	// An Editor bundles the numeric diffusion engine with the paper-scale
-	// cost model used for pipeline planning (Algorithm 1).
-	editor, err := core.NewEditor(model.SDXLSim, perfmodel.SDXLPaper, 42)
+	eng, err := diffusion.NewEngine(model.SDXLSim, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,10 +30,10 @@ func main() {
 	// Synthesize an image template (stand-in for a product/model photo)
 	// and run the cache-population pass: a full generation that records
 	// every block's activations for later reuse (§2.2, §3.1).
-	cfg := editor.Engine.Model.Config()
-	h, w := editor.Engine.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
+	cfg := eng.Model.Config()
+	h, w := eng.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
 	template := img.SynthTemplate(7, h, w)
-	tc, templateOut, err := editor.Prepare(1, template, "studio photo of a model", false)
+	tc, templateOut, err := eng.PrepareTemplate(1, template, "studio photo of a model", false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +45,10 @@ func main() {
 	fmt.Printf("mask: %v\n", m)
 
 	start := time.Now()
-	res, err := editor.Edit(tc, m, "a red floral dress", 3)
+	res, err := eng.Edit(diffusion.EditRequest{
+		Template: tc, Mask: m, Prompt: "a red floral dress", Seed: 3,
+		Mode: diffusion.EditCachedY,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func main() {
 
 	// Baseline: full-image regeneration (what Diffusers does).
 	start = time.Now()
-	full, err := editor.Engine.Edit(diffusion.EditRequest{
+	full, err := eng.Edit(diffusion.EditRequest{
 		Template: tc, Mask: m, Prompt: "a red floral dress", Seed: 3,
 		Mode: diffusion.EditFull,
 	})
@@ -66,12 +65,9 @@ func main() {
 	}
 	fullLatency := time.Since(start)
 
-	fmt.Printf("mask-aware edit:      %8.1f ms (plan: %d/%d blocks cached)\n",
-		editLatency.Seconds()*1e3, res.Plan.CachedBlocks, len(res.Plan.UseCache))
+	fmt.Printf("mask-aware edit:      %8.1f ms\n", editLatency.Seconds()*1e3)
 	fmt.Printf("full regeneration:    %8.1f ms\n", fullLatency.Seconds()*1e3)
 	fmt.Printf("measured speedup:     %8.2f×\n", fullLatency.Seconds()/editLatency.Seconds())
-	fmt.Printf("simulated H800 speedup: %6.2f× (paper: ≈2.2× for SDXL at m=0.2)\n",
-		res.Plan.FullCompute/res.Plan.BubbleFree)
 	fmt.Printf("SSIM vs full regeneration: %.4f (paper: ≈0.99)\n",
 		quality.SSIM(res.Image, full.Image))
 
@@ -82,7 +78,7 @@ func main() {
 			if m.At(ly, lx) {
 				continue
 			}
-			py, px := ly*editor.Engine.Codec.Patch, lx*editor.Engine.Codec.Patch
+			py, px := ly*eng.Codec.Patch, lx*eng.Codec.Patch
 			r0, g0, b0 := templateOut.At(py, px)
 			r1, g1, b1 := res.Image.At(py, px)
 			identical = r0 == r1 && g0 == g1 && b0 == b1

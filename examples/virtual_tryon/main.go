@@ -13,13 +13,11 @@ import (
 	"runtime"
 	"time"
 
-	"flashps/internal/core"
 	"flashps/internal/diffusion"
 	"flashps/internal/img"
 	"flashps/internal/mask"
-	"flashps/internal/metrics"
 	"flashps/internal/model"
-	"flashps/internal/perfmodel"
+	"flashps/internal/obs"
 	"flashps/internal/quality"
 	"flashps/internal/tensor"
 	"flashps/internal/workload"
@@ -28,16 +26,16 @@ import (
 func main() {
 	// Use every core for the tensor kernels (the library default is serial).
 	tensor.SetParallelism(runtime.GOMAXPROCS(0))
-	editor, err := core.NewEditor(model.SDXLSim, perfmodel.SDXLPaper, 42)
+	eng, err := diffusion.NewEngine(model.SDXLSim, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := editor.Engine.Model.Config()
-	h, w := editor.Engine.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
+	cfg := eng.Model.Config()
+	h, w := eng.Codec.ImageSize(cfg.LatentH, cfg.LatentW)
 
 	// The model photo. Preparing it costs one full generation; the cache
 	// then serves every try-on request.
-	tc, _, err := editor.Prepare(1, img.SynthTemplate(11, h, w), "model wearing plain outfit", false)
+	tc, _, err := eng.PrepareTemplate(1, img.SynthTemplate(11, h, w), "model wearing plain outfit", false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,35 +46,35 @@ func main() {
 	}
 
 	rng := tensor.NewRNG(99)
-	var flashLat, fullLat, ssims metrics.Recorder
+	var flashLat, fullLat, ssims obs.Dist
 	fmt.Println("try-on requests (VITON-like mask ratios, mean ≈0.35):")
 	for i, garment := range garments {
 		// Garment region: irregular mask with a VITON-like ratio.
 		ratio := workload.VITONTrace.Sample(rng)
 		m := mask.WithRatio(rng, cfg.LatentH, cfg.LatentW, ratio)
 
+		req := diffusion.EditRequest{Template: tc, Mask: m, Prompt: garment, Seed: uint64(i), Mode: diffusion.EditCachedY}
 		start := time.Now()
-		res, err := editor.Edit(tc, m, garment, uint64(i))
+		res, err := eng.Edit(req)
 		if err != nil {
 			log.Fatal(err)
 		}
-		flashLat.Add(time.Since(start).Seconds())
+		flash := time.Since(start).Seconds()
 
+		req.Mode = diffusion.EditFull
 		start = time.Now()
-		full, err := editor.Engine.Edit(diffusion.EditRequest{
-			Template: tc, Mask: m, Prompt: garment, Seed: uint64(i),
-			Mode: diffusion.EditFull,
-		})
+		full, err := eng.Edit(req)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fullLat.Add(time.Since(start).Seconds())
+		fullS := time.Since(start).Seconds()
 
 		ssim := quality.SSIM(res.Image, full.Image)
+		flashLat.Add(flash)
+		fullLat.Add(fullS)
 		ssims.Add(ssim)
 		fmt.Printf("  %-22s mask %.2f  flashps %6.1fms  full %6.1fms  SSIM %.4f\n",
-			garment, m.Ratio(),
-			flashLat.Max()*1e3, fullLat.Max()*1e3, ssim)
+			garment, m.Ratio(), flash*1e3, fullS*1e3, ssim)
 	}
 
 	fmt.Printf("\nmean measured speedup: %.2f× (paper Fig 1 banner: 1.7× on H800)\n",

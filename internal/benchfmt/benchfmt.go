@@ -1,5 +1,5 @@
 // Package benchfmt defines the shared machine-readable schemas the
-// FlashPS benchmark CLIs emit (BENCH_serve.json, BENCH_kernels.json, and
+// FlashPS benchmark CLIs emit (BENCH_kernels.json, BENCH_diffusion.json and
 // flashps-whatif's predictions), plus the run metadata block that makes a
 // number comparable across machines and commits: git revision, Go
 // runtime shape, CPU model, and the kernel level the numbers were produced at.
@@ -27,10 +27,6 @@ type Meta struct {
 	// (tensor.KernelLevel: "portable", "avx2", "avx512").
 	AVX2    bool   `json:"avx2"`
 	Kernels string `json:"kernels"`
-	// Replicas records the fleet size a serving benchmark ran with (0 for
-	// single-replica runs predating the fleet plane) — a 4-replica P99 is
-	// not comparable to a 1-replica P99.
-	Replicas int `json:"replicas,omitempty"`
 }
 
 // CollectMeta gathers the run metadata. Fields that cannot be determined
@@ -80,24 +76,18 @@ func cpuModel() string {
 	return ""
 }
 
-// ServeResult is the BENCH_serve.json schema, shared between
-// flashps-servebench (measured) and flashps-whatif (predicted) so capacity
-// answers are diffable against measured baselines.
+// ServeResult is flashps-whatif's answer: the serving figures the
+// calibrated simulator predicts for a hypothetical workload.
 type ServeResult struct {
 	Meta Meta `json:"meta"`
-	// Predicted marks results computed by the calibrated simulator rather
-	// than measured on a live server.
+	// Predicted marks results computed by the calibrated simulator.
 	Predicted bool `json:"predicted,omitempty"`
-	// Model names the cost model behind a predicted result (the fitted
-	// coefficients' engine profile), or the live engine config.
+	// Model names the cost model behind the result (the fitted
+	// coefficients' engine profile).
 	Model string `json:"model,omitempty"`
-	// Router names the fleet routing policy the run used ("core",
-	// "least-loaded", "affinity"); empty for pre-fleet results.
-	Router string `json:"router,omitempty"`
 
 	Requests   int     `json:"requests"`
 	Workers    int     `json:"workers"`
-	Errors     int     `json:"errors"`
 	OfferedRPS float64 `json:"offered_rps"`
 	ElapsedS   float64 `json:"elapsed_s"`
 
@@ -112,26 +102,6 @@ type ServeResult struct {
 	StepsTotal    float64 `json:"steps_total"`
 	StepsPerSec   float64 `json:"steps_per_sec"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
-
-	// AlertWorst is the most severe SLO burn-rate alert state at the end
-	// of the run ("ok", "warning", "page") — flashps-servebench's
-	// -alert-gate exits nonzero when it reaches the gated severity.
-	AlertWorst string `json:"alert_worst,omitempty"`
-
-	// ColdTemplates and Cold report flashps-servebench's optional second
-	// pass (-cold-templates): the same workload served with every template
-	// resident only on the disk tier, so each cache fetch pays a disk
-	// staging. Comparing Cold against the parent (warm) result isolates
-	// the spill tier's cost.
-	ColdTemplates int          `json:"cold_templates,omitempty"`
-	Cold          *ServeResult `json:"cold,omitempty"`
-
-	// RouterSweep holds flashps-servebench's optional router comparison
-	// (-router-sweep): the same fleet workload re-served under each
-	// alternate routing policy, one row per router, to compare against this
-	// (top-level) run. The rows isolate template-affinity's effect on tail
-	// latency and SLO goodput at a fixed replica count.
-	RouterSweep []*ServeResult `json:"router_sweep,omitempty"`
 }
 
 // DiffusionResult is the BENCH_diffusion.json schema, written by

@@ -21,7 +21,6 @@ import (
 	"flashps/internal/cache"
 	"flashps/internal/diffusion"
 	"flashps/internal/faults"
-	"flashps/internal/metrics"
 	"flashps/internal/obs"
 	"flashps/internal/perfmodel"
 	"flashps/internal/pipeline"
@@ -237,36 +236,36 @@ func (r *Result) BusyFraction() float64 {
 	return sum / (r.Makespan * float64(len(r.WorkerBusy)))
 }
 
-// Latencies returns a recorder over end-to-end latencies.
-func (r *Result) Latencies() *metrics.Recorder {
-	var rec metrics.Recorder
+// Latencies returns the distribution of end-to-end latencies.
+func (r *Result) Latencies() *obs.Dist {
+	var rec obs.Dist
 	for _, s := range r.Stats {
 		rec.Add(s.Latency())
 	}
 	return &rec
 }
 
-// QueueTimes returns a recorder over queueing times.
-func (r *Result) QueueTimes() *metrics.Recorder {
-	var rec metrics.Recorder
+// QueueTimes returns the distribution of queueing times.
+func (r *Result) QueueTimes() *obs.Dist {
+	var rec obs.Dist
 	for _, s := range r.Stats {
 		rec.Add(s.QueueTime())
 	}
 	return &rec
 }
 
-// InferenceTimes returns a recorder over inference times.
-func (r *Result) InferenceTimes() *metrics.Recorder {
-	var rec metrics.Recorder
+// InferenceTimes returns the distribution of inference times.
+func (r *Result) InferenceTimes() *obs.Dist {
+	var rec obs.Dist
 	for _, s := range r.Stats {
 		rec.Add(s.InferenceTime())
 	}
 	return &rec
 }
 
-// Interruptions returns a recorder over per-request interruption counts.
-func (r *Result) Interruptions() *metrics.Recorder {
-	var rec metrics.Recorder
+// Interruptions returns the distribution of per-request interruption counts.
+func (r *Result) Interruptions() *obs.Dist {
+	var rec obs.Dist
 	for _, s := range r.Stats {
 		rec.Add(float64(s.Interruptions))
 	}
@@ -275,7 +274,10 @@ func (r *Result) Interruptions() *metrics.Recorder {
 
 // Throughput returns completed requests per second over the makespan.
 func (r *Result) Throughput() float64 {
-	return metrics.Throughput(len(r.Stats), r.Makespan)
+	if r.Makespan <= 0 {
+		return 0
+	}
+	return float64(len(r.Stats)) / r.Makespan
 }
 
 // Executor is the cost-model batching.Executor: every stage takes the time

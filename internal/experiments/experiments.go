@@ -115,19 +115,6 @@ func Run(name string, opts Options) ([]*Table, error) {
 	return r(opts)
 }
 
-// RunAll executes every experiment and returns tables in id order.
-func RunAll(opts Options) ([]*Table, error) {
-	var out []*Table
-	for _, name := range Names() {
-		tables, err := Run(name, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		out = append(out, tables...)
-	}
-	return out, nil
-}
-
 func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string   { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string   { return fmt.Sprintf("%.3f", v) }

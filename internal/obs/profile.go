@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -185,14 +184,4 @@ func ReadCostJSONL(r io.Reader) ([]CostSample, error) {
 		return nil, fmt.Errorf("obs: read profile: %w", err)
 	}
 	return out, nil
-}
-
-// LoadCostJSONL reads a profile.jsonl file.
-func LoadCostJSONL(path string) ([]CostSample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: load profile: %w", err)
-	}
-	defer f.Close()
-	return ReadCostJSONL(f)
 }

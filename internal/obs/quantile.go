@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -127,6 +128,76 @@ func quantileOf(sorted []float64, p float64) float64 {
 		rank = n - 1
 	}
 	return sorted[rank]
+}
+
+// Dist holds every scalar sample it is given (seconds, ratios, counts) and
+// answers the same nearest-rank quantiles as WindowQuantile, without a
+// window or a clock: the offline statistics of a finished run. The zero
+// value is ready to use and every statistic is 0 with no samples (not NaN:
+// the reports built from it are JSON). Not safe for concurrent use.
+type Dist struct {
+	vs     []float64
+	sorted bool
+}
+
+// Add appends a sample.
+func (d *Dist) Add(v float64) {
+	d.vs = append(d.vs, v)
+	d.sorted = false
+}
+
+// Count returns the number of samples.
+func (d *Dist) Count() int { return len(d.vs) }
+
+// Sum returns the total of all samples.
+func (d *Dist) Sum() float64 {
+	var sum float64
+	for _, v := range d.vs {
+		sum += v
+	}
+	return sum
+}
+
+// Mean returns the arithmetic mean.
+func (d *Dist) Mean() float64 {
+	if len(d.vs) == 0 {
+		return 0
+	}
+	return d.Sum() / float64(len(d.vs))
+}
+
+// Max returns the largest sample.
+func (d *Dist) Max() float64 {
+	var max float64
+	for i, v := range d.vs {
+		if i == 0 || v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1, clamped).
+func (d *Dist) Quantile(q float64) float64 {
+	if len(d.vs) == 0 {
+		return 0
+	}
+	if !d.sorted {
+		sort.Float64s(d.vs)
+		d.sorted = true
+	}
+	return quantileOf(d.vs, q)
+}
+
+// P50, P95 and P99 are the conventional percentile shorthands.
+func (d *Dist) P50() float64 { return d.Quantile(0.50) }
+func (d *Dist) P95() float64 { return d.Quantile(0.95) }
+func (d *Dist) P99() float64 { return d.Quantile(0.99) }
+
+// Summary formats the headline statistics.
+func (d *Dist) Summary() string {
+	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
+		d.Count(), d.Mean(), d.P50(), d.P95(), d.P99(), d.Max())
 }
 
 // QuantileVec is a keyed family of WindowQuantile estimators (one per

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"flashps/internal/batching"
 	"flashps/internal/cluster"
@@ -230,7 +229,7 @@ func Compare(c *Capture, res *cluster.Result) (*AccuracyReport, error) {
 	for _, s := range res.Stats {
 		pred[s.ID] = s
 	}
-	var mQueue, mInfer, mTotal, pQueue, pInfer, pTotal []float64
+	var mQueue, mInfer, mTotal, pQueue, pInfer, pTotal obs.Dist
 	matched := 0
 	for _, m := range c.Requests {
 		if m.Error {
@@ -241,12 +240,12 @@ func Compare(c *Capture, res *cluster.Result) (*AccuracyReport, error) {
 			continue
 		}
 		matched++
-		mQueue = append(mQueue, m.QueueMS/1e3)
-		mInfer = append(mInfer, m.InferMS/1e3)
-		mTotal = append(mTotal, m.TotalMS/1e3)
-		pQueue = append(pQueue, p.Admit-p.Arrival)
-		pInfer = append(pInfer, p.Finish-p.Admit)
-		pTotal = append(pTotal, p.Complete-p.Arrival)
+		mQueue.Add(m.QueueMS / 1e3)
+		mInfer.Add(m.InferMS / 1e3)
+		mTotal.Add(m.TotalMS / 1e3)
+		pQueue.Add(p.Admit - p.Arrival)
+		pInfer.Add(p.Finish - p.Admit)
+		pTotal.Add(p.Complete - p.Arrival)
 	}
 	if matched == 0 {
 		return nil, fmt.Errorf("replay: no matched requests between capture (%d) and prediction (%d)",
@@ -255,18 +254,18 @@ func Compare(c *Capture, res *cluster.Result) (*AccuracyReport, error) {
 	return &AccuracyReport{
 		Requests:  len(c.Requests),
 		Matched:   matched,
-		Queue:     stageError(mQueue, pQueue),
-		Inference: stageError(mInfer, pInfer),
-		EndToEnd:  stageError(mTotal, pTotal),
+		Queue:     stageError(&mQueue, &pQueue),
+		Inference: stageError(&mInfer, &pInfer),
+		EndToEnd:  stageError(&mTotal, &pTotal),
 	}, nil
 }
 
-func stageError(measured, predicted []float64) StageError {
+func stageError(measured, predicted *obs.Dist) StageError {
 	e := StageError{
-		MeasuredP50:  quantile(measured, 0.50),
-		PredictedP50: quantile(predicted, 0.50),
-		MeasuredP99:  quantile(measured, 0.99),
-		PredictedP99: quantile(predicted, 0.99),
+		MeasuredP50:  measured.P50(),
+		PredictedP50: predicted.P50(),
+		MeasuredP99:  measured.P99(),
+		PredictedP99: predicted.P99(),
 	}
 	e.P50RelErr = relErr(e.PredictedP50, e.MeasuredP50)
 	e.P99RelErr = relErr(e.PredictedP99, e.MeasuredP99)
@@ -278,21 +277,4 @@ func relErr(pred, meas float64) float64 {
 		return 0
 	}
 	return math.Abs(pred-meas) / meas
-}
-
-// quantile returns the q-quantile of xs by nearest-rank on a sorted copy.
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := int(math.Ceil(q*float64(len(cp)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
 }

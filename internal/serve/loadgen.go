@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"flashps/internal/metrics"
+	"flashps/internal/obs"
 	"flashps/internal/tensor"
 	"flashps/internal/workload"
 )
@@ -53,10 +53,9 @@ type RequestOutcome struct {
 // fill it under the run's internal lock; it is safe to read once RunLoad
 // returns.
 type LoadGenResult struct {
-	Total     metrics.Recorder // total latency, ms
-	Queue     metrics.Recorder // queue time, ms
-	Inference metrics.Recorder // inference time, ms
-	Errors    int
+	Total  obs.Dist // total latency, ms
+	Queue  obs.Dist // queue time, ms
+	Errors int
 	// Degraded and Retried count completed requests that fell back to full
 	// compute or were re-executed after a worker crash.
 	Degraded int
@@ -141,7 +140,6 @@ func RunLoad(ctx context.Context, srv *Server, cfg LoadGenConfig) (*LoadGenResul
 			})
 			res.Total.Add(resp.TotalMS)
 			res.Queue.Add(resp.QueueMS)
-			res.Inference.Add(resp.InferenceMS)
 			mu.Unlock()
 		}()
 	}

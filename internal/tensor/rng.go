@@ -83,12 +83,3 @@ func Randn(rng *RNG, rows, cols int, std float64) *Matrix {
 	}
 	return m
 }
-
-// RandUniform returns an r×c matrix of uniform values in [lo, hi).
-func RandUniform(rng *RNG, rows, cols int, lo, hi float64) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-	return m
-}
