@@ -299,10 +299,13 @@ func (b *Block) forwardLane(ws *tensor.Arena, dst, x, base *tensor.Matrix, lane 
 // per lane: each lane's masked rows attend over that lane's K and V of all
 // tokens — projected from all rows of its input (kvX); or the given K/V of
 // its unmasked tokens with the masked rows' fresh ones in their place; or,
-// for the naive baseline, the masked rows' own K/V and nothing else. Given
-// K/V are copied and the fresh rows written into the copy. K derived once
-// per template (Model.DeriveKV) is already the pack attention consumes, so
-// the copy is attended over as it stands (tensor.PackedKeys.WithRows); K
+// for the naive baseline, the masked rows' own K/V and nothing else. Given V
+// is not copied: attention takes the masked keys' rows from the fresh ones
+// and the rest from the given V where they stand (tensor.Values.WithRows,
+// which needs MaskedIdx ascending — checkLane sees to it). Given K is
+// copied and the fresh rows written into the copy. K derived once per
+// template (Model.DeriveKV) is already the pack attention consumes, so the
+// copy is attended over as it stands (tensor.PackedKeys.WithRows); K
 // recorded beside Y (the paper's Fig 7) is a plain matrix, packed per call
 // after the scatter — the same bits, and the reference the packed path is
 // tested against.
@@ -342,25 +345,26 @@ func (b *Block) forwardRows(ws *tensor.Arena, yS, xS *tensor.Matrix, lanes []Lan
 		llo, lhi := l.lo-lo, l.hi-lo
 		mark := ws.Mark()
 		k, v := rowsOf(ws, kM, llo, lhi), rowsOf(ws, vM, llo, lhi)
-		switch {
-		case l.kvX != nil:
+		if l.kvX != nil {
 			k, v = ws.GetRaw(l.kvX.R, b.Hidden), ws.GetRaw(l.kvX.R, b.Hidden)
 			b.projectKV(ws, l.kvX, k, v)
-		case l.v != nil:
-			vL := ws.Clone(l.v)
-			tensor.ScatterRows(vL, v, l.MaskedIdx)
-			v = vL
+		}
+		vals := tensor.ValuesOf(v)
+		if l.v != nil {
+			vals = tensor.ValuesOf(l.v).WithRows(v, l.MaskedIdx)
 			if l.kp == nil {
 				kL := ws.Clone(l.k)
 				tensor.ScatterRows(kL, k, l.MaskedIdx)
 				k = kL
 			}
 		}
-		if dst, qL := rowsOf(ws, attn, llo, lhi), rowsOf(ws, q, llo, lhi); l.kp != nil {
-			tensor.FusedAttentionPacked(dst, qL, l.kp.WithRows(ws, k, l.MaskedIdx), v, b.heads())
+		var keys tensor.PackedKeys
+		if l.kp != nil {
+			keys = l.kp.WithRows(ws, k, l.MaskedIdx)
 		} else {
-			b.attention(ws, dst, qL, k, v)
+			keys = tensor.PackKeysInto(ws.GetRaw(k.R, k.C).Data, k, b.attnScale())
 		}
+		tensor.FusedAttentionPacked(ws, rowsOf(ws, attn, llo, lhi), rowsOf(ws, q, llo, lhi), keys, vals, b.heads())
 		ws.Release(mark)
 	}
 
@@ -409,7 +413,8 @@ func (b *Block) DeriveKV(ws *tensor.Arena, x *tensor.Matrix, buf []float32) Deri
 // template values, derived once per template from the previous block's
 // cached output (DeriveKV). Only the masked rows of x are read: they are
 // gathered first, LN1 and the Q/K/V projections run on those rows alone,
-// and the fresh K/V rows are scattered into copies of d's. LN1 and GEMM
+// the fresh K rows are written into a copy of d's pack and attention takes
+// the fresh V rows beside d's (maskedIdx must be ascending). LN1 and GEMM
 // rows are independent (tensor's determinism contract), so the result is
 // bit-identical to ForwardMaskedWS on an x whose unmasked rows produced d.
 func (b *Block) ForwardMaskedDerivedWS(ws *tensor.Arena, x, cachedY *tensor.Matrix, d *DerivedBlock, ctx *tensor.Matrix, maskedIdx []int) *tensor.Matrix {

@@ -134,8 +134,9 @@ type DerivedBlock struct {
 
 // StepOptions controls one ForwardStep invocation.
 type StepOptions struct {
-	// MaskedIdx lists the masked-token rows. Required for any mode other
-	// than ExecFull.
+	// MaskedIdx lists the masked-token rows, in ascending order (as
+	// mask.Mask.MaskedIndices gives them). Required for any mode other than
+	// ExecFull.
 	MaskedIdx []int
 	// Cached holds this step's per-block cached activations from a prior
 	// full run on the same template. Required when any block mode is
@@ -382,6 +383,11 @@ func (m *Model) checkLane(l *Lane) error {
 	}
 	if len(l.Cond) != 0 && len(l.Cond) != m.Cfg.Hidden {
 		return fmt.Errorf("model: cond length %d, want 0 or %d", len(l.Cond), m.Cfg.Hidden)
+	}
+	for r, j := range l.MaskedIdx {
+		if j < 0 || j >= m.Cfg.Tokens() || r > 0 && j <= l.MaskedIdx[r-1] {
+			return fmt.Errorf("model: masked index %d at %d, want strictly ascending in [0,%d)", j, r, m.Cfg.Tokens())
+		}
 	}
 	l.modes, l.stacks, l.nbuf = l.Modes, false, 0
 	if len(l.modes) < len(m.Blocks) {

@@ -367,6 +367,15 @@ func TestForwardStepModeValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
+	// Masked indices out of token order, repeated or out of range.
+	for _, idx := range [][]int{{3, 1}, {2, 2}, {-1}, {testCfg.Tokens()}} {
+		if _, err := m.ForwardStep(x, 0, nil, StepOptions{
+			MaskedIdx: idx, Cached: rec,
+			Modes: UniformModes(testCfg.NumBlocks, ExecCachedY),
+		}); err == nil {
+			t.Fatalf("masked indices %v accepted", idx)
+		}
+	}
 }
 
 func TestEmptyMaskReturnsCachedOutput(t *testing.T) {

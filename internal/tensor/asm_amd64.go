@@ -70,6 +70,21 @@ func expShiftSumAVX8(x *float32, n int, shift float32) float32
 func expShiftSumAVX16(x *float32, n int, shift float32) float32
 
 //go:noescape
+func softmaxWeightsAVX8(s *float32, lds, n, rows int, m, sum *float32)
+
+//go:noescape
+func softmaxWeightsAVX16(s *float32, lds, n, rows int, m, sum *float32)
+
+//go:noescape
+func pvEdge(runs *int, nruns int, v0, v1 *float32, p *float32, col int, c *float32, ldc int, rows int, mask *int32, inv *float32)
+
+//go:noescape
+func pvHeads16(runs *int, nruns int, v0, v1 *float32, ch *[pvChunks]pvChunk, c *float32, ldc int, rows int, inv *[mcRows * pvChunks]float32)
+
+//go:noescape
+func scaleAVX8(x *float32, n int, c float32)
+
+//go:noescape
 func geluAVX16(x *float32, n int)
 
 //go:noescape

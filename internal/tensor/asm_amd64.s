@@ -751,6 +751,630 @@ expsum16reduce:
 	VMOVSS X8, ret+24(FP)
 	RET
 
+// SW_SHIFT: the row's running maximum at (R11) becomes the larger of it and
+// the row's largest score X3; equal or unordered keeps the running one
+// (VMAXSS returns its second source), as softmaxWeights' t > m[k] does.
+#define SW_SHIFT \
+	VMOVSS (R11), X1; \
+	VMAXSS X1, X3, X3; \
+	VMOVSS X3, (R11)
+
+// SW_NEXTMAX(label): on to the next row of the max pass.
+#define SW_NEXTMAX(label) \
+	ADDQ R8, SI; \
+	ADDQ $4, R11; \
+	DECQ R10; \
+	JNZ  label
+
+// SW_ROWSHIFT: the exp pass's row shift, with ZF set when it is -Inf (X5).
+#define SW_ROWSHIFT \
+	VMOVSS (R11), X3; \
+	VUCOMISS X5, X3
+
+// func softmaxWeightsAVX16(s *float32, lds, n, rows int, m, sum *float32)
+//
+// softmaxWeights on 16 lanes, in two passes over the rows: the max of every
+// row over ZMM vectors (the last one loaded under an opmask over -Inf);
+// then, per row, expShiftSumAVX16's pass — the eight lane accumulators take
+// a vector's low half, then its high half, a last group of 8 goes through
+// the low half — REDUCE8, and the n mod 8 tail exponentiated under an
+// opmask and added to the sum one element at a time, in ascending order.
+// With every shift known before the first exp, one row's exp chains run
+// beside the next row's instead of waiting for its max.
+TEXT ·softmaxWeightsAVX16(SB), NOSPLIT, $0-48
+// SW_EXPROWS, defined here so that vet checks its argument references:
+// the exp pass's set-up, back at the first row after the max pass.
+#define SW_EXPROWS \
+	MOVQ s+0(FP), SI; \
+	MOVQ rows+24(FP), R10; \
+	MOVQ m+32(FP), R11
+
+	MOVQ s+0(FP), SI
+	MOVQ lds+8(FP), R8
+	SHLQ $2, R8               // row stride in bytes
+	MOVQ n+16(FP), R9
+	MOVQ rows+24(FP), R10
+	MOVQ m+32(FP), R11
+	MOVQ sum+40(FP), R12
+	VC16_LOAD
+	VBROADCASTSS VC_NEGINF, Z29
+	VMOVSS VC_NEGINF, X5
+	MOVQ R9, R13
+	ANDQ $-16, R13
+	SHLQ $2, R13              // bytes in whole ZMM vectors
+	MOVQ R9, BX
+	ANDQ $-8, BX
+	SHLQ $2, BX               // bytes in whole groups of 8
+	MOVQ R9, CX
+	ANDQ $15, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K2              // the n mod 16 lanes past the ZMM vectors
+	MOVQ R9, DX
+	ANDQ $7, DX               // the n mod 8 tail
+	MOVQ DX, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K3
+
+sw16row:
+	VMOVAPS Z29, Z3
+	XORQ AX, AX
+	CMPQ AX, R13
+	JEQ  sw16maxtail
+
+sw16max:
+	VMOVUPS (SI)(AX*1), Z0
+	VMAXPS Z3, Z0, Z3
+	ADDQ $64, AX
+	CMPQ AX, R13
+	JNE  sw16max
+
+sw16maxtail:
+	VMOVAPS Z29, Z0
+	VMOVUPS (SI)(AX*1), K2, Z0
+	VMAXPS Z3, Z0, Z3
+	VEXTRACTF64X4 $1, Z3, Y1
+	VMAXPS Y1, Y3, Y3
+	VEXTRACTF128 $1, Y3, X1
+	VMAXPS X1, X3, X3
+	VPERMILPS $0x4E, X3, X1
+	VMAXPS X1, X3, X3
+	VPERMILPS $0xB1, X3, X1
+	VMAXPS X1, X3, X3
+	SW_SHIFT
+	SW_NEXTMAX(sw16row)
+	SW_EXPROWS
+
+sw16exprow:
+	SW_ROWSHIFT
+	JEQ  sw16zero
+	VBROADCASTSS X3, Z9
+	VXORPS Y8, Y8, Y8
+	XORQ AX, AX
+	CMPQ AX, R13
+	JEQ  sw16half
+
+sw16exp:
+	VMOVUPS (SI)(AX*1), Z0
+	VSUBPS Z9, Z0, Z0
+	EXP16
+	VMOVUPS Z0, (SI)(AX*1)
+	VADDPS Y0, Y8, Y8
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPS Y1, Y8, Y8
+	ADDQ $64, AX
+	CMPQ AX, R13
+	JNE  sw16exp
+
+sw16half:
+	CMPQ AX, BX
+	JEQ  sw16tail
+	VMOVUPS (SI)(AX*1), Y0
+	VSUBPS Z9, Z0, Z0
+	EXP16
+	VMOVUPS Y0, (SI)(AX*1)
+	VADDPS Y0, Y8, Y8
+	ADDQ $32, AX
+
+sw16tail:
+	REDUCE8(Y8, X8, X1)
+	MOVQ DX, CX
+	TESTQ CX, CX
+	JEQ  sw16sum
+	VMOVUPS.Z (SI)(AX*1), K3, Z0
+	VSUBPS Z9, Z0, Z0
+	EXP16
+	VMOVUPS Z0, K3, (SI)(AX*1)
+
+sw16tailadd:
+	VADDSS (SI)(AX*1), X8, X8
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  sw16tailadd
+
+sw16sum:
+	VMOVSS X8, (R12)
+	JMP  sw16next
+
+sw16zero:
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+	CMPQ AX, R13
+	JEQ  sw16zerotail
+
+sw16zeroloop:
+	VMOVUPS Z0, (SI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, R13
+	JNE  sw16zeroloop
+
+sw16zerotail:
+	VMOVUPS Z0, K2, (SI)(AX*1)
+	VMOVSS X0, (R12)
+
+sw16next:
+	ADDQ R8, SI
+	ADDQ $4, R11
+	ADDQ $4, R12
+	DECQ R10
+	JNZ  sw16exprow
+	VZEROUPPER
+	RET
+
+// func softmaxWeightsAVX8(s *float32, lds, n, rows int, m, sum *float32)
+//
+// softmaxWeightsAVX16 on 8 lanes: the max of every row by maxAVX8's pass and
+// a scalar tail; then per row expShiftSumAVX8's pass, REDUCE8, and the tail
+// exponentiated under the lane mask of edgeMask and added one element at a
+// time.
+TEXT ·softmaxWeightsAVX8(SB), NOSPLIT, $0-48
+	MOVQ s+0(FP), SI
+	MOVQ lds+8(FP), R8
+	SHLQ $2, R8               // row stride in bytes
+	MOVQ n+16(FP), R9
+	MOVQ rows+24(FP), R10
+	MOVQ m+32(FP), R11
+	MOVQ sum+40(FP), R12
+	MOVQ R9, BX
+	ANDQ $-8, BX
+	SHLQ $2, BX               // bytes in whole groups of 8
+	MOVQ R9, DX
+	ANDQ $7, DX               // the n mod 8 tail
+	LEAQ ·edgeMask+64(SB), AX
+	MOVQ DX, CX
+	SHLQ $2, CX
+	SUBQ CX, AX
+	VMOVDQU (AX), Y10         // the tail's lanes
+	VMOVSS VC_NEGINF, X5
+	VXORPS Y11, Y11, Y11
+
+sw8row:
+	VMOVUPS VC_NEGINF, Y3
+	XORQ AX, AX
+	CMPQ AX, BX
+	JEQ  sw8maxred
+
+sw8max:
+	VMOVUPS (SI)(AX*1), Y1
+	VMAXPS Y3, Y1, Y3
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  sw8max
+
+sw8maxred:
+	VEXTRACTF128 $1, Y3, X1
+	VMAXPS X1, X3, X3
+	VPERMILPS $0x4E, X3, X1
+	VMAXPS X1, X3, X3
+	VPERMILPS $0xB1, X3, X1
+	VMAXPS X1, X3, X3
+	MOVQ DX, CX
+	TESTQ CX, CX
+	JEQ  sw8shift
+
+sw8maxtail:
+	VMOVSS (SI)(AX*1), X1
+	VMAXSS X3, X1, X3
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  sw8maxtail
+
+sw8shift:
+	SW_SHIFT
+	SW_NEXTMAX(sw8row)
+	SW_EXPROWS
+
+sw8exprow:
+	SW_ROWSHIFT
+	JEQ  sw8zero
+	VBROADCASTSS X3, Y9
+	VXORPS Y8, Y8, Y8
+	XORQ AX, AX
+	CMPQ AX, BX
+	JEQ  sw8tail
+
+sw8exp:
+	VMOVUPS (SI)(AX*1), Y0
+	VSUBPS Y9, Y0, Y0
+	EXP8
+	VMOVUPS Y0, (SI)(AX*1)
+	VADDPS Y0, Y8, Y8
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  sw8exp
+
+sw8tail:
+	REDUCE8(Y8, X8, X1)
+	MOVQ DX, CX
+	TESTQ CX, CX
+	JEQ  sw8sum
+	VMASKMOVPS (SI)(AX*1), Y10, Y0
+	VSUBPS Y9, Y0, Y0
+	EXP8
+	VMASKMOVPS Y0, Y10, (SI)(AX*1)
+
+sw8tailadd:
+	VADDSS (SI)(AX*1), X8, X8
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  sw8tailadd
+
+sw8sum:
+	VMOVSS X8, (R12)
+	JMP  sw8next
+
+sw8zero:
+	XORQ AX, AX
+	CMPQ AX, BX
+	JEQ  sw8zerotail
+
+sw8zeroloop:
+	VMOVUPS Y11, (SI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  sw8zeroloop
+
+sw8zerotail:
+	VMASKMOVPS Y11, Y10, (SI)(AX*1)
+	VMOVSS X11, (R12)
+
+sw8next:
+	ADDQ R8, SI
+	ADDQ $4, R11
+	ADDQ $4, R12
+	DECQ R10
+	JNZ  sw8exprow
+	VZEROUPPER
+	RET
+
+// The P·V kernels of attention. P is a key tile of weights in attention's
+// score buffer: a head's row for query row r at r·PV_LDP bytes from its row
+// 0, key p at 4p bytes. V comes as runs of consecutive keys whose rows are
+// consecutive rows of one source — v0, the template's V, or v1, the lane's
+// fresh rows — so no copy of V is put together; a run is three ints (the
+// source, the row of its first key, the key count), and V rows, in either
+// source, are ldc floats apart. Every output
+// element keeps gemmTile's chain: one FMA per key from +0, in ascending key
+// order across all the runs, then the element C held is added. The sum is
+// then multiplied by the row's 1/l (1 leaves it as it is: x·1 = x exactly)
+// and stored. runs and nruns are consumed in their argument slots.
+#define PV_LDP 4096
+
+// func pvEdge(runs *int, nruns int, v0, v1 *float32, p *float32, col int, c *float32, ldc int, rows int, mask *int32, inv *float32)
+//
+// One (head, chunk of ≤ 16 columns) for rows ∈ [1, 4] query rows: gemmEdge
+// over the runs. col is the chunk's byte offset in a V row; V and C rows are
+// ldc floats apart; mask is gemmEdge's lane mask; inv holds one factor per
+// row.
+#define PE_ROW(disp, lo, hi) \
+	VBROADCASTSS disp(SI)(DX*1), Y14; \
+	VFMADD231PS Y12, Y14, lo; \
+	VFMADD231PS Y13, Y14, hi
+
+#define PE_LOADV \
+	VMASKMOVPS (DI), Y10, Y12; \
+	VMASKMOVPS 32(DI), Y11, Y13
+
+#define PE_NEXT(label) \
+	ADDQ $4, DX; \
+	ADDQ R12, DI; \
+	DECQ CX; \
+	JNZ  label
+
+#define PE_OUT(lo, hi, iv) \
+	VMASKMOVPS (DI), Y10, Y12; \
+	VMASKMOVPS 32(DI), Y11, Y13; \
+	VADDPS Y12, lo, lo; \
+	VADDPS Y13, hi, hi; \
+	VBROADCASTSS iv(AX), Y14; \
+	VMULPS Y14, lo, lo; \
+	VMULPS Y14, hi, hi; \
+	VMASKMOVPS lo, Y10, (DI); \
+	VMASKMOVPS hi, Y11, 32(DI)
+
+TEXT ·pvEdge(SB), NOSPLIT, $0-88
+// PV_RUN(col), defined here so that vet checks its argument references
+// against a function that has them: start the next run — DI at its first V
+// row plus col bytes, CX its key count. R12 is the V row stride in bytes.
+#define PV_RUN(col) \
+	MOVQ runs+0(FP), CX; \
+	MOVQ (CX), DI; \
+	TESTQ DI, DI; \
+	MOVQ v0+16(FP), DI; \
+	CMOVQNE v1+24(FP), DI; \
+	MOVQ 8(CX), CX; \
+	IMULQ R12, CX; \
+	ADDQ CX, DI; \
+	ADDQ col, DI; \
+	MOVQ runs+0(FP), CX; \
+	MOVQ 16(CX), CX; \
+	ADDQ $24, runs+0(FP)
+
+	MOVQ p+32(FP), SI
+	MOVQ col+40(FP), R8
+	MOVQ ldc+56(FP), R12
+	SHLQ $2, R12              // V and C row stride in bytes
+	MOVQ mask+72(FP), AX
+	VMOVDQU (AX), Y10
+	VMOVDQU 32(AX), Y11
+	XORQ DX, DX               // the key's byte offset in P
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ rows+64(FP), AX
+	CMPQ AX, $2
+	JLT  pe1
+	JEQ  pe2
+	CMPQ AX, $3
+	JEQ  pe3
+
+pe4:
+	PV_RUN(R8)
+
+pe4key:
+	PE_LOADV
+	PE_ROW(0, Y0, Y1)
+	PE_ROW(PV_LDP, Y2, Y3)
+	PE_ROW(2*PV_LDP, Y4, Y5)
+	PE_ROW(3*PV_LDP, Y6, Y7)
+	PE_NEXT(pe4key)
+	DECQ nruns+8(FP)
+	JNZ  pe4
+	JMP  peout
+
+pe3:
+	PV_RUN(R8)
+
+pe3key:
+	PE_LOADV
+	PE_ROW(0, Y0, Y1)
+	PE_ROW(PV_LDP, Y2, Y3)
+	PE_ROW(2*PV_LDP, Y4, Y5)
+	PE_NEXT(pe3key)
+	DECQ nruns+8(FP)
+	JNZ  pe3
+	JMP  peout
+
+pe2:
+	PV_RUN(R8)
+
+pe2key:
+	PE_LOADV
+	PE_ROW(0, Y0, Y1)
+	PE_ROW(PV_LDP, Y2, Y3)
+	PE_NEXT(pe2key)
+	DECQ nruns+8(FP)
+	JNZ  pe2
+	JMP  peout
+
+pe1:
+	PV_RUN(R8)
+
+pe1key:
+	PE_LOADV
+	PE_ROW(0, Y0, Y1)
+	PE_NEXT(pe1key)
+	DECQ nruns+8(FP)
+	JNZ  pe1
+
+peout:
+	MOVQ c+48(FP), DI
+	MOVQ inv+80(FP), AX
+	MOVQ rows+64(FP), CX
+	PE_OUT(Y0, Y1, 0)
+	DECQ CX
+	JZ   pedone
+	ADDQ R12, DI
+	PE_OUT(Y2, Y3, 4)
+	DECQ CX
+	JZ   pedone
+	ADDQ R12, DI
+	PE_OUT(Y4, Y5, 8)
+	DECQ CX
+	JZ   pedone
+	ADDQ R12, DI
+	PE_OUT(Y6, Y7, 12)
+
+pedone:
+	VZEROUPPER
+	RET
+
+// func pvHeads16(runs *int, nruns int, v0, v1 *float32, ch *[pvChunks]pvChunk, c *float32, ldc int, rows int, inv *[mcRows * pvChunks]float32)
+//
+// Four (head, chunk of ≤ 16 columns) pairs for rows ∈ [1, 4] query rows in
+// one pass over the keys (AVX-512F): per key each chunk's V row is loaded
+// once, under its opmask, and every row's weight comes in by embedded
+// broadcast — 16 independent chains at 4 rows. A pvChunk is the head's P row
+// 0 (at 0), the chunk's byte offset in a V and a C row (8) and its lane mask
+// (16); a chunk with no lanes loads zeros and stores nothing. C is row 0 of
+// the row group, column 0; inv holds row r's factor for chunk i at r·4 + i.
+#define PV_LOADV \
+	VMOVUPS.Z (DI)(R8*1), K1, Z16; \
+	VMOVUPS.Z (DI)(R9*1), K2, Z17; \
+	VMOVUPS.Z (DI)(R10*1), K3, Z18; \
+	VMOVUPS.Z (DI)(R11*1), K4, Z19
+
+#define PV_ROW(disp, a0, a1, a2, a3) \
+	VFMADD231PS.BCST disp(BX)(DX*1), Z16, a0; \
+	VFMADD231PS.BCST disp(SI)(DX*1), Z17, a1; \
+	VFMADD231PS.BCST disp(R13)(DX*1), Z18, a2; \
+	VFMADD231PS.BCST disp(AX)(DX*1), Z19, a3
+
+#define PV_OUT(a0, a1, a2, a3, iv) \
+	VMOVUPS.Z (DI)(R8*1), K1, Z16; \
+	VMOVUPS.Z (DI)(R9*1), K2, Z17; \
+	VMOVUPS.Z (DI)(R10*1), K3, Z18; \
+	VMOVUPS.Z (DI)(R11*1), K4, Z19; \
+	VADDPS Z16, a0, a0; \
+	VADDPS Z17, a1, a1; \
+	VADDPS Z18, a2, a2; \
+	VADDPS Z19, a3, a3; \
+	VMULPS.BCST iv(AX), a0, a0; \
+	VMULPS.BCST iv+4(AX), a1, a1; \
+	VMULPS.BCST iv+8(AX), a2, a2; \
+	VMULPS.BCST iv+12(AX), a3, a3; \
+	VMOVUPS a0, K1, (DI)(R8*1); \
+	VMOVUPS a1, K2, (DI)(R9*1); \
+	VMOVUPS a2, K3, (DI)(R10*1); \
+	VMOVUPS a3, K4, (DI)(R11*1)
+
+TEXT ·pvHeads16(SB), NOSPLIT, $0-72
+	MOVQ ch+32(FP), CX
+	MOVQ 0(CX), BX            // chunk 0: P, column, lanes
+	MOVQ 8(CX), R8
+	KMOVW 16(CX), K1
+	MOVQ 24(CX), SI           // chunk 1
+	MOVQ 32(CX), R9
+	KMOVW 40(CX), K2
+	MOVQ 48(CX), R13          // chunk 2
+	MOVQ 56(CX), R10
+	KMOVW 64(CX), K3
+	MOVQ 72(CX), AX           // chunk 3
+	MOVQ 80(CX), R11
+	KMOVW 88(CX), K4
+	MOVQ ldc+48(FP), R12
+	SHLQ $2, R12              // V and C row stride in bytes
+	XORQ DX, DX               // the key's byte offset in P
+	VXORPS Y0, Y0, Y0         // a VEX write clears the whole ZMM register
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ rows+56(FP), CX
+	CMPQ CX, $2
+	JLT  pv1
+	JEQ  pv2
+	CMPQ CX, $3
+	JEQ  pv3
+
+pv4:
+	PV_RUN($0)
+
+pv4key:
+	PV_LOADV
+	PV_ROW(0, Z0, Z1, Z2, Z3)
+	PV_ROW(PV_LDP, Z4, Z5, Z6, Z7)
+	PV_ROW(2*PV_LDP, Z8, Z9, Z10, Z11)
+	PV_ROW(3*PV_LDP, Z12, Z13, Z14, Z15)
+	PE_NEXT(pv4key)
+	DECQ nruns+8(FP)
+	JNZ  pv4
+	JMP  pvout
+
+pv3:
+	PV_RUN($0)
+
+pv3key:
+	PV_LOADV
+	PV_ROW(0, Z0, Z1, Z2, Z3)
+	PV_ROW(PV_LDP, Z4, Z5, Z6, Z7)
+	PV_ROW(2*PV_LDP, Z8, Z9, Z10, Z11)
+	PE_NEXT(pv3key)
+	DECQ nruns+8(FP)
+	JNZ  pv3
+	JMP  pvout
+
+pv2:
+	PV_RUN($0)
+
+pv2key:
+	PV_LOADV
+	PV_ROW(0, Z0, Z1, Z2, Z3)
+	PV_ROW(PV_LDP, Z4, Z5, Z6, Z7)
+	PE_NEXT(pv2key)
+	DECQ nruns+8(FP)
+	JNZ  pv2
+	JMP  pvout
+
+pv1:
+	PV_RUN($0)
+
+pv1key:
+	PV_LOADV
+	PV_ROW(0, Z0, Z1, Z2, Z3)
+	PE_NEXT(pv1key)
+	DECQ nruns+8(FP)
+	JNZ  pv1
+
+pvout:
+	MOVQ c+40(FP), DI
+	MOVQ inv+64(FP), AX
+	MOVQ rows+56(FP), CX
+	PV_OUT(Z0, Z1, Z2, Z3, 0)
+	DECQ CX
+	JZ   pvdone
+	ADDQ R12, DI
+	PV_OUT(Z4, Z5, Z6, Z7, 16)
+	DECQ CX
+	JZ   pvdone
+	ADDQ R12, DI
+	PV_OUT(Z8, Z9, Z10, Z11, 32)
+	DECQ CX
+	JZ   pvdone
+	ADDQ R12, DI
+	PV_OUT(Z12, Z13, Z14, Z15, 48)
+
+pvdone:
+	VZEROUPPER
+	RET
+
+// func scaleAVX8(x *float32, n int, c float32)
+//
+// x[i] *= c for i in [0, n), n a positive multiple of 8.
+TEXT ·scaleAVX8(SB), NOSPLIT, $0-20
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS c+16(FP), Y1
+
+scaleloop:
+	VMOVUPS (SI), Y0
+	VMULPS Y1, Y0, Y0
+	VMOVUPS Y0, (SI)
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JNZ  scaleloop
+	VZEROUPPER
+	RET
+
 // func maxAVX8(x *float32, n int) float32
 //
 // Largest of x[0:n], n a positive multiple of 8, ignoring NaNs (VMAXPS

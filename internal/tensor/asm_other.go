@@ -37,6 +37,24 @@ func expShiftSumAVX16(x *float32, n int, shift float32) float32 {
 	panic("tensor: expShiftSumAVX16 without AVX-512")
 }
 
+func softmaxWeightsAVX8(s *float32, lds, n, rows int, m, sum *float32) {
+	panic("tensor: softmaxWeightsAVX8 without AVX2")
+}
+
+func softmaxWeightsAVX16(s *float32, lds, n, rows int, m, sum *float32) {
+	panic("tensor: softmaxWeightsAVX16 without AVX-512")
+}
+
+func pvEdge(runs *int, nruns int, v0, v1 *float32, p *float32, col int, c *float32, ldc int, rows int, mask *int32, inv *float32) {
+	panic("tensor: pvEdge without AVX2")
+}
+
+func pvHeads16(runs *int, nruns int, v0, v1 *float32, ch *[pvChunks]pvChunk, c *float32, ldc int, rows int, inv *[mcRows * pvChunks]float32) {
+	panic("tensor: pvHeads16 without AVX-512")
+}
+
+func scaleAVX8(x *float32, n int, c float32) { panic("tensor: scaleAVX8 without AVX2") }
+
 func geluAVX16(x *float32, n int) { panic("tensor: geluAVX16 without AVX-512") }
 
 func maxAVX8(x *float32, n int) float32 { panic("tensor: maxAVX8 without AVX2") }

@@ -151,14 +151,20 @@ func TestAttentionAllKeysMasked(t *testing.T) {
 }
 
 func TestAttentionZeroAllocsWarmArena(t *testing.T) {
+	// Over a plain V and over the template's V with fresh rows, up to
+	// flux-sim's 8 heads × 256 keys and two key tiles.
 	rng := NewRNG(35)
-	for _, c := range []attnCase{{1, 64, 16, 4}, {7, 64, 16, 4}, {64, 64, 16, 4}, {22, 144, 24, 4}, {64, 4, 16, 8}, {130, 256, 16, 8}} {
+	for _, c := range []attnCase{{1, 64, 16, 4}, {7, 64, 16, 4}, {64, 64, 16, 4}, {22, 144, 24, 4}, {64, 4, 16, 8},
+		{130, 256, 16, 8}, {40, 256, 16, 8}, {7, attnKTile + 44, 24, 4}} {
 		q, k, v, scale := attnInputs(rng, c)
+		idx := []int{0, c.lk/2 - 1, c.lk / 2, c.lk - 1}
+		fresh := ValuesOf(v).WithRows(Randn(rng, len(idx), v.C, 1), idx)
 		dst := New(c.lq, q.C)
 		ws := NewArena()
 		run := func() {
 			ws.Reset()
 			FusedAttentionWS(ws, dst, q, k, v, c.heads, scale)
+			FusedAttentionPacked(ws, dst, q, PackKeysInto(ws.floats(k.R*k.C), k, scale), fresh, c.heads)
 		}
 		run() // sizes the arena
 		if n := testing.AllocsPerRun(10, run); n != 0 {
@@ -203,7 +209,7 @@ func TestAttentionPackedEqualsScattered(t *testing.T) {
 			for _, p := range []int{1, 2} {
 				SetParallelism(p)
 				ws.Reset()
-				FusedAttentionPacked(got, q, keys.WithRows(ws, kM, idx), v, c.heads)
+				FusedAttentionPacked(ws, got, q, keys.WithRows(ws, kM, idx), ValuesOf(v), c.heads)
 				if j, ok := sameBits(got.Data, want.Data); !ok {
 					t.Fatalf("%v, %d keys replaced, parallelism %d: differs from scatter-then-pack at element %d", c, len(idx), p, j)
 				}
@@ -217,18 +223,22 @@ func TestAttentionPackedEqualsScattered(t *testing.T) {
 }
 
 func TestAttentionPackedZeroAllocsWarmArena(t *testing.T) {
+	// A derived lane's attention: the template's packed K and its V, the
+	// masked rows' fresh K written into a copy of the pack and their fresh
+	// V taken where they stand — at sd21-sim's shape and flux-sim's.
 	rng := NewRNG(37)
-	c := attnCase{7, 64, 16, 4}
-	q, k, v, scale := attnInputs(rng, c)
-	keys := PackKeysInto(make([]float32, c.lk*k.C), k, scale)
-	idx := []int{3, 9, 10, 40, 41, 42, 63}
-	kM, dst, ws := Randn(rng, len(idx), k.C, 1), New(c.lq, q.C), NewArena()
-	run := func() {
-		ws.Reset()
-		FusedAttentionPacked(dst, q, keys.WithRows(ws, kM, idx), v, c.heads)
-	}
-	run() // sizes the arena
-	if n := testing.AllocsPerRun(10, run); n != 0 {
-		t.Errorf("%v allocs/op with a warm arena, want 0", n)
+	for _, c := range []attnCase{{7, 64, 16, 4}, {7, 256, 16, 8}} {
+		q, k, v, scale := attnInputs(rng, c)
+		keys := PackKeysInto(make([]float32, c.lk*k.C), k, scale)
+		idx := []int{3, 9, 10, 40, 41, 42, 63}
+		kM, vM, dst, ws := Randn(rng, len(idx), k.C, 1), Randn(rng, len(idx), v.C, 1), New(c.lq, q.C), NewArena()
+		run := func() {
+			ws.Reset()
+			FusedAttentionPacked(ws, dst, q, keys.WithRows(ws, kM, idx), ValuesOf(v).WithRows(vM, idx), c.heads)
+		}
+		run() // sizes the arena
+		if n := testing.AllocsPerRun(10, run); n != 0 {
+			t.Errorf("%v: %v allocs/op with a warm arena, want 0", c, n)
+		}
 	}
 }

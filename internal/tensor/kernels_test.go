@@ -27,6 +27,27 @@ func withParallelism(t *testing.T, p int) {
 	t.Cleanup(func() { SetParallelism(old); minTaskFLOPs = oldMin })
 }
 
+// atLevel runs fn with the process's kernel level set to l, which must not
+// be above what the host supports.
+func atLevel(l kernelLevel, fn func()) {
+	old := level
+	level = l
+	defer func() { level = old }()
+	fn()
+}
+
+// portable runs fn on the Go reference arithmetic of the portable level.
+func portable(fn func()) { atLevel(levelPortable, fn) }
+
+// levelsUpTo lists the kernel levels from portable to this process's.
+func levelsUpTo() []kernelLevel {
+	var ls []kernelLevel
+	for l := levelPortable; l <= level; l++ {
+		ls = append(ls, l)
+	}
+	return ls
+}
+
 func TestMatMulIntoMatchesNaive(t *testing.T) {
 	rng := NewRNG(11)
 	for _, s := range oddShapes {

@@ -173,24 +173,30 @@ func Scale(m *Matrix, s float32) *Matrix {
 	return m
 }
 
+// softmaxBatch is how many rows SoftmaxRows gives one weight pass.
+const softmaxBatch = 16
+
 // SoftmaxRows applies a numerically stable softmax to each row of m in
-// place, in float32 (see vecmath.go). A matrix with no columns is left
-// alone, and a row whose scores are all -Inf — every key masked out —
-// becomes all zeros rather than NaN; FusedAttentionInto defines the same.
+// place, in float32 (see vecmath.go): attention's weight pass
+// (softmaxWeights), softmaxBatch rows at a time, then each row times
+// 1/sum. A matrix with no columns is left alone, and a row whose scores are
+// all -Inf — every key masked out — becomes all zeros rather than NaN;
+// FusedAttentionInto defines the same.
 func SoftmaxRows(m *Matrix) {
 	if m.C == 0 {
 		return
 	}
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		max := maxOf(row)
-		if math.IsInf(float64(max), -1) {
-			clear(row)
-			continue
+	var mx, sum [softmaxBatch]float32
+	for i := 0; i < m.R; i += softmaxBatch {
+		rows := min(softmaxBatch, m.R-i)
+		for k := range mx {
+			mx[k] = float32(math.Inf(-1))
 		}
-		inv := 1 / expShiftSum(row, max)
-		for j := range row {
-			row[j] *= inv
+		softmaxWeights(m.Data[i*m.C:], m.C, m.C, rows, mx[:], sum[:])
+		for k := 0; k < rows; k++ {
+			if !math.IsInf(float64(mx[k]), -1) {
+				scaleVec(m.Row(i+k), 1/sum[k])
+			}
 		}
 	}
 }

@@ -3,7 +3,8 @@ package tensor
 import "math"
 
 // Float32 element-wise math for the step's token-wise passes: exp, the
-// softmax weight pass built on it, GeLU, LayerNorm and the residual add.
+// softmax weight pass built on it, GeLU, LayerNorm, the residual add and the
+// scalar multiply.
 //
 // The Go functions in this file are the specification. The assembly
 // kernels (asm_amd64.s: 8 lanes at the avx2 level; exp and GeLU on 16 at
@@ -137,6 +138,59 @@ func expShiftSum(x []float32, shift float32) float32 {
 		sum += x[i]
 	}
 	return sum
+}
+
+// softmaxWeights is the softmax weight pass over rows rows of n ≥ 1 scores,
+// row k at s[k*lds:], against running maxima m: m[k] becomes the larger of
+// m[k] and the row's largest score, the row is replaced by its weights
+// exp(s − m[k]) and sum[k] receives their sum. A row whose m[k] is -Inf
+// (every score so far masked out) becomes zeros with sum 0, not
+// exp(-Inf − -Inf) = NaN. Each row is exactly maxOf followed by expShiftSum
+// (softmaxWeightsRows); the vector kernels take every row's max first and
+// then the rows' exp passes back to back in one call, so that one row's exp
+// chains run beside the next row's instead of waiting out a call and a max,
+// and the constants are loaded once.
+func softmaxWeights(s []float32, lds, n, rows int, m, sum []float32) {
+	_, _ = m[rows-1], sum[rows-1]
+	_ = s[(rows-1)*lds+n-1]
+	switch {
+	case level >= levelAVX512:
+		softmaxWeightsAVX16(&s[0], lds, n, rows, &m[0], &sum[0])
+	case level >= levelAVX2:
+		softmaxWeightsAVX8(&s[0], lds, n, rows, &m[0], &sum[0])
+	default:
+		softmaxWeightsRows(s, lds, n, rows, m, sum)
+	}
+}
+
+// softmaxWeightsRows is the specification of softmaxWeights, one row at a
+// time.
+func softmaxWeightsRows(s []float32, lds, n, rows int, m, sum []float32) {
+	for k := 0; k < rows; k++ {
+		row := s[k*lds : k*lds+n]
+		if t := maxOf(row); t > m[k] {
+			m[k] = t
+		}
+		if math.IsInf(float64(m[k]), -1) {
+			clear(row)
+			sum[k] = 0
+			continue
+		}
+		sum[k] = expShiftSum(row, m[k])
+	}
+}
+
+// scaleVec multiplies every element of x by c: one rounded multiply each,
+// the same bits from a vector lane, the scalar tail and the portable build.
+func scaleVec(x []float32, c float32) {
+	n8 := 0
+	if level >= levelAVX2 && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		scaleAVX8(&x[0], n8, c)
+	}
+	for i := n8; i < len(x); i++ {
+		x[i] *= c
+	}
 }
 
 // maxOf returns the largest element of x, ignoring NaNs; -Inf for an

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-// atLevel runs fn with the process's kernel level set to l, which must not
-// be above what the host supports.
-func atLevel(l kernelLevel, fn func()) {
-	old := level
-	level = l
-	defer func() { level = old }()
-	fn()
-}
-
-// portable runs fn on the Go reference arithmetic of the portable level.
-func portable(fn func()) { atLevel(levelPortable, fn) }
-
 // TestVectorKernelsMatchReference pins the float32 vector math's contract:
 // the AVX2 kernels produce, bit for bit, what the Go reference functions
 // produce — element-wise results and reductions alike — so lanes, scalar

@@ -70,6 +70,16 @@ func sameBits(a, b []float32) (int, bool) {
 	return 0, true
 }
 
+// exactBits is sameBits without its NaN allowance.
+func exactBits(a, b []float32) (int, bool) {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
 func TestExpAccuracy(t *testing.T) {
 	// Every 61st float32 of [-87.3, 0]: ~18M arguments spread over every
 	// binade and every reduction interval.

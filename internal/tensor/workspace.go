@@ -3,11 +3,12 @@ package tensor
 import "fmt"
 
 // Arena is a bump-allocating workspace for kernel intermediates: one
-// float32 slab for matrix storage and one Matrix slab for headers. Get and
-// GetRaw hand out matrices carved from the slabs; Reset invalidates
-// everything handed out and recycles the storage, and Mark/Release do the
-// same for a nested scope (one block's intermediates inside a step), so the
-// slabs hold the deepest scope's working set rather than the cycle's total.
+// float32 slab for matrix storage, one Matrix slab for headers and one int
+// slab for index scratch. Get and GetRaw hand out matrices carved from the
+// slabs; Reset invalidates everything handed out and recycles the storage,
+// and Mark/Release do the same for a nested scope (one block's
+// intermediates inside a step), so the slabs hold the deepest scope's
+// working set rather than the cycle's total.
 // The slabs grow to the previous cycle's peak demand on Reset, so once a
 // compute cycle's shape mix is stable — e.g. the steady-state denoising
 // step — every Get is served from the slabs and the cycle performs zero
@@ -28,10 +29,13 @@ type Arena struct {
 	hdrs  []Matrix
 	hoff  int // headers live this cycle (incl. overflow)
 	hpeak int // highest hoff this cycle
+	islab []int
+	ioff  int // ints live this cycle (incl. overflow)
+	ipeak int // highest ioff this cycle
 }
 
 // ArenaMark is a position in an arena's cycle, taken by Mark.
-type ArenaMark struct{ off, hoff int }
+type ArenaMark struct{ off, hoff, ioff int }
 
 // NewArena returns an empty arena; its slabs are sized by the first Reset
 // after a warm-up cycle.
@@ -79,6 +83,20 @@ func (a *Arena) floats(n int) []float32 {
 	return a.slab[lo:a.off:a.off]
 }
 
+// ints is floats for int scratch.
+func (a *Arena) ints(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	lo := a.ioff
+	a.ioff += n
+	a.ipeak = max(a.ipeak, a.ioff)
+	if a.ioff > len(a.islab) {
+		return make([]int, n)
+	}
+	return a.islab[lo:a.ioff:a.ioff]
+}
+
 // Wrap returns an r×c matrix header over data without copying, using an
 // arena-backed header. It panics if len(data) != r*c.
 func (a *Arena) Wrap(r, c int, data []float32) *Matrix {
@@ -119,13 +137,13 @@ func (a *Arena) Mark() ArenaMark {
 	if a == nil {
 		return ArenaMark{}
 	}
-	return ArenaMark{a.off, a.hoff}
+	return ArenaMark{a.off, a.hoff, a.ioff}
 }
 
 // Release rewinds the arena to m. See Mark.
 func (a *Arena) Release(m ArenaMark) {
 	if a != nil {
-		a.off, a.hoff = m.off, m.hoff
+		a.off, a.hoff, a.ioff = m.off, m.hoff, m.ioff
 	}
 }
 
@@ -142,5 +160,8 @@ func (a *Arena) Reset() {
 	if a.hpeak > len(a.hdrs) {
 		a.hdrs = make([]Matrix, a.hpeak)
 	}
-	a.off, a.hoff, a.peak, a.hpeak = 0, 0, 0, 0
+	if a.ipeak > len(a.islab) {
+		a.islab = make([]int, a.ipeak)
+	}
+	a.off, a.hoff, a.ioff, a.peak, a.hpeak, a.ipeak = 0, 0, 0, 0, 0, 0
 }
