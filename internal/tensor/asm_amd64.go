@@ -29,7 +29,7 @@ var vecConsts = func() (t [18][8]float32) {
 	for i, c := range [18]float32{
 		expLo, expHi, expLog2e, expMagic, expLn2Hi, expLn2Lo,
 		expP0, expP1, expP2, expP3, expP4, expP5,
-		1, geluC, geluNeg2K, float32(math.Inf(-1)),
+		1, geluKC, geluNeg2K, float32(math.Inf(-1)),
 		math.Float32frombits(0x7FFFFFFF), geluTiny, // |x| bit mask
 	} {
 		for l := range t[i] {

@@ -569,10 +569,11 @@ edge32done:
 	RET
 
 // The float32 vector math below executes, lane for lane, the arithmetic of
-// the Go reference functions in vecmath.go: separately rounded VMULPS and
-// VADDPS, never FMA, so lanes, scalar tails and the portable build agree
-// bit for bit. Constants come from ·vecConsts, one 8-lane row each, filled
-// from the same Go constants the scalar code uses.
+// the Go reference functions in vecmath.go: a VFMADD/VFNMADD where the
+// reference calls fma32, separately rounded VMULPS and VADDPS everywhere
+// else, so lanes, scalar tails and the portable build agree bit for bit.
+// Constants come from ·vecConsts, one 8-lane row each, filled from the same
+// Go constants the scalar code uses.
 #define VC_EXPLO  ·vecConsts+0(SB)
 #define VC_EXPHI  ·vecConsts+32(SB)
 #define VC_LOG2E  ·vecConsts+64(SB)
@@ -586,40 +587,34 @@ edge32done:
 #define VC_P4     ·vecConsts+320(SB)
 #define VC_P5     ·vecConsts+352(SB)
 #define VC_ONE    ·vecConsts+384(SB)
-#define VC_GELUC  ·vecConsts+416(SB)
+#define VC_GELUKC ·vecConsts+416(SB)
 #define VC_GELUK  ·vecConsts+448(SB)
 #define VC_NEGINF ·vecConsts+480(SB)
 #define VC_ABS    ·vecConsts+512(SB)
 #define VC_TINY   ·vecConsts+544(SB)
 
 // EXP8: Y0 = expf(Y0), lane-wise; clobbers Y1-Y4. Mirrors expf step by
-// step. The two clamps keep expf's NaN behaviour: VCMPPS LT_OS is false for
-// NaN (not flushed), and VMINPS returns its second source — x — when the
-// comparison is unordered.
+// step, one VFMADD/VFNMADD per fma32. The two clamps keep expf's NaN
+// behaviour: VCMPPS LT_OS is false for NaN (not flushed), and VMINPS returns
+// its second source — x — when the comparison is unordered; the NaN then
+// passes through every step quieted, as expf returns it.
 #define EXP8 \
 	VCMPPS $1, VC_EXPLO, Y0, Y3; \
 	VMOVUPS VC_EXPHI, Y1; \
 	VMINPS Y0, Y1, Y0; \
-	VMULPS VC_LOG2E, Y0, Y1; \
-	VADDPS VC_MAGIC, Y1, Y1; \
+	VMOVUPS VC_MAGIC, Y1; \
+	VFMADD231PS VC_LOG2E, Y0, Y1; \
 	VSUBPS VC_MAGIC, Y1, Y2; \
-	VMULPS VC_LN2HI, Y2, Y4; \
-	VSUBPS Y4, Y0, Y0; \
-	VMULPS VC_LN2LO, Y2, Y4; \
-	VSUBPS Y4, Y0, Y0; \
-	VMULPS VC_P0, Y0, Y2; \
-	VADDPS VC_P1, Y2, Y2; \
-	VMULPS Y0, Y2, Y2; \
-	VADDPS VC_P2, Y2, Y2; \
-	VMULPS Y0, Y2, Y2; \
-	VADDPS VC_P3, Y2, Y2; \
-	VMULPS Y0, Y2, Y2; \
-	VADDPS VC_P4, Y2, Y2; \
-	VMULPS Y0, Y2, Y2; \
-	VADDPS VC_P5, Y2, Y2; \
+	VFNMADD231PS VC_LN2HI, Y2, Y0; \
+	VFNMADD231PS VC_LN2LO, Y2, Y0; \
+	VMOVUPS VC_P0, Y2; \
+	VFMADD213PS VC_P1, Y0, Y2; \
+	VFMADD213PS VC_P2, Y0, Y2; \
+	VFMADD213PS VC_P3, Y0, Y2; \
+	VFMADD213PS VC_P4, Y0, Y2; \
+	VFMADD213PS VC_P5, Y0, Y2; \
 	VMULPS Y0, Y0, Y4; \
-	VMULPS Y4, Y2, Y2; \
-	VADDPS Y0, Y2, Y2; \
+	VFMADD213PS Y0, Y4, Y2; \
 	VADDPS VC_ONE, Y2, Y2; \
 	VPSLLD $23, Y1, Y1; \
 	VPADDD VC_ONE, Y1, Y1; \
@@ -676,37 +671,30 @@ expsumloop:
 	VBROADCASTSS VC_P5, Z27; \
 	VBROADCASTSS VC_ONE, Z28
 
-// EXP16: Z0 = expf(Z0), lane-wise; clobbers Z1, Z2, Z4 and K1. EXP8
-// instruction for instruction, same operand order, except that the flush
-// below expLo is a zeroing mask on the last multiply: K1 is "not x < expLo"
+// EXP16: Z0 = expf(Z0), lane-wise; clobbers Z1, Z2, Z4 and K1. EXP8's
+// arithmetic up to the scale, which is one VSCALEFPS — p·2^floor(n) from the
+// float n, rounded once like EXP8's multiply by the 2ⁿ it builds from t's
+// bits, and the same value for every n in [-126, 127] that expf produces —
+// with the flush below expLo as its zeroing mask: K1 is "not x < expLo"
 // (VCMPPS NLT_US: set for NaN, which is not flushed).
 #define EXP16 \
 	VCMPPS $5, Z16, Z0, K1; \
 	VMINPS Z0, Z17, Z0; \
-	VMULPS Z18, Z0, Z1; \
-	VADDPS Z19, Z1, Z1; \
+	VMOVAPS Z19, Z1; \
+	VFMADD231PS Z18, Z0, Z1; \
 	VSUBPS Z19, Z1, Z2; \
-	VMULPS Z20, Z2, Z4; \
-	VSUBPS Z4, Z0, Z0; \
-	VMULPS Z21, Z2, Z4; \
-	VSUBPS Z4, Z0, Z0; \
-	VMULPS Z22, Z0, Z2; \
-	VADDPS Z23, Z2, Z2; \
-	VMULPS Z0, Z2, Z2; \
-	VADDPS Z24, Z2, Z2; \
-	VMULPS Z0, Z2, Z2; \
-	VADDPS Z25, Z2, Z2; \
-	VMULPS Z0, Z2, Z2; \
-	VADDPS Z26, Z2, Z2; \
-	VMULPS Z0, Z2, Z2; \
-	VADDPS Z27, Z2, Z2; \
+	VFNMADD231PS Z20, Z2, Z0; \
+	VFNMADD231PS Z21, Z2, Z0; \
+	VMOVAPS Z22, Z1; \
+	VFMADD213PS Z23, Z0, Z1; \
+	VFMADD213PS Z24, Z0, Z1; \
+	VFMADD213PS Z25, Z0, Z1; \
+	VFMADD213PS Z26, Z0, Z1; \
+	VFMADD213PS Z27, Z0, Z1; \
 	VMULPS Z0, Z0, Z4; \
-	VMULPS Z4, Z2, Z2; \
-	VADDPS Z0, Z2, Z2; \
-	VADDPS Z28, Z2, Z2; \
-	VPSLLD $23, Z1, Z1; \
-	VPADDD Z28, Z1, Z1; \
-	VMULPS.Z Z1, Z2, K1, Z0
+	VFMADD213PS Z0, Z4, Z1; \
+	VADDPS Z28, Z1, Z1; \
+	VSCALEFPS.Z Z2, Z1, K1, Z0
 
 // func expShiftSumAVX16(x *float32, n int, shift float32) float32
 //
@@ -1413,10 +1401,9 @@ geluloop:
 	VCMPPS $1, VC_TINY, Y0, Y0   // |x| < geluTiny
 	VANDNPS Y6, Y0, Y5           // xs = tiny ? 0 : x
 	VMULPS Y5, Y5, Y0
+	VMOVUPS VC_GELUKC, Y1
+	VFMADD213PS VC_GELUK, Y1, Y0 // K·C·xs² + K
 	VMULPS Y5, Y0, Y0
-	VMULPS VC_GELUC, Y0, Y0
-	VADDPS Y0, Y5, Y0
-	VMULPS VC_GELUK, Y0, Y0
 	EXP8
 	VADDPS VC_ONE, Y0, Y0
 	VDIVPS Y0, Y6, Y0
@@ -1434,10 +1421,8 @@ geluloop:
 	VCMPPS $5, Z30, Z0, K2; \
 	VMOVAPS.Z Z6, K2, Z5; \
 	VMULPS Z5, Z5, Z0; \
+	VFMADD213PS Z15, Z31, Z0; \
 	VMULPS Z5, Z0, Z0; \
-	VMULPS Z31, Z0, Z0; \
-	VADDPS Z0, Z5, Z0; \
-	VMULPS Z15, Z0, Z0; \
 	EXP16; \
 	VADDPS Z28, Z0, Z0; \
 	VDIVPS Z0, Z6, Z0
@@ -1452,7 +1437,7 @@ TEXT ·geluAVX16(SB), NOSPLIT, $0-16
 	VC16_LOAD
 	VBROADCASTSS VC_ABS, Z29
 	VBROADCASTSS VC_TINY, Z30
-	VBROADCASTSS VC_GELUC, Z31
+	VBROADCASTSS VC_GELUKC, Z31
 	VBROADCASTSS VC_GELUK, Z15
 	SUBQ $16, CX
 	JLT  gelu16tail

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -369,5 +370,34 @@ func TestMatMulRowIndependent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkGeLU times geluSlice over the 4×256 row group MatMulGeLUInto
+// hands it in sd21-sim's FFN, and over the whole 64×256 activation. Each
+// iteration restores the input: GeLU applied to its own output drifts
+// towards zero.
+func BenchmarkGeLU(b *testing.B) {
+	for _, rows := range []int{4, 64} {
+		src := Randn(NewRNG(1), rows, 256, 1).Data
+		x := make([]float32, len(src))
+		b.Run(fmt.Sprintf("%dx256", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				geluSlice(x)
+			}
+		})
+	}
+}
+
+// BenchmarkExpShiftSum times the softmax weight pass over 4096 scores,
+// restoring them each iteration.
+func BenchmarkExpShiftSum(b *testing.B) {
+	src := Randn(NewRNG(1), 1, 4096, 2).Data
+	shift := maxOf(src)
+	x := make([]float32, len(src))
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		expShiftSum(x, shift)
 	}
 }
