@@ -187,11 +187,13 @@ experiments:
 	mkdir -p artifacts
 	$(GO) run ./cmd/flashps-bench -out artifacts | tee artifacts/full_bench_output.txt
 
-# Short fuzzing pass over the wire-format and API parsers.
+# Short fuzzing pass over the wire-format and API parsers, and the PNG
+# encoder (decoded, its output must be the input's pixels).
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecBuild -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecJSON -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDeserializeLatent -fuzztime 10s
+	$(GO) test ./internal/img/ -run xxx -fuzz FuzzEncodePNG -fuzztime 10s
 
 clean:
 	rm -rf artifacts/*.png

@@ -87,17 +87,22 @@ func (c *Codec) Decode(latent *tensor.Matrix, lh, lw int) (*img.Image, error) {
 	}
 	h, w := c.ImageSize(lh, lw)
 	im := img.New(h, w)
+	stride := 3 * w
 	for ly := 0; ly < lh; ly++ {
+		// Fill the first pixel row of this token row's patches, then copy
+		// it into the patches' other rows.
+		y := ly * c.Patch
+		band := im.Pix[y*stride : (y+c.Patch)*stride]
 		for lx := 0; lx < lw; lx++ {
 			row := latent.Row(ly*lw + lx)
-			r := row[0]/2 + 0.5
-			g := row[1]/2 + 0.5
-			b := row[2]/2 + 0.5
-			for py := 0; py < c.Patch; py++ {
-				for px := 0; px < c.Patch; px++ {
-					im.Set(ly*c.Patch+py, lx*c.Patch+px, r, g, b)
-				}
+			im.Set(y, lx*c.Patch, row[0]/2+0.5, row[1]/2+0.5, row[2]/2+0.5)
+			patch := band[3*lx*c.Patch : 3*(lx+1)*c.Patch]
+			for n := 3; n < len(patch); n *= 2 {
+				copy(patch[n:], patch[:n])
 			}
+		}
+		for py := 1; py < c.Patch; py++ {
+			copy(band[py*stride:], band[:stride])
 		}
 	}
 	return im, nil

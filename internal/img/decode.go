@@ -4,25 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"image"
-	_ "image/jpeg" // register decoder
-	"image/png"
-	"sync"
+	_ "image/jpeg" // register decoders
+	_ "image/png"
 )
-
-// pngEncoder keeps the encoders' deflate state (~800 KB apiece, by far the
-// largest allocation of serving one edit) between EncodePNG calls. Reuse
-// resets it, so the bytes produced are those of a fresh png.Encode.
-var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
-
-// pngBuffers adapts sync.Pool to png.EncoderBufferPool.
-type pngBuffers struct{ pool sync.Pool }
-
-func (b *pngBuffers) Get() *png.EncoderBuffer {
-	eb, _ := b.pool.Get().(*png.EncoderBuffer)
-	return eb
-}
-
-func (b *pngBuffers) Put(eb *png.EncoderBuffer) { b.pool.Put(eb) }
 
 // Decode parses PNG or JPEG bytes into an Image.
 func Decode(data []byte) (*Image, error) {
@@ -39,26 +23,6 @@ func Decode(data []byte) (*Image, error) {
 		}
 	}
 	return out, nil
-}
-
-// EncodePNG renders the image to PNG bytes.
-func EncodePNG(im *Image) ([]byte, error) {
-	rgba := image.NewRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(y, x)
-			i := rgba.PixOffset(x, y)
-			rgba.Pix[i] = uint8(r*255 + 0.5)
-			rgba.Pix[i+1] = uint8(g*255 + 0.5)
-			rgba.Pix[i+2] = uint8(b*255 + 0.5)
-			rgba.Pix[i+3] = 255
-		}
-	}
-	var buf bytes.Buffer
-	if err := pngEncoder.Encode(&buf, rgba); err != nil {
-		return nil, fmt.Errorf("img: encode: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // Resize scales the image to h×w with bilinear interpolation.

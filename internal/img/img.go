@@ -1,13 +1,11 @@
 // Package img provides a minimal float32 RGB image type, deterministic
 // synthetic template generation (the stand-in for production image
-// templates such as try-on model photos), and PNG export for the examples.
+// templates such as try-on model photos), and the PNG encoder every served
+// image goes through.
 package img
 
 import (
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
 	"math"
 	"os"
 
@@ -48,8 +46,9 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
+// clamp01 maps v into [0, 1], NaN to 0.
 func clamp01(v float32) float32 {
-	if v < 0 {
+	if !(v >= 0) {
 		return 0
 	}
 	if v > 1 {
@@ -92,27 +91,14 @@ func (im *Image) Gray() []float64 {
 	return out
 }
 
-// SavePNG writes the image to path as an 8-bit PNG.
+// SavePNG writes the image to path as EncodePNG renders it.
 func (im *Image) SavePNG(path string) error {
-	rgba := image.NewRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(y, x)
-			rgba.Set(x, y, color.RGBA{
-				R: uint8(r*255 + 0.5),
-				G: uint8(g*255 + 0.5),
-				B: uint8(b*255 + 0.5),
-				A: 255,
-			})
-		}
-	}
-	f, err := os.Create(path)
+	data, err := EncodePNG(im)
 	if err != nil {
-		return fmt.Errorf("img: save %s: %w", path, err)
+		return err
 	}
-	defer f.Close()
-	if err := png.Encode(f, rgba); err != nil {
-		return fmt.Errorf("img: encode %s: %w", path, err)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("img: save: %w", err)
 	}
 	return nil
 }
@@ -167,18 +153,4 @@ func SynthTemplate(id uint64, h, w int) *Image {
 		}
 	}
 	return im
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,9 @@
 package img
 
 import (
+	"bytes"
+	"image/color"
+	"image/png"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,6 +34,25 @@ func TestSetClamps(t *testing.T) {
 	r, g, b := im.At(0, 0)
 	if r != 0 || g != 1 || b != 0.5 {
 		t.Fatalf("clamp failed: %v,%v,%v", r, g, b)
+	}
+}
+
+func TestSetMapsNaNToZero(t *testing.T) {
+	nan := float32(math.NaN())
+	im := New(1, 2)
+	im.Set(0, 0, nan, 0.5, nan)
+	im.Set(0, 1, 1, nan, 0)
+	if r, g, b := im.At(0, 0); r != 0 || g != 0.5 || b != 0 {
+		t.Fatalf("Set(NaN, 0.5, NaN) stored %v,%v,%v", r, g, b)
+	}
+	dec, err := png.Decode(bytes.NewReader(mustEncode(t, im)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x, want := range []color.RGBA{{0, 128, 0, 255}, {255, 0, 0, 255}} {
+		if got := color.RGBAModel.Convert(dec.At(x, 0)); got != want {
+			t.Errorf("pixel %d = %v, want %v", x, got, want)
+		}
 	}
 }
 
@@ -120,12 +142,12 @@ func TestSavePNG(t *testing.T) {
 	if err := im.SavePNG(path); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() == 0 {
-		t.Fatal("empty PNG written")
+	if !bytes.Equal(got, mustEncode(t, im)) {
+		t.Fatal("SavePNG wrote other bytes than EncodePNG returns")
 	}
 	if err := im.SavePNG(filepath.Join(dir, "nodir", "x.png")); err == nil {
 		t.Fatal("SavePNG to missing dir should fail")
