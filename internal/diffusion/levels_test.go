@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"image"
 	"image/png"
 	"runtime"
 	"testing"
@@ -76,8 +75,12 @@ func TestServedPNGNearStdlibSize(t *testing.T) {
 		for _, share := range []int{5, 50} {
 			res := servedEdit(t, cfg, cfg.Tokens()*share/100)
 			got := mustPNG(t, res.Image)
+			pixels, err := png.Decode(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
 			var std bytes.Buffer
-			if err := png.Encode(&std, rgba(res.Image)); err != nil {
+			if err := png.Encode(&std, pixels); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%s, %d%% masked: %d bytes, image/png %d (%.2f×)", cfg.Name, share, len(got), std.Len(), float64(len(got))/float64(std.Len()))
@@ -86,18 +89,6 @@ func TestServedPNGNearStdlibSize(t *testing.T) {
 			}
 		}
 	}
-}
-
-// rgba is im as EncodePNG quantises it.
-func rgba(im *img.Image) *image.RGBA {
-	out := image.NewRGBA(image.Rect(0, 0, im.W, im.H))
-	for p := 0; p < im.H*im.W; p++ {
-		for c := 0; c < 3; c++ {
-			out.Pix[4*p+c] = uint8(im.Pix[3*p+c]*255 + 0.5)
-		}
-		out.Pix[4*p+3] = 255
-	}
-	return out
 }
 
 // TestWholeEditEveryLevel runs one whole edit per model — hidden 64/96/128,
