@@ -97,7 +97,8 @@ cache-stress:
 # The unification proof under the race detector: the discrete-event
 # simulator and the real-engine driver must emit identical decision
 # sequences AND byte-identical telemetry (Prometheus exposition, SLO
-# attainment, dashboard) from the shared batching core for the same trace.
+# attainment, causal traces, flight snapshots) from the shared batching
+# core for the same trace.
 # The prefix also matches TestDifferentialReplayColdCache.
 replay-diff:
 	$(GO) test -race -count=1 ./internal/replay/ -run TestDifferentialReplay
@@ -110,10 +111,11 @@ fleet-diff:
 
 # Observability hygiene under the race detector: every registered metric
 # matches the naming rule and is documented, the Prometheus exposition
-# matches its golden file, and the Chrome trace export passes its schema
-# checks.
+# matches its golden file, the Chrome trace export passes its schema
+# checks, and the plane's hot-path methods stay within their allocation
+# limits.
 obs-lint:
-	$(GO) test -race -count=1 ./internal/obs/ -run 'TestMetricNamingLint|TestPlaneExpositionGolden|TestChromeTraceSchema|TestPlaneDashboardDeterministic'
+	$(GO) test -race -count=1 ./internal/obs/ -run 'TestMetricNamingLint|TestPlaneExpositionGolden|TestChromeTraceSchema|TestPlaneHotPathAllocs'
 
 # End-to-end alerting drill under the race detector: an injected fault
 # pushes a burst of interactive requests past their deadline, the

@@ -18,9 +18,10 @@
 //
 // -sim replays the generated trace through the discrete-event simulator
 // with a full telemetry plane bound to the virtual clock; -obs-out writes
-// the plane's three artifacts (metrics.prom, trace.json, dash.html) with
-// virtual timestamps — the same files the live serving plane exposes over
-// HTTP, produced from pure simulation.
+// the plane's four artifacts (metrics.prom, trace.json, profile.jsonl,
+// flightrecorder.json) with virtual timestamps — the same renderings the
+// live serving plane writes or exposes over HTTP, produced from pure
+// simulation.
 package main
 
 import (
@@ -59,7 +60,7 @@ func main() {
 		policy   = flag.String("policy", "mask-aware", "sim: round-robin|least-requests|least-tokens|mask-aware")
 		profile  = flag.String("profile", "sd21", "sim: model/GPU profile name")
 		cold     = flag.Int("cold", 0, "sim: per-worker host cache capacity in templates (0 = all warm)")
-		obsOut   = flag.String("obs-out", "", "sim: directory for metrics.prom, trace.json, dash.html")
+		obsOut   = flag.String("obs-out", "", "sim: directory for metrics.prom, trace.json, profile.jsonl, flightrecorder.json")
 
 		router      = flag.String("router", "", "sim: fleet router (least-loaded|affinity) — arms the fleet pipeline")
 		replicas    = flag.Int("replicas", 0, "sim: initially active fleet replicas (0 = -workers)")
@@ -231,13 +232,10 @@ func runSim(f simFlags) error {
 		plane.SLO.Attainment(), attained, total,
 		float64(attained)/res.Makespan, plane.StepsTotal())
 	if f.obsOut != "" {
-		if err := os.MkdirAll(f.obsOut, 0o755); err != nil {
-			return err
-		}
 		if err := plane.WriteArtifacts(f.obsOut); err != nil {
 			return err
 		}
-		fmt.Printf("wrote metrics.prom, trace.json, dash.html to %s\n", f.obsOut)
+		fmt.Printf("wrote metrics.prom, trace.json, profile.jsonl, flightrecorder.json to %s\n", f.obsOut)
 	}
 	return nil
 }

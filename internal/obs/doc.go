@@ -3,8 +3,9 @@
 // (counters, gauges, fixed-bucket histograms, scrape-time functions) with
 // Prometheus text-format exposition, a per-request span tracer backed by a
 // bounded ring buffer with Chrome trace_event JSON export, sliding-window
-// quantile estimators, an SLO tracker with attainment and goodput, a
-// time-windowed series sampler, and a self-contained HTML dashboard.
+// quantile estimators, an SLO tracker with attainment and goodput,
+// burn-rate alerts, a calibration cost-sample recorder, and a flight
+// recorder.
 //
 // Everything is timestamped through the package's one-method Clock
 // interface (Now() float64, seconds): the live serving plane binds a
@@ -13,7 +14,7 @@
 // virtual timestamps under simulation and wall timestamps in production,
 // and a replayed trace produces the same exposition shapes as a live run.
 // Plane bundles all of it behind one construction point; see
-// docs/OBSERVABILITY.md for the full metric, span, and dashboard
+// docs/OBSERVABILITY.md for the full metric, span, and artifact
 // reference.
 //
 // The registry replaces ad-hoc metric string formatting: instruments are

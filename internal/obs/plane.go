@@ -14,20 +14,19 @@ import (
 // core: the live serving plane (internal/serve), the discrete-event
 // simulator (internal/cluster), and the differential-replay real driver
 // (internal/replay) all emit through one Plane, so a replayed trace and a
-// live run produce the same Prometheus exposition shapes, Chrome traces,
-// and dashboard — differing only in whether timestamps are virtual or
-// wall seconds.
+// live run produce the same Prometheus exposition, Chrome traces, profile
+// and flight snapshots — differing only in whether timestamps are virtual
+// or wall seconds.
 //
-// The Plane bundles the registry and tracer (PR 1) with the instruments
-// the paper's distributional claims need: windowed per-stage quantiles
+// The Plane bundles the registry and tracer with the instruments the
+// paper's distributional claims need: windowed per-stage quantiles
 // (P50/P95/P99), an SLO tracker with attainment and goodput, per-cache-
-// tier hit/miss/byte accounting, and queue-depth / batch-occupancy time
-// series. All hot-path methods are concurrency-safe.
+// tier hit/miss/byte accounting, and queue-depth / batch-occupancy
+// instruments. All hot-path methods are concurrency-safe.
 type Plane struct {
 	Reg     *Registry
 	Tracer  *Tracer
 	SLO     *SLOTracker
-	Samples *Sampler
 	Profile *ProfileRecorder
 	Flight  *FlightRecorder
 
@@ -35,7 +34,6 @@ type Plane struct {
 	clock      Clock
 	epoch      float64
 	calib      CalibrationInfo
-	cacheOcc   func() []CacheTierOccupancy
 	flightSink func(FlightSnapshot)
 
 	requests     *CounterVec
@@ -67,19 +65,16 @@ type Plane struct {
 // PlaneConfig parameterizes a Plane. The zero value is a working live
 // configuration (wall clock, default windows and ring sizes).
 type PlaneConfig struct {
-	// Clock stamps spans, samples, and rate denominators; nil uses a fresh
-	// WallClock. Simulation drivers that build their clock inside Run
-	// rebind later via BindClock.
+	// Clock stamps spans, cost samples, and rate denominators; nil uses a
+	// fresh WallClock. Simulation drivers that build their clock inside
+	// Run rebind later via BindClock.
 	Clock Clock
 	// TraceRing sizes the span ring (0: DefaultTraceRing).
 	TraceRing int
 	// SLOClasses are the deadline classes (nil: DefaultSLOClasses).
 	SLOClasses []SLOClass
-	// SampleWindow/SampleCap size the time-series sampler (0: defaults).
-	SampleWindow float64
-	SampleCap    int
 	// QuantileWindow/QuantileCap size the per-stage windowed quantile
-	// estimators (0: DefaultSampleWindow / DefaultQuantileCap).
+	// estimators (0: DefaultQuantileWindow / DefaultQuantileCap).
 	QuantileWindow float64
 	QuantileCap    int
 	// ProfileCap bounds the retained calibration cost samples
@@ -103,7 +98,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	}
 	qw := cfg.QuantileWindow
 	if qw <= 0 {
-		qw = DefaultSampleWindow
+		qw = DefaultQuantileWindow
 	}
 	classes := cfg.SLOClasses
 	if len(classes) == 0 {
@@ -114,7 +109,6 @@ func NewPlane(cfg PlaneConfig) *Plane {
 		Reg:     reg,
 		Tracer:  NewTracer(cfg.TraceRing),
 		SLO:     NewSLOTracker(classes),
-		Samples: NewSampler(clock, cfg.SampleWindow, cfg.SampleCap),
 		Profile: NewProfileRecorder(cfg.ProfileCap),
 		Flight:  NewFlightRecorder(cfg.FlightRing),
 		clock:   clock,
@@ -185,9 +179,6 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	reg.GaugeFunc("flashps_trace_spans_total",
 		"Spans recorded into the trace ring (including dropped)",
 		func() float64 { return float64(p.Tracer.Total()) })
-	reg.GaugeFunc("flashps_trace_spans_dropped",
-		"Spans evicted from the trace ring",
-		func() float64 { return float64(p.Tracer.Dropped()) })
 	reg.GaugeVecFunc("flashps_request_stage_quantile_seconds",
 		"Windowed per-stage latency quantiles (P50/P95/P99)",
 		p.stageQuantiles, "stage", "quantile")
@@ -209,23 +200,17 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	reg.GaugeFunc("flashps_calibration_profile_dropped",
 		"Calibration cost samples evicted by the recorder's capacity bound",
 		func() float64 { return float64(p.Profile.Dropped()) })
-
-	p.Samples.Source("goodput_rps",
-		func() float64 { a, _ := p.SLO.Counts(); return p.rate(float64(a)) })
-	p.Samples.Source("throughput_rps",
-		func() float64 { _, t := p.SLO.Counts(); return p.rate(float64(t)) })
 	return p
 }
 
-// BindClock rebinds the plane (and its sampler) to a driver-owned clock
-// and resets the rate epoch to the clock's current time. The simulation
-// harnesses call it right after constructing their virtual clock.
+// BindClock rebinds the plane to a driver-owned clock and resets the rate
+// epoch to the clock's current time. The simulation harnesses call it
+// right after constructing their virtual clock.
 func (p *Plane) BindClock(c Clock) {
 	p.mu.Lock()
 	p.clock = c
 	p.epoch = c.Now()
 	p.mu.Unlock()
-	p.Samples.setClock(c)
 }
 
 // Now returns the bound clock's current time.
@@ -236,17 +221,13 @@ func (p *Plane) Now() float64 {
 	return c.Now()
 }
 
-// Epoch returns the rate epoch (clock seconds).
-func (p *Plane) Epoch() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
 // rate divides a count by the elapsed clock time since epoch (0 before any
 // time has passed).
 func (p *Plane) rate(count float64) float64 {
-	elapsed := p.Now() - p.Epoch()
+	p.mu.Lock()
+	c, epoch := p.clock, p.epoch
+	p.mu.Unlock()
+	elapsed := c.Now() - epoch
 	if elapsed <= 0 {
 		return 0
 	}
@@ -284,24 +265,19 @@ func (p *Plane) StageQuantile(stage string, q float64) float64 {
 	return p.stageQ.With(stage).Quantile(p.Now(), q)
 }
 
-// Span records one stage span (clock seconds) into the tracer, the stage
-// histogram, and the stage quantile window, so the trace, the histogram,
-// and the quantiles never disagree.
-func (p *Plane) Span(req uint64, stage, cat string, tid int, start, dur float64, args map[string]float64) {
-	p.SpanCausal(req, stage, cat, tid, start, dur, 0, 0, 0, args)
-}
-
-// SpanCausal is Span with an explicit causal identity: the request's
-// trace id, this span's id within it, and the parent span it hangs under
-// (0 for the request root). All-zero ids record a legacy non-causal span.
+// SpanCausal records one stage span (clock seconds) with its causal
+// identity: the request's trace id, this span's id within it, and the
+// parent span it hangs under (0 for the request root). It is RecordSpan
+// with the annotations as a map.
 func (p *Plane) SpanCausal(req uint64, stage, cat string, tid int, start, dur float64, trace, id, parent uint64, args map[string]float64) {
 	p.RecordSpan(Span{Request: req, Name: stage, Cat: cat, TID: tid,
 		Start: start, Dur: dur, Args: ArgsFromMap(args), Trace: trace, ID: id, Parent: parent})
 }
 
-// RecordSpan records s in the trace ring and its duration in the stage
-// histograms. It is what Span and SpanCausal come down to, and the form
-// for hot paths: with annotations built inline (Arg) nothing allocates.
+// RecordSpan records s in the trace ring, the stage histogram, and the
+// stage quantile window, so the trace, the histogram, and the quantiles
+// never disagree. It is the form for hot paths: with annotations built
+// inline (Arg) nothing allocates.
 func (p *Plane) RecordSpan(s Span) {
 	if s.Dur < 0 {
 		s.Dur = 0
@@ -320,13 +296,11 @@ func (p *Plane) RequestOutcome(outcome string) { p.requests.With(outcome).Inc() 
 func (p *Plane) AddSteps(n int) { p.steps.Add(float64(n)) }
 
 // ObserveBatch records the running-batch size of one executed step into
-// the occupancy histogram, the mean-batch accumulators, and the
-// batch_occupancy time series.
+// the occupancy histogram and the mean-batch accumulators.
 func (p *Plane) ObserveBatch(size int) {
 	p.batchOcc.Observe(float64(size))
 	p.batchSizeSum.Add(uint64(size))
 	p.batchSteps.Add(1)
-	p.Samples.Record("batch_occupancy", float64(size))
 }
 
 // StepsTotal returns the denoise-step counter's current value (per-request
@@ -343,7 +317,7 @@ func (p *Plane) MeanBatchSize() float64 {
 }
 
 // SetQueueDepth publishes one worker's ready-queue depth, tracking its
-// peak and sampling the queue_depth time series.
+// peak.
 func (p *Plane) SetQueueDepth(worker, depth int) {
 	l := strconv.Itoa(worker)
 	d := float64(depth)
@@ -351,7 +325,6 @@ func (p *Plane) SetQueueDepth(worker, depth int) {
 	if peak := p.peakQueue.With(l); d > peak.Value() {
 		peak.Set(d)
 	}
-	p.Samples.Record("queue_depth_w"+l, d)
 }
 
 // Decision counts one scheduling decision by kind and drops it into the
@@ -363,11 +336,10 @@ func (p *Plane) Decision(kind string) {
 }
 
 // ObserveSLO classifies one completed request (by mask ratio) against its
-// deadline class and records attainment; it also ticks the sampler's
-// sources so goodput/throughput series advance at completion events —
-// which keeps sampling deterministic (and the virtual event queue finite)
-// under the simulation drivers — and feeds the burn-rate alert evaluator
-// at the same completion events, for the same reason.
+// deadline class and records attainment; it also feeds the burn-rate
+// alert evaluator at the completion event, which keeps alerting
+// deterministic (and the virtual event queue finite) under the simulation
+// drivers.
 func (p *Plane) ObserveSLO(ratio, latency float64) (SLOClass, bool) {
 	c, ok := p.SLO.Observe(ratio, latency)
 	result := "attained"
@@ -386,7 +358,6 @@ func (p *Plane) ObserveSLO(ratio, latency float64) (SLOClass, bool) {
 			p.TripFlight("alert_page:" + c.Name)
 		}
 	}
-	p.Samples.Tick()
 	return c, ok
 }
 
@@ -469,13 +440,11 @@ func (p *Plane) CacheTier(tier, op string, ops uint64, bytes float64) {
 	}
 }
 
-// Tick samples the registered time-series sources at the current clock
-// time and re-evaluates the alert windows so states decay when traffic
-// stops; the live serving plane drives it from a wall ticker. The sim
-// drivers never call it — they evaluate at completion events instead,
-// which keeps replay deterministic.
+// Tick re-evaluates the alert windows at the current clock time so states
+// decay when traffic stops; the live serving plane drives it from a wall
+// ticker. The sim drivers never call it — they evaluate at completion
+// events instead, which keeps replay deterministic.
 func (p *Plane) Tick() {
-	p.Samples.Tick()
 	for _, st := range p.alerts.Evaluate(p.Now()) {
 		p.publishAlert(st)
 	}
@@ -498,26 +467,16 @@ func (p *Plane) RecordCost(s CostSample) {
 	}
 }
 
-// BlockCounts returns the lifetime computed/reused transformer-block
-// execution counts (the dashboard's step-caching panel).
-func (p *Plane) BlockCounts() (computed, reused float64) {
-	return p.blocksComp.Value(), p.blocksRe.Value()
-}
-
-// StageFitInfo summarizes one stage's fit quality for the calibration
-// panel and the flashps_calibration_fit_residual gauges.
+// StageFitInfo is one stage's fit quality for the
+// flashps_calibration_fit_residual gauges.
 type StageFitInfo struct {
 	Stage    string
-	Samples  int
-	R2       float64
 	Residual float64 // median absolute relative residual
 }
 
 // CalibrationInfo describes the cost model currently loaded into the
 // driver behind this plane.
 type CalibrationInfo struct {
-	Model    string // fitted model-profile name
-	Version  int
 	FittedAt float64 // plane-clock seconds at fit time
 	Fits     []StageFitInfo
 
@@ -537,62 +496,19 @@ func (p *Plane) SetCalibration(info CalibrationInfo) {
 	}
 }
 
-// Calibration returns the active fitted-model description and whether one
-// has been published.
-func (p *Plane) Calibration() (CalibrationInfo, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calib, p.calib.set
-}
-
-// CacheTierOccupancy is one tier's live occupancy row for the dashboard's
-// cache panel, pulled from the serving plane's template store at render
-// time.
-type CacheTierOccupancy struct {
-	Tier          string
-	CapacityBytes int64
-	UsedBytes     int64
-	Entries       int
-	Pinned        int
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	DedupRatio    float64
-}
-
-// SetCacheOccupancySource registers a snapshot function the dashboard
-// polls when rendered. Planes without a template store (the sim and
-// replay drivers) never set one and omit the panel, so their rendered
-// dashboards are unchanged byte for byte.
-func (p *Plane) SetCacheOccupancySource(fn func() []CacheTierOccupancy) {
-	p.mu.Lock()
-	p.cacheOcc = fn
-	p.mu.Unlock()
-}
-
-// cacheOccupancy snapshots the registered occupancy source, nil when none.
-func (p *Plane) cacheOccupancy() []CacheTierOccupancy {
-	p.mu.Lock()
-	fn := p.cacheOcc
-	p.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
-}
-
 // Artifact filenames WriteArtifacts produces.
 const (
 	ArtifactMetrics        = "metrics.prom"
 	ArtifactTrace          = "trace.json"
-	ArtifactDashboard      = "dash.html"
 	ArtifactProfile        = "profile.jsonl"
 	ArtifactFlightRecorder = "flightrecorder.json"
 )
 
-// WriteArtifacts dumps the plane's full output — Prometheus exposition,
-// Chrome trace JSON, and the self-contained HTML dashboard — into dir
-// (created if missing), returning the first error.
+// WriteArtifacts dumps the plane's full output into dir (created if
+// missing) as four files — the Prometheus exposition (metrics.prom), the
+// Chrome trace JSON (trace.json), the calibration cost samples
+// (profile.jsonl) and a flight snapshot (flightrecorder.json) — returning
+// the first error.
 func (p *Plane) WriteArtifacts(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -619,12 +535,7 @@ func (p *Plane) WriteArtifacts(dir string) error {
 	}); err != nil {
 		return err
 	}
-	if err := write(ArtifactFlightRecorder, func(b *strings.Builder) error {
+	return write(ArtifactFlightRecorder, func(b *strings.Builder) error {
 		return p.FlightSnapshot("artifact").WriteJSON(b)
-	}); err != nil {
-		return err
-	}
-	return write(ArtifactDashboard, func(b *strings.Builder) error {
-		return p.WriteDashboard(b)
 	})
 }

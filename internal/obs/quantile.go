@@ -28,9 +28,11 @@ type WindowQuantile struct {
 	sum    float64 // over all observations ever
 }
 
-// DefaultQuantileCap bounds retained samples per window when no cap is
-// configured.
-const DefaultQuantileCap = 8192
+// Default quantile sizing: ten minutes of samples, bounded per window.
+const (
+	DefaultQuantileWindow = 600.0
+	DefaultQuantileCap    = 8192
+)
 
 // NewWindowQuantile returns an estimator over the given window (seconds;
 // <=0 keeps everything up to cap) retaining at most cap samples (<=0 uses

@@ -118,15 +118,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Buckets returns the bucket upper bounds (excluding the implicit +Inf),
-// the cumulative counts aligned with them, the total observation count,
-// and the observation sum — the same snapshot the exposition renders,
-// exported for the dashboard and report writers.
-func (h *Histogram) Buckets() (upper []float64, cum []uint64, total uint64, sum float64) {
-	cum, total, sum = h.snapshot()
-	return append([]float64(nil), h.upper...), cum, total, sum
-}
-
 // snapshot returns cumulative bucket counts aligned with upper, the +Inf
 // total, and the sum. The +Inf total equals the sum of every per-bin count
 // read in this snapshot, so exposition invariants hold by construction.
@@ -236,25 +227,6 @@ func (f *family) child(values ...string) *child {
 	return c
 }
 
-// vecSnapshot reads every child's scalar value in creation order.
-func (f *family) vecSnapshot() []LabeledValue {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]LabeledValue, 0, len(f.order))
-	for _, key := range f.order {
-		c := f.children[key]
-		var v float64
-		switch f.kind {
-		case kindCounter:
-			v = c.ctr.Value()
-		case kindGauge:
-			v = c.gauge.Value()
-		}
-		out = append(out, LabeledValue{Values: c.values, V: v})
-	}
-	return out
-}
-
 // CounterVec is a family of counters keyed by label values.
 type CounterVec struct{ f *family }
 
@@ -262,19 +234,11 @@ type CounterVec struct{ f *family }
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values...).ctr }
 
-// Snapshot returns every child's label values and current count, in
-// creation order (used by the dashboard renderer).
-func (v *CounterVec) Snapshot() []LabeledValue { return v.f.vecSnapshot() }
-
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct{ f *family }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values...).gauge }
-
-// Snapshot returns every child's label values and current value, in
-// creation order.
-func (v *GaugeVec) Snapshot() []LabeledValue { return v.f.vecSnapshot() }
 
 // HistogramVec is a family of histograms keyed by label values.
 type HistogramVec struct{ f *family }

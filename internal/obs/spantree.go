@@ -99,3 +99,21 @@ func spanArgs(s Span) string {
 	}
 	return b.String()
 }
+
+// fmtSeconds renders a duration in seconds with an adaptive unit.
+func fmtSeconds(s float64) string {
+	switch {
+	case s < 0:
+		return "-" + fmtSeconds(-s)
+	case s == 0:
+		return "0s"
+	case s < 1e-3:
+		return strconv.FormatFloat(s*1e6, 'f', 1, 64) + "µs"
+	case s < 1:
+		return strconv.FormatFloat(s*1e3, 'f', 2, 64) + "ms"
+	case s < 120:
+		return strconv.FormatFloat(s, 'f', 2, 64) + "s"
+	default:
+		return strconv.FormatFloat(s/60, 'f', 1, 64) + "min"
+	}
+}

@@ -172,24 +172,17 @@ func (c *Coefficients) Validate() error {
 	return nil
 }
 
-// Info renders the coefficient set for the telemetry plane's calibration
-// panel and residual gauges.
+// Info renders the coefficient set for the telemetry plane's model-age
+// and fit-residual gauges.
 func (c *Coefficients) Info() obs.CalibrationInfo {
-	info := obs.CalibrationInfo{
-		Model:    c.Profile.Name,
-		Version:  c.Version,
-		FittedAt: c.FittedAt,
-	}
+	info := obs.CalibrationInfo{FittedAt: c.FittedAt}
 	stages := make([]string, 0, len(c.Fits))
 	for s := range c.Fits {
 		stages = append(stages, s)
 	}
 	sort.Strings(stages)
 	for _, s := range stages {
-		f := c.Fits[s]
-		info.Fits = append(info.Fits, obs.StageFitInfo{
-			Stage: s, Samples: f.Samples, R2: f.R2, Residual: f.Residual,
-		})
+		info.Fits = append(info.Fits, obs.StageFitInfo{Stage: s, Residual: c.Fits[s].Residual})
 	}
 	return info
 }

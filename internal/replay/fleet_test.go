@@ -35,8 +35,8 @@ func fleetTrace(t *testing.T, n int) []workload.Request {
 // simulator and through the real-engine fleet driver must produce the
 // identical core decision sequence, the identical fleet event sequence
 // (routing choices, admission rejects, scale up/down actions), identical
-// final replica states, and byte-identical Prometheus expositions and
-// dashboards — for ≥ 2 replicas under both the least-loaded and the
+// final replica states, and byte-identical Prometheus expositions —
+// for ≥ 2 replicas under both the least-loaded and the
 // template-affinity routers, with the SLO-driven autoscaler armed.
 func TestDifferentialReplayFleet(t *testing.T) {
 	reqs := fleetTrace(t, 300)

@@ -555,7 +555,7 @@ func TestShedLargestMaskFirst(t *testing.T) {
 }
 
 // TestFaultCountersExposedAtZero: all four resilience counters are
-// registered eagerly so dashboards see them before the first incident.
+// registered eagerly so a scrape sees them before the first incident.
 func TestFaultCountersExposedAtZero(t *testing.T) {
 	s := newTestServer(t, 1)
 	for _, name := range []string{

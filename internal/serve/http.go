@@ -31,7 +31,6 @@ func mathFloat32frombits(b uint32) float32 { return math.Float32frombits(b) }
 //	GET    /debug/traces          — span ring buffer as Chrome trace_event JSON;
 //	                                ?trace_id= filters to one request's span tree (v1.3)
 //	GET    /debug/flightrecorder  — on-demand flight-recorder snapshot (v1.3)
-//	GET    /debug/dash            — self-contained live HTML dashboard
 //
 // Every error on a /v1/* route (including 405s) is a structured JSON
 // envelope: {"error": {"code", "message", "retryable"}}.
@@ -193,14 +192,6 @@ func (s *Server) Handler() http.Handler {
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			if err := s.obs.plane.FlightSnapshot("debug").WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		},
-	}))
-	mux.HandleFunc("/debug/dash", methods(map[string]http.HandlerFunc{
-		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			if err := s.obs.plane.WriteDashboard(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		},

@@ -87,7 +87,7 @@ func newServeObs(traceRing int) *serveObs {
 	return &serveObs{
 		plane:    plane,
 		wall:     wall,
-		organize: obs.NewWindowQuantile(obs.DefaultSampleWindow, 0),
+		organize: obs.NewWindowQuantile(obs.DefaultQuantileWindow, 0),
 		reg:      reg,
 		tracer:   plane.Tracer,
 		retries: reg.Counter("flashps_retries_total",
@@ -104,9 +104,8 @@ func newServeObs(traceRing int) *serveObs {
 }
 
 // bindStore registers scrape-time gauges over the tiered template
-// store's live statistics, and feeds the dashboard's cache panel. The
-// host tier is always present; disk-tier gauges appear only when a spill
-// dir is configured.
+// store's live statistics. The host tier is always present; disk-tier
+// gauges appear only when a spill dir is configured.
 func (o *serveObs) bindStore(store *cache.TieredStore) {
 	host := func() cache.TierStats { return store.Stats()[0] }
 	o.reg.GaugeFunc("flashps_cache_hits",
@@ -154,19 +153,6 @@ func (o *serveObs) bindStore(store *cache.TieredStore) {
 				return 1
 			})
 	}
-	o.plane.SetCacheOccupancySource(func() []obs.CacheTierOccupancy {
-		stats := store.Stats()
-		out := make([]obs.CacheTierOccupancy, len(stats))
-		for i, t := range stats {
-			out[i] = obs.CacheTierOccupancy{
-				Tier: t.Tier, CapacityBytes: t.CapacityBytes,
-				UsedBytes: t.UsedBytes, Entries: t.Entries, Pinned: t.Pinned,
-				Hits: t.Hits, Misses: t.Misses, Evictions: t.Evictions,
-				DedupRatio: t.DedupRatio,
-			}
-		}
-		return out
-	})
 }
 
 // tierValues snapshots one per-tier statistic as labeled gauge samples.

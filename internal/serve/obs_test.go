@@ -82,26 +82,17 @@ func TestLoadGenObservability(t *testing.T) {
 		t.Fatalf("/metrics Content-Type = %q", got)
 	}
 
-	// (b) The live dashboard.
+	// No HTML dashboard: /metrics is the one rendering of the plane.
 	resp, err = http.Get(ts.URL + "/debug/dash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	page, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get("Content-Type"); got != "text/html; charset=utf-8" {
-		t.Fatalf("/debug/dash Content-Type = %q", got)
-	}
-	for _, want := range []string{"<title>FlashPS telemetry</title>", "SLO attainment", "Stage latency"} {
-		if !strings.Contains(string(page), want) {
-			t.Fatalf("dashboard missing %q", want)
-		}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/dash = %d, want 404", resp.StatusCode)
 	}
 
-	// (c) The trace export.
+	// (b) The trace export.
 	resp, err = http.Get(ts.URL + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +179,7 @@ func TestGETOnlyEndpointsReject405(t *testing.T) {
 	s := newTestServer(t, 1)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/v1/stats", "/metrics", "/debug/traces", "/debug/dash", "/healthz"} {
+	for _, path := range []string{"/v1/stats", "/metrics", "/debug/traces", "/healthz"} {
 		res, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(nil))
 		if err != nil {
 			t.Fatal(err)

@@ -430,9 +430,10 @@ func (s *Server) Start() {
 	for _, w := range s.workers {
 		w.loop.start(1, &s.wg)
 	}
-	// Periodic sampler tick: the live plane advances its time series on
-	// wall time (the replay drivers instead tick at completion events so
-	// their virtual event queues stay finite).
+	// Alert decay tick: the live plane re-evaluates its burn-rate windows
+	// on wall time so alert states decay when traffic stops (the replay
+	// drivers instead evaluate at completion events so their virtual event
+	// queues stay finite).
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -477,7 +478,7 @@ func (s *Server) Registry() *obs.Registry { return s.obs.reg }
 func (s *Server) Tracer() *obs.Tracer { return s.obs.tracer }
 
 // Obs exposes the full telemetry plane (SLO tracker, windowed quantiles,
-// time-series sampler, artifact dumps) backing /metrics and /debug/dash.
+// artifact dumps) backing /metrics.
 func (s *Server) Obs() *obs.Plane { return s.obs.plane }
 
 // EngineProfile returns the ModelProfile describing the numeric engine this
