@@ -4,7 +4,10 @@
 // is the evidence artifact for the kernel-optimization work; regenerate it
 // with `make bench-kernels`.
 //
-// The report has three parts: before/after entries per kernel and shape,
+// The report has three parts, read against the core's FMA ceiling
+// (fma_peak: twelve independent FMA chains at ZMM and at YMM width, which
+// every matmul entry and every FLOP-counting budget row reports its share
+// of): before/after entries per kernel and shape,
 // with attention's parts per row group beside the same parts run one head at
 // a time (attention_budgets); a per-op budget of one transformer block (full, and mask-aware at 2, 7 and
 // 22 of 64 tokens with K/V computed over all tokens and with K/V derived
@@ -69,7 +72,10 @@ type Entry struct {
 	Before  Side    `json:"before"`
 	After   Side    `json:"after"`
 	Speedup float64 `json:"speedup"`
-	Note    string  `json:"note,omitempty"`
+	// PeakShare is the after side's GFLOP/s over the FMA ceiling of the
+	// report's kernel level (fma_peak), on matmul entries.
+	PeakShare float64 `json:"share_of_fma_peak,omitempty"`
+	Note      string  `json:"note,omitempty"`
 }
 
 // BudgetRow is one op of a transformer block, timed on its own at the
@@ -88,6 +94,10 @@ type BudgetRow struct {
 	GFLOPs float64 `json:"gflops,omitempty"`
 	GBps   float64 `json:"gb_s"`
 	Pct    float64 `json:"pct_of_block"`
+	// PeakShare is GFLOPs over the FMA ceiling of the report's kernel
+	// level (fma_peak), on the rows that count FLOPs: the GEMMs, and
+	// attention's two.
+	PeakShare float64 `json:"share_of_fma_peak,omitempty"`
 }
 
 // Budget is the per-op table of one block execution.
@@ -242,10 +252,57 @@ type AttentionBudget struct {
 	Rows      []AttentionPartRow `json:"rows"`
 }
 
+// fmaChains is how many independent FMA chains fmaPeak runs: enough to
+// cover the FMA latency on both ports with room to spare (4 cycles × 2
+// ports needs 8), so that the ports, not a chain, set the rate.
+const fmaChains = 12
+
+// FMAPeak is the ceiling the GEMM figures are read against: the GFLOP/s
+// of fmaChains independent FMA chains on one core (2 FLOP per lane per
+// FMA), with ZMM and with YMM registers, where the kernel level reaches
+// them.
+type FMAPeak struct {
+	Chains int     `json:"chains"`
+	ZMM    float64 `json:"zmm_gflops,omitempty"`
+	YMM    float64 `json:"ymm_gflops,omitempty"`
+}
+
+// fmaPeak times the FMA chains the kernel level can run, in interleaved
+// rounds like everything else here.
+func fmaPeak(kernels string) FMAPeak {
+	const steps = 1 << 12
+	p := FMAPeak{Chains: fmaChains}
+	var fns []func()
+	if tensor.HasAVX2() {
+		fns = append(fns, func() { fmaChainsYMM(steps) })
+	}
+	if kernels == "avx512" {
+		fns = append(fns, func() { fmaChainsZMM(steps) })
+	}
+	ns := medianRounds(fns...)
+	if len(ns) > 0 {
+		p.YMM = fmaChains * 8 * 2 * steps / ns[0]
+	}
+	if len(ns) > 1 {
+		p.ZMM = fmaChains * 16 * 2 * steps / ns[1]
+	}
+	return p
+}
+
+// ceiling is the peak of the registers the kernel level's GEMM runs on (0
+// at the portable level).
+func (p FMAPeak) ceiling(kernels string) float64 {
+	if kernels == "avx512" {
+		return p.ZMM
+	}
+	return p.YMM
+}
+
 // Report is the top-level BENCH_kernels.json document.
 type Report struct {
 	Meta        benchfmt.Meta     `json:"meta"`
 	Parallelism int               `json:"parallelism"`
+	FMAPeak     FMAPeak           `json:"fma_peak"`
 	Entries     []Entry           `json:"entries"`
 	Attention   []AttentionBudget `json:"attention_budgets"`
 	Budgets     []Budget          `json:"block_budgets"`
@@ -1035,6 +1092,7 @@ func main() {
 	rng := tensor.NewRNG(1)
 	cfg := model.SD21Sim
 	rep := Report{Meta: benchfmt.CollectMeta(), Parallelism: tensor.Parallelism()}
+	rep.FMAPeak = fmaPeak(rep.Meta.Kernels)
 	var cases []benchCase
 
 	// GEMM at the flat SD21Sim backbone's attention-projection and FFN
@@ -1121,6 +1179,18 @@ func main() {
 		rep.Budgets = append(rep.Budgets, blockBudgets(planBlock(rng, cfg, idx, false), planBlock(rng, cfg, idx, true))...)
 	}
 	rep.Budgets = append(rep.Budgets, blockBudgets(planBlock(rng, cfg, nil, false))...)
+	if ceil := rep.FMAPeak.ceiling(rep.Meta.Kernels); ceil > 0 {
+		for i, e := range rep.Entries {
+			if e.Op == "matmul" {
+				rep.Entries[i].PeakShare = e.After.GFLOPs / ceil
+			}
+		}
+		for _, b := range rep.Budgets {
+			for j, row := range b.Rows {
+				b.Rows[j].PeakShare = row.GFLOPs / ceil
+			}
+		}
+	}
 	rep.Crossover = crossover(rng, cfg)
 	rep.Derivation = derivation(rng, cfg)
 	var err error

@@ -49,10 +49,10 @@ var edgeMask = [32]int32{
 func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
 
 //go:noescape
-func gemm4x32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
+func gemm4x64(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool)
 
 //go:noescape
-func gemmEdge32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool)
+func gemmEdge64(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool)
 
 //go:noescape
 func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool)

@@ -11,12 +11,12 @@ func gemm4x16(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc 
 	panic("tensor: gemm4x16 without AVX2")
 }
 
-func gemm4x32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool) {
-	panic("tensor: gemm4x32 without AVX-512")
+func gemm4x64(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, first bool) {
+	panic("tensor: gemm4x64 without AVX-512")
 }
 
-func gemmEdge32(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool) {
-	panic("tensor: gemmEdge32 without AVX-512")
+func gemmEdge64(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows, cols int, first bool) {
+	panic("tensor: gemmEdge64 without AVX-512")
 }
 
 func gemmEdge(kc int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, rows int, mask *int32, first bool) {

@@ -21,24 +21,26 @@ func needLevel(t *testing.T, l kernelLevel) {
 }
 
 func TestGemmLevelsBitIdentical(t *testing.T) {
-	// Every row-group height × every column count up to two ZMM tiles and a
-	// remainder × reduction lengths of one step, under, at and over a
-	// kcBlock panel, on operands that are strided views of wider buffers,
-	// storing the first panel and adding to what C held: the ZMM kernels
-	// against the YMM ones, and nothing outside the tile written by either.
+	// Every row-group height × every column count up to two full ZMM tiles
+	// and every tail after one and after two × reduction lengths of one
+	// step, under, at and over a kcBlock panel, on operands that are strided
+	// views of wider buffers, storing the first panel and adding to what C
+	// held: the ZMM kernels against the YMM ones, and nothing outside the
+	// tile written by either — neither the padding right of it nor the guard
+	// row below it.
 	needLevel(t, levelAVX512)
 	rng := NewRNG(41)
 	const pad = 3
 	const guard = float32(-12345.5)
 	for _, k := range []int{1, 16, 64, 256, 300} {
 		for rows := 1; rows <= 9; rows++ {
-			for cols := 1; cols <= 70; cols++ {
+			for cols := 1; cols <= 140; cols++ {
 				lda, ldb, ldc := k+pad, cols+pad, cols+2*pad
 				a, b := Randn(rng, rows, lda, 1).Data, Randn(rng, k, ldb, 1).Data
-				c0 := Randn(rng, rows, ldc, 1).Data
-				for r := 0; r < rows; r++ {
-					for j := cols; j < ldc; j++ {
-						c0[r*ldc+j] = guard
+				c0 := Randn(rng, rows+1, ldc, 1).Data
+				for i := range c0 {
+					if i/ldc == rows || i%ldc >= cols {
+						c0[i] = guard
 					}
 				}
 				for _, first := range []bool{true, false} {
@@ -61,11 +63,9 @@ func TestGemmLevelsBitIdentical(t *testing.T) {
 						t.Fatalf("%d×%d×%d first=%v: avx512 C[%d][%d] = %x, avx2 %x", rows, k, cols, first,
 							i/ldc, i%ldc, math.Float32bits(got[i]), math.Float32bits(want[i]))
 					}
-					for r := 0; r < rows; r++ {
-						for j := cols; j < ldc; j++ {
-							if got[r*ldc+j] != guard {
-								t.Fatalf("%d×%d×%d first=%v: avx512 wrote C[%d][%d], outside the tile", rows, k, cols, first, r, j)
-							}
+					for i, v := range got {
+						if (i/ldc == rows || i%ldc >= cols) && v != guard {
+							t.Fatalf("%d×%d×%d first=%v: avx512 wrote C[%d][%d], outside the tile", rows, k, cols, first, i/ldc, i%ldc)
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -464,6 +465,31 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, x, y)
+	}
+}
+
+// BenchmarkGemmTile is one row group of the sd21-sim GEMMs, rows×kc×n:
+// full 4-row tiles over the reductions of a head's score GEMM (16), a
+// projection (64) and FFN-down (256), 64 and 256 columns wide; the 1–3-row
+// remainder tiles of a masked operand; and a 32-column tail.
+func BenchmarkGemmTile(b *testing.B) {
+	rng := NewRNG(1)
+	type shape struct{ rows, kc, n int }
+	var shapes []shape
+	for _, kc := range []int{16, 64, 256} {
+		for _, n := range []int{64, 256} {
+			shapes = append(shapes, shape{mcRows, kc, n})
+		}
+	}
+	shapes = append(shapes, shape{1, 64, 64}, shape{2, 64, 64}, shape{3, 64, 64}, shape{mcRows, 64, 32})
+	for _, s := range shapes {
+		a, w, c := Randn(rng, s.rows, s.kc, 1).Data, Randn(rng, s.kc, s.n, 1).Data, make([]float32, s.rows*s.n)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.rows, s.kc, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gemmTile(s.kc, a, s.kc, w, s.n, c, s.n, s.rows, s.n, true)
+			}
+			b.ReportMetric(2*float64(s.rows*s.kc*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
