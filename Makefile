@@ -189,13 +189,15 @@ experiments:
 	mkdir -p artifacts
 	$(GO) run ./cmd/flashps-bench -out artifacts | tee artifacts/full_bench_output.txt
 
-# Short fuzzing pass over the wire-format and API parsers, and the PNG
-# encoder (decoded, its output must be the input's pixels).
+# Short fuzzing pass over the wire-format and API parsers, the PNG encoder
+# (decoded, its output must be the input's pixels) and the LayerNorm row-group
+# kernel (each row must have the row-at-a-time specification's bits).
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecBuild -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecJSON -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDeserializeLatent -fuzztime 10s
 	$(GO) test ./internal/img/ -run xxx -fuzz FuzzEncodePNG -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzLayerNormRows -fuzztime 10s
 
 clean:
 	rm -rf artifacts/*.png

@@ -497,12 +497,18 @@ func tokenwiseCases(rng *tensor.RNG, cfg model.Config) []benchCase {
 		func() { copy(ff.Data, pre.Data); refGeLU(ff.Data) },
 		func() { copy(ff.Data, pre.Data); tensor.GeLU(ff) }})
 
+	// LayerNorm over every token, and over the masked rows of the 7- and
+	// 22-token blocks (row groups and a remainder), whose inputs come from
+	// their own RNG so that every other case keeps its inputs.
 	x := tensor.Randn(rng, L, H, 1)
-	ln := tensor.New(L, H)
 	gamma, beta := tensor.Randn(rng, 1, H, 1).Data, tensor.Randn(rng, 1, H, 1).Data
-	out = append(out, benchCase{"layernorm", fmt.Sprintf("%dx%d", L, H), 0,
-		func() { refLayerNormRows(ln, x, gamma, beta, 1e-5) },
-		func() { tensor.LayerNormRowsInto(ln, x, gamma, beta, 1e-5) }})
+	stackedRNG := tensor.NewRNG(3)
+	for _, src := range []*tensor.Matrix{x, tensor.Randn(stackedRNG, 7, H, 1), tensor.Randn(stackedRNG, 22, H, 1)} {
+		ln := tensor.New(src.R, H)
+		out = append(out, benchCase{"layernorm", fmt.Sprintf("%dx%d", src.R, H), 0,
+			func() { refLayerNormRows(ln, src, gamma, beta, 1e-5) },
+			func() { tensor.LayerNormRowsInto(ln, src, gamma, beta, 1e-5) }})
+	}
 	return out
 }
 

@@ -2,11 +2,13 @@ package diffusion
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"flashps/internal/img"
 	"flashps/internal/mask"
 	"flashps/internal/model"
+	"flashps/internal/tensor"
 )
 
 var cfgGuided = model.Config{
@@ -162,6 +164,78 @@ func TestGuidanceCacheSerializationRoundTrip(t *testing.T) {
 	}
 	if back.SizeBytes() != tc.SizeBytes() {
 		t.Fatal("guided cache round trip size mismatch")
+	}
+}
+
+// TestSerializeMatchesFloatByFloatEncoding holds Serialize, which writes
+// matrix payloads straight from their storage on a little-endian host, to
+// the format encoded value by value with encoding/binary: a guided template
+// with recorded K/V, so that every section and block flag is present.
+func TestSerializeMatchesFloatByFloatEncoding(t *testing.T) {
+	e, err := NewEngine(cfgGuided, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, w := e.Codec.ImageSize(cfgGuided.LatentH, cfgGuided.LatentW)
+	tc, _, err := e.PrepareTemplate(9, img.SynthTemplate(9, h, w), "studio photo", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.UncondSteps == nil || tc.Steps[0].Blocks[0].K == nil {
+		t.Fatal("template lacks the unconditional pass or recorded K/V")
+	}
+	var want bytes.Buffer
+	put := func(v any) {
+		if err := binary.Write(&want, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matrix := func(m *tensor.Matrix) { put(uint32(m.R)); put(uint32(m.C)); put(m.Data) }
+	steps := func(ss []*model.StepActivations) {
+		put(uint32(len(ss)))
+		for _, st := range ss {
+			if st == nil {
+				put(uint32(0))
+				continue
+			}
+			put(uint32(len(st.Blocks)))
+			for _, b := range st.Blocks {
+				var flags byte
+				var present []*tensor.Matrix
+				for i, m := range []*tensor.Matrix{b.Y, b.K, b.V} {
+					if m != nil {
+						flags |= 1 << i
+						present = append(present, m)
+					}
+				}
+				put(flags)
+				for _, m := range present {
+					matrix(m)
+				}
+			}
+		}
+	}
+	want.WriteString(cacheMagic)
+	put(uint32(cacheVersion))
+	put(tc.TemplateID)
+	put(uint32(len(tc.Cond)))
+	put(tc.Cond)
+	matrix(tc.Z0)
+	matrix(tc.Noise)
+	steps(tc.Steps)
+	put(byte(1))
+	steps(tc.UncondSteps)
+
+	var got bytes.Buffer
+	if err := tc.Serialize(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		i := 0
+		for i < min(got.Len(), want.Len()) && got.Bytes()[i] == want.Bytes()[i] {
+			i++
+		}
+		t.Fatalf("Serialize wrote %d bytes, the float-by-float encoding %d; first difference at byte %d", got.Len(), want.Len(), i)
 	}
 }
 

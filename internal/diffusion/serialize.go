@@ -229,8 +229,10 @@ func readU32(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-// writeMatrix encodes one matrix, staging its payload through scratch (any
-// positive multiple of 4 bytes long).
+// writeMatrix encodes one matrix: its payload with one write straight from
+// its storage where that is the payload's byte order already
+// (tensor.LEBytes), staged through scratch (any positive multiple of 4 bytes
+// long) and converted float by float elsewhere.
 func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	if m == nil {
 		return fmt.Errorf("diffusion: nil matrix in cache")
@@ -239,6 +241,10 @@ func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 		return err
 	}
 	if err := writeU32(w, uint32(m.C)); err != nil {
+		return err
+	}
+	if payload := tensor.LEBytes(m.Data); payload != nil {
+		_, err := w.Write(payload)
 		return err
 	}
 	for data := m.Data; len(data) > 0; {

@@ -595,6 +595,8 @@ func (m *Model) buildContext(ws *tensor.Arena, cond []float32) *tensor.Matrix {
 // position and prompt conditioning (all token-wise): (x + (temb + pos)) + cond.
 // With rows nil x holds every token; otherwise row k is token rows[k].
 func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, rows []int, t int, cond []float32) *tensor.Matrix {
+	mark := ws.Mark()
+	defer ws.Release(mark)
 	if rows != nil {
 		all := latent
 		latent = ws.GetRaw(len(rows), all.C)
@@ -607,17 +609,15 @@ func (m *Model) embed(ws *tensor.Arena, x, latent *tensor.Matrix, rows []int, t 
 	} else {
 		temb = m.timestepRows(t, t+1).Data
 	}
-	tp := ws.GetRaw(1, x.C).Data
-	for i := 0; i < x.R; i++ {
-		row, tok := x.Row(i), i
-		if rows != nil {
-			tok = rows[i]
-		}
-		tensor.AddVec(tp, temb, m.posEmb.Row(tok))
-		tensor.AddVec(row, row, tp)
-		if len(cond) != 0 {
-			tensor.AddVec(row, row, cond)
-		}
+	tp, pos := ws.GetRaw(x.R, x.C), m.posEmb
+	if rows != nil {
+		tensor.GatherRowsInto(tp, m.posEmb, rows)
+		pos = tp
+	}
+	tensor.AddRowVecInto(tp, pos, temb) // pos + temb: the add commutes
+	tensor.AddInPlace(x, tp)
+	if len(cond) != 0 {
+		tensor.AddRowVecInto(x, x, cond)
 	}
 	return x
 }

@@ -97,4 +97,7 @@ func geluAVX8(x *float32, n int)
 func addAVX8(dst, a, b *float32, n int)
 
 //go:noescape
-func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32)
+func layerNormRowsAVX8(dst, src, gamma, beta *float32, n, rows int, eps float32)
+
+//go:noescape
+func layerNormRowsAVX16(dst, src, gamma, beta *float32, n, rows int, eps float32)

@@ -1710,63 +1710,333 @@ addloop:
 	VZEROUPPER
 	RET
 
-// func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32)
+// The LayerNorm kernels. Each normalises a group of consecutive rows of n
+// floats, n a positive multiple of 8 (BX: n·4 bytes, the row stride and the
+// length of a pass), with layerNormRow's operations in layerNormRow's order
+// for every row: the sum pass and the squared-deviation pass run for all the
+// group's rows side by side, so that their reduction chains are in flight
+// together; the rows' reduce8 trees share their horizontal adds, and the
+// scalar tails — sum/n, then var/n + eps, √ and 1/x — run as one lane-wise
+// instruction for the group. The affine pass, which has no chain to overlap,
+// then takes the rows one after the other. A group of fewer rows than the
+// kernel's width repeats its last row in place of the missing ones in the
+// two reduction passes (which only read), and its affine pass stops after
+// the rows there are.
+
+// LN_ROWPTR(prev, r, k): r = the row after prev, or prev itself when the
+// group (AX rows) has fewer than k rows.
+#define LN_ROWPTR(prev, r, k) \
+	LEAQ (prev)(BX*1), r; \
+	CMPQ AX, $k; \
+	CMOVQLT prev, r
+
+// LN_REDUCE4: lane k of X0 = the reduce8 tree over the lanes of Yk, for
+// k = 0..3; clobbers X1-X3 and X8-X11. REDUCE8's steps, the four rows'
+// horizontal adds sharing instructions.
+#define LN_REDUCE4 \
+	VEXTRACTF128 $1, Y0, X8; \
+	VEXTRACTF128 $1, Y1, X9; \
+	VEXTRACTF128 $1, Y2, X10; \
+	VEXTRACTF128 $1, Y3, X11; \
+	VADDPS X8, X0, X0; \
+	VADDPS X9, X1, X1; \
+	VADDPS X10, X2, X2; \
+	VADDPS X11, X3, X3; \
+	VHADDPS X1, X0, X0; \
+	VHADDPS X3, X2, X2; \
+	VHADDPS X2, X0, X0
+
+// LN_BROADCAST4(y0, y1, y2, y3): yk = lane k of X0 in all eight lanes;
+// clobbers X8-X10.
+#define LN_BROADCAST4(y0, y1, y2, y3) \
+	VBROADCASTSS X0, y0; \
+	VPERMILPS $0x55, X0, X8; \
+	VPERMILPS $0xAA, X0, X9; \
+	VPERMILPS $0xFF, X0, X10; \
+	VBROADCASTSS X8, y1; \
+	VBROADCASTSS X9, y2; \
+	VBROADCASTSS X10, y3
+
+// func layerNormRowsAVX8(dst, src, gamma, beta *float32, n, rows int, eps float32)
 //
-// One LayerNorm row of n floats, n a positive multiple of 8: layerNormRow's
-// three passes (sum, squared deviations, affine) with the row in L1.
-TEXT ·layerNormAVX8(SB), NOSPLIT, $0-44
-	MOVQ dst+0(FP), DI
+// The LayerNorm of rows (1–4) rows, four reduction chains in flight: the
+// sums and squared deviations of row k accumulate in Yk, the means sit in
+// Y4-Y7 and the 1/σ in Y12-Y15, and the affine pass moves the next row's
+// pair down after each row.
+TEXT ·layerNormRowsAVX8(SB), NOSPLIT, $0-52
+	MOVQ n+32(FP), BX
+	SHLQ $2, BX
+	MOVQ rows+40(FP), AX
 	MOVQ src+8(FP), SI
-	MOVQ gamma+16(FP), R8
-	MOVQ beta+24(FP), R9
-	MOVQ n+32(FP), CX
-	VCVTSI2SSQ CX, X5, X5     // float32(n)
+	LN_ROWPTR(SI, DI, 2)
+	LN_ROWPTR(DI, R8, 3)
+	LN_ROWPTR(R8, R9, 4)
+	MOVQ n+32(FP), AX
+	VCVTSI2SSQ AX, X15, X15
+	VBROADCASTSS X15, X15     // float32(n) in every lane
 
 	VXORPS Y0, Y0, Y0
-	MOVQ SI, AX
-	MOVQ CX, BX
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
 
 lnsum:
-	VADDPS (AX), Y0, Y0
+	VADDPS (SI)(AX*1), Y0, Y0
+	VADDPS (DI)(AX*1), Y1, Y1
+	VADDPS (R8)(AX*1), Y2, Y2
+	VADDPS (R9)(AX*1), Y3, Y3
 	ADDQ $32, AX
-	SUBQ $8, BX
-	JNZ  lnsum
-	REDUCE8(Y0, X0, X1)
-	VDIVSS X5, X0, X0         // mean
-	VBROADCASTSS X0, Y7
+	CMPQ AX, BX
+	JNE  lnsum
+	LN_REDUCE4
+	VDIVPS X15, X0, X0        // the four means
+	LN_BROADCAST4(Y4, Y5, Y6, Y7)
 
 	VXORPS Y0, Y0, Y0
-	MOVQ SI, AX
-	MOVQ CX, BX
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
 
 lnvar:
-	VMOVUPS (AX), Y2
-	VSUBPS Y7, Y2, Y2
-	VMULPS Y2, Y2, Y2
-	VADDPS Y2, Y0, Y0
+	VMOVUPS (SI)(AX*1), Y8
+	VMOVUPS (DI)(AX*1), Y9
+	VMOVUPS (R8)(AX*1), Y10
+	VMOVUPS (R9)(AX*1), Y11
+	VSUBPS Y4, Y8, Y8
+	VSUBPS Y5, Y9, Y9
+	VSUBPS Y6, Y10, Y10
+	VSUBPS Y7, Y11, Y11
+	VMULPS Y8, Y8, Y8
+	VMULPS Y9, Y9, Y9
+	VMULPS Y10, Y10, Y10
+	VMULPS Y11, Y11, Y11
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y10, Y2, Y2
+	VADDPS Y11, Y3, Y3
 	ADDQ $32, AX
-	SUBQ $8, BX
-	JNZ  lnvar
-	REDUCE8(Y0, X0, X1)
-	VDIVSS X5, X0, X0         // variance
-	VADDSS eps+40(FP), X0, X0
-	VSQRTSS X0, X0, X0
-	VMOVSS VC_ONE, X2
-	VDIVSS X0, X2, X2         // 1/√(var+eps)
-	VBROADCASTSS X2, Y6
+	CMPQ AX, BX
+	JNE  lnvar
+	LN_REDUCE4
+	VDIVPS X15, X0, X0        // the four variances
+	VBROADCASTSS eps+48(FP), X1
+	VADDPS X1, X0, X0
+	VSQRTPS X0, X0
+	VBROADCASTSS VC_ONE, X1
+	VDIVPS X0, X1, X0         // 1/√(var+eps)
+	LN_BROADCAST4(Y12, Y13, Y14, Y15)
+	MOVQ src+8(FP), SI
+	MOVQ dst+0(FP), DI
+	MOVQ gamma+16(FP), DX
+	MOVQ beta+24(FP), CX
+	MOVQ rows+40(FP), R8
+
+lnrow:
+	XORQ AX, AX
 
 lnout:
-	VMOVUPS (SI), Y2
-	VSUBPS Y7, Y2, Y2
-	VMULPS Y6, Y2, Y2
-	VMULPS (R8), Y2, Y2
-	VADDPS (R9), Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	SUBQ $8, CX
-	JNZ  lnout
+	VMOVUPS (SI)(AX*1), Y8
+	VSUBPS Y4, Y8, Y8
+	VMULPS Y12, Y8, Y8
+	VMULPS (DX)(AX*1), Y8, Y8 // gamma
+	VADDPS (CX)(AX*1), Y8, Y8 // beta
+	VMOVUPS Y8, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  lnout
+	ADDQ BX, SI
+	ADDQ BX, DI
+	VMOVAPS Y5, Y4            // the next row's mean and 1/σ
+	VMOVAPS Y6, Y5
+	VMOVAPS Y7, Y6
+	VMOVAPS Y13, Y12
+	VMOVAPS Y14, Y13
+	VMOVAPS Y15, Y14
+	DECQ R8
+	JNZ  lnrow
+	VZEROUPPER
+	RET
+
+// LN16_PAIR(ra, rb, y, z): z = row ra's eight floats at AX in the low half,
+// row rb's in the high half.
+#define LN16_PAIR(ra, rb, y, z) \
+	VMOVUPS (ra)(AX*1), y; \
+	VINSERTF64X4 $1, (rb)(AX*1), z, z
+
+// LN16_REDUCE8: Y0 = the reduce8 trees of the eight rows whose lane
+// accumulators Z0-Z3 hold in pairs (row 2p in Zp's low half, row 2p+1 in
+// its high half), lanes ordered rows 0, 2, 4, 6, 1, 3, 5, 7; clobbers
+// Z8-Z11. The 128-bit halves of every row are added (lane l of one to lane
+// l of the other) and the rest is LN_REDUCE4's tree, two rows per VHADDPS
+// lane.
+#define LN16_REDUCE8 \
+	VSHUFF32X4 $0x88, Z1, Z0, Z8; \
+	VSHUFF32X4 $0xDD, Z1, Z0, Z9; \
+	VSHUFF32X4 $0x88, Z3, Z2, Z10; \
+	VSHUFF32X4 $0xDD, Z3, Z2, Z11; \
+	VADDPS Z9, Z8, Z8; \
+	VADDPS Z11, Z10, Z10; \
+	VEXTRACTF64X4 $1, Z8, Y9; \
+	VEXTRACTF64X4 $1, Z10, Y11; \
+	VHADDPS Y9, Y8, Y8; \
+	VHADDPS Y11, Y10, Y10; \
+	VHADDPS Y10, Y8, Y0
+
+// LN16_STORE(off): the eight rows' values of LN16_REDUCE8's lane order in
+// Y0 stored in row order at off(CX); clobbers X1-X3.
+#define LN16_STORE(off) \
+	VEXTRACTF128 $1, Y0, X1; \
+	VUNPCKLPS X1, X0, X2; \
+	VUNPCKHPS X1, X0, X3; \
+	VMOVUPS X2, off(CX); \
+	VMOVUPS X3, off+16(CX)
+
+// LN16_MEANS(off, y, z): z = the mean at off(CX) in the low half, the next
+// row's in the high half; clobbers Y8.
+#define LN16_MEANS(off, y, z) \
+	VBROADCASTSS off(CX), y; \
+	VBROADCASTSS off+4(CX), Y8; \
+	VINSERTF64X4 $1, Y8, z, z
+
+// func layerNormRowsAVX16(dst, src, gamma, beta *float32, n, rows int, eps float32)
+//
+// layerNormRowsAVX8 for rows (1–8) rows, eight reduction chains in flight:
+// two rows share a ZMM accumulator, one in each half (DX: rows; a group of
+// four rows or fewer skips the second two pairs), the group's means and 1/σ
+// go through the frame in row order, and the affine pass runs on 16 lanes
+// (a last group of 8 through the low half).
+TEXT ·layerNormRowsAVX16(SB), NOSPLIT, $64-52
+	MOVQ n+32(FP), BX
+	SHLQ $2, BX
+	MOVQ rows+40(FP), AX
+	MOVQ src+8(FP), SI
+	LN_ROWPTR(SI, DI, 2)
+	LN_ROWPTR(DI, R8, 3)
+	LN_ROWPTR(R8, R9, 4)
+	LN_ROWPTR(R9, R10, 5)
+	LN_ROWPTR(R10, R11, 6)
+	LN_ROWPTR(R11, R12, 7)
+	LN_ROWPTR(R12, R13, 8)
+	MOVQ AX, DX
+	MOVQ n+32(FP), AX
+	VCVTSI2SSQ AX, X15, X15
+	VBROADCASTSS X15, Y15     // float32(n) in every lane
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+
+ln16sum:
+	LN16_PAIR(SI, DI, Y8, Z8)
+	LN16_PAIR(R8, R9, Y9, Z9)
+	VADDPS Z8, Z0, Z0
+	VADDPS Z9, Z1, Z1
+	CMPQ DX, $4
+	JLE  ln16sumnext
+	LN16_PAIR(R10, R11, Y10, Z10)
+	LN16_PAIR(R12, R13, Y11, Z11)
+	VADDPS Z10, Z2, Z2
+	VADDPS Z11, Z3, Z3
+
+ln16sumnext:
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  ln16sum
+	LN16_REDUCE8
+	VDIVPS Y15, Y0, Y0        // the eight means
+	LEAQ stats-64(SP), CX     // means, then 1/σ, in row order
+	LN16_STORE(0)
+	LN16_MEANS(0, Y4, Z4)
+	LN16_MEANS(8, Y5, Z5)
+	LN16_MEANS(16, Y6, Z6)
+	LN16_MEANS(24, Y7, Z7)
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+
+ln16var:
+	LN16_PAIR(SI, DI, Y8, Z8)
+	LN16_PAIR(R8, R9, Y9, Z9)
+	VSUBPS Z4, Z8, Z8
+	VSUBPS Z5, Z9, Z9
+	VMULPS Z8, Z8, Z8
+	VMULPS Z9, Z9, Z9
+	VADDPS Z8, Z0, Z0
+	VADDPS Z9, Z1, Z1
+	CMPQ DX, $4
+	JLE  ln16varnext
+	LN16_PAIR(R10, R11, Y10, Z10)
+	LN16_PAIR(R12, R13, Y11, Z11)
+	VSUBPS Z6, Z10, Z10
+	VSUBPS Z7, Z11, Z11
+	VMULPS Z10, Z10, Z10
+	VMULPS Z11, Z11, Z11
+	VADDPS Z10, Z2, Z2
+	VADDPS Z11, Z3, Z3
+
+ln16varnext:
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JNE  ln16var
+	LN16_REDUCE8
+	VDIVPS Y15, Y0, Y0        // the eight variances
+	VBROADCASTSS eps+48(FP), Y1
+	VADDPS Y1, Y0, Y0
+	VSQRTPS Y0, Y0
+	VBROADCASTSS VC_ONE, Y1
+	VDIVPS Y0, Y1, Y0         // 1/√(var+eps)
+	LN16_STORE(32)
+	MOVQ CX, R9
+	MOVQ src+8(FP), SI
+	MOVQ dst+0(FP), DI
+	MOVQ gamma+16(FP), DX
+	MOVQ beta+24(FP), CX
+	MOVQ rows+40(FP), R8
+	MOVQ BX, R10
+	ANDQ $-64, R10            // bytes in whole ZMM vectors
+
+ln16row:
+	VBROADCASTSS (R9), Z4     // the row's mean
+	VBROADCASTSS 32(R9), Z5   // and 1/σ
+	XORQ AX, AX
+	CMPQ AX, R10
+	JEQ  ln16half
+
+ln16out:
+	VMOVUPS (SI)(AX*1), Z8
+	VSUBPS Z4, Z8, Z8
+	VMULPS Z5, Z8, Z8
+	VMULPS (DX)(AX*1), Z8, Z8 // gamma
+	VADDPS (CX)(AX*1), Z8, Z8 // beta
+	VMOVUPS Z8, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JNE  ln16out
+
+ln16half:
+	CMPQ AX, BX
+	JEQ  ln16next
+	VMOVUPS (SI)(AX*1), Y8
+	VMOVUPS (DX)(AX*1), Y9
+	VMOVUPS (CX)(AX*1), Y10
+	VSUBPS Z4, Z8, Z8
+	VMULPS Z5, Z8, Z8
+	VMULPS Z9, Z8, Z8
+	VADDPS Z10, Z8, Z8
+	VMOVUPS Y8, (DI)(AX*1)
+
+ln16next:
+	ADDQ BX, SI
+	ADDQ BX, DI
+	ADDQ $4, R9
+	DECQ R8
+	JNZ  ln16row
 	VZEROUPPER
 	RET

@@ -63,6 +63,10 @@ func geluAVX8(x *float32, n int) { panic("tensor: geluAVX8 without AVX2") }
 
 func addAVX8(dst, a, b *float32, n int) { panic("tensor: addAVX8 without AVX2") }
 
-func layerNormAVX8(dst, src, gamma, beta *float32, n int, eps float32) {
-	panic("tensor: layerNormAVX8 without AVX2")
+func layerNormRowsAVX8(dst, src, gamma, beta *float32, n, rows int, eps float32) {
+	panic("tensor: layerNormRowsAVX8 without AVX2")
+}
+
+func layerNormRowsAVX16(dst, src, gamma, beta *float32, n, rows int, eps float32) {
+	panic("tensor: layerNormRowsAVX16 without AVX-512")
 }

@@ -311,3 +311,26 @@ func TestAddIntoAliasingAndGatherRowsInto(t *testing.T) {
 		t.Fatalf("GatherRowsInto: got %v", dst.Data)
 	}
 }
+
+func TestAddRowVecInto(t *testing.T) {
+	// At every level, out of place and in place, with and without a scalar
+	// tail: each element is m[i][j] + v[j], one rounded add.
+	rng := NewRNG(29)
+	for _, c := range []int{3, 8, 13, 64} {
+		m, v := Randn(rng, 5, c, 1), Randn(rng, 1, c, 1).Data
+		want := New(5, c)
+		for i := range want.Data {
+			want.Data[i] = m.Data[i] + v[i%c]
+		}
+		for _, l := range levelsUpTo() {
+			got, in := New(5, c), m.Clone()
+			atLevel(l, func() { AddRowVecInto(got, m, v); AddRowVecInto(in, in, v) })
+			if i, ok := exactBits(got.Data, want.Data); !ok {
+				t.Fatalf("C=%d %v: AddRowVecInto[%d] = %g, want %g", c, l, i, got.Data[i], want.Data[i])
+			}
+			if i, ok := exactBits(in.Data, want.Data); !ok {
+				t.Fatalf("C=%d %v: in-place AddRowVecInto[%d] = %g, want %g", c, l, i, in.Data[i], want.Data[i])
+			}
+		}
+	}
+}

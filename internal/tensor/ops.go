@@ -153,6 +153,29 @@ func AddInPlace(a, b *Matrix) {
 	AddVec(a.Data, a.Data, b.Data)
 }
 
+// AddRowVecInto writes m[i][j] + v[j] into dst[i][j]: v added to every row
+// of m, one correctly rounded add per element as in AddVec. dst may be m.
+// It panics on shape mismatch.
+func AddRowVecInto(dst, m *Matrix, v []float32) {
+	if dst.R != m.R || dst.C != m.C || len(v) != m.C {
+		panic("tensor: AddRowVecInto shape mismatch")
+	}
+	n := m.C
+	n8 := 0
+	if level >= levelAVX2 {
+		n8 = n &^ 7
+	}
+	for i := 0; i < m.R; i++ {
+		d, a := dst.Data[i*n:(i+1)*n], m.Data[i*n:(i+1)*n]
+		if n8 > 0 {
+			addAVX8(&d[0], &a[0], &v[0], n8)
+		}
+		for j := n8; j < n; j++ {
+			d[j] = a[j] + v[j]
+		}
+	}
+}
+
 // Sub returns a - b element-wise.
 func Sub(a, b *Matrix) *Matrix {
 	if a.R != b.R || a.C != b.C {
@@ -222,9 +245,7 @@ func LayerNormRowsInto(dst, src *Matrix, gamma, beta []float32, eps float32) {
 	if src.C == 0 {
 		return
 	}
-	for i := 0; i < src.R; i++ {
-		layerNormRow(dst.Row(i), src.Row(i), gamma, beta, eps)
-	}
+	layerNormRows(dst.Data, src.Data, gamma, beta, src.C, src.R, eps)
 }
 
 // GeLU applies the Gaussian Error Linear Unit (tanh approximation) to every

@@ -7,11 +7,12 @@ import "math"
 // scalar multiply.
 //
 // The Go functions in this file are the specification. The assembly
-// kernels (asm_amd64.s: 8 lanes at the avx2 level; exp and GeLU on 16 at
-// avx512) execute the same IEEE single-precision operations in the same
-// order — separately rounded multiplies and adds, fused exactly where the
-// specification calls fma32 — so a vector lane of either width and the
-// scalar tail produce the same bits, and so do all three kernel levels.
+// kernels (asm_amd64.s: 8 lanes at the avx2 level; exp, GeLU and LayerNorm
+// on 16 at avx512) execute the same IEEE single-precision operations in
+// the same order — separately rounded multiplies and adds, fused exactly
+// where the specification calls fma32 — so a vector lane of either width
+// and the scalar tail produce the same bits, and so do all three kernel
+// levels.
 // Consequences the tests pin:
 //
 //   - exp and GeLU are position-independent: a value's result does not
@@ -20,8 +21,9 @@ import "math"
 //   - reductions (softmax denominator, LayerNorm mean/variance) use a
 //     fixed order that depends only on the row length: eight lane
 //     accumulators over the length's multiple-of-8 prefix (a 16-lane
-//     pass adds its low half to them, then its high half), the lane tree
-//     of reduce8, then the tail in ascending order.
+//     pass adds its low half to them, then its high half; LayerNorm's
+//     16-lane kernel holds two rows' accumulators in one register), the
+//     lane tree of reduce8, then the tail in ascending order.
 //
 // Every explicit float32(...) conversion below forbids the compiler from
 // fusing the enclosed product into a following add (Go spec, "Floating-
@@ -282,15 +284,44 @@ func AddVec(dst, a, b []float32) {
 	}
 }
 
-// layerNormRow writes LayerNorm(src)·gamma + beta into dst (which may be
-// src): float32 mean and biased variance in the fixed reduction order
-// described at the top of this file.
-func layerNormRow(dst, src, gamma, beta []float32, eps float32) {
-	n := len(src)
-	if level >= levelAVX2 && n >= 8 && n%8 == 0 {
-		layerNormAVX8(&dst[0], &src[0], &gamma[0], &beta[0], n, eps)
+// lnGroup is how many rows one layerNormRowsAVX8 call normalises;
+// layerNormRowsAVX16 takes twice as many.
+const lnGroup = 4
+
+// layerNormRows is layerNormRow over rows rows of n ≥ 1 floats, row k at
+// src[k*n:] and dst[k*n:] (dst may be src). Where n is a multiple of 8 the
+// level's vector kernel takes the rows a group at a time, their reduction
+// chains side by side; each row still gets layerNormRow's bits.
+func layerNormRows(dst, src, gamma, beta []float32, n, rows int, eps float32) {
+	if rows == 0 {
 		return
 	}
+	_, _ = dst[rows*n-1], src[rows*n-1]
+	_, _ = gamma[n-1], beta[n-1]
+	switch {
+	case n%8 != 0:
+	case level >= levelAVX512:
+		for i := 0; i < rows; i += 2 * lnGroup {
+			layerNormRowsAVX16(&dst[i*n], &src[i*n], &gamma[0], &beta[0], n, min(2*lnGroup, rows-i), eps)
+		}
+		return
+	case level >= levelAVX2:
+		for i := 0; i < rows; i += lnGroup {
+			layerNormRowsAVX8(&dst[i*n], &src[i*n], &gamma[0], &beta[0], n, min(lnGroup, rows-i), eps)
+		}
+		return
+	}
+	for i := 0; i < rows; i++ {
+		layerNormRow(dst[i*n:(i+1)*n], src[i*n:(i+1)*n], gamma, beta, eps)
+	}
+}
+
+// layerNormRow writes LayerNorm(src)·gamma + beta into dst (which may be
+// src): float32 mean and biased variance in the fixed reduction order
+// described at the top of this file. It is the specification of
+// layerNormRows.
+func layerNormRow(dst, src, gamma, beta []float32, eps float32) {
+	n := len(src)
 	dst, gamma, beta = dst[:n], gamma[:n], beta[:n]
 	n8 := n &^ 7
 	var acc [8]float32

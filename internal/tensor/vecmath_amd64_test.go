@@ -151,14 +151,5 @@ func TestVectorKernelsMatchReference(t *testing.T) {
 		if i, ok := sameBits(got, want); !ok {
 			t.Fatalf("n=%d: AddVec[%d] = %g, reference %g", n, i, got[i], want[i])
 		}
-
-		x = Randn(rng, 1, n, 2).Data
-		gamma, beta := Randn(rng, 1, n, 1).Data, Randn(rng, 1, n, 1).Data
-		got, want = make([]float32, n), make([]float32, n)
-		layerNormRow(got, x, gamma, beta, 1e-5)
-		portable(func() { layerNormRow(want, x, gamma, beta, 1e-5) })
-		if i, ok := sameBits(got, want); !ok {
-			t.Fatalf("n=%d: layerNormRow[%d] = %g, reference %g", n, i, got[i], want[i])
-		}
 	}
 }
