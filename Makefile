@@ -31,8 +31,12 @@ build:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
+# gofmt -l lists every file whose formatting gofmt would change; any output
+# fails the target (the nested benchmark module included).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # Every internal package has a caller that is not a test or an example: it
 # is in the import graph of some cmd/ binary (ROADMAP item 7).
@@ -88,11 +92,15 @@ conservation:
 
 # Tiered template-store drills under the race detector: concurrent put/
 # get/observe/pin/delete/evict/spill traffic asserting the RAM budget
-# invariant throughout, and the derived-K/V budget property (random
-# sequences: templates + derived bytes within budget, derived stripped
-# before any demotion, overlapping first edits derive once).
+# invariant throughout; the derived-K/V budget property (random sequences,
+# with and without a spill tier: templates + derived bytes within budget,
+# derived K/V beside a Y stripped before any demotion, conversions to the
+# derived form exactly when the rule says, overlapping first edits derive
+# once); the derived form's second spill object through re-put, delete
+# (racing its write-back), pins, storage recycled under running edits, and
+# a restart that recovers both forms.
 cache-stress:
-	$(GO) test -race -count=1 ./internal/cache/ -run 'TestCacheStress|TestDerived'
+	$(GO) test -race -count=1 ./internal/cache/ -run 'TestCacheStress|TestDerived|TestTieredStoreRestartRecovery'
 
 # The unification proof under the race detector: the discrete-event
 # simulator and the real-engine driver must emit identical decision

@@ -51,7 +51,7 @@ func main() {
 		traceRing = flag.Int("trace-ring", 0, "span trace ring capacity for /debug/traces (0 = default 65536)")
 		flightDir = flag.String("flight-dir", "",
 			"write flightrecorder.json here when an alert pages or a fault trips (empty = flight sink off)")
-		noPprof   = flag.Bool("no-pprof", false, "disable the /debug/pprof/ endpoints")
+		noPprof = flag.Bool("no-pprof", false, "disable the /debug/pprof/ endpoints")
 
 		maxRetries = flag.Int("max-retries", 0, "crash-retry budget per request (0 = default 2, negative disables)")
 		retryBO    = flag.Duration("retry-backoff", 0, "base crash-retry backoff, capped at 8x (0 = default 25ms)")

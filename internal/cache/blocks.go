@@ -23,9 +23,20 @@ import (
 // tensor payloads position-stable, so fixed-size chunking dedups well.
 const DefaultBlockBytes = 256 << 10
 
-// blockManifest maps one spilled template onto content-addressed blocks.
+// spillKey names one spilled object: a template's Y form, or its derived
+// form (diffusion.TemplateCache.DerivedForm), valid only beside the Y form
+// it was derived from.
+type spillKey struct {
+	id      uint64
+	derived bool
+}
+
+// blockManifest maps one spilled object onto content-addressed blocks.
 type blockManifest struct {
-	ID         uint64   `json:"id"`
+	ID uint64 `json:"id"`
+	// Form is "derived" for a derived form, empty for the Y form (the only
+	// one manifests written before the other existed describe).
+	Form       string   `json:"form,omitempty"`
 	BlockBytes int      `json:"block_bytes"`
 	Bytes      int64    `json:"bytes"`
 	Blocks     []string `json:"blocks"`
@@ -33,10 +44,10 @@ type blockManifest struct {
 
 // DedupStats summarizes the spill tier's content-addressed storage.
 type DedupStats struct {
-	Templates     int   // spilled templates (manifests)
+	Templates     int   // spilled templates, either form or both
 	Blocks        int   // distinct live blocks
 	SharedBlocks  int   // blocks referenced by more than one template
-	LogicalBytes  int64 // sum of template sizes as stored by callers
+	LogicalBytes  int64 // sum of object sizes as stored by callers
 	PhysicalBytes int64 // bytes actually held on disk
 }
 
@@ -54,18 +65,23 @@ func (s DedupStats) Ratio() float64 {
 // refcounted across templates, with a small JSON manifest per template.
 // Identical templates (and identical prefixes of near-identical ones)
 // share physical blocks; deleting one template only deletes blocks no
-// other manifest references.
+// other manifest references. A template has up to two objects, each with
+// its manifest: its Y form and its derived form.
 type BlockStore struct {
 	mu         sync.Mutex
 	dir        string
 	blockBytes int
-	manifests  map[uint64]*blockManifest
+	manifests  map[spillKey]*blockManifest
 	refs       map[string]int // block hash → referencing manifests
+	// pool, when set, is the storage derived forms are read into
+	// (diffusion.ReadTemplateCacheWith).
+	pool *diffusion.SlabPool
 }
 
 // NewBlockStore opens (or creates) a spill directory, rebuilding block
 // refcounts from the manifests found there so a restarted server resumes
-// with its spilled templates intact.
+// with its spilled templates intact. A derived form whose Y form is gone
+// is removed.
 func NewBlockStore(dir string, blockBytes int) (*BlockStore, error) {
 	if blockBytes <= 0 {
 		blockBytes = DefaultBlockBytes
@@ -76,7 +92,7 @@ func NewBlockStore(dir string, blockBytes int) (*BlockStore, error) {
 	s := &BlockStore{
 		dir:        dir,
 		blockBytes: blockBytes,
-		manifests:  make(map[uint64]*blockManifest),
+		manifests:  make(map[spillKey]*blockManifest),
 		refs:       make(map[string]int),
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
@@ -89,22 +105,33 @@ func NewBlockStore(dir string, blockBytes int) (*BlockStore, error) {
 			continue
 		}
 		var m blockManifest
-		if json.Unmarshal(raw, &m) != nil || len(m.Blocks) == 0 {
+		if json.Unmarshal(raw, &m) != nil || len(m.Blocks) == 0 || m.Form != "" && m.Form != formDerived {
 			continue
 		}
-		s.manifests[m.ID] = &m
+		s.manifests[spillKey{m.ID, m.Form == formDerived}] = &m
 		for _, h := range m.Blocks {
 			s.refs[h]++
+		}
+	}
+	for k := range s.manifests {
+		if _, y := s.manifests[spillKey{id: k.id}]; k.derived && !y {
+			s.deleteLocked(k)
 		}
 	}
 	return s, nil
 }
 
+// formDerived is a derived form's blockManifest.Form.
+const formDerived = "derived"
+
 // Dir returns the spill directory.
 func (s *BlockStore) Dir() string { return s.dir }
 
-func (s *BlockStore) manifestPath(id uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("manifest-%d.json", id))
+func (s *BlockStore) manifestPath(k spillKey) string {
+	if k.derived {
+		return filepath.Join(s.dir, fmt.Sprintf("manifest-%d-derived.json", k.id))
+	}
+	return filepath.Join(s.dir, fmt.Sprintf("manifest-%d.json", k.id))
 }
 
 func (s *BlockStore) blockPath(hash string) string {
@@ -112,9 +139,11 @@ func (s *BlockStore) blockPath(hash string) string {
 }
 
 // Save serializes the template cache into content-addressed blocks and
-// writes its manifest atomically. Re-saving an existing id releases the
-// old manifest's blocks after the new one lands.
+// writes its manifest atomically, as id's derived form when tc is one and
+// as its Y form otherwise. Re-saving an existing object releases the old
+// manifest's blocks after the new one lands.
 func (s *BlockStore) Save(id uint64, tc *diffusion.TemplateCache) error {
+	k := spillKey{id, tc.IsDerivedForm()}
 	// Sized up front (activations plus headers): a buffer left to grow by
 	// doubling holds three times the template at its peak.
 	var buf bytes.Buffer
@@ -156,16 +185,19 @@ func (s *BlockStore) Save(id uint64, tc *diffusion.TemplateCache) error {
 	}
 
 	m := &blockManifest{ID: id, BlockBytes: s.blockBytes, Bytes: int64(len(raw)), Blocks: hashes}
+	if k.derived {
+		m.Form = formDerived
+	}
 	enc, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(s.manifestPath(id), enc); err != nil {
+	if err := atomicWrite(s.manifestPath(k), enc); err != nil {
 		return fmt.Errorf("cache: write manifest %d: %w", id, err)
 	}
 
-	old := s.manifests[id]
-	s.manifests[id] = m
+	old := s.manifests[k]
+	s.manifests[k] = m
 	for _, h := range hashes {
 		s.refs[h]++
 	}
@@ -175,13 +207,19 @@ func (s *BlockStore) Save(id uint64, tc *diffusion.TemplateCache) error {
 	return nil
 }
 
-// Load reads a spilled template back, verifying its length against the
-// manifest. The blocks are decoded as they stream off the disk: a
-// promotion is the serving path's largest allocation, so the template is
+// Load reads a spilled template's Y form back, verifying its length
+// against the manifest. The blocks are decoded as they stream off the disk:
+// a promotion is the serving path's largest allocation, so the template is
 // materialized once, as matrices, and never as a reassembled byte image.
 func (s *BlockStore) Load(id uint64) (*diffusion.TemplateCache, error) {
+	return s.load(spillKey{id: id})
+}
+
+// load reads one object back, as Load does the Y form.
+func (s *BlockStore) load(k spillKey) (*diffusion.TemplateCache, error) {
+	id := k.id
 	s.mu.Lock()
-	m, ok := s.manifests[id]
+	m, ok := s.manifests[k]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("cache: template %d: %w", id, ErrNotFound)
@@ -189,7 +227,7 @@ func (s *BlockStore) Load(id uint64) (*diffusion.TemplateCache, error) {
 	blocks := &blockReader{store: s, blocks: m.Blocks}
 	defer blocks.close()
 	r := bufio.NewReaderSize(blocks, 64<<10)
-	tc, err := diffusion.ReadTemplateCache(r)
+	tc, err := diffusion.ReadTemplateCacheWith(r, s.pool)
 	if err == nil {
 		_, err = io.Copy(io.Discard, r) // whatever follows counts against the manifest
 	}
@@ -198,6 +236,10 @@ func (s *BlockStore) Load(id uint64) (*diffusion.TemplateCache, error) {
 	}
 	if blocks.n != m.Bytes {
 		return nil, fmt.Errorf("cache: template %d has %d bytes on disk, manifest says %d", id, blocks.n, m.Bytes)
+	}
+	if tc.IsDerivedForm() != k.derived {
+		tc.Release()
+		return nil, fmt.Errorf("cache: template %d: the object on disk is of the other form", id)
 	}
 	return tc, nil
 }
@@ -241,35 +283,52 @@ func (r *blockReader) close() {
 	}
 }
 
-// Has reports whether a spilled copy of the template exists.
-func (s *BlockStore) Has(id uint64) bool {
+// Has reports whether a spilled Y form of the template exists.
+func (s *BlockStore) Has(id uint64) bool { return s.has(spillKey{id: id}) }
+
+func (s *BlockStore) has(k spillKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.manifests[id]
+	_, ok := s.manifests[k]
 	return ok
 }
 
-// Bytes returns the logical size of a spilled template, or 0 if absent.
+// Bytes returns the logical size of a spilled template's Y form, or 0 if
+// absent.
 func (s *BlockStore) Bytes(id uint64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.manifests[id]; ok {
+	if m, ok := s.manifests[spillKey{id: id}]; ok {
 		return m.Bytes
 	}
 	return 0
 }
 
-// Delete removes a template's manifest and any blocks no other template
-// still references. Deleting an absent id is a no-op returning false.
+// Delete removes both of a template's objects — the derived form first, so
+// that a crash between the two never leaves it without its Y form — and
+// any blocks no other manifest still references. Deleting an absent id is
+// a no-op returning false.
 func (s *BlockStore) Delete(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.manifests[id]
+	d := s.deleteLocked(spillKey{id, true})
+	return s.deleteLocked(spillKey{id: id}) || d
+}
+
+// deleteKey removes one object, reporting whether there was one.
+func (s *BlockStore) deleteKey(k spillKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deleteLocked(k)
+}
+
+func (s *BlockStore) deleteLocked(k spillKey) bool {
+	m, ok := s.manifests[k]
 	if !ok {
 		return false
 	}
-	delete(s.manifests, id)
-	_ = os.Remove(s.manifestPath(id))
+	delete(s.manifests, k)
+	_ = os.Remove(s.manifestPath(k))
 	s.releaseLocked(m)
 	return true
 }
@@ -286,13 +345,16 @@ func (s *BlockStore) releaseLocked(m *blockManifest) {
 	}
 }
 
-// IDs returns the spilled template ids in ascending order.
+// IDs returns the spilled template ids, either form, in ascending order.
 func (s *BlockStore) IDs() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]uint64, 0, len(s.manifests))
-	for id := range s.manifests {
-		ids = append(ids, id)
+	for k := range s.manifests {
+		if _, y := s.manifests[spillKey{id: k.id}]; k.derived && y {
+			continue // listed with its Y form
+		}
+		ids = append(ids, k.id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -302,9 +364,12 @@ func (s *BlockStore) IDs() []uint64 {
 func (s *BlockStore) Dedup() DedupStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := DedupStats{Templates: len(s.manifests)}
+	st := DedupStats{}
 	sizes := make(map[string]int64, len(s.refs))
-	for _, m := range s.manifests {
+	for k, m := range s.manifests {
+		if _, y := s.manifests[spillKey{id: k.id}]; !k.derived || !y {
+			st.Templates++
+		}
 		st.LogicalBytes += m.Bytes
 		rem := m.Bytes
 		for _, h := range m.Blocks {

@@ -93,7 +93,7 @@ func TestBlockStoreLoadChecksLength(t *testing.T) {
 		if err := bs.Save(7, newTemplateCache(t, 7)); err != nil {
 			t.Fatal(err)
 		}
-		blocks := bs.manifests[7].Blocks
+		blocks := bs.manifests[spillKey{id: 7}].Blocks
 		if err := fn(bs.blockPath(blocks[len(blocks)-1])); err != nil {
 			t.Fatal(err)
 		}

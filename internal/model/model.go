@@ -403,7 +403,7 @@ func (m *Model) checkLane(l *Lane) error {
 			l.nbuf = 2
 		case ExecCachedY, ExecCachedKV:
 			l.stacks = true
-			if l.Cached == nil || len(l.Cached.Blocks) <= i || l.Cached.Blocks[i].Y == nil {
+			if l.Cached == nil || len(l.Cached.Blocks) <= i || l.Cached.Blocks[i].Y == nil && l.readsY(i, len(m.Blocks)) {
 				return fmt.Errorf("model: block %d mode %v requires cached activations", i, mode)
 			}
 			if len(l.MaskedIdx) == 0 {
@@ -429,6 +429,26 @@ func (m *Model) checkLane(l *Lane) error {
 		}
 	}
 	return nil
+}
+
+// readsY reports whether the lane reads the cached output of block i, a
+// cached-mode block of n: whatever puts the lane's full activations
+// together after it does (fill) — the next block unless it is given its
+// K/V, a reused residual, Record, or an output projection of all rows. A
+// lane given the K/V of every block after the first reads no Y at all,
+// which is what lets a template's derived form (diffusion) hold none.
+func (l *Lane) readsY(i, n int) bool {
+	if l.Record != nil || l.ReuseCache != nil {
+		return true
+	}
+	if i+1 == n {
+		return !l.MaskedOut
+	}
+	if next := l.modes[i+1]; next != ExecCachedY && next != ExecCachedKV || len(l.Cached.Blocks) <= i+1 {
+		return true
+	}
+	_, _, v := l.givenKV(i + 1)
+	return v == nil
 }
 
 // laneBlock is lane l's share of block i ahead of the stacked computation:

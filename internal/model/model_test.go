@@ -614,3 +614,40 @@ func TestEmbedTimestepTableMatchesPerCall(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneWithoutYGivenEveryKV: a lane given the K/V of every block needs no
+// cached Y — the Y cache of a template's derived form is empty — and has the
+// bits of the lane that holds it; a lane that would read Y it lacks (its
+// caller asks for all rows of Out, records, or may reuse a residual) is an
+// error, not a crash.
+func TestLaneWithoutYGivenEveryKV(t *testing.T) {
+	m := MustNew(testCfg, 9)
+	x := randLatent(testCfg, 6)
+	_, rec := recordFull(t, m, x, 1, nil)
+	derived := m.DeriveKV(tensor.NewArena(), rec, x, 1)
+	noY := &StepActivations{Blocks: make([]BlockActivations, len(rec.Blocks))}
+	masked := []int{2, 9, 10, 30}
+	lane := func(cached *StepActivations, maskedOut bool) Lane {
+		return Lane{Latent: x, T: 1, MaskedOut: maskedOut, StepOptions: StepOptions{
+			MaskedIdx: masked, Cached: cached, Derived: derived,
+			Modes: UniformModes(testCfg.NumBlocks, ExecCachedY),
+		}}
+	}
+	lanes := []Lane{lane(rec, true), lane(noY, true)}
+	m.ForwardLanes(nil, lanes)
+	if lanes[0].Err != nil || lanes[1].Err != nil {
+		t.Fatal(lanes[0].Err, lanes[1].Err)
+	}
+	if !tensor.Equal(lanes[0].Out, lanes[1].Out) {
+		t.Fatal("the lane without Y differs from the lane with it")
+	}
+	readers := []Lane{lane(noY, false), lane(noY, true), lane(noY, true)}
+	readers[1].Record = &StepActivations{}
+	readers[2].ReuseCache = NewReuseCache(testCfg.NumBlocks, testCfg.Tokens(), testCfg.Hidden)
+	m.ForwardLanes(nil, readers)
+	for i, l := range readers {
+		if l.Err == nil {
+			t.Fatalf("reader %d ran without the Y it reads", i)
+		}
+	}
+}

@@ -134,9 +134,10 @@ type PrepareResponse struct {
 type TemplateInfo struct {
 	TemplateID uint64 `json:"template_id"`
 	Bytes      int64  `json:"bytes"`
-	// DerivedBytes is the derived K/V held in RAM beside the template's
-	// Bytes: rebuilt on demand, first to go under memory pressure, never
-	// on disk.
+	// DerivedBytes is the derived K/V held in RAM for the template: beside
+	// its Bytes, rebuilt on demand and first to go under memory pressure;
+	// or in place of its Y cache, when the host tier holds its derived form
+	// (Bytes is then the form's latent trajectory).
 	DerivedBytes int64 `json:"derived_bytes,omitempty"`
 	// Tier is "host", "disk", or "host+disk".
 	Tier string `json:"tier"`

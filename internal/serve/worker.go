@@ -12,7 +12,6 @@ import (
 	"flashps/internal/diffusion"
 	"flashps/internal/faults"
 	"flashps/internal/img"
-	"flashps/internal/model"
 	"flashps/internal/obs"
 	"flashps/internal/tensor"
 	"flashps/internal/workload"
@@ -399,15 +398,16 @@ func (w *worker) stagedTemplates() []uint64 {
 	return out
 }
 
-// stagePass reads every tensor of a template cache entry, returning the
-// byte count and a CRC32 (IEEE) checksum over the traversal.
+// stagePass reads every tensor of a template cache entry — its Y cache, or
+// a derived form's trajectory and K/V (diffusion.TemplateCache.Tensors) —
+// returning the byte count and a CRC32 (IEEE) checksum over the traversal.
 func stagePass(tc *diffusion.TemplateCache) (int64, uint32) {
 	crc := crc32.NewIEEE()
 	var total int64
 	// Staging for a host whose float storage is not the checksum's byte
 	// order; elsewhere the tensors' own bytes are summed where they lie.
 	var buf []byte
-	addFloats := func(data []float32) {
+	tc.Tensors(func(data []float32) {
 		total += int64(4 * len(data))
 		if b := tensor.LEBytes(data); b != nil {
 			crc.Write(b)
@@ -422,27 +422,7 @@ func stagePass(tc *diffusion.TemplateCache) (int64, uint32) {
 			crc.Write(buf)
 			data = data[n:]
 		}
-	}
-	addMatrix := func(m *tensor.Matrix) {
-		if m != nil {
-			addFloats(m.Data)
-		}
-	}
-	addMatrix(tc.Z0)
-	addMatrix(tc.Noise)
-	for _, steps := range [][]*model.StepActivations{tc.Steps, tc.UncondSteps} {
-		for _, st := range steps {
-			if st == nil {
-				continue
-			}
-			for _, b := range st.Blocks {
-				addMatrix(b.Y)
-				addMatrix(b.K)
-				addMatrix(b.V)
-			}
-		}
-	}
-	addFloats(tc.Cond)
+	})
 	return total, crc.Sum32()
 }
 

@@ -67,6 +67,15 @@ func PackKeysInto(buf []float32, k *Matrix, scale float32) PackedKeys {
 	return PackedKeys{Lk: k.R, H: k.C, Scale: scale, kt: buf}
 }
 
+// Matrix returns the pack's storage as the H×Lk matrix scale·kᵀ (aliased):
+// its layout is the same at every kernel level.
+func (p PackedKeys) Matrix() *Matrix { return FromSlice(p.H, p.Lk, p.kt) }
+
+// PackedKeysOf is the pack whose storage is kt (Matrix), taken as it is.
+func PackedKeysOf(kt *Matrix, scale float32) PackedKeys {
+	return PackedKeys{Lk: kt.C, H: kt.R, Scale: scale, kt: kt.Data}
+}
+
 // WithRows returns a copy of p, served from ws, in which key idx[r] is row r
 // of kM: the pack of the key matrix with kM scattered into it (ScatterRows),
 // element for element — an entry is its key's feature times the scale,
