@@ -97,8 +97,10 @@ conservation:
 # derived K/V beside a Y stripped before any demotion, conversions to the
 # derived form exactly when the rule says, overlapping first edits derive
 # once); the derived form's second spill object through re-put, delete
-# (racing its write-back), pins, storage recycled under running edits, and
-# a restart that recovers both forms.
+# (racing its write-back), pins, storage recycled under running edits, the
+# share of promotions that recycle it (at most 1% of slab gets allocate), a
+# form that does not read (counted, removed, written again), and a restart
+# that recovers both forms, or the Y beside a version-3 form.
 cache-stress:
 	$(GO) test -race -count=1 ./internal/cache/ -run 'TestCacheStress|TestDerived|TestTieredStoreRestartRecovery'
 
@@ -197,13 +199,15 @@ experiments:
 	mkdir -p artifacts
 	$(GO) run ./cmd/flashps-bench -out artifacts | tee artifacts/full_bench_output.txt
 
-# Short fuzzing pass over the wire-format and API parsers, the PNG encoder
-# (decoded, its output must be the input's pixels) and the LayerNorm row-group
-# kernel (each row must have the row-at-a-time specification's bits).
+# Short fuzzing pass over the wire-format and API parsers, the template-cache
+# reader (what it reads must serialize back to the bytes it consumed), the PNG
+# encoder (decoded, its output must be the input's pixels) and the LayerNorm
+# row-group kernel (each row must have the row-at-a-time specification's bits).
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecBuild -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzMaskSpecJSON -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDeserializeLatent -fuzztime 10s
+	$(GO) test ./internal/diffusion/ -run xxx -fuzz FuzzReadTemplateCache -fuzztime 10s
 	$(GO) test ./internal/img/ -run xxx -fuzz FuzzEncodePNG -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzLayerNormRows -fuzztime 10s
 

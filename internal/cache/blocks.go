@@ -226,7 +226,17 @@ func (s *BlockStore) load(k spillKey) (*diffusion.TemplateCache, error) {
 	}
 	blocks := &blockReader{store: s, blocks: m.Blocks}
 	defer blocks.close()
-	r := bufio.NewReaderSize(blocks, 64<<10)
+	// A read at least as long as the buffer that finds it empty bypasses it
+	// (bufio.Reader). A derived form's step runs (160–192 KB each for
+	// sd21-sim) are such reads behind small headers, so a 4 KB buffer
+	// leaves them all but uncopied. A Y form interleaves headers with 16 KB
+	// matrices, which go through the buffer at any size; 64 KB takes one
+	// read call per four of them.
+	size := 4 << 10
+	if !k.derived {
+		size = 64 << 10
+	}
+	r := bufio.NewReaderSize(blocks, size)
 	tc, err := diffusion.ReadTemplateCacheWith(r, s.pool)
 	if err == nil {
 		_, err = io.Copy(io.Discard, r) // whatever follows counts against the manifest

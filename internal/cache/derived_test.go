@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -774,4 +775,141 @@ func TestDerivedFormStorageRecycled(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestDerivedPromotionsRecycleStorage pins the recycling in cache_thrash's
+// shape: 16 templates over a tier with room for two derived forms, edits on
+// random templates with up to four sessions holding their forms across
+// later promotions. After warm-up, at most 1% of the pool's gets allocate
+// (0.2–0.5% over three seeds): the pool keeps what the tier turns over,
+// demoted forms and forms whose last session has ended alike. A pool bounded
+// at half the RAM budget drops storage that the next promotions allocate
+// again, and fails this (12–13% of gets allocate).
+func TestDerivedPromotionsRecycleStorage(t *testing.T) {
+	f := newDerivedFixture(t)
+	s := derivedStore(t, f, 16, t.TempDir())
+	defer s.Close()
+	s.Flush() // every demoted form is on disk: no write-back holds one
+	cfg := f.eng.Model.Config()
+	rng := rand.New(rand.NewSource(11))
+	var open []*diffusion.EditSession
+	step := func(sess *diffusion.EditSession) bool {
+		done, err := sess.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	const warm, ops = 100, 1100
+	var gets0, fresh0 int64
+	for op := 0; op < ops; op++ {
+		if op == warm {
+			gets0, fresh0 = s.spill.pool.Counts()
+		}
+		if len(open) == 4 { // the oldest session runs to its end first
+			for !step(open[0]) {
+			}
+			open = open[1:]
+		}
+		tc := s.Get(uint64(1 + rng.Intn(16)))
+		sess, err := f.eng.BeginEdit(diffusion.EditRequest{
+			Template: tc, Mask: mask.Blob(tensor.NewRNG(rng.Uint64()), cfg.LatentH, cfg.LatentW, 1+rng.Intn(cfg.Tokens()-1)),
+			Prompt: "edit", Seed: rng.Uint64(), Mode: diffusion.EditCachedY,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.Release()
+		open = append(open, sess)
+		for i := 0; i < len(open); { // each session steps at three operations in four
+			if rng.Intn(4) == 0 || !step(open[i]) {
+				i++
+				continue
+			}
+			open = append(open[:i], open[i+1:]...)
+		}
+	}
+	gets, fresh := s.spill.pool.Counts()
+	gets, fresh = gets-gets0, fresh-fresh0
+	t.Logf("after warm-up %d of %d slab gets allocated", fresh, gets)
+	if gets < 1000 || fresh*100 > gets {
+		t.Fatalf("after warm-up %d of %d slab gets allocated, want at most 1%%", fresh, gets)
+	}
+}
+
+// formBlock returns the path and contents of the first block of template
+// id's derived form on disk, which is the form's own: its header names id.
+func formBlock(t *testing.T, bs *BlockStore, id uint64) (string, []byte) {
+	t.Helper()
+	bs.mu.Lock()
+	m := bs.manifests[spillKey{id, true}]
+	bs.mu.Unlock()
+	if m == nil {
+		t.Fatalf("template %d has no derived form on disk", id)
+	}
+	path := bs.blockPath(m.Blocks[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// plantVersion3 makes template id's derived form on disk a version-3 object,
+// the layout older binaries wrote, which the reader refuses at its header.
+func plantVersion3(t *testing.T, bs *BlockStore, id uint64) {
+	t.Helper()
+	path, raw := formBlock(t, bs, id)
+	raw[4] = 3
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDerivedUnreadableFormFallsBack: a derived form on disk that does not
+// read (here a version-3 object) counts one disk error, and the promotion
+// serves the template's Y, whose edits keep the computed bits. The object
+// is removed, so no later promotion reads it again, and the template's next
+// demotion as a derived form writes a version-4 one, which promotes.
+func TestDerivedUnreadableFormFallsBack(t *testing.T) {
+	f := newDerivedFixture(t)
+	s := derivedStore(t, f, 3, t.TempDir()) // 1 demoted as its derived form
+	defer s.Close()
+	s.Flush()
+	plantVersion3(t, s.spill, 1)
+	tc := s.Get(1)
+	if tc == nil || tc.IsDerivedForm() {
+		t.Fatal("an unreadable derived form did not fall back to the Y")
+	}
+	f.edit(1, tc, 5)
+	s.Flush()
+	if errs := s.Stats()[1].Errors; errs != 1 {
+		t.Fatalf("%d disk errors, want 1", errs)
+	}
+	if s.spill.has(spillKey{1, true}) {
+		t.Fatal("the unreadable derived form is still on disk")
+	}
+	for round := uint64(0); !s.spill.has(spillKey{1, true}); round++ {
+		if round == 4 {
+			t.Fatal("template 1's derived form was not written again")
+		}
+		for id := uint64(1); id <= 3; id++ {
+			f.edit(id, s.Get(id), 10*round+id)
+		}
+		s.Flush()
+	}
+	if _, raw := formBlock(t, s.spill, 1); raw[4] != 4 {
+		t.Fatalf("the derived form was written again as version %d", raw[4])
+	}
+	if _, ok := s.entries[1]; ok {
+		t.Fatal("template 1 is resident with its derived form on disk")
+	}
+	got, res := s.GetTracked(1)
+	if got == nil || !got.IsDerivedForm() || res.Tier != "disk" {
+		t.Fatalf("the rewritten derived form did not promote: %+v", res)
+	}
+	f.edit(1, got, 99)
+	if errs := s.Stats()[1].Errors; errs != 1 {
+		t.Fatalf("%d disk errors, want 1", errs)
+	}
 }

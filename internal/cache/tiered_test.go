@@ -329,7 +329,8 @@ func TestTieredStoreAllPinnedCacheFull(t *testing.T) {
 // TestTieredStoreRestartRecovery: a new store over an old spill dir
 // serves the previous process's templates (the examples/disk_cache flow),
 // in both forms: a template whose derived form was spilled comes back as
-// that form, one whose was not as its Y, and edits keep their bits.
+// that form, one whose was not — or whose form is a version-3 object — as
+// its Y, and edits keep their bits.
 func TestTieredStoreRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	tc := newTemplateCache(t, 81)
@@ -358,24 +359,34 @@ func TestTieredStoreRestartRecovery(t *testing.T) {
 		t.Fatal("recovered template mutated")
 	}
 
+	// A derived form left by an older binary (version 3) does not read:
+	// that template comes back as its Y, with one disk error.
 	f := newDerivedFixture(t)
-	dir = t.TempDir()
-	s = derivedStore(t, f, 3, dir) // 1 demoted as its derived form, 2 and 3 resident
-	s.Close()
-	re, err = NewTieredStore(TieredConfig{RAMBudget: 8 * tc.SizeBytes(), SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if ids := re.SpilledIDs(); fmt.Sprint(ids) != "[1 2 3]" {
-		t.Fatalf("SpilledIDs = %v", ids)
-	}
-	for id := uint64(1); id <= 3; id++ {
-		got, res := re.GetTracked(id)
-		if got == nil || res.Tier != "disk" || got.IsDerivedForm() != (id == 1) {
-			t.Fatalf("template %d recovered as %+v, derived form %v", id, res, got != nil && got.IsDerivedForm())
+	for _, old := range []bool{false, true} {
+		dir = t.TempDir()
+		s = derivedStore(t, f, 3, dir) // 1 demoted as its derived form, 2 and 3 resident
+		s.Close()
+		if old {
+			plantVersion3(t, s.spill, 1)
 		}
-		f.edit(id, got, 50+id)
+		re, err = NewTieredStore(TieredConfig{RAMBudget: 8 * tc.SizeBytes(), SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if ids := re.SpilledIDs(); fmt.Sprint(ids) != "[1 2 3]" {
+			t.Fatalf("SpilledIDs = %v", ids)
+		}
+		for id := uint64(1); id <= 3; id++ {
+			got, res := re.GetTracked(id)
+			if got == nil || res.Tier != "disk" || got.IsDerivedForm() != (id == 1 && !old) {
+				t.Fatalf("version-3 form %v: template %d recovered as %+v, derived form %v", old, id, res, got != nil && got.IsDerivedForm())
+			}
+			f.edit(id, got, 50+id)
+		}
+		if errs := re.Stats()[1].Errors; errs != btoi(old) {
+			t.Fatalf("version-3 form %v: %d disk errors", old, errs)
+		}
 	}
 }
 

@@ -440,7 +440,7 @@ func TestDerivedGateAndDrop(t *testing.T) {
 // with ErrNoY. The form holds no Y, counts its K/V and trajectory in
 // SizeBytes and the template's Y in CacheBytes, keeps its state through
 // DropDerived and SetDeriveGate, and
-// serializes as version 3, the Y form still as version 2. `make
+// serializes as version 4, the Y form still as version 2. `make
 // test-levels` runs it at every kernel level.
 func TestPropertyDerivedFormEqualsComputed(t *testing.T) {
 	for name, e := range testBackbones(t) {

@@ -16,6 +16,8 @@ type SlabPool struct {
 	free  map[int][][]float32 // by length
 	bytes int64
 	max   int64
+	// gets counts the slabs handed out, fresh those of them allocated.
+	gets, fresh int64
 }
 
 // NewSlabPool returns a pool keeping at most max bytes of free storage.
@@ -31,8 +33,10 @@ func (p *SlabPool) get(n int) []float32 {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.gets++
 	l := p.free[n]
 	if len(l) == 0 {
+		p.fresh++
 		return make([]float32, n)
 	}
 	s := l[len(l)-1]
@@ -40,6 +44,14 @@ func (p *SlabPool) get(n int) []float32 {
 	p.free[n] = l[:len(l)-1]
 	p.bytes -= 4 * int64(n)
 	return s
+}
+
+// Counts returns how many slabs the pool has handed out and how many of
+// them it had to allocate.
+func (p *SlabPool) Counts() (gets, fresh int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gets, p.fresh
 }
 
 // put takes slabs back, as many as fit within the pool's bound.

@@ -21,22 +21,29 @@ import (
 //	uncond flag u8; if 1, the unconditional pass's steps section follows
 //	(classifier-free guidance caches, same layout)
 //
-// Version 3 is a derived form (TemplateCache.DerivedForm): the same layout,
+// Version 4 is a derived form (TemplateCache.DerivedForm): the same layout,
 // every block's flags 0, then
 //
 //	cache bytes u64 (TemplateCache.CacheBytes)
 //	trajectory: u32 count, that many matrices
 //	derived K/V of the conditional pass, then of the unconditional pass:
-//	  steps u32, then per step: blocks u32, floats u32 (the step's K/V),
-//	  per block: flag u8 (1: present) followed by scale f32, the packed
-//	  keys (H×L, tensor.PackedKeys.Matrix) and V (L×H)
+//	  steps u32, then per step: blocks u32, floats u32, per block a flag u8
+//	  (1: present) followed by scale f32 when present, then the step's K/V
+//	  as one run of floats f32 laid out as model.Model.DeriveKV lays out
+//	  its slab: per present block the packed keys (H×L,
+//	  tensor.PackedKeys.Matrix), then V (L×H)
 //
-// A matrix is rows u32, cols u32, then rows·cols f32. A template with Y is
-// written as version 2, as it always was, and both versions are read.
+// The template fixes L and H, so the run carries no shapes: floats is
+// exactly 2·L·H per present block, and the reader fills a step's storage
+// with one read. A matrix is rows u32, cols u32, then rows·cols f32, and a
+// run of floats, a matrix's or a step's, is at most maxCacheDim long. A
+// template with Y is written as version 2, as it always was. Versions 2 and
+// 4 are read; version 3, the derived form with a header per matrix, is not
+// (a spilled derived form can always be derived again from its Y form).
 const (
 	cacheMagic     = "FPTC"
 	cacheVersion   = 2
-	derivedVersion = 3
+	derivedVersion = 4
 	maxCacheDim    = 1 << 24
 )
 
@@ -112,35 +119,30 @@ func writeDerived(w io.Writer, steps []*model.DerivedStep, scratch []byte) error
 		return err
 	}
 	for _, st := range steps {
+		// The step's header, staged whole: blocks, floats and the flags.
+		hdr := binary.LittleEndian.AppendUint32(scratch[:0], uint32(len(st.Blocks)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)
 		var floats int
 		for _, b := range st.Blocks {
-			if b.V != nil {
-				floats += 2 * len(b.V.Data)
+			if b.V == nil {
+				hdr = append(hdr, 0)
+				continue
 			}
+			hdr = binary.LittleEndian.AppendUint32(append(hdr, 1), math.Float32bits(b.K.Scale))
+			floats += 2 * len(b.V.Data)
 		}
-		if err := writeU32(w, uint32(len(st.Blocks))); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(floats)); err != nil {
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(floats))
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
 		for _, b := range st.Blocks {
 			if b.V == nil {
-				if _, err := w.Write([]byte{0}); err != nil {
-					return err
-				}
 				continue
 			}
-			if _, err := w.Write([]byte{1}); err != nil {
+			if err := writeFloats(w, b.K.Matrix().Data, scratch); err != nil {
 				return err
 			}
-			if err := writeU32(w, math.Float32bits(b.K.Scale)); err != nil {
-				return err
-			}
-			if err := writeMatrix(w, b.K.Matrix(), scratch); err != nil {
-				return err
-			}
-			if err := writeMatrix(w, b.V, scratch); err != nil {
+			if err := writeFloats(w, b.V.Data, scratch); err != nil {
 				return err
 			}
 		}
@@ -315,11 +317,13 @@ func readDerivedForm(r io.Reader, tc *TemplateCache, pool *SlabPool, scratch []b
 }
 
 // readDerived reads one pass's derived K/V, a step per step of steps, each
-// step's blocks carved from one slab of pool's (appended to tc.slabs) as
-// model.Model.DeriveKV lays them out, adding the slabs' bytes to *bytes. A
-// block is as many tokens as tc's latent by as wide as its conditioning.
+// step's run read with one readFloats into one slab of pool's (appended to
+// tc.slabs) and its blocks carved from it as model.Model.DeriveKV lays them
+// out, adding the slabs' bytes to *bytes. A block is as many tokens as tc's
+// latent by as wide as its conditioning.
 func readDerived(r io.Reader, tc *TemplateCache, steps []*model.StepActivations, pool *SlabPool, bytes *int64, scratch []byte) ([]*model.DerivedStep, error) {
 	tokens, hidden := tc.Z0.R, len(tc.Cond)
+	n := tokens * hidden // floats of one block's K, and of its V
 	count, err := readU32(r)
 	if err != nil {
 		return nil, err
@@ -337,14 +341,19 @@ func readDerived(r io.Reader, tc *TemplateCache, steps []*model.StepActivations,
 		if err != nil {
 			return nil, err
 		}
-		if int(blocks) != len(steps[t].Blocks) || uint64(floats) > 2*uint64(blocks)*uint64(tokens)*uint64(hidden) {
-			return nil, fmt.Errorf("diffusion: derived step of %d blocks and %d floats, template step has %d blocks",
-				blocks, floats, len(steps[t].Blocks))
+		if int(blocks) != len(steps[t].Blocks) {
+			return nil, fmt.Errorf("diffusion: derived step of %d blocks, template step has %d", blocks, len(steps[t].Blocks))
+		}
+		if floats > maxCacheDim {
+			return nil, fmt.Errorf("diffusion: implausible derived step of %d floats", floats)
 		}
 		slab := pool.get(int(floats))
 		tc.slabs = append(tc.slabs, slab)
 		*bytes += 4 * int64(floats)
+		// Each present block takes the next 2·L·H floats of the slab, which
+		// the blocks must use up exactly.
 		st := &model.DerivedStep{Blocks: make([]model.DerivedBlock, blocks)}
+		rest := slab
 		for bi := range st.Blocks {
 			var flag [1]byte
 			if _, err := io.ReadFull(r, flag[:]); err != nil {
@@ -360,25 +369,24 @@ func readDerived(r io.Reader, tc *TemplateCache, steps []*model.StepActivations,
 			if err != nil {
 				return nil, err
 			}
-			var kt, v *tensor.Matrix
-			if kt, slab, err = readMatrixInto(r, slab, scratch); err != nil {
-				return nil, err
+			if n == 0 || len(rest) < 2*n {
+				return nil, fmt.Errorf("diffusion: derived step of %d floats, too few for its present blocks", floats)
 			}
-			if v, slab, err = readMatrixInto(r, slab, scratch); err != nil {
-				return nil, err
-			}
-			if kt.R != hidden || kt.C != tokens || v.R != tokens || v.C != hidden {
-				return nil, fmt.Errorf("diffusion: derived keys %v and values %v, want %d×%d", kt, v, tokens, hidden)
-			}
+			kt, v := tensor.FromSlice(hidden, tokens, rest[:n:n]), tensor.FromSlice(tokens, hidden, rest[n:2*n:2*n])
 			st.Blocks[bi] = model.DerivedBlock{K: tensor.PackedKeysOf(kt, math.Float32frombits(scale)), V: v}
+			rest = rest[2*n:]
 		}
-		if len(slab) != 0 {
-			return nil, fmt.Errorf("diffusion: derived step leaves %d of its floats unread", len(slab))
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("diffusion: derived step leaves %d of its %d floats to no block", len(rest), floats)
+		}
+		if err := readFloats(r, slab, scratch); err != nil {
+			return nil, err
 		}
 		out[t] = st
 	}
 	return out, nil
 }
+
 func readSteps(r io.Reader, scratch []byte) ([]*model.StepActivations, error) {
 	count, err := readU32(r)
 	if err != nil {
@@ -404,6 +412,9 @@ func readSteps(r io.Reader, scratch []byte) ([]*model.StepActivations, error) {
 			var flags [1]byte
 			if _, err := io.ReadFull(r, flags[:]); err != nil {
 				return nil, err
+			}
+			if flags[0]&^7 != 0 {
+				return nil, fmt.Errorf("diffusion: bad block flags %#x", flags[0])
 			}
 			if flags[0]&1 != 0 {
 				if st.Blocks[bi].Y, err = readMatrix(r, scratch); err != nil {
@@ -441,10 +452,7 @@ func readU32(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-// writeMatrix encodes one matrix: its payload with one write straight from
-// its storage where that is the payload's byte order already
-// (tensor.LEBytes), staged through scratch (any positive multiple of 4 bytes
-// long) and converted float by float elsewhere.
+// writeMatrix encodes one matrix: its shape, then its payload (writeFloats).
 func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	if m == nil {
 		return fmt.Errorf("diffusion: nil matrix in cache")
@@ -455,11 +463,19 @@ func writeMatrix(w io.Writer, m *tensor.Matrix, scratch []byte) error {
 	if err := writeU32(w, uint32(m.C)); err != nil {
 		return err
 	}
-	if payload := tensor.LEBytes(m.Data); payload != nil {
+	return writeFloats(w, m.Data, scratch)
+}
+
+// writeFloats encodes data with one write straight from its storage where
+// that is the payload's byte order already (tensor.LEBytes), staged through
+// scratch (any positive multiple of 4 bytes long) and converted float by
+// float elsewhere.
+func writeFloats(w io.Writer, data []float32, scratch []byte) error {
+	if payload := tensor.LEBytes(data); payload != nil {
 		_, err := w.Write(payload)
 		return err
 	}
-	for data := m.Data; len(data) > 0; {
+	for len(data) > 0 {
 		n := min(len(data), len(scratch)/4)
 		for i, v := range data[:n] {
 			binary.LittleEndian.PutUint32(scratch[4*i:], math.Float32bits(v))
@@ -492,28 +508,6 @@ func readMatrix(r io.Reader, scratch []byte) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// readMatrixInto decodes one matrix into the head of slab, returning it and
-// the rest of slab.
-func readMatrixInto(r io.Reader, slab []float32, scratch []byte) (*tensor.Matrix, []float32, error) {
-	rows, err := readU32(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols, err := readU32(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := uint64(rows) * uint64(cols)
-	if rows == 0 || cols == 0 || n > uint64(len(slab)) {
-		return nil, nil, fmt.Errorf("diffusion: matrix %d×%d in a slab of %d floats", rows, cols, len(slab))
-	}
-	m := tensor.FromSlice(int(rows), int(cols), slab[:n:n])
-	if err := readFloats(r, m.Data, scratch); err != nil {
-		return nil, nil, err
-	}
-	return m, slab[n:], nil
 }
 
 // readFloats fills data from its encoding: with one read straight into its

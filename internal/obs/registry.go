@@ -207,10 +207,19 @@ func (f *family) child(values ...string) *child {
 		panic(fmt.Sprintf("obs: metric %s expects %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	// The key is joined on the stack: a lookup by string(key) does not
+	// allocate, so only a new child's key is copied to the heap.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c := &child{values: append([]string(nil), values...)}
@@ -222,8 +231,9 @@ func (f *family) child(values ...string) *child {
 	case kindHistogram:
 		c.hist = newHistogram(f.buckets)
 	}
-	f.children[key] = c
-	f.order = append(f.order, key)
+	k := string(key)
+	f.children[k] = c
+	f.order = append(f.order, k)
 	return c
 }
 
